@@ -33,8 +33,10 @@ from avqa_debias.toy import ablation_run, render_ablation_table
 scfg = SyntheticConfig(train_n=2000, test_n=1000, seed=3)
 tcfg = TrainConfig(epochs=30, seed=3)
 
+# data.train and data.test are ToySets: QA records plus one label vector
+# and one (n, d) feature matrix per modality.
 data = generate_synthetic(scfg)
-answers = [s.qa.answer for s in data.train]
+answers = [s.answer for s in data.train.qa]
 print("training answer histogram:",
       {a: answers.count(a) for a in sorted(set(answers))})
 

@@ -41,7 +41,7 @@ from .toy import (
     AblationVariant,
     SyntheticConfig,
     ToyModel,
-    ToySample,
+    ToySet,
     TrainConfig,
     ablation_run,
     class_index,
@@ -145,12 +145,10 @@ def cmd_gen_synth(args) -> int:
     data = generate_synthetic(cfg)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, samples in (("train", data.train), ("test", data.test)):
+    for name, part in (("train", data.train), ("test", data.test)):
         with open(out / f"{name}.jsonl", "wb") as f:
-            write_samples((s.qa for s in samples), f)
-        serialize.write_features(
-            out / f"{name}.features", [(s.audio, s.video, s.question) for s in samples]
-        )
+            write_samples(part.qa, f)
+        serialize.write_features(out / f"{name}.features", part.audio, part.video, part.question)
     with open(out / "splits.jsonl", "wb") as f:
         write_splits(data.splits, f)
     _dump_json(
@@ -171,16 +169,14 @@ def cmd_gen_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_toy_corpus(data_dir: Path, name: str) -> list[ToySample]:
+def _load_toy_corpus(data_dir: Path, name: str) -> ToySet:
     with open(data_dir / f"{name}.jsonl", "rb") as f:
         qa = parse_samples(f)
-    feats = serialize.read_features(data_dir / f"{name}.features")
-    if len(feats) != len(qa):
-        raise CliError(f"{name}: {len(qa)} samples but {len(feats)} feature rows")
-    return [
-        ToySample(qa=s, label=class_index(s.answer), audio=a, video=v, question=q)
-        for s, (a, v, q) in zip(qa, feats)
-    ]
+    audio, video, question = serialize.read_features(data_dir / f"{name}.features")
+    if len(audio) != len(qa):
+        raise CliError(f"{name}: {len(qa)} samples but {len(audio)} feature rows")
+    labels = np.array([class_index(s.answer) for s in qa], dtype=np.int64)
+    return ToySet(qa=qa, labels=labels, audio=audio, video=video, question=question)
 
 
 def cmd_train_toy(args) -> int:

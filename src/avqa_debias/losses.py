@@ -82,20 +82,20 @@ def softmax(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise LossError("softmax of an empty vector")
-    shifted = v - np.max(v, axis=-1, keepdims=True)
+    shifted = v - v.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
-    shifted = v - np.max(v, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = v - v.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Backprop g through softmax with output p (rowwise)."""
-    return p * (g - np.sum(p * g, axis=-1, keepdims=True))
+    return p * (g - (p * g).sum(axis=-1, keepdims=True))
 
 
 def _stack(batch: list[LogitBundle]) -> dict[str, np.ndarray]:
@@ -156,7 +156,7 @@ def discrepancy_loss_stacked(
     for h in heads:
         diff = z[h] - z["fused"]
         d = np.linalg.norm(diff, axis=-1)
-        total += float(np.sum(1.0 / (d + cfg.epsilon)))
+        total += float((1.0 / (d + cfg.epsilon)).sum())
         # d(1/(d+eps))/dz_h = -(d+eps)^-2 * diff/d; at d=0 the direction
         # is undefined and the subgradient 0 is used.
         coef = -1.0 / (d + cfg.epsilon) ** 2
@@ -200,7 +200,7 @@ def cycle_loss_stacked(y: dict[str, np.ndarray], cfg: MccdConfig = MccdConfig())
     total = 0.0
     for src, dst in cycle:
         s = logp[src] - logp[dst]
-        total += float(np.sum(p[src] * s))
+        total += float((p[src] * s).sum())
         # d KL(p_src || p_dst): through src it is the softmax VJP of the
         # pointwise log-ratio; through dst it collapses to p_dst - p_src.
         grads[src] += scale * _softmax_vjp(p[src], s)
@@ -210,17 +210,17 @@ def cycle_loss_stacked(y: dict[str, np.ndarray], cfg: MccdConfig = MccdConfig())
 
 def answer_loss(y_m_batch: list[np.ndarray] | np.ndarray, labels: list[int]) -> LossValue:
     """Softmax cross-entropy of the fused head against integer labels."""
-    y = np.asarray([np.asarray(v, dtype=np.float64) for v in y_m_batch])
+    y = np.asarray(y_m_batch, dtype=np.float64)
     if y.ndim != 2 or y.shape[0] == 0:
         raise LossError("expected a nonempty batch of logit vectors")
     k, c = y.shape
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (k,):
         raise LossError("labels must align with the batch")
-    if np.any(labels < 0) or np.any(labels >= c):
+    if (labels < 0).any() or (labels >= c).any():
         raise LossError(f"labels must lie in [0, {c})")
     logq = log_softmax(y)
-    value = -float(np.sum(logq[np.arange(k), labels])) / k
+    value = -float(logq[np.arange(k), labels].sum()) / k
     grad = softmax(y)
     grad[np.arange(k), labels] -= 1.0
     grad /= k

@@ -4,13 +4,17 @@ Both formats are little-endian, fully deterministic, and versioned:
 
 * features sidecar: magic ``AVQF``, u32 version, u32 sample count, three
   u32 per-modality dims, then per sample the audio, video and question
-  vectors as float64;
+  vectors as float64 (one row-major (n, da + dv + dq) matrix);
 * model file: magic ``AVQM``, u32 version, u32 parameter count, then per
   parameter a length-prefixed utf-8 name, u8 ndim, u32 dims, float64 data.
+
+Every fixed-size read goes through ``_read_exact``, so a file cut short
+anywhere raises ``FormatError`` naming the file.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -25,41 +29,48 @@ class FormatError(ValueError):
     pass
 
 
-def write_features(path: str | Path, features: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
-    """Write per-sample (audio, video, question) vectors; order matches the corpus file."""
-    if not features:
+def _read_exact(f, n: int, path: str | Path, what: str) -> bytes:
+    """The next ``n`` bytes of ``f``; a short read is a FormatError naming ``path``.
+
+    The size is checked against the file before reading, so a corrupt
+    count in a header never allocates a buffer larger than the file.
+    """
+    if n > os.fstat(f.fileno()).st_size - f.tell():
+        raise FormatError(f"{path}: truncated {what}")
+    return f.read(n)
+
+
+def write_features(
+    path: str | Path, audio: np.ndarray, video: np.ndarray, question: np.ndarray
+) -> None:
+    """Write (n, d) feature matrices; row i is sample i of the corpus file."""
+    mats = [np.asarray(x, dtype="<f8") for x in (audio, video, question)]
+    n = len(mats[0])
+    if n == 0:
         raise FormatError("no feature rows to write")
-    dims = tuple(len(v) for v in features[0])
+    for x in mats:
+        if x.ndim != 2 or x.shape[0] != n:
+            raise FormatError(f"feature matrix shape {x.shape} != ({n}, d)")
     with open(path, "wb") as f:
         f.write(FEATURES_MAGIC)
-        f.write(struct.pack("<IIIII", FORMAT_VERSION, len(features), *dims))
-        for row in features:
-            for vec, dim in zip(row, dims):
-                vec = np.asarray(vec, dtype="<f8")
-                if vec.shape != (dim,):
-                    raise FormatError(f"feature vector shape {vec.shape} != ({dim},)")
-                f.write(vec.tobytes())
+        f.write(struct.pack("<IIIII", FORMAT_VERSION, n, *(x.shape[1] for x in mats)))
+        f.write(np.concatenate(mats, axis=1))
 
 
-def read_features(path: str | Path) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def read_features(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The audio, video and question (n, d) float64 matrices of a features file."""
     with open(path, "rb") as f:
         if f.read(4) != FEATURES_MAGIC:
             raise FormatError(f"{path}: not a features file")
-        version, n, da, dv, dq = struct.unpack("<IIIII", f.read(20))
+        version, n, da, dv, dq = struct.unpack("<IIIII", _read_exact(f, 20, path, "header"))
         if version != FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        rows = []
-        for _ in range(n):
-            row = []
-            for dim in (da, dv, dq):
-                buf = f.read(8 * dim)
-                if len(buf) != 8 * dim:
-                    raise FormatError(f"{path}: truncated feature data")
-                row.append(np.frombuffer(buf, dtype="<f8").copy())
-            rows.append(tuple(row))
+        width = da + dv + dq
+        buf = _read_exact(f, 8 * n * width, path, "feature data")
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after feature data")
-    return rows
+    rows = np.frombuffer(buf, dtype="<f8").reshape(n, width)
+    return rows[:, :da].copy(), rows[:, da : da + dv].copy(), rows[:, da + dv :].copy()
 
 
 def write_model(path: str | Path, params: dict[str, np.ndarray]) -> None:
@@ -81,17 +92,15 @@ def read_model(path: str | Path) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
         if f.read(4) != MODEL_MAGIC:
             raise FormatError(f"{path}: not a model file")
-        version, count = struct.unpack("<II", f.read(8))
+        version, count = struct.unpack("<II", _read_exact(f, 8, path, "header"))
         if version != FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+            (name_len,) = struct.unpack("<H", _read_exact(f, 2, path, "parameter name length"))
+            name = _read_exact(f, name_len, path, "parameter name").decode("utf-8")
+            (ndim,) = struct.unpack("<B", _read_exact(f, 1, path, f"rank of {name!r}"))
+            shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, path, f"shape of {name!r}"))
             size = int(np.prod(shape)) if shape else 1
-            buf = f.read(8 * size)
-            if len(buf) != 8 * size:
-                raise FormatError(f"{path}: truncated parameter {name!r}")
+            buf = _read_exact(f, 8 * size, path, f"parameter {name!r}")
             params[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     return params

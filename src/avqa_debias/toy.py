@@ -8,10 +8,17 @@ are the head regime; samples where it disagrees are the tail regime. A
 model that memorizes the question shortcut aces the head and fails the
 tail, which is exactly what the debiasing objective is meant to prevent.
 
+A corpus is a ``ToySet``: the ``QASample`` records plus one int64 label
+vector and one (n, d) float64 matrix per modality, so a minibatch is a
+row selection of each array.
+
 The classifier is a small numpy network: one affine+ramp encoder per
 modality, an affine fusion head producing the answer logits, and one
 two-layer perceptron bias learner per modality. Bias learners exist only
 at training time; inference uses the encoders and fusion head alone.
+Every parameter is a view into one contiguous buffer, and the backward
+pass writes its gradients into views of one buffer of the same layout, so
+the optimizer updates the whole network with one elementwise pass.
 
 Each bias learner is trained on its own softmax cross-entropy against the
 label, so it captures what its modality alone predicts, and its gradients
@@ -72,12 +79,40 @@ class SyntheticConfig:
 
 
 @dataclass(frozen=True)
-class ToySample:
-    qa: QASample
-    label: int
+class ToySet:
+    """A toy corpus as arrays: row i of each array belongs to ``qa[i]``.
+
+    ``labels`` is an int64 vector of answer-class indices; ``audio``,
+    ``video`` and ``question`` are (n, d) float64 feature matrices.
+    """
+
+    qa: list[QASample]
+    labels: np.ndarray
     audio: np.ndarray
     video: np.ndarray
     question: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.qa)
+        if self.labels.shape != (n,):
+            raise ToyError(f"labels have shape {self.labels.shape}, expected ({n},)")
+        for m in ToyModel.MODALITIES:
+            x = getattr(self, m)
+            if x.ndim != 2 or x.shape[0] != n:
+                raise ToyError(f"{m} features have shape {x.shape}, expected ({n}, d)")
+
+    def __len__(self) -> int:
+        return len(self.qa)
+
+    def __getitem__(self, rows: slice | np.ndarray) -> "ToySet":
+        """The samples at ``rows`` (a slice or an index array) as a new set."""
+        qa = self.qa[rows] if isinstance(rows, slice) else [self.qa[i] for i in rows]
+        return ToySet(
+            qa, self.labels[rows], self.audio[rows], self.video[rows], self.question[rows]
+        )
+
+    def features(self) -> dict[str, np.ndarray]:
+        return {"audio": self.audio, "video": self.video, "question": self.question}
 
 
 class AblationVariant(enum.Enum):
@@ -152,8 +187,8 @@ def _make_sample(sid: str, label: int) -> QASample:
 
 @dataclass
 class SyntheticData:
-    train: list[ToySample]
-    test: list[ToySample]
+    train: ToySet
+    test: ToySet
     splits: list[SplitAssignment]
     config: SyntheticConfig
 
@@ -178,13 +213,14 @@ def generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticDat
     video_protos = rng.choice([-1.0, 1.0], size=(n_video, d))
     probs = _label_probs(c)
 
-    def draw(n: int, prefix: str, regime: np.ndarray | None) -> list[ToySample]:
+    def draw(n: int, prefix: str, regime: np.ndarray | None) -> ToySet:
         labels = rng.choice(c, size=n, p=probs)
-        samples = []
+        audio, video, question = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
+        qa = []
         for i, label in enumerate(labels):
             label = int(label)
-            audio = audio_protos[label // n_video] + cfg.noise_scale * rng.standard_normal(d)
-            video = video_protos[label % n_video] + cfg.noise_scale * rng.standard_normal(d)
+            audio[i] = audio_protos[label // n_video] + cfg.noise_scale * rng.standard_normal(d)
+            video[i] = video_protos[label % n_video] + cfg.noise_scale * rng.standard_normal(d)
             if regime is None:
                 shortcut_ok = rng.random() < cfg.bias_strength
             else:
@@ -195,19 +231,11 @@ def generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticDat
                 shortcut = int(rng.integers(c - 1))
                 if shortcut >= label:
                     shortcut += 1
-            question = 0.1 * rng.standard_normal(d)
-            question[shortcut] += 2.0
-            sid = f"{prefix}-{i:05d}"
-            samples.append(
-                ToySample(
-                    qa=_make_sample(sid, label),
-                    label=label,
-                    audio=audio,
-                    video=video,
-                    question=question,
-                )
-            )
-        return samples
+            question[i] = 0.1 * rng.standard_normal(d)
+            question[i, shortcut] += 2.0
+            qa.append(_make_sample(f"{prefix}-{i:05d}", label))
+        return ToySet(qa=qa, labels=labels.astype(np.int64), audio=audio, video=video,
+                      question=question)
 
     train = draw(cfg.train_n, "train", regime=None)
     head_mask = np.ones(cfg.test_n, dtype=bool)
@@ -218,27 +246,48 @@ def generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticDat
 
     splits = [
         SplitAssignment(
-            sample_id=s.qa.id,
-            group=s.qa.group,
+            sample_id=qa.id,
+            group=qa.group,
             label=SplitLabel.HEAD if head_mask[i] else SplitLabel.TAIL,
-            answer_class=s.qa.answer,
+            answer_class=qa.answer,
             rule=SplitRule.GENERAL_THRESHOLD,
         )
-        for i, s in enumerate(test)
+        for i, qa in enumerate(test.qa)
     ]
     return SyntheticData(train=train, test=test, splits=splits, config=cfg)
 
 
 @dataclass
 class ToyModel:
-    """Parameter container; the forward/backward passes live in free functions."""
+    """Parameter container; the forward/backward passes live in free functions.
+
+    On construction the parameters are copied into one contiguous float64
+    buffer, ``flat``; each entry of ``params`` is then a view into it, in
+    the order the dict lists them.
+    """
 
     num_classes: int
     feature_dim: int
     hidden: int
     params: dict[str, np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False)
 
     MODALITIES = ("audio", "video", "question")
+
+    def __post_init__(self):
+        self.flat = np.empty(sum(arr.size for arr in self.params.values()))
+        views = self.views(self.flat)
+        for name, arr in self.params.items():
+            views[name][...] = arr
+        self.params = views
+
+    def views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
+        """Arrays keyed by parameter name, viewing ``buf`` laid out like ``flat``."""
+        out, pos = {}, 0
+        for name, arr in self.params.items():
+            out[name] = buf[pos : pos + arr.size].reshape(arr.shape)
+            pos += arr.size
+        return out
 
     @classmethod
     def initialize(
@@ -264,14 +313,6 @@ class ToyModel:
         return names + ["fusion_W", "fusion_b"]
 
 
-def _stack_features(samples: list[ToySample]) -> dict[str, np.ndarray]:
-    return {
-        "audio": np.stack([s.audio for s in samples]),
-        "video": np.stack([s.video for s in samples]),
-        "question": np.stack([s.question for s in samples]),
-    }
-
-
 def _forward_cache(model: ToyModel, x: dict[str, np.ndarray]) -> dict:
     p = model.params
     cache: dict = {"x": x, "z": {}, "h": {}, "bz": {}, "ba": {}}
@@ -293,11 +334,11 @@ def _forward_cache(model: ToyModel, x: dict[str, np.ndarray]) -> dict:
     return cache
 
 
-def forward(model: ToyModel, samples: list[ToySample]) -> dict[str, np.ndarray]:
+def forward(model: ToyModel, batch: ToySet) -> dict[str, np.ndarray]:
     """All four logit heads for a batch, as (K, C) matrices keyed by head name."""
-    if not samples:
+    if not len(batch):
         raise ToyError("empty batch")
-    x = _stack_features(samples)
+    x = batch.features()
     for m in ToyModel.MODALITIES:
         if x[m].shape[1] != model.feature_dim:
             raise ToyError(
@@ -306,9 +347,9 @@ def forward(model: ToyModel, samples: list[ToySample]) -> dict[str, np.ndarray]:
     return _forward_cache(model, x)["logits"]
 
 
-def forward_bundle(model: ToyModel, sample: ToySample) -> LogitBundle:
-    """Single-sample convenience wrapper around forward()."""
-    logits = forward(model, [sample])
+def forward_bundle(model: ToyModel, data: ToySet, i: int) -> LogitBundle:
+    """Single-sample convenience wrapper around forward() for row ``i``."""
+    logits = forward(model, data[i : i + 1])
     return LogitBundle(
         audio=logits["audio"][0],
         video=logits["video"][0],
@@ -317,23 +358,25 @@ def forward_bundle(model: ToyModel, sample: ToySample) -> LogitBundle:
     )
 
 
-def predict_logits(model: ToyModel, samples: list[ToySample]) -> np.ndarray:
+def predict_logits(model: ToyModel, data: ToySet) -> np.ndarray:
     """Inference-path logits: encoders + fusion head, bias learners untouched."""
     p = {name: model.params[name] for name in model.fusion_param_names()}
-    x = _stack_features(samples)
+    x = data.features()
     hs = []
     for m in ToyModel.MODALITIES:
         hs.append(np.maximum(x[m] @ p[f"enc_{m}_W"].T + p[f"enc_{m}_b"], 0.0))
     return np.concatenate(hs, axis=1) @ p["fusion_W"].T + p["fusion_b"]
 
 
-def _backward(model: ToyModel, cache: dict, dlogits: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+def _backward(
+    model: ToyModel, cache: dict, dlogits: dict[str, np.ndarray], g: dict[str, np.ndarray]
+) -> None:
+    """Write every parameter's gradient into ``g``, views laid out like ``model.flat``."""
     p = model.params
-    g = {name: np.zeros_like(arr) for name, arr in p.items()}
     h_cat = cache["h_cat"]
     dy = dlogits["fused"]
-    g["fusion_W"] += dy.T @ h_cat
-    g["fusion_b"] += dy.sum(axis=0)
+    np.matmul(dy.T, h_cat, out=g["fusion_W"])
+    dy.sum(axis=0, out=g["fusion_b"])
     dh_cat = dy @ p["fusion_W"]
     hdim = model.hidden
     for idx, m in enumerate(ToyModel.MODALITIES):
@@ -341,40 +384,38 @@ def _backward(model: ToyModel, cache: dict, dlogits: dict[str, np.ndarray]) -> d
         # so the bias learners never shape the features inference uses
         dyb = dlogits[m]
         ba, bz, h = cache["ba"][m], cache["bz"][m], cache["h"][m]
-        g[f"bias_{m}_2_W"] += dyb.T @ ba
-        g[f"bias_{m}_2_b"] += dyb.sum(axis=0)
+        np.matmul(dyb.T, ba, out=g[f"bias_{m}_2_W"])
+        dyb.sum(axis=0, out=g[f"bias_{m}_2_b"])
         dba = dyb @ p[f"bias_{m}_2_W"]
         dbz = dba * (bz > 0.0)
-        g[f"bias_{m}_1_W"] += dbz.T @ h
-        g[f"bias_{m}_1_b"] += dbz.sum(axis=0)
+        np.matmul(dbz.T, h, out=g[f"bias_{m}_1_W"])
+        dbz.sum(axis=0, out=g[f"bias_{m}_1_b"])
         # encoder, driven by the fused head alone
         dz = dh_cat[:, idx * hdim : (idx + 1) * hdim] * (cache["z"][m] > 0.0)
-        g[f"enc_{m}_W"] += dz.T @ cache["x"][m]
-        g[f"enc_{m}_b"] += dz.sum(axis=0)
-    return g
+        np.matmul(dz.T, cache["x"][m], out=g[f"enc_{m}_W"])
+        dz.sum(axis=0, out=g[f"enc_{m}_b"])
 
 
 class Adam:
-    """Plain Adam with the standard moment constants."""
+    """Plain Adam with the standard moment constants, over one flat buffer."""
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float, beta1: float = 0.9,
+    def __init__(self, params: np.ndarray, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for k, grad in grads.items():
-            self.m[k] = b1 * self.m[k] + (1 - b1) * grad
-            self.v[k] = b2 * self.v[k] + (1 - b2) * grad * grad
-            m_hat = self.m[k] / (1 - b1**self.t)
-            v_hat = self.v[k] / (1 - b2**self.t)
-            self.params[k] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = b1 * self.m + (1 - b1) * grad
+        self.v = b2 * self.v + (1 - b2) * grad * grad
+        m_hat = self.m / (1 - b1**self.t)
+        v_hat = self.v / (1 - b2**self.t)
+        self.params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 @dataclass
@@ -385,7 +426,7 @@ class TrainResult:
 
 def train(
     model: ToyModel,
-    corpus: list[ToySample],
+    corpus: ToySet,
     tcfg: TrainConfig = TrainConfig(),
     spec: AblationSpec = AblationSpec(),
 ) -> TrainResult:
@@ -393,15 +434,18 @@ def train(
 
     The minibatch loss is the joint objective plus one unit-weight
     cross-entropy per uni-modal head; those bias-learner terms are not
-    logged in the history. Bias-learner gradients stop at the encoder
-    output (see ``_backward``).
+    logged in the history, but each is checked for a non-finite value.
+    Bias-learner gradients stop at the encoder output (see ``_backward``).
     """
-    if not corpus:
+    if not len(corpus):
         raise ToyError("empty training corpus")
     cfg, heads, share = spec.effective(tcfg.mccd)
     rng = np.random.default_rng(tcfg.seed)
-    opt = Adam(model.params, lr=tcfg.learning_rate)
-    labels_all = np.array([s.label for s in corpus])
+    opt = Adam(model.flat, lr=tcfg.learning_rate)
+    grad_flat = np.empty_like(model.flat)
+    grads = model.views(grad_flat)
+    features = corpus.features()
+    labels_all = corpus.labels
     history: list[dict] = []
     n = len(corpus)
     for epoch in range(1, tcfg.epochs + 1):
@@ -412,14 +456,19 @@ def train(
         batches = 0
         for start in range(0, n, tcfg.batch_size):
             idx = order[start : start + tcfg.batch_size]
-            batch = [corpus[i] for i in idx]
             labels = labels_all[idx]
-            cache = _forward_cache(model, _stack_features(batch))
+            cache = _forward_cache(model, {m: x[idx] for m, x in features.items()})
             la, ld, lc, dlogits = joint_components_stacked(
                 cache["logits"], labels, cfg, heads=heads, share=share
             )
             for m in UNIMODAL:
-                dlogits[m] += answer_loss(cache["logits"][m], labels).grads["fused"]
+                ce = answer_loss(cache["logits"][m], labels)
+                if not math.isfinite(ce.value):
+                    raise ToyError(
+                        f"non-finite {m} bias-learner loss at epoch {epoch} "
+                        f"({ce.value}); training aborted"
+                    )
+                dlogits[m] += ce.grads["fused"]
             total = la.value + ld.value + lc.value
             if not math.isfinite(total):
                 raise ToyError(
@@ -431,8 +480,8 @@ def train(
             sums["L_d"] += ld.value
             sums["L_c"] += lc.value
             batches += 1
-            grads = _backward(model, cache, dlogits)
-            opt.step(grads)
+            _backward(model, cache, dlogits, grads)
+            opt.step(grad_flat)
         history.append(
             {
                 "epoch": epoch,
@@ -447,14 +496,12 @@ def train(
 
 
 def evaluate(
-    model: ToyModel, test: list[ToySample], splits: list[SplitAssignment]
+    model: ToyModel, test: ToySet, splits: list[SplitAssignment]
 ) -> RobustnessReport:
     """Score argmax answers of the fusion path under the given head/tail splits."""
-    logits = predict_logits(model, test)
-    preds = {
-        s.qa.id: class_name(int(np.argmax(logits[i]))) for i, s in enumerate(test)
-    }
-    return score_predictions([s.qa for s in test], splits, preds)
+    answers = np.argmax(predict_logits(model, test), axis=1)
+    preds = {qa.id: class_name(int(a)) for qa, a in zip(test.qa, answers)}
+    return score_predictions(test.qa, splits, preds)
 
 
 def _acc_float(x) -> float | None:
@@ -462,10 +509,19 @@ def _acc_float(x) -> float | None:
 
 
 def run_variant(
-    scfg: SyntheticConfig, tcfg: TrainConfig, spec: AblationSpec, seed: int
+    scfg: SyntheticConfig,
+    tcfg: TrainConfig,
+    spec: AblationSpec,
+    seed: int,
+    data: SyntheticData | None = None,
 ) -> dict:
-    """One end-to-end run: generate, train, evaluate; seed drives all three."""
-    data = generate_synthetic(replace(scfg, seed=seed))
+    """One end-to-end run: generate, train, evaluate; seed drives all three.
+
+    ``data``, when given, must be ``generate_synthetic`` of this seed's
+    config; it is then used instead of generating the corpus again.
+    """
+    if data is None:
+        data = generate_synthetic(replace(scfg, seed=seed))
     model = ToyModel.initialize(
         num_classes=scfg.num_classes, feature_dim=scfg.feature_dim, seed=seed
     )
@@ -488,10 +544,19 @@ def ablation_run(
     variants: list[AblationSpec],
     seeds: list[int],
 ) -> list[dict]:
-    """Median head/tail/overall accuracy per variant over the given seeds."""
+    """Median head/tail/overall accuracy per variant over the given seeds.
+
+    Each seed's corpus is generated once and shared by every variant; only
+    one seed's corpus is alive at a time.
+    """
+    runs_by_variant: list[list[dict]] = [[] for _ in variants]
+    for seed in seeds:
+        data = generate_synthetic(replace(scfg, seed=seed))
+        for spec, runs in zip(variants, runs_by_variant):
+            runs.append(run_variant(scfg, tcfg, spec, seed, data))
+        del data
     rows = []
-    for spec in variants:
-        runs = [run_variant(scfg, tcfg, spec, seed) for seed in seeds]
+    for spec, runs in zip(variants, runs_by_variant):
         rows.append(
             {
                 "variant": spec.variant.value,

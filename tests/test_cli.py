@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from avqa_debias.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 GOLDEN = Path(__file__).parent / "golden"
+TOY_GOLDEN = GOLDEN / "toy"
 
 
 def run_cli(*args):
@@ -139,6 +141,50 @@ class TestGenSynthAndTrain:
     def test_missing_data_dir(self, tmp_path, capsys):
         rc = main(["train-toy", "--data", str(tmp_path / "nope"), "--output-dir", str(tmp_path)])
         assert rc == EXIT_USAGE
+
+    def test_truncated_features_file(self, tmp_path):
+        data = tmp_path / "d"
+        shutil.copytree(TOY_GOLDEN / "synth", data)
+        feats = data / "train.features"
+        feats.write_bytes(feats.read_bytes()[:10])
+        proc = run_cli("train-toy", "--data", data, "--epochs", "1",
+                       "--output-dir", tmp_path / "run")
+        assert proc.returncode == EXIT_USAGE
+        err = proc.stderr.decode()
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err == f"error: {feats}: truncated header\n"
+
+
+class TestToyGoldenBytes:
+    """Training-path outputs pinned byte for byte against files written by an
+    earlier commit: a change to any float operation of generation or
+    training, or to the order of one, shows here."""
+
+    def test_gen_synth(self, tmp_path, capsys):
+        assert main([
+            "--seed", "5", "gen-synth", "--train-n", "160", "--test-n", "40",
+            "--feature-dim", "8", "--output-dir", str(tmp_path),
+        ]) == EXIT_OK
+        golden = sorted((TOY_GOLDEN / "synth").iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in golden]
+        for p in golden:
+            assert (tmp_path / p.name).read_bytes() == p.read_bytes(), p.name
+
+    def test_train_toy(self, tmp_path, capsys):
+        assert main([
+            "--seed", "5", "train-toy", "--data", str(TOY_GOLDEN / "synth"), "--epochs", "3",
+            "--no-timestamp", "--output-dir", str(tmp_path),
+        ]) == EXIT_OK
+        for name in ("model.bin", "history.jsonl", "report.json"):
+            assert (tmp_path / name).read_bytes() == (TOY_GOLDEN / "train" / name).read_bytes(), name
+
+    def test_ablation(self, capsys):
+        assert main([
+            "--seed", "5", "ablation", "--format", "json",
+            "--variants", "full,without_md,without_cg,baseline", "--seeds", "0,1",
+            "--train-n", "96", "--test-n", "40", "--feature-dim", "8", "--epochs", "2",
+        ]) == EXIT_OK
+        assert capsys.readouterr().out.encode() == (TOY_GOLDEN / "ablation.json").read_bytes()
 
 
 class TestGradcheckCommand:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,32 +12,50 @@ from avqa_debias.serialize import (
 )
 
 
+def three(n, dims=(3, 2, 3)):
+    """Audio, video and question matrices with distinct entries."""
+    start = np.cumsum([0, *dims])
+    return tuple(np.arange(n * d, dtype=float).reshape(n, d) + 100.0 * s
+                 for d, s in zip(dims, start))
+
+
 def test_features_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    rows = [(rng.standard_normal(4), rng.standard_normal(6), rng.standard_normal(4)) for _ in range(5)]
+    mats = (rng.standard_normal((5, 4)), rng.standard_normal((5, 6)), rng.standard_normal((5, 4)))
     path = tmp_path / "x.features"
-    write_features(path, rows)
+    write_features(path, *mats)
     back = read_features(path)
-    assert len(back) == 5
-    for (a, v, q), (a2, v2, q2) in zip(rows, back):
-        assert np.array_equal(a, a2) and np.array_equal(v, v2) and np.array_equal(q, q2)
+    assert len(back) == 3
+    for m, m2 in zip(mats, back):
+        assert m2.dtype == np.float64 and m2.flags.c_contiguous
+        assert np.array_equal(m, m2)
+
+
+def test_features_rows_interleave_on_disk(tmp_path):
+    # per sample: audio, video, then question vector, after a 24-byte header
+    a, v, q = three(2)
+    p = tmp_path / "x"
+    write_features(p, a, v, q)
+    body = np.frombuffer(p.read_bytes()[24:], dtype="<f8")
+    assert np.array_equal(body, np.concatenate([a[0], v[0], q[0], a[1], v[1], q[1]]))
 
 
 def test_features_deterministic_bytes(tmp_path):
-    rows = [(np.arange(3.0), np.arange(2.0), np.arange(3.0))]
+    mats = three(1)
     p1, p2 = tmp_path / "a", tmp_path / "b"
-    write_features(p1, rows)
-    write_features(p2, rows)
+    write_features(p1, *mats)
+    write_features(p2, *mats)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_features_errors(tmp_path):
     with pytest.raises(FormatError, match="no feature rows"):
-        write_features(tmp_path / "x", [])
-    bad_shape = [(np.arange(3.0), np.arange(2.0), np.arange(3.0)),
-                 (np.arange(4.0), np.arange(2.0), np.arange(3.0))]
+        write_features(tmp_path / "x", *three(0))
+    a, v, q = three(2)
     with pytest.raises(FormatError, match="shape"):
-        write_features(tmp_path / "x", bad_shape)
+        write_features(tmp_path / "x", a, v[:1], q)
+    with pytest.raises(FormatError, match="shape"):
+        write_features(tmp_path / "x", a, v, q[0])
     p = tmp_path / "junk"
     p.write_bytes(b"NOPE" + b"\x00" * 20)
     with pytest.raises(FormatError, match="not a features file"):
@@ -43,15 +63,27 @@ def test_features_errors(tmp_path):
 
 
 def test_features_truncation_and_trailing(tmp_path):
-    rows = [(np.arange(3.0), np.arange(2.0), np.arange(3.0))]
     p = tmp_path / "x"
-    write_features(p, rows)
+    write_features(p, *three(1))
     blob = p.read_bytes()
     p.write_bytes(blob[:-4])
     with pytest.raises(FormatError, match="truncated"):
         read_features(p)
     p.write_bytes(blob + b"\x00")
     with pytest.raises(FormatError, match="trailing"):
+        read_features(p)
+    # a sample count far beyond the file's size
+    p.write_bytes(blob[:8] + b"\xff\xff\xff\xff" + blob[12:])
+    with pytest.raises(FormatError, match="truncated feature data"):
+        read_features(p)
+
+
+@pytest.mark.parametrize("cut", [4, 10, 23])
+def test_features_short_header(tmp_path, cut):
+    p = tmp_path / "x.features"
+    write_features(p, *three(1))
+    p.write_bytes(p.read_bytes()[:cut])
+    with pytest.raises(FormatError, match=r"x\.features: truncated header"):
         read_features(p)
 
 
@@ -70,4 +102,28 @@ def test_model_bad_magic(tmp_path):
     p = tmp_path / "m.bin"
     p.write_bytes(b"XXXX" + b"\x00" * 8)
     with pytest.raises(FormatError, match="not a model file"):
+        read_model(p)
+
+
+# Cut points in a model file holding one parameter "w" of shape (2,):
+# magic 0-4, version 4-8, count 8-12, name length 12-14, name 14-15,
+# ndim 15-16, shape 16-20, data 20-36.
+@pytest.mark.parametrize(
+    "cut, what",
+    [
+        (6, "header"),
+        (10, "header"),
+        (13, "parameter name length"),
+        (14, "parameter name"),
+        (15, "rank of 'w'"),
+        (18, "shape of 'w'"),
+        (30, "parameter 'w'"),
+    ],
+)
+def test_model_short_reads(tmp_path, cut, what):
+    p = tmp_path / "m.bin"
+    write_model(p, {"w": np.array([1.0, 2.0])})
+    assert len(p.read_bytes()) == 36
+    p.write_bytes(p.read_bytes()[:cut])
+    with pytest.raises(FormatError, match=f"m\\.bin: truncated {re.escape(what)}$"):
         read_model(p)

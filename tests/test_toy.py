@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from avqa_debias import toy
 from avqa_debias.losses import MccdConfig
 from avqa_debias.splitting import SplitLabel, answer_distribution
 from avqa_debias.toy import (
@@ -15,7 +16,6 @@ from avqa_debias.toy import (
     TrainConfig,
     _backward,
     _forward_cache,
-    _stack_features,
     ablation_run,
     class_index,
     class_name,
@@ -61,9 +61,9 @@ class TestSyntheticConfig:
 class TestGenerateSynthetic:
     def test_deterministic(self):
         a, b = small_data(), small_data()
-        assert [s.qa.id for s in a.train] == [s.qa.id for s in b.train]
-        for x, y in zip(a.train + a.test, b.train + b.test):
-            assert x.label == y.label
+        assert [s.id for s in a.train.qa] == [s.id for s in b.train.qa]
+        for x, y in ((a.train, b.train), (a.test, b.test)):
+            assert np.array_equal(x.labels, y.labels)
             assert np.array_equal(x.audio, y.audio)
             assert np.array_equal(x.question, y.question)
 
@@ -76,24 +76,23 @@ class TestGenerateSynthetic:
     def test_shortcut_channel_semantics(self):
         # bias_strength 1: the shortcut channel always names the label;
         # bias_strength 0: it never does
-        clean = small_data(bias_strength=1.0)
-        for s in clean.train:
-            assert int(np.argmax(s.question)) == s.label
-        flipped = small_data(bias_strength=0.0)
-        assert all(int(np.argmax(s.question)) != s.label for s in flipped.train)
+        clean = small_data(bias_strength=1.0).train
+        assert np.array_equal(np.argmax(clean.question, axis=1), clean.labels)
+        flipped = small_data(bias_strength=0.0).train
+        assert np.all(np.argmax(flipped.question, axis=1) != flipped.labels)
 
     def test_test_regime_matches_split_labels(self):
         data = small_data()
-        by_id = {s.qa.id: s for s in data.test}
+        row = {s.id: i for i, s in enumerate(data.test.qa)}
         for a in data.splits:
-            s = by_id[a.sample_id]
-            agrees = int(np.argmax(s.question)) == s.label
+            i = row[a.sample_id]
+            agrees = int(np.argmax(data.test.question[i])) == data.test.labels[i]
             assert agrees == (a.label is SplitLabel.HEAD)
 
     def test_training_answers_are_splitter_compatible(self):
         # the planted skew keeps normalized entropy under the 0.9 cutoff
         data = generate_synthetic(SyntheticConfig())
-        dist = answer_distribution([s.qa for s in data.train])
+        dist = answer_distribution(data.train.qa)
         assert dist.normalized_entropy < 0.9
 
     def test_label_needs_both_modalities(self):
@@ -101,9 +100,47 @@ class TestGenerateSynthetic:
         # labels share each audio prototype and three share each video one
         data = small_data(noise_scale=0.0)
         by_audio = {}
-        for s in data.train:
-            by_audio.setdefault(tuple(s.audio), set()).add(s.label)
+        for audio, label in zip(data.train.audio, data.train.labels):
+            by_audio.setdefault(tuple(audio), set()).add(int(label))
         assert any(len(v) > 1 for v in by_audio.values())
+
+
+class TestToySet:
+    def test_rows_must_align(self):
+        data = small_data().train
+        with pytest.raises(ToyError, match="labels"):
+            replace(data, labels=data.labels[:-1])
+        with pytest.raises(ToyError, match="video"):
+            replace(data, video=data.video[:-1])
+
+    def test_row_selection(self):
+        data = small_data().train
+        idx = np.array([5, 0, 7])
+        part = data[idx]
+        assert [s.id for s in part.qa] == [data.qa[i].id for i in idx]
+        assert np.array_equal(part.labels, data.labels[idx])
+        assert np.array_equal(part.question, data.question[idx])
+        assert len(data[2:4]) == 2
+
+
+class TestFlatParameters:
+    def test_params_are_views_of_one_buffer_in_dict_order(self):
+        model = ToyModel.initialize(6, 16, seed=0)
+        assert model.flat.size == sum(arr.size for arr in model.params.values())
+        pos = 0
+        for arr in model.params.values():
+            assert np.shares_memory(arr, model.flat)
+            assert np.array_equal(arr.ravel(), model.flat[pos : pos + arr.size])
+            pos += arr.size
+
+    def test_training_writes_through_the_views(self):
+        data = small_data()
+        model = ToyModel.initialize(6, 16, seed=0)
+        views = dict(model.params)
+        before = model.flat.copy()
+        train(model, data.train, QUICK)
+        assert all(model.params[k] is v for k, v in views.items())
+        assert not np.array_equal(before, model.flat)
 
 
 class TestForward:
@@ -118,16 +155,16 @@ class TestForward:
         data = small_data()
         model = ToyModel.initialize(6, 16, seed=0)
         whole = forward(model, data.train[:8])
-        for i, s in enumerate(data.train[:8]):
-            single = forward(model, [s])
+        for i in range(8):
+            single = forward(model, data.train[i : i + 1])
             for name in whole:
                 assert np.allclose(whole[name][i], single[name][0], atol=1e-12)
 
     def test_forward_bundle_matches(self):
         data = small_data()
         model = ToyModel.initialize(6, 16, seed=0)
-        b = forward_bundle(model, data.train[0])
-        logits = forward(model, [data.train[0]])
+        b = forward_bundle(model, data.train, 0)
+        logits = forward(model, data.train[0:1])
         assert np.allclose(b.fused, logits["fused"][0], atol=1e-15)
 
     def test_feature_dim_checked(self):
@@ -172,7 +209,7 @@ class TestTrain:
     def test_empty_corpus(self):
         model = ToyModel.initialize(6, 16, seed=0)
         with pytest.raises(ToyError, match="empty"):
-            train(model, [], QUICK)
+            train(model, small_data().train[:0], QUICK)
 
     def test_loss_decreases(self):
         data = small_data()
@@ -188,11 +225,14 @@ class TestBiasLearners:
         # bias learners and leave every inference-path parameter alone
         data = small_data()
         model = ToyModel.initialize(6, 16, seed=0)
-        cache = _forward_cache(model, _stack_features(data.train[:16]))
+        cache = _forward_cache(model, data.train[:16].features())
         rng = np.random.default_rng(0)
         dlogits = {m: rng.standard_normal((16, 6)) for m in ToyModel.MODALITIES}
         dlogits["fused"] = np.zeros((16, 6))
-        grads = _backward(model, cache, dlogits)
+        buf = np.full_like(model.flat, np.nan)
+        grads = model.views(buf)
+        _backward(model, cache, dlogits, grads)
+        assert not np.isnan(buf).any()  # every gradient entry is written
         for name in model.fusion_param_names():
             assert not np.any(grads[name]), name
         for name in grads:
@@ -206,8 +246,18 @@ class TestBiasLearners:
         model = ToyModel.initialize(6, 16, seed=0)
         train(model, data.train, TrainConfig(epochs=10), AblationSpec(variant=AblationVariant.FULL))
         guesses = np.argmax(forward(model, data.train)["question"], axis=1)
-        shortcut = np.array([int(np.argmax(s.question)) for s in data.train])
+        shortcut = np.argmax(data.train.question, axis=1)
         assert np.mean(guesses == shortcut) > 0.5
+
+
+    def test_non_finite_bias_learner_loss_is_caught(self):
+        # the baseline variant feeds no bias head into L_a + L_d + L_c, so
+        # only the bias learners' own losses can show this divergence
+        data = small_data()
+        model = ToyModel.initialize(6, 16, seed=0)
+        model.params["bias_question_2_W"][0, 0] = np.nan
+        with pytest.raises(ToyError, match="non-finite question bias-learner loss at epoch 1"):
+            train(model, data.train, QUICK, AblationSpec(variant=AblationVariant.BASELINE_CE_ONLY))
 
 
 class TestAblationContract:
@@ -277,6 +327,24 @@ class TestRunVariant:
             r["tail_acc"] for r in row["runs"]
         )
         assert [r["seed"] for r in row["runs"]] == [0, 1, 2]
+
+    def test_ablation_generates_each_corpus_once(self, monkeypatch):
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg.seed)
+            return generate_synthetic(cfg)
+
+        variants = [AblationSpec(variant=v) for v in
+                    (AblationVariant.FULL, AblationVariant.BASELINE_CE_ONLY)]
+        monkeypatch.setattr(toy, "generate_synthetic", counting)
+        rows = ablation_run(SMALL, QUICK, variants, seeds=[0, 1])
+        assert calls == [0, 1]
+        monkeypatch.undo()
+        # rows stay variant-major, and a shared corpus changes no run
+        assert [r["variant"] for r in rows] == ["full", "baseline"]
+        for spec, row in zip(variants, rows):
+            assert row["runs"] == [run_variant(SMALL, QUICK, spec, seed) for seed in (0, 1)]
 
     def test_seed_changes_the_data_and_model(self):
         a = run_variant(SMALL, QUICK, AblationSpec(), seed=0)
