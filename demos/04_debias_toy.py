@@ -67,8 +67,11 @@ for variant in (AblationVariant.BASELINE_CE_ONLY, AblationVariant.FULL):
 # Ablations over a few seeds: drop the discrepancy term, the cycle term,
 # or both, and compare median accuracies.
 
-variants = [
-    AblationSpec(variant=v)
+# ablation_run takes (training config, variant) arms; here every arm
+# shares one training config, and each seed's corpus is built once.
+short = replace(tcfg, epochs=15)
+arms = [
+    (short, AblationSpec(variant=v))
     for v in (
         AblationVariant.FULL,
         AblationVariant.WITHOUT_MD,
@@ -76,8 +79,7 @@ variants = [
         AblationVariant.BASELINE_CE_ONLY,
     )
 ]
-rows = ablation_run(replace(scfg, train_n=1000, test_n=500),
-                    replace(tcfg, epochs=15), variants, seeds=[0, 1, 2])
+rows = ablation_run(replace(scfg, train_n=1000, test_n=500), arms, seeds=[0, 1, 2])
 print()
 print(render_ablation_table(rows), end="")
 tails = {r["variant"]: r["median_tail_acc"] for r in rows}

@@ -11,6 +11,7 @@ import argparse
 import datetime
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -72,13 +73,14 @@ def _dump_json(obj, path: Path) -> None:
     path.write_bytes((json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))
 
 
-def _mccd_from_args(args) -> MccdConfig:
-    return MccdConfig(
-        alpha=args.alpha,
-        beta=args.beta,
-        epsilon=args.epsilon,
-        distance_space=args.distance_space,
-    )
+def _mccd_from_args(args, alpha: float, beta: float) -> MccdConfig:
+    return MccdConfig(alpha, beta, epsilon=args.epsilon, distance_space=args.distance_space)
+
+
+def _train_from_args(args, alpha: float, beta: float) -> TrainConfig:
+    """Every subcommand that trains builds its TrainConfig here."""
+    return TrainConfig(epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr,
+                       mccd=_mccd_from_args(args, alpha, beta), seed=args.seed)
 
 
 def cmd_split(args) -> int:
@@ -113,17 +115,30 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(type(x) is int for x in v)
+
+
 def cmd_kappa(args) -> int:
     p = Path(args.votes)
     if not p.exists():
         raise CliError(f"votes file not found: {args.votes}")
-    obj = json.loads(p.read_text(encoding="utf-8"))
-    table = VoteTable(
-        raters=obj["raters"],
-        rows=tuple(tuple(r) for r in obj["rows"]),
-        multiplicities=tuple(obj["multiplicities"]) if "multiplicities" in obj else None,
-    )
-    print(f"{fleiss_kappa(table):.4f}")
+    try:  # malformed JSON, a wrong shape and an invalid table are all ValueErrors
+        obj = json.loads(p.read_text(encoding="utf-8"))
+        if not (isinstance(obj, dict) and type(obj.get("raters")) is int
+                and isinstance(obj.get("rows"), list) and all(map(_is_int_list, obj["rows"]))
+                and _is_int_list(obj.get("multiplicities", []))):
+            raise ValueError("expected an object with an integer 'raters', a list of integer "
+                             "lists 'rows' and an optional integer list 'multiplicities'")
+        table = VoteTable(
+            raters=obj["raters"],
+            rows=tuple(tuple(r) for r in obj["rows"]),
+            multiplicities=tuple(obj["multiplicities"]) if "multiplicities" in obj else None,
+        )
+        kappa = fleiss_kappa(table)
+    except ValueError as exc:
+        raise CliError(f"{p}: {exc}") from None
+    print(f"{kappa:.4f}")
     return EXIT_OK
 
 
@@ -151,30 +166,22 @@ def cmd_gen_synth(args) -> int:
         serialize.write_features(out / f"{name}.features", part.audio, part.video, part.question)
     with open(out / "splits.jsonl", "wb") as f:
         write_splits(data.splits, f)
-    _dump_json(
-        {
-            "schema_version": 1,
-            "num_classes": cfg.num_classes,
-            "feature_dim": cfg.feature_dim,
-            "train_n": cfg.train_n,
-            "test_n": cfg.test_n,
-            "bias_strength": cfg.bias_strength,
-            "tail_fraction": cfg.tail_fraction,
-            "noise_scale": cfg.noise_scale,
-            "seed": cfg.seed,
-        },
-        out / "synth_config.json",
-    )
+    _dump_json({"schema_version": 1, **asdict(cfg)}, out / "synth_config.json")
     print(f"wrote synthetic corpus to {out}")
     return EXIT_OK
 
 
-def _load_toy_corpus(data_dir: Path, name: str) -> ToySet:
+def _load_toy_corpus(data_dir: Path, name: str, feature_dim: int) -> ToySet:
     with open(data_dir / f"{name}.jsonl", "rb") as f:
         qa = parse_samples(f)
-    audio, video, question = serialize.read_features(data_dir / f"{name}.features")
+    path = data_dir / f"{name}.features"
+    audio, video, question = serialize.read_features(path)
     if len(audio) != len(qa):
         raise CliError(f"{name}: {len(qa)} samples but {len(audio)} feature rows")
+    for m, x in zip(ToyModel.MODALITIES, (audio, video, question)):
+        if x.shape[1] != feature_dim:
+            raise CliError(f"{path}: {m} features are {x.shape[1]} wide, but feature_dim "
+                           f"in {data_dir / 'synth_config.json'} is {feature_dim}")
     labels = np.array([class_index(s.answer) for s in qa], dtype=np.int64)
     return ToySet(qa=qa, labels=labels, audio=audio, video=video, question=question)
 
@@ -184,19 +191,13 @@ def cmd_train_toy(args) -> int:
     if not data_dir.is_dir():
         raise CliError(f"data directory not found: {args.data}")
     synth_cfg = json.loads((data_dir / "synth_config.json").read_text(encoding="utf-8"))
-    train_set = _load_toy_corpus(data_dir, "train")
-    test_set = _load_toy_corpus(data_dir, "test")
+    train_set = _load_toy_corpus(data_dir, "train", synth_cfg["feature_dim"])
+    test_set = _load_toy_corpus(data_dir, "test", synth_cfg["feature_dim"])
     with open(data_dir / "splits.jsonl", "rb") as f:
         splits = read_splits(f)
 
     spec = AblationSpec(variant=AblationVariant(args.variant))
-    tcfg = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        mccd=_mccd_from_args(args),
-        seed=args.seed,
-    )
+    tcfg = _train_from_args(args, args.alpha, args.beta)
     model = ToyModel.initialize(
         num_classes=synth_cfg["num_classes"],
         feature_dim=synth_cfg["feature_dim"],
@@ -238,7 +239,7 @@ def cmd_gradcheck(args) -> int:
         LogitBundle(*(rng.standard_normal(args.classes) * 3.0 for _ in range(4)))
         for _ in range(args.batch)
     ]
-    cfg = _mccd_from_args(args)
+    cfg = _mccd_from_args(args, args.alpha, args.beta)
     labels = list(rng.integers(args.classes, size=args.batch))
     loss_fns = {
         "answer": lambda b: answer_loss([x.fused for x in b], labels),
@@ -261,56 +262,38 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if err < args.tolerance else EXIT_CHECK_FAILED
 
 
-def _parse_variants(text: str) -> list[AblationSpec]:
-    return [AblationSpec(variant=AblationVariant(v.strip())) for v in text.split(",") if v.strip()]
-
-
-def _parse_seeds(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s.strip()]
+def _parse_list(text: str, cast) -> list:
+    """``cast`` of each nonblank item of a comma-separated list."""
+    return [cast(item.strip()) for item in text.split(",") if item.strip()]
 
 
 def cmd_ablation(args) -> int:
-    scfg = _synth_from_args(args)
-    tcfg = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        mccd=_mccd_from_args(args),
-        seed=args.seed,
-    )
-    rows = ablation_run(scfg, tcfg, _parse_variants(args.variants), _parse_seeds(args.seeds))
+    tcfg = _train_from_args(args, args.alpha, args.beta)
+    arms = [(tcfg, AblationSpec(AblationVariant(v))) for v in _parse_list(args.variants, str)]
+    rows = ablation_run(_synth_from_args(args), arms, _parse_list(args.seeds, int))
+    report = {"schema_version": 1, "rows": rows}
     if args.output_dir:
         out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _dump_json({"schema_version": 1, "rows": rows}, out / "ablation.json")
+        _dump_json(report, out / "ablation.json")
     if args.format == "json":
-        print(json.dumps({"schema_version": 1, "rows": rows}, indent=2))
+        print(json.dumps(report, indent=2))
     else:
         sys.stdout.write(render_ablation_table(rows))
     return EXIT_OK
 
 
 def cmd_grid(args) -> int:
-    scfg = _synth_from_args(args)
-    seeds = _parse_seeds(args.seeds)
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
-    betas = [float(b) for b in args.betas.split(",") if b.strip()]
+    alphas, betas = _parse_list(args.alphas, float), _parse_list(args.betas, float)
+    cells = [(alpha, beta) for alpha in alphas for beta in betas]
+    arms = [(_train_from_args(args, alpha, beta), AblationSpec()) for alpha, beta in cells]
+    rows = ablation_run(_synth_from_args(args), arms, _parse_list(args.seeds, int))
     lines = ["alpha,beta,median_head_acc,median_tail_acc,median_overall_acc"]
-    for alpha in alphas:
-        for beta in betas:
-            tcfg = TrainConfig(
-                epochs=args.epochs,
-                batch_size=args.batch_size,
-                learning_rate=args.lr,
-                mccd=MccdConfig(alpha=alpha, beta=beta, epsilon=args.epsilon,
-                                distance_space=args.distance_space),
-                seed=args.seed,
-            )
-            row = ablation_run(scfg, tcfg, [AblationSpec()], seeds)[0]
-            lines.append(
-                f"{alpha},{beta},{row['median_head_acc']:.4f},"
-                f"{row['median_tail_acc']:.4f},{row['median_overall_acc']:.4f}"
-            )
+    for (alpha, beta), row in zip(cells, rows):
+        lines.append(
+            f"{alpha},{beta},{row['median_head_acc']:.4f},"
+            f"{row['median_tail_acc']:.4f},{row['median_overall_acc']:.4f}"
+        )
     text = "\n".join(lines) + "\n"
     if args.output_dir:
         out = Path(args.output_dir)
@@ -320,9 +303,12 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
-def _add_mccd_flags(p: argparse.ArgumentParser) -> None:
+def _add_weight_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=1e-2)
     p.add_argument("--beta", type=float, default=3e-1)
+
+
+def _add_distance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, default=1e-5)
     p.add_argument("--distance-space", choices=["probability", "raw_logit"], default="probability")
 
@@ -341,7 +327,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=60)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--lr", type=float, default=1e-3)
-    _add_mccd_flags(p)
+    _add_distance_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--variant", choices=[v.value for v in AblationVariant], default="full")
     _add_train_flags(p)
+    _add_weight_flags(p)
     p.add_argument("--output-dir", required=True)
     p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=cmd_train_toy)
@@ -392,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=4)
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-5)
-    _add_mccd_flags(p)
+    _add_weight_flags(p)
+    _add_distance_flags(p)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("ablation", help="run the variant grid over seeds")
@@ -400,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
     _add_synth_flags(p)
     _add_train_flags(p)
+    _add_weight_flags(p)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--output-dir", default=None)
     p.set_defaults(func=cmd_ablation)
@@ -409,11 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--betas", default="0.03,0.3,1.0")
     p.add_argument("--seeds", default="0,1,2")
     _add_synth_flags(p)
-    p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--epsilon", type=float, default=1e-5)
-    p.add_argument("--distance-space", choices=["probability", "raw_logit"], default="probability")
+    _add_train_flags(p)  # --alpha and --beta are swept, so they are not flags here
     p.add_argument("--output-dir", default=None)
     p.set_defaults(func=cmd_grid)
 

@@ -246,6 +246,8 @@ def parse_predictions(stream: IO[bytes]) -> dict[str, str]:
         for name in ("id", "predicted_answer"):
             if name not in obj:
                 raise CorpusError(f"missing required field {name!r}", lineno)
+            if not isinstance(obj[name], str):
+                raise CorpusError(f"{name} must be a string", lineno)
         if obj["id"] in preds:
             raise CorpusError(f"duplicate prediction id {obj['id']!r}", lineno)
         preds[obj["id"]] = obj["predicted_answer"]

@@ -11,6 +11,11 @@ question, fused multimodal), all length-C score vectors:
 
 All math is double precision; gradients are analytic with respect to the
 raw logits of every head and checkable by central finite differences.
+
+Each term is computed once, by a ``*_stacked`` function over (K, C) head
+matrices; ``joint_components_stacked`` assembles the joint objective. The
+functions over a list of ``LogitBundle`` samples stack the list and call
+their ``*_stacked`` twin.
 """
 
 from __future__ import annotations
@@ -237,21 +242,7 @@ def joint_loss(
     share: int | None = None,
 ) -> LossValue:
     """L = answer + discrepancy + cycle; value and gradients are exact sums."""
-    return joint_loss_stacked(_stack(batch), labels, cfg, heads=heads, share=share)
-
-
-def joint_loss_stacked(
-    y: dict[str, np.ndarray],
-    labels: list[int],
-    cfg: MccdConfig = MccdConfig(),
-    heads: tuple[str, ...] = UNIMODAL,
-    share: int | None = None,
-) -> LossValue:
-    """joint_loss over pre-stacked (K, C) head matrices."""
-    la = answer_loss(y["fused"], labels)
-    ld = discrepancy_loss_stacked(y, cfg, heads=heads, share=share)
-    lc = cycle_loss_stacked(y, cfg)
-    grads = {name: la.grads[name] + ld.grads[name] + lc.grads[name] for name in HEADS}
+    la, ld, lc, grads = joint_components_stacked(_stack(batch), labels, cfg, heads, share)
     return LossValue(la.value + ld.value + lc.value, grads)
 
 
@@ -262,7 +253,8 @@ def joint_components_stacked(
     heads: tuple[str, ...] = UNIMODAL,
     share: int | None = None,
 ) -> tuple[LossValue, LossValue, LossValue, dict[str, np.ndarray]]:
-    """Answer, discrepancy and cycle terms plus their summed gradients."""
+    """Answer, discrepancy and cycle terms over pre-stacked (K, C) head
+    matrices, plus their summed gradients."""
     la = answer_loss(y["fused"], labels)
     ld = discrepancy_loss_stacked(y, cfg, heads=heads, share=share)
     lc = cycle_loss_stacked(y, cfg)

@@ -80,7 +80,8 @@ def score_predictions(
 
     A sample is correct iff the prediction matches the gold answer after
     whitespace trimming and lowercasing. Samples with no prediction count
-    as incorrect and are listed in ``unmatched_ids``.
+    as incorrect and are listed in ``unmatched_ids``. An assignment whose
+    group or answer disagrees with its gold sample is an error.
     """
     gold_by_id = {s.id: s for s in gold}
     warnings = [f"prediction id {pid!r} not in gold corpus" for pid in preds if pid not in gold_by_id]
@@ -93,6 +94,12 @@ def score_predictions(
         sample = gold_by_id.get(a.sample_id)
         if sample is None:
             raise ScoringError(f"split assignment refers to unknown sample id {a.sample_id!r}")
+        if (a.group.task is not sample.task or a.group.question_type is not sample.question_type
+                or a.answer_class != sample.answer):
+            raise ScoringError(
+                f"split assignment {a.sample_id!r} ({a.group}, answer {a.answer_class!r}) "
+                f"disagrees with the gold sample ({sample.group}, answer {sample.answer!r})"
+            )
         predicted = preds.get(a.sample_id)
         if predicted is None:
             unmatched.append(a.sample_id)

@@ -227,17 +227,25 @@ def write_splits(assignments: list[SplitAssignment], stream: IO[bytes]) -> None:
 
 
 def read_splits(stream: IO[bytes]) -> list[SplitAssignment]:
-    """Parse a splits JSONL file back into assignments."""
+    """Parse a splits JSONL file back into assignments.
+
+    A duplicate id is an error, raised at the line of its second copy:
+    counting a sample twice would change the reported accuracy.
+    """
     out: list[SplitAssignment] = []
+    blank: list[int] = []  # line numbers of skipped blank lines
     for lineno, raw in enumerate(stream, start=1):
         raw = raw.rstrip(b"\r\n")
         if not raw.strip():
+            blank.append(lineno)
             continue
         try:
             obj = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CorpusError(f"malformed splits line: {exc}", lineno) from exc
         try:
+            if not isinstance(obj["id"], str):
+                raise ValueError("id must be a string")
             out.append(
                 SplitAssignment(
                     sample_id=obj["id"],
@@ -247,8 +255,20 @@ def read_splits(stream: IO[bytes]) -> list[SplitAssignment]:
                     rule=SplitRule(obj["rule"]),
                 )
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"invalid splits record: {exc}", lineno) from exc
+    if len({a.sample_id for a in out}) != len(out):
+        # rare path: every line that is not a skipped blank holds one record
+        skipped = set(blank)
+        linenos = [n for n in range(1, len(out) + len(blank) + 1) if n not in skipped]
+        first: dict[str, int] = {}
+        for a, lineno in zip(out, linenos):
+            if a.sample_id in first:
+                first_line = first[a.sample_id]
+                raise CorpusError(
+                    f"duplicate id {a.sample_id!r} (first seen on line {first_line})", lineno
+                )
+            first[a.sample_id] = lineno
     return out
 
 

@@ -16,15 +16,22 @@ The classifier is a small numpy network: one affine+ramp encoder per
 modality, an affine fusion head producing the answer logits, and one
 two-layer perceptron bias learner per modality. Bias learners exist only
 at training time; inference uses the encoders and fusion head alone.
-Every parameter is a view into one contiguous buffer, and the backward
-pass writes its gradients into views of one buffer of the same layout, so
-the optimizer updates the whole network with one elementwise pass.
+Training (``_forward_cache``) and inference (``predict_logits``) share one
+encoder-plus-fusion pass, ``_encode``, which reads no bias-learner
+parameter. Every parameter is a view into one contiguous buffer, and the
+backward pass writes its gradients into views of one buffer of the same
+layout, so the optimizer updates the whole network with one elementwise
+pass.
 
 Each bias learner is trained on its own softmax cross-entropy against the
 label, so it captures what its modality alone predicts, and its gradients
 stop at the encoder output: the encoders and the fusion head learn only
 through the fused head, from its answer loss and its side of the
 discrepancy term.
+
+``ablation_run`` trains a list of (``TrainConfig``, ``AblationSpec``) arms
+over a list of seeds. The variant ablation and the alpha/beta grid both
+run through it, and each seed's corpus is generated once for all arms.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import QASample, QuestionType, Task
-from .losses import UNIMODAL, LogitBundle, MccdConfig, answer_loss, joint_components_stacked
+from .losses import UNIMODAL, MccdConfig, answer_loss, joint_components_stacked
 from .scoring import RobustnessReport, score_predictions
 from .splitting import SplitAssignment, SplitLabel, SplitRule
 
@@ -307,65 +314,48 @@ class ToyModel:
         affine("fusion", num_classes, 3 * hidden)
         return cls(num_classes=num_classes, feature_dim=feature_dim, hidden=hidden, params=p)
 
-    def fusion_param_names(self) -> list[str]:
-        """Parameters used at inference: encoders and the fusion head only."""
-        names = [f"enc_{m}_{s}" for m in self.MODALITIES for s in ("W", "b")]
-        return names + ["fusion_W", "fusion_b"]
+
+def _encode(model: ToyModel, x: dict[str, np.ndarray]) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Encoder outputs per modality, their concatenation, and the fused
+    logits. Reads the encoder and fusion parameters only."""
+    p = model.params
+    h = {
+        m: np.maximum(x[m] @ p[f"enc_{m}_W"].T + p[f"enc_{m}_b"], 0.0)
+        for m in ToyModel.MODALITIES
+    }
+    h_cat = np.concatenate([h[m] for m in ToyModel.MODALITIES], axis=1)
+    return h, h_cat, h_cat @ p["fusion_W"].T + p["fusion_b"]
 
 
 def _forward_cache(model: ToyModel, x: dict[str, np.ndarray]) -> dict:
+    """Training forward pass: all four logit heads plus what ``_backward`` needs."""
     p = model.params
-    cache: dict = {"x": x, "z": {}, "h": {}, "bz": {}, "ba": {}}
+    h, h_cat, fused = _encode(model, x)
+    cache: dict = {"x": x, "h": h, "h_cat": h_cat, "bz": {}, "ba": {}}
     logits: dict[str, np.ndarray] = {}
     for m in ToyModel.MODALITIES:
-        z = x[m] @ p[f"enc_{m}_W"].T + p[f"enc_{m}_b"]
-        h = np.maximum(z, 0.0)
-        cache["z"][m] = z
-        cache["h"][m] = h
-        bz = h @ p[f"bias_{m}_1_W"].T + p[f"bias_{m}_1_b"]
+        bz = h[m] @ p[f"bias_{m}_1_W"].T + p[f"bias_{m}_1_b"]
         ba = np.maximum(bz, 0.0)
         cache["bz"][m] = bz
         cache["ba"][m] = ba
         logits[m] = ba @ p[f"bias_{m}_2_W"].T + p[f"bias_{m}_2_b"]
-    h_cat = np.concatenate([cache["h"][m] for m in ToyModel.MODALITIES], axis=1)
-    cache["h_cat"] = h_cat
-    logits["fused"] = h_cat @ p["fusion_W"].T + p["fusion_b"]
+    logits["fused"] = fused
     cache["logits"] = logits
     return cache
 
 
-def forward(model: ToyModel, batch: ToySet) -> dict[str, np.ndarray]:
-    """All four logit heads for a batch, as (K, C) matrices keyed by head name."""
-    if not len(batch):
-        raise ToyError("empty batch")
-    x = batch.features()
+def _check_feature_dim(model: ToyModel, data: ToySet) -> None:
     for m in ToyModel.MODALITIES:
-        if x[m].shape[1] != model.feature_dim:
-            raise ToyError(
-                f"{m} feature dim {x[m].shape[1]} does not match model dim {model.feature_dim}"
-            )
-    return _forward_cache(model, x)["logits"]
-
-
-def forward_bundle(model: ToyModel, data: ToySet, i: int) -> LogitBundle:
-    """Single-sample convenience wrapper around forward() for row ``i``."""
-    logits = forward(model, data[i : i + 1])
-    return LogitBundle(
-        audio=logits["audio"][0],
-        video=logits["video"][0],
-        question=logits["question"][0],
-        fused=logits["fused"][0],
-    )
+        d = getattr(data, m).shape[1]
+        if d != model.feature_dim:
+            raise ToyError(f"{m} feature dim {d} does not match model dim {model.feature_dim}")
 
 
 def predict_logits(model: ToyModel, data: ToySet) -> np.ndarray:
     """Inference-path logits: encoders + fusion head, bias learners untouched."""
-    p = {name: model.params[name] for name in model.fusion_param_names()}
-    x = data.features()
-    hs = []
-    for m in ToyModel.MODALITIES:
-        hs.append(np.maximum(x[m] @ p[f"enc_{m}_W"].T + p[f"enc_{m}_b"], 0.0))
-    return np.concatenate(hs, axis=1) @ p["fusion_W"].T + p["fusion_b"]
+    _check_feature_dim(model, data)
+    *_, fused = _encode(model, data.features())
+    return fused
 
 
 def _backward(
@@ -390,8 +380,8 @@ def _backward(
         dbz = dba * (bz > 0.0)
         np.matmul(dbz.T, h, out=g[f"bias_{m}_1_W"])
         dbz.sum(axis=0, out=g[f"bias_{m}_1_b"])
-        # encoder, driven by the fused head alone
-        dz = dh_cat[:, idx * hdim : (idx + 1) * hdim] * (cache["z"][m] > 0.0)
+        # encoder, driven by the fused head alone; h > 0 exactly where z > 0
+        dz = dh_cat[:, idx * hdim : (idx + 1) * hdim] * (h > 0.0)
         np.matmul(dz.T, cache["x"][m], out=g[f"enc_{m}_W"])
         dz.sum(axis=0, out=g[f"enc_{m}_b"])
 
@@ -399,23 +389,23 @@ def _backward(
 class Adam:
     """Plain Adam with the standard moment constants, over one flat buffer."""
 
-    def __init__(self, params: np.ndarray, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: np.ndarray, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self.t = 0
 
     def step(self, grad: np.ndarray) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         self.m = b1 * self.m + (1 - b1) * grad
         self.v = b2 * self.v + (1 - b2) * grad * grad
         m_hat = self.m / (1 - b1**self.t)
         v_hat = self.v / (1 - b2**self.t)
-        self.params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.params -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 @dataclass
@@ -439,6 +429,7 @@ def train(
     """
     if not len(corpus):
         raise ToyError("empty training corpus")
+    _check_feature_dim(model, corpus)
     cfg, heads, share = spec.effective(tcfg.mccd)
     rng = np.random.default_rng(tcfg.seed)
     opt = Adam(model.flat, lr=tcfg.learning_rate)
@@ -540,23 +531,23 @@ def run_variant(
 
 def ablation_run(
     scfg: SyntheticConfig,
-    tcfg: TrainConfig,
-    variants: list[AblationSpec],
+    arms: list[tuple[TrainConfig, AblationSpec]],
     seeds: list[int],
 ) -> list[dict]:
-    """Median head/tail/overall accuracy per variant over the given seeds.
+    """Median head/tail/overall accuracy per (training config, variant) arm
+    over the given seeds, one row per arm in the given order.
 
-    Each seed's corpus is generated once and shared by every variant; only
+    Each seed's corpus is generated once and shared by every arm; only
     one seed's corpus is alive at a time.
     """
-    runs_by_variant: list[list[dict]] = [[] for _ in variants]
+    runs_by_arm: list[list[dict]] = [[] for _ in arms]
     for seed in seeds:
         data = generate_synthetic(replace(scfg, seed=seed))
-        for spec, runs in zip(variants, runs_by_variant):
+        for (tcfg, spec), runs in zip(arms, runs_by_arm):
             runs.append(run_variant(scfg, tcfg, spec, seed, data))
         del data
     rows = []
-    for spec, runs in zip(variants, runs_by_variant):
+    for (_, spec), runs in zip(arms, runs_by_arm):
         rows.append(
             {
                 "variant": spec.variant.value,

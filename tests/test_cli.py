@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from avqa_debias import toy
 from avqa_debias.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -18,6 +19,14 @@ def run_cli(*args):
         [sys.executable, "-m", "avqa_debias.cli", *map(str, args)],
         capture_output=True,
     )
+
+
+def one_error_line(proc) -> str:
+    """The stderr of a run that must fail on its input: exit 2, one line, no traceback."""
+    err = proc.stderr.decode()
+    assert proc.returncode == EXIT_USAGE, err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    return err
 
 
 class TestSplitCommand:
@@ -76,6 +85,33 @@ class TestScoreCommand:
         ])
         assert rc == EXIT_USAGE
 
+    def test_duplicate_split_id(self, tmp_path):
+        preds = self.make_inputs(tmp_path)
+        splits = tmp_path / "splits.jsonl"
+        lines = (GOLDEN / "splits.jsonl").read_bytes().splitlines(keepends=True)
+        splits.write_bytes(b"".join(lines) + lines[0])
+        proc = run_cli("score", "--gold", GOLDEN / "corpus.jsonl", "--splits", splits,
+                       "--preds", preds)
+        err = one_error_line(proc)
+        assert f"line {len(lines) + 1}: duplicate id" in err
+
+    def test_split_disagreeing_with_gold(self, tmp_path):
+        preds = self.make_inputs(tmp_path)
+        splits = tmp_path / "splits.jsonl"
+        rows = [json.loads(l) for l in (GOLDEN / "splits.jsonl").read_text().splitlines()]
+        rows[0]["answer"] = rows[0]["answer"] + "x"
+        splits.write_bytes(b"".join(json.dumps(r).encode() + b"\n" for r in rows))
+        proc = run_cli("score", "--gold", GOLDEN / "corpus.jsonl", "--splits", splits,
+                       "--preds", preds)
+        assert "disagrees with the gold sample" in one_error_line(proc)
+
+    def test_non_string_prediction(self, tmp_path):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_bytes(b'{"id": "avqa0000", "predicted_answer": 3}\n')
+        proc = run_cli("score", "--gold", GOLDEN / "corpus.jsonl",
+                       "--splits", GOLDEN / "splits.jsonl", "--preds", preds)
+        assert one_error_line(proc) == "error: line 1: predicted_answer must be a string\n"
+
 
 class TestKappaCommand:
     def test_value(self, tmp_path, capsys):
@@ -96,6 +132,21 @@ class TestKappaCommand:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["kappa", "--votes", str(tmp_path / "nope.json")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("text", [
+        "[1]",
+        '{"raters": 3}',
+        '{"rows": [[3, 0]]}',
+        '{"raters": "3", "rows": [[3, 0]]}',
+        '{"raters": 3, "rows": [3, 0]}',
+        '{"raters": 3, "rows": [[3, 0.0]]}',
+        '{"raters": 3, "rows": [[3, 0]], "multiplicities": 2}',
+        '{"raters": 3,',
+    ])
+    def test_malformed_votes_file(self, tmp_path, text):
+        votes = tmp_path / "votes.json"
+        votes.write_text(text)
+        assert one_error_line(run_cli("kappa", "--votes", votes)).startswith(f"error: {votes}: ")
 
 
 class TestGenSynthAndTrain:
@@ -154,6 +205,20 @@ class TestGenSynthAndTrain:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err == f"error: {feats}: truncated header\n"
 
+    def test_feature_dim_mismatch(self, tmp_path):
+        data = tmp_path / "d"
+        shutil.copytree(TOY_GOLDEN / "synth", data)
+        cfg_path = data / "synth_config.json"
+        cfg = json.loads(cfg_path.read_text())
+        assert cfg["feature_dim"] == 8
+        cfg_path.write_text(json.dumps({**cfg, "feature_dim": 16}))
+        proc = run_cli("train-toy", "--data", data, "--epochs", "1",
+                       "--output-dir", tmp_path / "run")
+        assert one_error_line(proc) == (
+            f"error: {data / 'train.features'}: audio features are 8 wide, "
+            f"but feature_dim in {cfg_path} is 16\n"
+        )
+
 
 class TestToyGoldenBytes:
     """Training-path outputs pinned byte for byte against files written by an
@@ -185,6 +250,16 @@ class TestToyGoldenBytes:
             "--train-n", "96", "--test-n", "40", "--feature-dim", "8", "--epochs", "2",
         ]) == EXIT_OK
         assert capsys.readouterr().out.encode() == (TOY_GOLDEN / "ablation.json").read_bytes()
+
+    def test_grid(self, tmp_path, capsys):
+        assert main([
+            "--seed", "5", "grid", "--alphas", "0.3,1.0", "--betas", "0.03,3.0", "--seeds", "0,1",
+            "--train-n", "200", "--test-n", "80", "--feature-dim", "8", "--epochs", "6",
+            "--output-dir", str(tmp_path),
+        ]) == EXIT_OK
+        golden = (TOY_GOLDEN / "grid.csv").read_bytes()
+        assert capsys.readouterr().out.encode() == golden
+        assert (tmp_path / "grid.csv").read_bytes() == golden
 
 
 class TestGradcheckCommand:
@@ -231,6 +306,22 @@ class TestGridCommand:
         lines = (tmp_path / "grid.csv").read_text().splitlines()
         assert lines[0] == "alpha,beta,median_head_acc,median_tail_acc,median_overall_acc"
         assert lines[1].startswith("0.01,0.3,")
+
+    def test_generates_each_corpus_once(self, monkeypatch, capsys):
+        calls = []
+        generate_synthetic = toy.generate_synthetic
+
+        def counting(cfg):
+            calls.append(cfg.seed)
+            return generate_synthetic(cfg)
+
+        monkeypatch.setattr(toy, "generate_synthetic", counting)
+        assert main([
+            "grid", "--alphas", "0.01,0.1", "--betas", "0.3,1.0", "--seeds", "0,1",
+            "--train-n", "60", "--test-n", "20", "--epochs", "1",
+        ]) == EXIT_OK
+        assert calls == [0, 1]
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 4
 
 
 class TestUsage:

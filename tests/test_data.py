@@ -174,3 +174,12 @@ class TestParsePredictions:
         row = b'{"id": "q1", "predicted_answer": "two"}'
         with pytest.raises(CorpusError, match="duplicate prediction id"):
             parse_predictions(jsonl_stream([row, row]))
+
+    @pytest.mark.parametrize("row, field", [
+        (b'{"id": "q2", "predicted_answer": 3}', "predicted_answer"),
+        (b'{"id": ["q2"], "predicted_answer": "two"}', "id"),
+    ])
+    def test_non_string_field(self, row, field):
+        good = b'{"id": "q1", "predicted_answer": "two"}'
+        with pytest.raises(CorpusError, match=f"^line 2: {field} must be a string$"):
+            parse_predictions(jsonl_stream([good, row]))

@@ -13,8 +13,8 @@ from avqa_debias.losses import (
     discrepancy_loss,
     discrepancy_loss_stacked,
     finite_difference_check,
+    joint_components_stacked,
     joint_loss,
-    joint_loss_stacked,
     log_softmax,
     softmax,
 )
@@ -172,13 +172,21 @@ class TestJointLoss:
         assert joint.value == pytest.approx(2.610340547437774, abs=1e-12)
 
     def test_stacked_path_matches_list_path(self):
+        # joint_loss over a list of bundles is the summed components of
+        # joint_components_stacked over the stacked heads, value and grads
         rng = np.random.default_rng(5)
         batch = random_batch(rng, 6, 4)
         labels = list(rng.integers(4, size=6))
         y = {name: np.stack([getattr(b, name) for b in batch]) for name in HEADS}
-        assert joint_loss_stacked(y, labels).value == pytest.approx(
-            joint_loss(batch, labels).value, rel=1e-15
-        )
+        for cfg, heads, share in ((MccdConfig(), UNIMODAL, None),
+                                  (MccdConfig(distance_space="raw_logit"), ("audio", "video"), 2)):
+            joint = joint_loss(batch, labels, cfg, heads=heads, share=share)
+            la, ld, lc, grads = joint_components_stacked(y, labels, cfg, heads=heads, share=share)
+            assert joint.value == la.value + ld.value + lc.value
+            for name in HEADS:
+                assert np.array_equal(joint.grads[name], grads[name]), name
+                summed = la.grads[name] + ld.grads[name] + lc.grads[name]
+                assert np.array_equal(grads[name], summed), name
 
 
 class TestShiftInvariance:

@@ -78,6 +78,21 @@ class TestScorePredictions:
         with pytest.raises(ScoringError, match="unknown sample"):
             score_predictions(gold, splits + [rogue], preds)
 
+    def test_split_disagreeing_with_gold_group_raises(self):
+        gold, splits, preds = fixture_4h2t()
+        moved = make_sample("s2", "yes", qtype=QuestionType.TEMPORAL)
+        splits[2] = assignment(moved, SplitLabel.HEAD)
+        with pytest.raises(ScoringError, match=r"'s2' \(AVQA/Temporal, answer 'yes'\) disagrees "
+                                               r"with the gold sample \(AVQA/Counting, "):
+            score_predictions(gold, splits, preds)
+
+    def test_split_disagreeing_with_gold_answer_raises(self):
+        gold, splits, preds = fixture_4h2t()
+        splits[4] = assignment(make_sample("s4", "no"), SplitLabel.TAIL)
+        with pytest.raises(ScoringError, match=r"'s4' \(AVQA/Counting, answer 'no'\) disagrees "
+                                               r"with the gold sample \(.*, answer 'yes'\)"):
+            score_predictions(gold, splits, preds)
+
     def test_normalization_applied_to_both_sides(self):
         gold = [make_sample("s0", "  Yes ")]
         splits = [assignment(gold[0], SplitLabel.HEAD)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avqa_debias.data import QuestionType, Task
+from avqa_debias.data import CorpusError, QuestionType, Task
 from avqa_debias.splitting import (
     AnswerDistribution,
     SplitConfig,
@@ -164,6 +164,20 @@ class TestAssignSplits:
         write_splits(result.assignments, buf)
         buf.seek(0)
         assert read_splits(buf) == result.assignments
+
+    def test_duplicate_id_rejected_at_the_second_copy(self):
+        # a sample listed twice would be scored twice
+        result = assign_splits(self.corpus())
+        buf = io.BytesIO()
+        write_splits(result.assignments[:3], buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        # lines 1-3 are records, 4 and 6 are blank, 5 copies line 2
+        data = b"".join(lines) + b"\n" + lines[1] + b"\n"
+        with pytest.raises(CorpusError, match=r"^line 5: duplicate id 'avqa0001' \(first .* 2\)"):
+            read_splits(io.BytesIO(data))
+        data = b"\n\n" + b"".join(lines) + lines[0]
+        with pytest.raises(CorpusError, match=r"^line 6: duplicate id 'avqa0000' \(first .* 3\)"):
+            read_splits(io.BytesIO(data))
 
 
 class TestEntropyProperties:

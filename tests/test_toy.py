@@ -20,8 +20,6 @@ from avqa_debias.toy import (
     class_index,
     class_name,
     evaluate,
-    forward,
-    forward_bundle,
     generate_synthetic,
     predict_logits,
     run_variant,
@@ -34,6 +32,11 @@ QUICK = TrainConfig(epochs=3)
 
 def small_data(**kw):
     return generate_synthetic(replace(SMALL, **kw))
+
+
+def head_logits(model, batch):
+    """All four logit heads of the training forward pass, keyed by head name."""
+    return _forward_cache(model, batch.features())["logits"]
 
 
 class TestClassNames:
@@ -147,31 +150,27 @@ class TestForward:
     def test_heads_shapes(self):
         data = small_data()
         model = ToyModel.initialize(6, 16, seed=0)
-        logits = forward(model, data.train[:10])
+        logits = head_logits(model, data.train[:10])
         assert set(logits) == {"audio", "video", "question", "fused"}
         assert all(v.shape == (10, 6) for v in logits.values())
 
     def test_batching_invariance(self):
         data = small_data()
         model = ToyModel.initialize(6, 16, seed=0)
-        whole = forward(model, data.train[:8])
+        whole = head_logits(model, data.train[:8])
         for i in range(8):
-            single = forward(model, data.train[i : i + 1])
+            single = head_logits(model, data.train[i : i + 1])
             for name in whole:
                 assert np.allclose(whole[name][i], single[name][0], atol=1e-12)
 
-    def test_forward_bundle_matches(self):
-        data = small_data()
-        model = ToyModel.initialize(6, 16, seed=0)
-        b = forward_bundle(model, data.train, 0)
-        logits = forward(model, data.train[0:1])
-        assert np.allclose(b.fused, logits["fused"][0], atol=1e-15)
-
     def test_feature_dim_checked(self):
+        # data meets the model in train and predict_logits; both check
         data = small_data()
         model = ToyModel.initialize(6, 8, seed=0)
-        with pytest.raises(ToyError, match="feature dim"):
-            forward(model, data.train[:1])
+        with pytest.raises(ToyError, match="audio feature dim 16 does not match model dim 8"):
+            train(model, data.train, QUICK)
+        with pytest.raises(ToyError, match="audio feature dim 16 does not match model dim 8"):
+            predict_logits(model, data.test)
 
     def test_predict_uses_only_fusion_path(self):
         data = small_data()
@@ -183,7 +182,7 @@ class TestForward:
                 arr += 100.0
         after = predict_logits(model, data.test[:20])
         assert np.array_equal(before, after)
-        assert np.allclose(before, forward(model, data.test[:20])["fused"], atol=1e-12)
+        assert np.array_equal(before, head_logits(model, data.test[:20])["fused"])
 
 
 class TestTrain:
@@ -233,11 +232,11 @@ class TestBiasLearners:
         grads = model.views(buf)
         _backward(model, cache, dlogits, grads)
         assert not np.isnan(buf).any()  # every gradient entry is written
-        for name in model.fusion_param_names():
-            assert not np.any(grads[name]), name
         for name in grads:
             if name.startswith("bias_"):
                 assert np.any(grads[name]), name
+            else:  # encoders and fusion head: the inference path
+                assert not np.any(grads[name]), name
 
     def test_question_head_learns_the_shortcut(self):
         # with its own answer loss the question-only learner picks up the
@@ -245,7 +244,7 @@ class TestBiasLearners:
         data = small_data()
         model = ToyModel.initialize(6, 16, seed=0)
         train(model, data.train, TrainConfig(epochs=10), AblationSpec(variant=AblationVariant.FULL))
-        guesses = np.argmax(forward(model, data.train)["question"], axis=1)
+        guesses = np.argmax(head_logits(model, data.train)["question"], axis=1)
         shortcut = np.argmax(data.train.question, axis=1)
         assert np.mean(guesses == shortcut) > 0.5
 
@@ -321,7 +320,7 @@ class TestRunVariant:
         assert row["final_epoch"]["epoch"] == QUICK.epochs
 
     def test_ablation_run_medians(self):
-        rows = ablation_run(SMALL, QUICK, [AblationSpec()], seeds=[0, 1, 2])
+        rows = ablation_run(SMALL, [(QUICK, AblationSpec())], seeds=[0, 1, 2])
         (row,) = rows
         assert row["median_tail_acc"] == statistics.median(
             r["tail_acc"] for r in row["runs"]
@@ -338,7 +337,7 @@ class TestRunVariant:
         variants = [AblationSpec(variant=v) for v in
                     (AblationVariant.FULL, AblationVariant.BASELINE_CE_ONLY)]
         monkeypatch.setattr(toy, "generate_synthetic", counting)
-        rows = ablation_run(SMALL, QUICK, variants, seeds=[0, 1])
+        rows = ablation_run(SMALL, [(QUICK, spec) for spec in variants], seeds=[0, 1])
         assert calls == [0, 1]
         monkeypatch.undo()
         # rows stay variant-major, and a shared corpus changes no run
