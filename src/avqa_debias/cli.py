@@ -27,10 +27,9 @@ from .losses import (
     finite_difference_check,
     joint_loss,
 )
-from .scoring import ScoringError, VoteTable, fleiss_kappa, render_report, score_predictions
+from .scoring import VoteTable, fleiss_kappa, render_report, score_predictions
 from .splitting import (
     SplitConfig,
-    SplitError,
     TiePolicy,
     assign_splits,
     group_report_json,
@@ -61,12 +60,13 @@ class CliError(Exception):
     pass
 
 
-def _read_corpus(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"input file not found: {path}")
-    with open(p, "rb") as f:
-        return parse_samples(f)
+def _parse_file(parse, path):
+    """``parse`` applied to the file at ``path``; a CorpusError is prefixed with the path."""
+    with open(path, "rb") as f:
+        try:
+            return parse(f)
+        except CorpusError as exc:
+            raise CliError(f"{path}: {exc}") from None
 
 
 def _dump_json(obj, path: Path) -> None:
@@ -84,7 +84,7 @@ def _train_from_args(args, alpha: float, beta: float) -> TrainConfig:
 
 
 def cmd_split(args) -> int:
-    corpus = _read_corpus(args.input)
+    corpus = _parse_file(parse_samples, args.input)
     cfg = SplitConfig(
         entropy_threshold=args.entropy_threshold,
         tail_factor=args.tail_factor,
@@ -104,11 +104,9 @@ def cmd_split(args) -> int:
 
 
 def cmd_score(args) -> int:
-    gold = _read_corpus(args.gold)
-    with open(args.splits, "rb") as f:
-        splits = read_splits(f)
-    with open(args.preds, "rb") as f:
-        preds = parse_predictions(f)
+    gold = _parse_file(parse_samples, args.gold)
+    splits = _parse_file(read_splits, args.splits)
+    preds = _parse_file(parse_predictions, args.preds)
     report = score_predictions(gold, splits, preds)
     fmt = "json" if args.format == "json" else "text-table"
     sys.stdout.buffer.write(render_report(report, fmt))
@@ -172,8 +170,7 @@ def cmd_gen_synth(args) -> int:
 
 
 def _load_toy_corpus(data_dir: Path, name: str, feature_dim: int) -> ToySet:
-    with open(data_dir / f"{name}.jsonl", "rb") as f:
-        qa = parse_samples(f)
+    qa = _parse_file(parse_samples, data_dir / f"{name}.jsonl")
     path = data_dir / f"{name}.features"
     audio, video, question = serialize.read_features(path)
     if len(audio) != len(qa):
@@ -186,15 +183,28 @@ def _load_toy_corpus(data_dir: Path, name: str, feature_dim: int) -> ToySet:
     return ToySet(qa=qa, labels=labels, audio=audio, video=video, question=question)
 
 
+def _read_synth_config(path: Path) -> dict:
+    """The generator config of a corpus; the model's shape comes from two of its fields."""
+    try:  # malformed JSON, invalid UTF-8 and a wrong shape are all ValueErrors
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(cfg, dict):
+            raise ValueError("expected a JSON object")
+        for name in ("num_classes", "feature_dim"):
+            if type(cfg.get(name)) is not int or cfg[name] < 1:
+                raise ValueError(f"{name} must be a positive integer")
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
+    return cfg
+
+
 def cmd_train_toy(args) -> int:
     data_dir = Path(args.data)
     if not data_dir.is_dir():
         raise CliError(f"data directory not found: {args.data}")
-    synth_cfg = json.loads((data_dir / "synth_config.json").read_text(encoding="utf-8"))
+    synth_cfg = _read_synth_config(data_dir / "synth_config.json")
     train_set = _load_toy_corpus(data_dir, "train", synth_cfg["feature_dim"])
     test_set = _load_toy_corpus(data_dir, "test", synth_cfg["feature_dim"])
-    with open(data_dir / "splits.jsonl", "rb") as f:
-        splits = read_splits(f)
+    splits = _parse_file(read_splits, data_dir / "splits.jsonl")
 
     spec = AblationSpec(variant=AblationVariant(args.variant))
     tcfg = _train_from_args(args, args.alpha, args.beta)
@@ -413,8 +423,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CliError, CorpusError, SplitError, ScoringError, OSError, ValueError,
-            KeyError, json.JSONDecodeError) as exc:
+    except (CliError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

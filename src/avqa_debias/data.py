@@ -12,18 +12,30 @@ template question it was derived from.
 from __future__ import annotations
 
 import enum
+import functools
 import json
-from dataclasses import dataclass, field
-from typing import IO, Iterable
+from dataclasses import dataclass
+from typing import IO, Iterable, Iterator, NamedTuple
 
 
-class Task(enum.Enum):
+@functools.total_ordering
+class _DeclarationOrder(enum.Enum):
+    """Members compare by their declaration order."""
+
+    def __lt__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        members = list(type(self))
+        return members.index(self) < members.index(other)
+
+
+class Task(_DeclarationOrder):
     AUDIO_QA = "AudioQA"
     VISUAL_QA = "VisualQA"
     AVQA = "AVQA"
 
 
-class QuestionType(enum.Enum):
+class QuestionType(_DeclarationOrder):
     EXISTENTIAL = "Existential"
     LOCATION = "Location"
     COUNTING = "Counting"
@@ -47,9 +59,6 @@ KNOWN_GROUPS = frozenset(
     ]
 )
 
-_TASK_ORDER = {t: i for i, t in enumerate(Task)}
-_TYPE_ORDER = {t: i for i, t in enumerate(QuestionType)}
-
 REQUIRED_FIELDS = ("id", "task", "question_type", "question", "answer")
 
 
@@ -63,18 +72,13 @@ class CorpusError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True, order=True)
-class GroupKey:
-    """(task, question_type) pair; ordering is task-major, type-minor."""
+class GroupKey(NamedTuple):
+    """(task, question_type) pair, a plain tuple: it hashes and compares equal
+    to ``(task, question_type)``, and orders task-major, type-minor, each
+    enum by declaration order."""
 
-    sort_index: tuple[int, int] = field(init=False, repr=False, compare=True)
-    task: Task = field(compare=False)
-    question_type: QuestionType = field(compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "sort_index", (_TASK_ORDER[self.task], _TYPE_ORDER[self.question_type])
-        )
+    task: Task
+    question_type: QuestionType
 
     def __str__(self) -> str:
         return f"{self.task.value}/{self.question_type.value}"
@@ -115,23 +119,33 @@ class CorpusStats:
     warnings: list[str]
 
 
-def _decode_line(raw: bytes, lineno: int) -> dict:
-    if lineno == 1 and raw.startswith(b"\xef\xbb\xbf"):
-        raise CorpusError("byte-order mark not allowed; files must be plain UTF-8", lineno)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"invalid UTF-8: {exc}", lineno) from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"malformed JSON: {exc.msg}", lineno) from exc
-    if not isinstance(obj, dict):
-        raise CorpusError("each line must be a JSON object", lineno)
-    return obj
+def read_jsonl(stream: IO[bytes]) -> Iterator[tuple[int, dict]]:
+    """Yield (1-based line number, object) for each nonblank line of a JSONL stream.
+
+    Every line check lives here: a CorpusError with the line number on a
+    byte-order mark, invalid UTF-8, malformed JSON, or a value that is not
+    a JSON object. Blank lines are skipped but still counted.
+    """
+    for lineno, raw in enumerate(stream, start=1):
+        raw = raw.rstrip(b"\r\n")
+        if not raw.strip():
+            continue
+        if lineno == 1 and raw.startswith(b"\xef\xbb\xbf"):
+            raise CorpusError("byte-order mark not allowed; files must be plain UTF-8", lineno)
+        try:
+            obj = json.loads(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"invalid UTF-8: {exc}", lineno) from exc
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"malformed JSON: {exc.msg}", lineno) from exc
+        except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+            raise CorpusError(f"malformed JSON: {exc}", lineno) from exc
+        if not isinstance(obj, dict):
+            raise CorpusError("each line must be a JSON object", lineno)
+        yield lineno, obj
 
 
-def _sample_from_obj(obj: dict, lineno: int | None, warnings: list[str] | None) -> QASample:
+def _sample_from_obj(obj: dict, lineno: int, warnings: list[str] | None) -> QASample:
     for name in REQUIRED_FIELDS:
         if name not in obj:
             raise CorpusError(f"missing required field {name!r}", lineno)
@@ -151,8 +165,7 @@ def _sample_from_obj(obj: dict, lineno: int | None, warnings: list[str] | None) 
         raise CorpusError("answer must be a nonempty string", lineno)
     unknown = sorted(set(obj) - set(REQUIRED_FIELDS) - {"source_id"})
     if unknown and warnings is not None:
-        where = f"line {lineno}: " if lineno is not None else ""
-        warnings.append(f"{where}ignored unknown fields: {', '.join(unknown)}")
+        warnings.append(f"line {lineno}: ignored unknown fields: {', '.join(unknown)}")
     return QASample(
         id=sid,
         task=task,
@@ -166,17 +179,13 @@ def _sample_from_obj(obj: dict, lineno: int | None, warnings: list[str] | None) 
 def parse_samples(stream: IO[bytes], warnings: list[str] | None = None) -> list[QASample]:
     """Parse a JSONL byte stream into samples, preserving file order.
 
-    Raises CorpusError with a 1-based line number on malformed JSON,
-    missing fields, or duplicate ids. Unknown fields are ignored and,
-    when a ``warnings`` list is given, recorded there.
+    Lines are read by ``read_jsonl``; a missing or invalid field or a
+    duplicate id is a CorpusError with the line number. Unknown fields are
+    ignored and, when a ``warnings`` list is given, recorded there.
     """
     samples: list[QASample] = []
     seen: dict[str, int] = {}
-    for lineno, raw in enumerate(stream, start=1):
-        raw = raw.rstrip(b"\r\n")
-        if not raw.strip():
-            continue
-        obj = _decode_line(raw, lineno)
+    for lineno, obj in read_jsonl(stream):
         sample = _sample_from_obj(obj, lineno, warnings)
         if sample.id in seen:
             raise CorpusError(
@@ -210,8 +219,7 @@ def validate_corpus(samples: list[QASample]) -> CorpusStats:
             duplicates.append(s.id)
         else:
             seen[s.id] = i
-        pair = (s.task, s.question_type)
-        if pair not in KNOWN_GROUPS and key not in warned_groups:
+        if key not in KNOWN_GROUPS and key not in warned_groups:
             warned_groups.add(key)
             warnings.append(f"unexpected task/type combination {key}")
     return CorpusStats(
@@ -234,15 +242,12 @@ def group_samples(samples: list[QASample]) -> dict[GroupKey, list[QASample]]:
 def parse_predictions(stream: IO[bytes]) -> dict[str, str]:
     """Parse a prediction JSONL file ({"id", "predicted_answer"}) into a map.
 
-    Duplicate prediction ids are an error: silently keeping either copy
-    could change the reported accuracy.
+    Lines are read by ``read_jsonl``; both fields must be strings. A
+    duplicate prediction id is an error: silently keeping either copy could
+    change the reported accuracy.
     """
     preds: dict[str, str] = {}
-    for lineno, raw in enumerate(stream, start=1):
-        raw = raw.rstrip(b"\r\n")
-        if not raw.strip():
-            continue
-        obj = _decode_line(raw, lineno)
+    for lineno, obj in read_jsonl(stream):
         for name in ("id", "predicted_answer"):
             if name not in obj:
                 raise CorpusError(f"missing required field {name!r}", lineno)

@@ -94,8 +94,7 @@ def score_predictions(
         sample = gold_by_id.get(a.sample_id)
         if sample is None:
             raise ScoringError(f"split assignment refers to unknown sample id {a.sample_id!r}")
-        if (a.group.task is not sample.task or a.group.question_type is not sample.question_type
-                or a.answer_class != sample.answer):
+        if a.group != sample.group or a.answer_class != sample.answer:
             raise ScoringError(
                 f"split assignment {a.sample_id!r} ({a.group}, answer {a.answer_class!r}) "
                 f"disagrees with the gold sample ({sample.group}, answer {sample.answer!r})"
@@ -141,6 +140,8 @@ class VoteTable:
         for row in self.rows:
             if len(row) != k:
                 raise ScoringError("ragged vote table")
+            if any(c < 0 for c in row):
+                raise ScoringError(f"row {row} has a negative vote count")
             if sum(row) != self.raters:
                 raise ScoringError(f"row {row} does not sum to {self.raters} raters")
         if self.multiplicities is not None:

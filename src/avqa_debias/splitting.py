@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO
 
-from .data import CorpusError, GroupKey, QASample, QuestionType, Task, group_samples
+from .data import CorpusError, GroupKey, QASample, QuestionType, Task, group_samples, read_jsonl
 
 
 class SplitLabel(enum.Enum):
@@ -227,48 +227,32 @@ def write_splits(assignments: list[SplitAssignment], stream: IO[bytes]) -> None:
 
 
 def read_splits(stream: IO[bytes]) -> list[SplitAssignment]:
-    """Parse a splits JSONL file back into assignments.
+    """Parse a splits JSONL file, read by ``data.read_jsonl``, into assignments.
 
     A duplicate id is an error, raised at the line of its second copy:
     counting a sample twice would change the reported accuracy.
     """
     out: list[SplitAssignment] = []
-    blank: list[int] = []  # line numbers of skipped blank lines
-    for lineno, raw in enumerate(stream, start=1):
-        raw = raw.rstrip(b"\r\n")
-        if not raw.strip():
-            blank.append(lineno)
-            continue
-        try:
-            obj = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CorpusError(f"malformed splits line: {exc}", lineno) from exc
+    seen: dict[str, int] = {}
+    for lineno, obj in read_jsonl(stream):
         try:
             if not isinstance(obj["id"], str):
                 raise ValueError("id must be a string")
-            out.append(
-                SplitAssignment(
-                    sample_id=obj["id"],
-                    group=GroupKey(task=Task(obj["task"]), question_type=QuestionType(obj["question_type"])),
-                    label=SplitLabel(obj["split"]),
-                    answer_class=obj["answer"],
-                    rule=SplitRule(obj["rule"]),
-                )
+            a = SplitAssignment(
+                sample_id=obj["id"],
+                group=GroupKey(Task(obj["task"]), QuestionType(obj["question_type"])),
+                label=SplitLabel(obj["split"]),
+                answer_class=obj["answer"],
+                rule=SplitRule(obj["rule"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"invalid splits record: {exc}", lineno) from exc
-    if len({a.sample_id for a in out}) != len(out):
-        # rare path: every line that is not a skipped blank holds one record
-        skipped = set(blank)
-        linenos = [n for n in range(1, len(out) + len(blank) + 1) if n not in skipped]
-        first: dict[str, int] = {}
-        for a, lineno in zip(out, linenos):
-            if a.sample_id in first:
-                first_line = first[a.sample_id]
-                raise CorpusError(
-                    f"duplicate id {a.sample_id!r} (first seen on line {first_line})", lineno
-                )
-            first[a.sample_id] = lineno
+        if a.sample_id in seen:
+            raise CorpusError(
+                f"duplicate id {a.sample_id!r} (first seen on line {seen[a.sample_id]})", lineno
+            )
+        seen[a.sample_id] = lineno
+        out.append(a)
     return out
 
 

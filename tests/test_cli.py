@@ -1,3 +1,4 @@
+import importlib
 import json
 import shutil
 import subprocess
@@ -110,7 +111,16 @@ class TestScoreCommand:
         preds.write_bytes(b'{"id": "avqa0000", "predicted_answer": 3}\n')
         proc = run_cli("score", "--gold", GOLDEN / "corpus.jsonl",
                        "--splits", GOLDEN / "splits.jsonl", "--preds", preds)
-        assert one_error_line(proc) == "error: line 1: predicted_answer must be a string\n"
+        assert one_error_line(proc) == f"error: {preds}: line 1: predicted_answer must be a string\n"
+
+    @pytest.mark.parametrize("flag", ["--gold", "--splits", "--preds"])
+    def test_reader_error_names_the_file(self, tmp_path, flag):
+        inputs = {"--gold": GOLDEN / "corpus.jsonl", "--splits": GOLDEN / "splits.jsonl",
+                  "--preds": self.make_inputs(tmp_path)}
+        bad = inputs[flag] = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"[1]\n")
+        proc = run_cli("score", *(x for item in inputs.items() for x in item))
+        assert one_error_line(proc) == f"error: {bad}: line 1: each line must be a JSON object\n"
 
 
 class TestKappaCommand:
@@ -142,6 +152,7 @@ class TestKappaCommand:
         '{"raters": 3, "rows": [[3, 0.0]]}',
         '{"raters": 3, "rows": [[3, 0]], "multiplicities": 2}',
         '{"raters": 3,',
+        '{"raters": 3, "rows": [[4, -1], [3, 0]]}',
     ])
     def test_malformed_votes_file(self, tmp_path, text):
         votes = tmp_path / "votes.json"
@@ -217,6 +228,35 @@ class TestGenSynthAndTrain:
         assert one_error_line(proc) == (
             f"error: {data / 'train.features'}: audio features are 8 wide, "
             f"but feature_dim in {cfg_path} is 16\n"
+        )
+
+
+    @pytest.mark.parametrize("text, problem", [
+        ("{", "Expecting property name"),
+        ("[6, 8]", "expected a JSON object"),
+        ('{"num_classes": 6}', "feature_dim must be a positive integer"),
+        ('{"num_classes": 6, "feature_dim": "8"}', "feature_dim must be a positive integer"),
+        ('{"num_classes": 6.0, "feature_dim": 8}', "num_classes must be a positive integer"),
+        ('{"num_classes": 0, "feature_dim": 8}', "num_classes must be a positive integer"),
+    ])
+    def test_malformed_synth_config(self, tmp_path, text, problem):
+        data = tmp_path / "d"
+        shutil.copytree(TOY_GOLDEN / "synth", data)
+        cfg_path = data / "synth_config.json"
+        cfg_path.write_text(text)
+        proc = run_cli("train-toy", "--data", data, "--epochs", "1",
+                       "--output-dir", tmp_path / "run")
+        assert one_error_line(proc).startswith(f"error: {cfg_path}: {problem}")
+
+    @pytest.mark.parametrize("name", ["train.jsonl", "test.jsonl", "splits.jsonl"])
+    def test_reader_error_names_the_file(self, tmp_path, name):
+        data = tmp_path / "d"
+        shutil.copytree(TOY_GOLDEN / "synth", data)
+        (data / name).write_bytes(b"[1]\n")
+        proc = run_cli("train-toy", "--data", data, "--epochs", "1",
+                       "--output-dir", tmp_path / "run")
+        assert one_error_line(proc) == (
+            f"error: {data / name}: line 1: each line must be a JSON object\n"
         )
 
 
@@ -333,3 +373,16 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert run_cli("--help").returncode == 0
+
+
+# The benchmark's per-layer tracer replaces these module attributes by name.
+# A refactor that drops one turns its metric into "absent" without a failure
+# anywhere else, so the names are pinned here.
+@pytest.mark.parametrize("target", [
+    "cli:parse_samples", "cli:read_splits", "cli:parse_predictions", "cli:assign_splits",
+    "cli:write_splits", "cli:score_predictions", "splitting:group_samples",
+    "splitting:answer_distribution",
+])
+def test_traced_eval_path_attribute_exists(target):
+    module, name = target.split(":")
+    assert callable(getattr(importlib.import_module(f"avqa_debias.{module}"), name, None))

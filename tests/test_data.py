@@ -1,7 +1,9 @@
 import io
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from avqa_debias.data import (
     CorpusError,
@@ -15,6 +17,7 @@ from avqa_debias.data import (
     validate_corpus,
     write_samples,
 )
+from avqa_debias.splitting import read_splits
 from conftest import jsonl_stream, make_sample
 
 
@@ -183,3 +186,48 @@ class TestParsePredictions:
         good = b'{"id": "q1", "predicted_answer": "two"}'
         with pytest.raises(CorpusError, match=f"^line 2: {field} must be a string$"):
             parse_predictions(jsonl_stream([good, row]))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+# Objects over the fields the three readers look up, each value either one a
+# reader accepts or any JSON value, so that lines get past the JSON checks.
+_VALID = {
+    "id": ["a", "b", ""],
+    "task": [t.value for t in Task],
+    "question_type": [t.value for t in QuestionType],
+    "question": ["q"],
+    "answer": ["yes", ""],
+    "source_id": ["a"],
+    "predicted_answer": ["yes"],
+    "split": ["head", "tail"],
+    "rule": ["general_threshold", "two_answer_low_frequency"],
+}
+_RECORD = st.fixed_dictionaries(
+    {}, optional={k: st.sampled_from(v) | _JSON for k, v in _VALID.items()}
+)
+_LINE = (
+    st.binary(max_size=12)
+    | _JSON.map(lambda v: json.dumps(v).encode())
+    | _RECORD.map(lambda r: json.dumps(r).encode())
+)
+
+
+@pytest.mark.parametrize("parse", [parse_samples, parse_predictions, read_splits])
+@settings(deadline=None)
+@given(lines=st.lists(_LINE, max_size=6))
+@example(lines=[b"\xef\xbb\xbf{}"])
+@example(lines=[b"", b"[" * 100_000])
+@example(lines=[b"1" * 5_000])
+def test_reader_fuzz(parse, lines):
+    """Any input either parses or raises a CorpusError that names one of its lines."""
+    data = b"\n".join(lines)
+    try:
+        parse(io.BytesIO(data))
+    except CorpusError as exc:
+        match = re.match(r"line (\d+): ", str(exc))
+        assert match and 1 <= int(match[1]) <= len(io.BytesIO(data).readlines()), str(exc)

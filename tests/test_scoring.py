@@ -148,6 +148,8 @@ class TestVoteTable:
             VoteTable(raters=3, rows=((2, 1), (3, 0, 0)))
         with pytest.raises(ScoringError, match="sum"):
             VoteTable(raters=3, rows=((2, 2),))
+        with pytest.raises(ScoringError, match="negative"):
+            VoteTable(raters=3, rows=((4, -1), (3, 0)))
         with pytest.raises(ScoringError, match="multiplicities"):
             VoteTable(raters=3, rows=((2, 1),), multiplicities=(1, 2))
         with pytest.raises(ScoringError, match="positive"):
