@@ -69,6 +69,17 @@ def _parse_file(parse, path):
             raise CliError(f"{path}: {exc}") from None
 
 
+def _read_json_object(path: Path) -> dict:
+    """The JSON object in the file at ``path``; anything else is a CliError naming the path."""
+    try:  # invalid UTF-8 and malformed JSON are ValueErrors, deep nesting a RecursionError
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise CliError(f"{path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise CliError(f"{path}: expected a JSON object")
+    return obj
+
+
 def _dump_json(obj, path: Path) -> None:
     path.write_bytes((json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))
 
@@ -118,12 +129,10 @@ def _is_int_list(v) -> bool:
 
 
 def cmd_kappa(args) -> int:
-    p = Path(args.votes)
-    if not p.exists():
-        raise CliError(f"votes file not found: {args.votes}")
-    try:  # malformed JSON, a wrong shape and an invalid table are all ValueErrors
-        obj = json.loads(p.read_text(encoding="utf-8"))
-        if not (isinstance(obj, dict) and type(obj.get("raters")) is int
+    path = Path(args.votes)
+    obj = _read_json_object(path)
+    try:  # a wrong shape and an invalid table are both ValueErrors
+        if not (type(obj.get("raters")) is int
                 and isinstance(obj.get("rows"), list) and all(map(_is_int_list, obj["rows"]))
                 and _is_int_list(obj.get("multiplicities", []))):
             raise ValueError("expected an object with an integer 'raters', a list of integer "
@@ -135,7 +144,7 @@ def cmd_kappa(args) -> int:
         )
         kappa = fleiss_kappa(table)
     except ValueError as exc:
-        raise CliError(f"{p}: {exc}") from None
+        raise CliError(f"{path}: {exc}") from None
     print(f"{kappa:.4f}")
     return EXIT_OK
 
@@ -185,15 +194,10 @@ def _load_toy_corpus(data_dir: Path, name: str, feature_dim: int) -> ToySet:
 
 def _read_synth_config(path: Path) -> dict:
     """The generator config of a corpus; the model's shape comes from two of its fields."""
-    try:  # malformed JSON, invalid UTF-8 and a wrong shape are all ValueErrors
-        cfg = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(cfg, dict):
-            raise ValueError("expected a JSON object")
-        for name in ("num_classes", "feature_dim"):
-            if type(cfg.get(name)) is not int or cfg[name] < 1:
-                raise ValueError(f"{name} must be a positive integer")
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
+    cfg = _read_json_object(path)
+    for name in ("num_classes", "feature_dim"):
+        if type(cfg.get(name)) is not int or cfg[name] < 1:
+            raise CliError(f"{path}: {name} must be a positive integer")
     return cfg
 
 

@@ -163,6 +163,11 @@ def _sample_from_obj(obj: dict, lineno: int, warnings: list[str] | None) -> QASa
     answer = obj["answer"]
     if not isinstance(answer, str) or not answer:
         raise CorpusError("answer must be a nonempty string", lineno)
+    if not isinstance(obj["question"], str):
+        raise CorpusError("question must be a string", lineno)
+    source_id = obj.get("source_id")
+    if source_id is not None and not isinstance(source_id, str):
+        raise CorpusError("source_id must be a string or null", lineno)
     unknown = sorted(set(obj) - set(REQUIRED_FIELDS) - {"source_id"})
     if unknown and warnings is not None:
         warnings.append(f"line {lineno}: ignored unknown fields: {', '.join(unknown)}")
@@ -172,7 +177,7 @@ def _sample_from_obj(obj: dict, lineno: int, warnings: list[str] | None) -> QASa
         question_type=qtype,
         question=obj["question"],
         answer=answer,
-        source_id=obj.get("source_id"),
+        source_id=source_id,
     )
 
 

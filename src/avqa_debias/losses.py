@@ -66,10 +66,14 @@ class MccdConfig:
     beta: float = 3e-1
     epsilon: float = 1e-5
     distance_space: str = "probability"  # or "raw_logit"
+    heads: tuple[str, ...] = UNIMODAL  # uni-modal heads in the discrepancy term
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
+        for h in self.heads:
+            if h not in UNIMODAL:
+                raise LossError(f"unknown uni-modal head {h!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.distance_space not in ("probability", "raw_logit"):
@@ -117,38 +121,24 @@ def _zero_grads(k: int, c: int) -> dict[str, np.ndarray]:
     return {name: np.zeros((k, c)) for name in HEADS}
 
 
-def discrepancy_loss(
-    batch: list[LogitBundle],
-    cfg: MccdConfig = MccdConfig(),
-    heads: tuple[str, ...] = UNIMODAL,
-    share: int | None = None,
-) -> LossValue:
+def discrepancy_loss(batch: list[LogitBundle], cfg: MccdConfig = MccdConfig()) -> LossValue:
     """Joint inverse distance between uni-modal heads and the fused head.
 
-    L = alpha / (share * K) * sum_i sum_h 1 / (d_i^h + eps), with d the
-    Euclidean distance in probability space (softmax of both ends) or in
-    raw logit space per cfg.distance_space. ``heads`` and ``share``
-    support ablations that drop one term and rescale the 1/3 factor.
+    L = alpha / (H * K) * sum_i sum_h 1 / (d_i^h + eps) over the H heads
+    of cfg.heads, with d the Euclidean distance in probability space
+    (softmax of both ends) or in raw logit space per cfg.distance_space.
+    An ablation that drops a head's term thus rescales 1/3 to 1/2.
     """
-    return discrepancy_loss_stacked(_stack(batch), cfg, heads=heads, share=share)
+    return discrepancy_loss_stacked(_stack(batch), cfg)
 
 
-def discrepancy_loss_stacked(
-    y: dict[str, np.ndarray],
-    cfg: MccdConfig = MccdConfig(),
-    heads: tuple[str, ...] = UNIMODAL,
-    share: int | None = None,
-) -> LossValue:
+def discrepancy_loss_stacked(y: dict[str, np.ndarray], cfg: MccdConfig = MccdConfig()) -> LossValue:
     """discrepancy_loss over pre-stacked (K, C) head matrices."""
-    for h in heads:
-        if h not in UNIMODAL:
-            raise LossError(f"unknown uni-modal head {h!r}")
     k, c = y["fused"].shape
     grads = _zero_grads(k, c)
-    if cfg.alpha == 0.0 or not heads:
+    if cfg.alpha == 0.0 or not cfg.heads:
         return LossValue(0.0, grads)
-    share = len(heads) if share is None else share
-    scale = cfg.alpha / (share * k)
+    scale = cfg.alpha / (len(cfg.heads) * k)
 
     prob_mode = cfg.distance_space == "probability"
     if prob_mode:
@@ -158,7 +148,7 @@ def discrepancy_loss_stacked(
 
     total = 0.0
     grad_zm = np.zeros((k, c))
-    for h in heads:
+    for h in cfg.heads:
         diff = z[h] - z["fused"]
         d = np.linalg.norm(diff, axis=-1)
         total += float((1.0 / (d + cfg.epsilon)).sum())
@@ -235,28 +225,20 @@ def answer_loss(y_m_batch: list[np.ndarray] | np.ndarray, labels: list[int]) -> 
 
 
 def joint_loss(
-    batch: list[LogitBundle],
-    labels: list[int],
-    cfg: MccdConfig = MccdConfig(),
-    heads: tuple[str, ...] = UNIMODAL,
-    share: int | None = None,
+    batch: list[LogitBundle], labels: list[int], cfg: MccdConfig = MccdConfig()
 ) -> LossValue:
     """L = answer + discrepancy + cycle; value and gradients are exact sums."""
-    la, ld, lc, grads = joint_components_stacked(_stack(batch), labels, cfg, heads, share)
+    la, ld, lc, grads = joint_components_stacked(_stack(batch), labels, cfg)
     return LossValue(la.value + ld.value + lc.value, grads)
 
 
 def joint_components_stacked(
-    y: dict[str, np.ndarray],
-    labels: list[int],
-    cfg: MccdConfig = MccdConfig(),
-    heads: tuple[str, ...] = UNIMODAL,
-    share: int | None = None,
+    y: dict[str, np.ndarray], labels: list[int], cfg: MccdConfig = MccdConfig()
 ) -> tuple[LossValue, LossValue, LossValue, dict[str, np.ndarray]]:
     """Answer, discrepancy and cycle terms over pre-stacked (K, C) head
     matrices, plus their summed gradients."""
     la = answer_loss(y["fused"], labels)
-    ld = discrepancy_loss_stacked(y, cfg, heads=heads, share=share)
+    ld = discrepancy_loss_stacked(y, cfg)
     lc = cycle_loss_stacked(y, cfg)
     grads = {name: la.grads[name] + ld.grads[name] + lc.grads[name] for name in HEADS}
     return la, ld, lc, grads

@@ -40,12 +40,6 @@ class AccuracyCell:
             self.tail_n += 1
             self.tail_correct += int(correct)
 
-    def merge(self, other: "AccuracyCell") -> None:
-        self.head_correct += other.head_correct
-        self.head_n += other.head_n
-        self.tail_correct += other.tail_correct
-        self.tail_n += other.tail_n
-
     @property
     def head_acc(self) -> Fraction | None:
         return Fraction(self.head_correct, self.head_n) if self.head_n else None

@@ -9,11 +9,13 @@ Both formats are little-endian, fully deterministic, and versioned:
   parameter a length-prefixed utf-8 name, u8 ndim, u32 dims, float64 data.
 
 Every fixed-size read goes through ``_read_exact``, so a file cut short
-anywhere raises ``FormatError`` naming the file.
+anywhere raises ``FormatError`` naming the file; so does any other
+malformed content.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -97,10 +99,16 @@ def read_model(path: str | Path) -> dict[str, np.ndarray]:
             raise FormatError(f"{path}: unsupported version {version}")
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(f, 2, path, "parameter name length"))
-            name = _read_exact(f, name_len, path, "parameter name").decode("utf-8")
+            try:
+                name = _read_exact(f, name_len, path, "parameter name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: parameter name is not UTF-8: {exc}") from None
             (ndim,) = struct.unpack("<B", _read_exact(f, 1, path, f"rank of {name!r}"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, path, f"shape of {name!r}"))
-            size = int(np.prod(shape)) if shape else 1
-            buf = _read_exact(f, 8 * size, path, f"parameter {name!r}")
-            params[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            # math.prod is exact; np.prod would wrap around on large dims
+            buf = _read_exact(f, 8 * math.prod(shape), path, f"parameter {name!r}")
+            try:
+                params[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            except ValueError as exc:  # more dims than numpy supports
+                raise FormatError(f"{path}: parameter {name!r}: {exc}") from None
     return params

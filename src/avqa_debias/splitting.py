@@ -43,7 +43,6 @@ class SplitError(ValueError):
 class SplitConfig:
     entropy_threshold: float = 0.9
     tail_factor: float = 1.2
-    epsilon_entropy: float = 0.0
     two_answer_tie: TiePolicy = TiePolicy.ERROR
 
     def __post_init__(self):
@@ -136,8 +135,7 @@ def select_imbalanced_groups(
     dists: list[AnswerDistribution], cfg: SplitConfig = SplitConfig()
 ) -> list[AnswerDistribution]:
     """Keep groups whose normalized entropy is strictly below the threshold."""
-    cutoff = cfg.entropy_threshold - cfg.epsilon_entropy
-    return [d for d in dists if d.normalized_entropy < cutoff]
+    return [d for d in dists if d.normalized_entropy < cfg.entropy_threshold]
 
 
 def split_head_tail(

@@ -132,39 +132,39 @@ class AblationVariant(enum.Enum):
     BASELINE_CE_ONLY = "baseline"
 
 
+# What each variant changes in the objective config; FULL changes nothing.
+_VARIANT_MCCD: dict[AblationVariant, dict] = {
+    AblationVariant.WITHOUT_DQ: {"heads": ("audio", "video")},
+    AblationVariant.WITHOUT_DV: {"heads": ("audio", "question")},
+    AblationVariant.WITHOUT_DA: {"heads": ("video", "question")},
+    AblationVariant.WITHOUT_MD: {"alpha": 0.0},
+    AblationVariant.WITHOUT_CG: {"beta": 0.0},
+    AblationVariant.BASELINE_CE_ONLY: {"alpha": 0.0, "beta": 0.0},
+}
+
+
 @dataclass(frozen=True)
 class AblationSpec:
     variant: AblationVariant = AblationVariant.FULL
 
-    def effective(self, cfg: MccdConfig) -> tuple[MccdConfig, tuple[str, ...], int]:
-        """Resolve (mccd config, discrepancy heads, rescale share) for the variant."""
-        v = self.variant
-        heads: tuple[str, ...] = ("audio", "video", "question")
-        share = 3
-        if v is AblationVariant.WITHOUT_DQ:
-            heads, share = ("audio", "video"), 2
-        elif v is AblationVariant.WITHOUT_DV:
-            heads, share = ("audio", "question"), 2
-        elif v is AblationVariant.WITHOUT_DA:
-            heads, share = ("video", "question"), 2
-        elif v is AblationVariant.WITHOUT_MD:
-            cfg = replace(cfg, alpha=0.0)
-        elif v is AblationVariant.WITHOUT_CG:
-            cfg = replace(cfg, beta=0.0)
-        elif v is AblationVariant.BASELINE_CE_ONLY:
-            cfg = replace(cfg, alpha=0.0, beta=0.0)
-        return cfg, heads, share
+    def effective(self, cfg: MccdConfig) -> MccdConfig:
+        """The objective config of the variant: ``cfg`` with the dropped
+        discrepancy head, discrepancy term or cycle term switched off."""
+        return replace(cfg, **_VARIANT_MCCD.get(self.variant, {}))
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings. The learning rate is multiplied by
+    ``LR_DECAY_FACTOR`` after every ``LR_DECAY_EVERY`` epochs."""
+
     epochs: int = 60
     batch_size: int = 64
     learning_rate: float = 1e-3
-    lr_decay_factor: float = 0.5
-    lr_decay_every: int = 20
     mccd: MccdConfig = field(default_factory=MccdConfig)
     seed: int = 0
+
+    LR_DECAY_FACTOR, LR_DECAY_EVERY = 0.5, 20
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -275,11 +275,11 @@ class ToyModel:
 
     num_classes: int
     feature_dim: int
-    hidden: int
     params: dict[str, np.ndarray]
     flat: np.ndarray = field(init=False, repr=False)
 
     MODALITIES = ("audio", "video", "question")
+    HIDDEN = 32  # width of each encoder output and bias-learner layer
 
     def __post_init__(self):
         self.flat = np.empty(sum(arr.size for arr in self.params.values()))
@@ -297,10 +297,9 @@ class ToyModel:
         return out
 
     @classmethod
-    def initialize(
-        cls, num_classes: int, feature_dim: int, hidden: int = 32, seed: int = 0
-    ) -> "ToyModel":
+    def initialize(cls, num_classes: int, feature_dim: int, seed: int = 0) -> "ToyModel":
         rng = np.random.default_rng(seed)
+        hidden = cls.HIDDEN
         p: dict[str, np.ndarray] = {}
 
         def affine(name: str, out_dim: int, in_dim: int) -> None:
@@ -312,7 +311,7 @@ class ToyModel:
             affine(f"bias_{m}_1", hidden, hidden)
             affine(f"bias_{m}_2", num_classes, hidden)
         affine("fusion", num_classes, 3 * hidden)
-        return cls(num_classes=num_classes, feature_dim=feature_dim, hidden=hidden, params=p)
+        return cls(num_classes=num_classes, feature_dim=feature_dim, params=p)
 
 
 def _encode(model: ToyModel, x: dict[str, np.ndarray]) -> tuple[dict, np.ndarray, np.ndarray]:
@@ -344,6 +343,11 @@ def _forward_cache(model: ToyModel, x: dict[str, np.ndarray]) -> dict:
     return cache
 
 
+def _stack_features(features: dict[str, np.ndarray], idx: np.ndarray) -> dict[str, np.ndarray]:
+    """The minibatch at row indices ``idx`` of each modality's feature matrix."""
+    return {m: x[idx] for m, x in features.items()}
+
+
 def _check_feature_dim(model: ToyModel, data: ToySet) -> None:
     for m in ToyModel.MODALITIES:
         d = getattr(data, m).shape[1]
@@ -368,7 +372,7 @@ def _backward(
     np.matmul(dy.T, h_cat, out=g["fusion_W"])
     dy.sum(axis=0, out=g["fusion_b"])
     dh_cat = dy @ p["fusion_W"]
-    hdim = model.hidden
+    hdim = ToyModel.HIDDEN
     for idx, m in enumerate(ToyModel.MODALITIES):
         # bias-learner branch; its gradient stops at the encoder output h,
         # so the bias learners never shape the features inference uses
@@ -430,7 +434,7 @@ def train(
     if not len(corpus):
         raise ToyError("empty training corpus")
     _check_feature_dim(model, corpus)
-    cfg, heads, share = spec.effective(tcfg.mccd)
+    cfg = spec.effective(tcfg.mccd)
     rng = np.random.default_rng(tcfg.seed)
     opt = Adam(model.flat, lr=tcfg.learning_rate)
     grad_flat = np.empty_like(model.flat)
@@ -440,7 +444,7 @@ def train(
     history: list[dict] = []
     n = len(corpus)
     for epoch in range(1, tcfg.epochs + 1):
-        opt.lr = tcfg.learning_rate * tcfg.lr_decay_factor ** ((epoch - 1) // tcfg.lr_decay_every)
+        opt.lr = tcfg.learning_rate * tcfg.LR_DECAY_FACTOR ** ((epoch - 1) // tcfg.LR_DECAY_EVERY)
         order = rng.permutation(n)
         sums = {"L_a": 0.0, "L_d": 0.0, "L_c": 0.0}
         correct = 0
@@ -448,10 +452,8 @@ def train(
         for start in range(0, n, tcfg.batch_size):
             idx = order[start : start + tcfg.batch_size]
             labels = labels_all[idx]
-            cache = _forward_cache(model, {m: x[idx] for m, x in features.items()})
-            la, ld, lc, dlogits = joint_components_stacked(
-                cache["logits"], labels, cfg, heads=heads, share=share
-            )
+            cache = _forward_cache(model, _stack_features(features, idx))
+            la, ld, lc, dlogits = joint_components_stacked(cache["logits"], labels, cfg)
             for m in UNIMODAL:
                 ce = answer_loss(cache["logits"][m], labels)
                 if not math.isfinite(ce.value):

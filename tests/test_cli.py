@@ -48,6 +48,18 @@ class TestSplitCommand:
         rc = main(["split", "--input", str(bad), "--output-dir", str(tmp_path)])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("field, value, problem", [
+        ("question", 3, "question must be a string"),
+        ("source_id", [1], "source_id must be a string or null"),
+    ])
+    def test_mistyped_field(self, tmp_path, field, value, problem):
+        obj = {"id": "a", "task": "AVQA", "question_type": "Temporal", "question": "q",
+               "answer": "yes", field: value}
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(json.dumps(obj).encode() + b"\n")
+        proc = run_cli("split", "--input", bad, "--output-dir", tmp_path)
+        assert one_error_line(proc) == f"error: {bad}: line 1: {problem}\n"
+
 
 class TestScoreCommand:
     def make_inputs(self, tmp_path):
@@ -153,6 +165,7 @@ class TestKappaCommand:
         '{"raters": 3, "rows": [[3, 0]], "multiplicities": 2}',
         '{"raters": 3,',
         '{"raters": 3, "rows": [[4, -1], [3, 0]]}',
+        pytest.param("[" * 100_000, id="deep_nesting"),
     ])
     def test_malformed_votes_file(self, tmp_path, text):
         votes = tmp_path / "votes.json"
@@ -238,6 +251,7 @@ class TestGenSynthAndTrain:
         ('{"num_classes": 6, "feature_dim": "8"}', "feature_dim must be a positive integer"),
         ('{"num_classes": 6.0, "feature_dim": 8}', "num_classes must be a positive integer"),
         ('{"num_classes": 0, "feature_dim": 8}', "num_classes must be a positive integer"),
+        pytest.param("[" * 100_000, "maximum recursion depth exceeded", id="deep_nesting"),
     ])
     def test_malformed_synth_config(self, tmp_path, text, problem):
         data = tmp_path / "d"
@@ -386,3 +400,19 @@ class TestUsage:
 def test_traced_eval_path_attribute_exists(target):
     module, name = target.split(":")
     assert callable(getattr(importlib.import_module(f"avqa_debias.{module}"), name, None))
+
+
+@pytest.mark.parametrize("target", [
+    "cli:generate_synthetic", "toy:generate_synthetic", "serialize:write_features",
+    "serialize:read_features", "cli:evaluate", "toy:evaluate", "toy:score_predictions",
+    "toy:_stack_features", "toy:_forward_cache", "losses:answer_loss",
+    "losses:discrepancy_loss_stacked", "losses:cycle_loss_stacked", "toy:answer_loss",
+    "toy:joint_components_stacked", "toy:_backward", "toy:Adam.step", "cli:train", "toy:train",
+    "toy:run_variant",
+])
+def test_traced_training_path_attribute_exists(target):
+    module, path = target.split(":")
+    owner = importlib.import_module(f"avqa_debias.{module}")
+    for name in path.split("."):
+        owner = getattr(owner, name, None)
+    assert callable(owner)

@@ -99,6 +99,24 @@ class TestParseSamples:
         with pytest.raises(CorpusError, match="answer"):
             parse_samples(jsonl_stream([json.dumps(obj).encode()]))
 
+    @pytest.mark.parametrize("field, value, problem", [
+        ("question", 3, "question must be a string"),
+        ("question", None, "question must be a string"),
+        ("source_id", [1], "source_id must be a string or null"),
+        ("source_id", 7, "source_id must be a string or null"),
+    ])
+    def test_mistyped_field_rejected(self, field, value, problem):
+        obj = {"id": "a", "task": "AVQA", "question_type": "Temporal", "question": "q",
+               "answer": "yes", field: value}
+        with pytest.raises(CorpusError, match=f"^line 1: {problem}$"):
+            parse_samples(jsonl_stream([json.dumps(obj).encode()]))
+
+    def test_null_source_id_is_absent(self):
+        obj = {"id": "a", "task": "AVQA", "question_type": "Temporal", "question": "q",
+               "answer": "yes", "source_id": None}
+        [sample] = parse_samples(jsonl_stream([json.dumps(obj).encode()]))
+        assert sample.source_id is None and "source_id" not in sample.to_json_obj()
+
     def test_unknown_fields_ignored_and_warned(self):
         obj = {
             "id": "a",

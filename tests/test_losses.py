@@ -89,7 +89,7 @@ class TestDiscrepancyLoss:
     def test_head_subset_and_share(self):
         cfg = MccdConfig()
         full = discrepancy_loss([ORACLE], cfg)
-        partial = discrepancy_loss([ORACLE], cfg, heads=("audio", "video"), share=2)
+        partial = discrepancy_loss([ORACLE], MccdConfig(heads=("audio", "video")))
         # dropping the question term and rescaling 1/3 -> 1/2
         p = {h: softmax(getattr(ORACLE, h)) for h in HEADS}
         expected = (
@@ -105,7 +105,7 @@ class TestDiscrepancyLoss:
 
     def test_unknown_head_rejected(self):
         with pytest.raises(LossError, match="unknown uni-modal head"):
-            discrepancy_loss([ORACLE], heads=("audio", "fused"))
+            MccdConfig(heads=("audio", "fused"))
 
     def test_batch_mean_semantics(self):
         rng = np.random.default_rng(3)
@@ -178,10 +178,9 @@ class TestJointLoss:
         batch = random_batch(rng, 6, 4)
         labels = list(rng.integers(4, size=6))
         y = {name: np.stack([getattr(b, name) for b in batch]) for name in HEADS}
-        for cfg, heads, share in ((MccdConfig(), UNIMODAL, None),
-                                  (MccdConfig(distance_space="raw_logit"), ("audio", "video"), 2)):
-            joint = joint_loss(batch, labels, cfg, heads=heads, share=share)
-            la, ld, lc, grads = joint_components_stacked(y, labels, cfg, heads=heads, share=share)
+        for cfg in (MccdConfig(), MccdConfig(distance_space="raw_logit", heads=("audio", "video"))):
+            joint = joint_loss(batch, labels, cfg)
+            la, ld, lc, grads = joint_components_stacked(y, labels, cfg)
             assert joint.value == la.value + ld.value + lc.value
             for name in HEADS:
                 assert np.array_equal(joint.grads[name], grads[name]), name

@@ -1,9 +1,14 @@
 import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from avqa_debias.serialize import (
+    FEATURES_MAGIC,
+    FORMAT_VERSION,
+    MODEL_MAGIC,
     FormatError,
     read_features,
     read_model,
@@ -127,3 +132,39 @@ def test_model_short_reads(tmp_path, cut, what):
     p.write_bytes(p.read_bytes()[:cut])
     with pytest.raises(FormatError, match=f"m\\.bin: truncated {re.escape(what)}$"):
         read_model(p)
+
+
+def model_bytes(*fields: bytes) -> bytes:
+    """A current-version model file of one parameter, given its fields after the count."""
+    return MODEL_MAGIC + struct.pack("<II", FORMAT_VERSION, 1) + b"".join(fields)
+
+
+# A file is a known prefix followed by fields of the widths both formats use,
+# so that inputs get past the magic and version checks.
+_PREFIX = st.sampled_from([
+    b"", FEATURES_MAGIC + struct.pack("<I", FORMAT_VERSION),
+    MODEL_MAGIC + struct.pack("<I", FORMAT_VERSION),
+])
+_FIELD = (
+    st.binary(max_size=8)
+    | st.integers(0, 255).map(lambda v: struct.pack("<B", v))
+    | st.integers(0, 2**16 - 1).map(lambda v: struct.pack("<H", v))
+    | st.sampled_from([0, 1, 2, 3, 65536, 2**32 - 1]).map(lambda v: struct.pack("<I", v))
+)
+
+
+@pytest.mark.parametrize("read", [read_features, read_model])
+@settings(deadline=None)
+@given(prefix=_PREFIX, fields=st.lists(_FIELD, max_size=10))
+@example(prefix=b"", fields=[model_bytes(struct.pack("<H", 1), b"\xff")])
+@example(prefix=b"", fields=[model_bytes(struct.pack("<HcB4I", 1, b"w", 4, *[65536] * 4))])
+@example(prefix=b"", fields=[model_bytes(struct.pack("<HcB", 1, b"w", 65), b"\x01\0\0\0" * 65,
+                                         b"\0" * 8)])
+def test_binary_reader_fuzz(tmp_path_factory, read, prefix, fields):
+    """Any bytes either parse or raise a FormatError that starts with the path."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    path.write_bytes(prefix + b"".join(fields))
+    try:
+        read(path)
+    except FormatError as exc:
+        assert str(exc).startswith(f"{path}: "), str(exc)

@@ -76,11 +76,6 @@ class TestSelectImbalanced:
         # normalized entropy 0.9464 >= 0.9, so the group is balanced enough to skip
         assert select_imbalanced_groups([dist({"a": 2, "b": 1, "c": 1})]) == []
 
-    def test_epsilon_tightens_the_cutoff(self):
-        d = dist({"a": 8, "b": 1, "c": 1})  # normalized entropy ~ 0.582
-        assert select_imbalanced_groups([d]) == [d]
-        assert select_imbalanced_groups([d], SplitConfig(epsilon_entropy=0.35)) == []
-
 
 class TestSplitHeadTail:
     def test_three_class_fixture(self):
