@@ -297,13 +297,31 @@ class TestToyGoldenBytes:
         for name in ("model.bin", "history.jsonl", "report.json"):
             assert (tmp_path / name).read_bytes() == (TOY_GOLDEN / "train" / name).read_bytes(), name
 
-    def test_ablation(self, capsys):
+    def test_train_toy_single_head_drop_raw_logit(self, tmp_path, capsys):
+        # two discrepancy heads, distances between raw logits
         assert main([
-            "--seed", "5", "ablation", "--format", "json",
-            "--variants", "full,without_md,without_cg,baseline", "--seeds", "0,1",
+            "--seed", "5", "train-toy", "--data", str(TOY_GOLDEN / "synth"), "--epochs", "3",
+            "--variant", "without_dv", "--distance-space", "raw_logit",
+            "--no-timestamp", "--output-dir", str(tmp_path),
+        ]) == EXIT_OK
+        for name in ("model.bin", "history.jsonl", "report.json"):
+            golden = (TOY_GOLDEN / "train_raw" / name).read_bytes()
+            assert (tmp_path / name).read_bytes() == golden, name
+
+    def ablation_json(self, variants: str, capsys) -> bytes:
+        assert main([
+            "--seed", "5", "ablation", "--format", "json", "--variants", variants, "--seeds", "0,1",
             "--train-n", "96", "--test-n", "40", "--feature-dim", "8", "--epochs", "2",
         ]) == EXIT_OK
-        assert capsys.readouterr().out.encode() == (TOY_GOLDEN / "ablation.json").read_bytes()
+        return capsys.readouterr().out.encode()
+
+    def test_ablation(self, capsys):
+        out = self.ablation_json("full,without_md,without_cg,baseline", capsys)
+        assert out == (TOY_GOLDEN / "ablation.json").read_bytes()
+
+    def test_ablation_single_head_drops(self, capsys):
+        out = self.ablation_json("without_dq,without_dv,without_da", capsys)
+        assert out == (TOY_GOLDEN / "ablation_heads.json").read_bytes()
 
     def test_grid(self, tmp_path, capsys):
         assert main([
