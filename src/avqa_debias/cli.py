@@ -151,14 +151,9 @@ def cmd_kappa(args) -> int:
 
 def _synth_from_args(args) -> SyntheticConfig:
     return SyntheticConfig(
-        num_classes=args.classes,
-        feature_dim=args.feature_dim,
-        train_n=args.train_n,
-        test_n=args.test_n,
-        bias_strength=args.bias_strength,
-        tail_fraction=args.tail_fraction,
-        noise_scale=args.noise_scale,
-        seed=args.seed,
+        num_classes=args.classes, feature_dim=args.feature_dim, train_n=args.train_n,
+        test_n=args.test_n, bias_strength=args.bias_strength, tail_fraction=args.tail_fraction,
+        noise_scale=args.noise_scale, seed=args.seed,
     )
 
 
@@ -261,8 +256,6 @@ def cmd_gradcheck(args) -> int:
         "cycle": lambda b: cycle_loss(b, cfg),
         "joint": lambda b: joint_loss(b, labels, cfg),
     }
-    if args.loss not in loss_fns:
-        raise CliError(f"unknown loss {args.loss!r}")
     fn = loss_fns[args.loss]
     err = finite_difference_check(fn, batch, h=args.step)
     obj = {
@@ -276,15 +269,18 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if err < args.tolerance else EXIT_CHECK_FAILED
 
 
-def _parse_list(text: str, cast) -> list:
-    """``cast`` of each nonblank item of a comma-separated list."""
-    return [cast(item.strip()) for item in text.split(",") if item.strip()]
+def _parse_list(args, name: str, cast) -> list:
+    """``cast`` of each nonblank item of the comma-separated list in flag ``--name``."""
+    items = [cast(item.strip()) for item in getattr(args, name).split(",") if item.strip()]
+    if not items:
+        raise CliError(f"--{name} needs at least one comma-separated value")
+    return items
 
 
 def cmd_ablation(args) -> int:
     tcfg = _train_from_args(args, args.alpha, args.beta)
-    arms = [(tcfg, AblationSpec(AblationVariant(v))) for v in _parse_list(args.variants, str)]
-    rows = ablation_run(_synth_from_args(args), arms, _parse_list(args.seeds, int))
+    arms = [(tcfg, AblationSpec(AblationVariant(v))) for v in _parse_list(args, "variants", str)]
+    rows = ablation_run(_synth_from_args(args), arms, _parse_list(args, "seeds", int))
     report = {"schema_version": 1, "rows": rows}
     if args.output_dir:
         out = Path(args.output_dir)
@@ -298,10 +294,10 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    alphas, betas = _parse_list(args.alphas, float), _parse_list(args.betas, float)
+    alphas, betas = _parse_list(args, "alphas", float), _parse_list(args, "betas", float)
     cells = [(alpha, beta) for alpha in alphas for beta in betas]
     arms = [(_train_from_args(args, alpha, beta), AblationSpec()) for alpha, beta in cells]
-    rows = ablation_run(_synth_from_args(args), arms, _parse_list(args.seeds, int))
+    rows = ablation_run(_synth_from_args(args), arms, _parse_list(args, "seeds", int))
     lines = ["alpha,beta,median_head_acc,median_tail_acc,median_overall_acc"]
     for (alpha, beta), row in zip(cells, rows):
         lines.append(

@@ -6,11 +6,12 @@ Both formats are little-endian, fully deterministic, and versioned:
   u32 per-modality dims, then per sample the audio, video and question
   vectors as float64 (one row-major (n, da + dv + dq) matrix);
 * model file: magic ``AVQM``, u32 version, u32 parameter count, then per
-  parameter a length-prefixed utf-8 name, u8 ndim, u32 dims, float64 data.
+  parameter a length-prefixed utf-8 name, u8 ndim, u32 dims, float64 data;
+  names are unique.
 
 Every fixed-size read goes through ``_read_exact``, so a file cut short
 anywhere raises ``FormatError`` naming the file; so does any other
-malformed content.
+malformed content, bytes after the end included.
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ def read_model(path: str | Path) -> dict[str, np.ndarray]:
                 name = _read_exact(f, name_len, path, "parameter name").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError(f"{path}: parameter name is not UTF-8: {exc}") from None
+            if name in params:
+                raise FormatError(f"{path}: parameter {name!r} appears twice")
             (ndim,) = struct.unpack("<B", _read_exact(f, 1, path, f"rank of {name!r}"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, path, f"shape of {name!r}"))
             # math.prod is exact; np.prod would wrap around on large dims
@@ -111,4 +114,6 @@ def read_model(path: str | Path) -> dict[str, np.ndarray]:
                 params[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
             except ValueError as exc:  # more dims than numpy supports
                 raise FormatError(f"{path}: parameter {name!r}: {exc}") from None
+        if f.read(1):
+            raise FormatError(f"{path}: trailing bytes after the last parameter")
     return params

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import QASample, QuestionType, Task
-from .losses import UNIMODAL, MccdConfig, answer_loss, joint_components_stacked
+from .losses import UNIMODAL, MccdConfig, answer_loss, joint_components_stacked, softmaxed
 from .scoring import RobustnessReport, score_predictions
 from .splitting import SplitAssignment, SplitLabel, SplitRule
 
@@ -169,6 +169,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ToyError("epochs and batch_size must be >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ToyError("learning_rate must be finite and positive")
 
 
 # Answer-class skew for the synthetic corpus; geometric decay keeps the
@@ -327,19 +329,17 @@ def _encode(model: ToyModel, x: dict[str, np.ndarray]) -> tuple[dict, np.ndarray
 
 
 def _forward_cache(model: ToyModel, x: dict[str, np.ndarray]) -> dict:
-    """Training forward pass: all four logit heads plus what ``_backward`` needs."""
+    """Training forward pass: the four logit heads stacked (4, K, C) in
+    ``HEADS`` order with their softmax, as the ``Softmaxed`` record
+    ``"heads"``, plus what ``_backward`` needs."""
     p = model.params
     h, h_cat, fused = _encode(model, x)
-    cache: dict = {"x": x, "h": h, "h_cat": h_cat, "bz": {}, "ba": {}}
-    logits: dict[str, np.ndarray] = {}
+    cache: dict = {"x": x, "h": h, "h_cat": h_cat, "ba": {}}
+    logits = []
     for m in ToyModel.MODALITIES:
-        bz = h[m] @ p[f"bias_{m}_1_W"].T + p[f"bias_{m}_1_b"]
-        ba = np.maximum(bz, 0.0)
-        cache["bz"][m] = bz
-        cache["ba"][m] = ba
-        logits[m] = ba @ p[f"bias_{m}_2_W"].T + p[f"bias_{m}_2_b"]
-    logits["fused"] = fused
-    cache["logits"] = logits
+        ba = cache["ba"][m] = np.maximum(h[m] @ p[f"bias_{m}_1_W"].T + p[f"bias_{m}_1_b"], 0.0)
+        logits.append(ba @ p[f"bias_{m}_2_W"].T + p[f"bias_{m}_2_b"])
+    cache["heads"] = softmaxed(np.stack([*logits, fused]))
     return cache
 
 
@@ -362,13 +362,12 @@ def predict_logits(model: ToyModel, data: ToySet) -> np.ndarray:
     return fused
 
 
-def _backward(
-    model: ToyModel, cache: dict, dlogits: dict[str, np.ndarray], g: dict[str, np.ndarray]
-) -> None:
-    """Write every parameter's gradient into ``g``, views laid out like ``model.flat``."""
+def _backward(model: ToyModel, cache: dict, dlogits: np.ndarray, g: dict[str, np.ndarray]) -> None:
+    """Write every parameter's gradient into ``g``, views laid out like
+    ``model.flat``, from the (4, K, C) gradient of the heads."""
     p = model.params
     h_cat = cache["h_cat"]
-    dy = dlogits["fused"]
+    dy = dlogits[-1]
     np.matmul(dy.T, h_cat, out=g["fusion_W"])
     dy.sum(axis=0, out=g["fusion_b"])
     dh_cat = dy @ p["fusion_W"]
@@ -376,12 +375,12 @@ def _backward(
     for idx, m in enumerate(ToyModel.MODALITIES):
         # bias-learner branch; its gradient stops at the encoder output h,
         # so the bias learners never shape the features inference uses
-        dyb = dlogits[m]
-        ba, bz, h = cache["ba"][m], cache["bz"][m], cache["h"][m]
+        dyb = dlogits[idx]
+        ba, h = cache["ba"][m], cache["h"][m]
         np.matmul(dyb.T, ba, out=g[f"bias_{m}_2_W"])
         dyb.sum(axis=0, out=g[f"bias_{m}_2_b"])
         dba = dyb @ p[f"bias_{m}_2_W"]
-        dbz = dba * (bz > 0.0)
+        dbz = dba * (ba > 0.0)  # ba > 0 exactly where its pre-activation is
         np.matmul(dbz.T, h, out=g[f"bias_{m}_1_W"])
         dbz.sum(axis=0, out=g[f"bias_{m}_1_b"])
         # encoder, driven by the fused head alone; h > 0 exactly where z > 0
@@ -446,51 +445,40 @@ def train(
     for epoch in range(1, tcfg.epochs + 1):
         opt.lr = tcfg.learning_rate * tcfg.LR_DECAY_FACTOR ** ((epoch - 1) // tcfg.LR_DECAY_EVERY)
         order = rng.permutation(n)
-        sums = {"L_a": 0.0, "L_d": 0.0, "L_c": 0.0}
+        sums = dict.fromkeys(("L_a", "L_d", "L_c"), 0.0)
         correct = 0
         batches = 0
         for start in range(0, n, tcfg.batch_size):
             idx = order[start : start + tcfg.batch_size]
             labels = labels_all[idx]
             cache = _forward_cache(model, _stack_features(features, idx))
-            la, ld, lc, dlogits = joint_components_stacked(cache["logits"], labels, cfg)
-            for m in UNIMODAL:
-                ce = answer_loss(cache["logits"][m], labels)
-                if not math.isfinite(ce.value):
+            heads = cache["heads"]
+            la, ld, lc, dlogits = joint_components_stacked(heads, labels, cfg)
+            ce = answer_loss(heads[:3], labels, dlogits[:3])
+            for m, value in zip(UNIMODAL, ce.value.tolist()):
+                if not math.isfinite(value):
                     raise ToyError(
                         f"non-finite {m} bias-learner loss at epoch {epoch} "
-                        f"({ce.value}); training aborted"
+                        f"({value}); training aborted"
                     )
-                dlogits[m] += ce.grads["fused"]
             total = la.value + ld.value + lc.value
             if not math.isfinite(total):
                 raise ToyError(
                     f"non-finite loss at epoch {epoch} (L_a={la.value}, "
                     f"L_d={ld.value}, L_c={lc.value}); training aborted"
                 )
-            correct += int(np.sum(np.argmax(cache["logits"]["fused"], axis=1) == labels))
-            sums["L_a"] += la.value
-            sums["L_d"] += ld.value
-            sums["L_c"] += lc.value
+            correct += int(np.sum(np.argmax(heads.logits[-1], axis=1) == labels))
+            for key, term in zip(sums, (la, ld, lc)):
+                sums[key] += term.value
             batches += 1
             _backward(model, cache, dlogits, grads)
             opt.step(grad_flat)
-        history.append(
-            {
-                "epoch": epoch,
-                "L_a": sums["L_a"] / batches,
-                "L_d": sums["L_d"] / batches,
-                "L_c": sums["L_c"] / batches,
-                "train_acc": correct / n,
-                "lr": opt.lr,
-            }
-        )
+        history.append({"epoch": epoch, **{key: v / batches for key, v in sums.items()},
+                        "train_acc": correct / n, "lr": opt.lr})
     return TrainResult(model=model, history=history)
 
 
-def evaluate(
-    model: ToyModel, test: ToySet, splits: list[SplitAssignment]
-) -> RobustnessReport:
+def evaluate(model: ToyModel, test: ToySet, splits: list[SplitAssignment]) -> RobustnessReport:
     """Score argmax answers of the fusion path under the given head/tail splits."""
     answers = np.argmax(predict_logits(model, test), axis=1)
     preds = {qa.id: class_name(int(a)) for qa, a in zip(test.qa, answers)}
@@ -515,12 +503,9 @@ def run_variant(
     """
     if data is None:
         data = generate_synthetic(replace(scfg, seed=seed))
-    model = ToyModel.initialize(
-        num_classes=scfg.num_classes, feature_dim=scfg.feature_dim, seed=seed
-    )
+    model = ToyModel.initialize(scfg.num_classes, scfg.feature_dim, seed=seed)
     result = train(model, data.train, replace(tcfg, seed=seed), spec)
-    report = evaluate(result.model, data.test, data.splits)
-    agg = report.aggregate
+    agg = evaluate(result.model, data.test, data.splits).aggregate
     return {
         "variant": spec.variant.value,
         "seed": seed,
@@ -548,19 +533,17 @@ def ablation_run(
         for (tcfg, spec), runs in zip(arms, runs_by_arm):
             runs.append(run_variant(scfg, tcfg, spec, seed, data))
         del data
-    rows = []
-    for (_, spec), runs in zip(arms, runs_by_arm):
-        rows.append(
-            {
-                "variant": spec.variant.value,
-                "seeds": list(seeds),
-                "median_head_acc": statistics.median(r["head_acc"] for r in runs),
-                "median_tail_acc": statistics.median(r["tail_acc"] for r in runs),
-                "median_overall_acc": statistics.median(r["overall_acc"] for r in runs),
-                "runs": runs,
-            }
-        )
-    return rows
+    return [
+        {
+            "variant": spec.variant.value,
+            "seeds": list(seeds),
+            "median_head_acc": statistics.median(r["head_acc"] for r in runs),
+            "median_tail_acc": statistics.median(r["tail_acc"] for r in runs),
+            "median_overall_acc": statistics.median(r["overall_acc"] for r in runs),
+            "runs": runs,
+        }
+        for (_, spec), runs in zip(arms, runs_by_arm)
+    ]
 
 
 def render_ablation_table(rows: list[dict]) -> str:

@@ -1,11 +1,16 @@
+import contextlib
 import importlib
+import io
 import json
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avqa_debias import toy
 from avqa_debias.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
@@ -135,6 +140,25 @@ class TestScoreCommand:
         assert one_error_line(proc) == f"error: {bad}: line 1: each line must be a JSON object\n"
 
 
+# Raw bytes, arbitrary JSON, and objects shaped like a votes file with
+# out-of-range, ragged or mistyped parts.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+_COUNT = st.integers(-2, 6) | st.sampled_from([0.0, 2.0, True, "3", None])
+_VOTES = st.fixed_dictionaries(
+    {"raters": _COUNT, "rows": st.lists(st.lists(_COUNT, max_size=4), max_size=4)},
+    optional={"multiplicities": st.lists(_COUNT, max_size=4) | _COUNT},
+)
+_VOTES_BYTES = (
+    st.binary(max_size=64)
+    | (_JSON | _VOTES).map(lambda v: json.dumps(v).encode())
+    | _VOTES.map(lambda v: json.dumps(v).encode()[:-1])
+)
+
+
 class TestKappaCommand:
     def test_value(self, tmp_path, capsys):
         votes = tmp_path / "votes.json"
@@ -171,6 +195,21 @@ class TestKappaCommand:
         votes = tmp_path / "votes.json"
         votes.write_text(text)
         assert one_error_line(run_cli("kappa", "--votes", votes)).startswith(f"error: {votes}: ")
+
+    @settings(deadline=None)
+    @given(data=_VOTES_BYTES)
+    def test_votes_file_fuzz(self, tmp_path_factory, data):
+        """Any bytes give a kappa (exit 0) or exit 2 with one line naming the file."""
+        votes = tmp_path_factory.getbasetemp() / "fuzz_votes.json"
+        votes.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["kappa", "--votes", str(votes)])
+        if rc == EXIT_OK:
+            assert re.fullmatch(r"-?\d+\.\d{4}\n", out.getvalue()) and not err.getvalue()
+        else:
+            assert rc == EXIT_USAGE and not out.getvalue()
+            assert err.getvalue().startswith(f"error: {votes}: ") and err.getvalue().count("\n") == 1
 
 
 class TestGenSynthAndTrain:
@@ -394,6 +433,26 @@ class TestGridCommand:
         ]) == EXIT_OK
         assert calls == [0, 1]
         assert len(capsys.readouterr().out.splitlines()) == 1 + 4
+
+
+class TestSettingsRejected:
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "-0.001"), ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"),
+        ("--alpha", "nan"), ("--beta", "inf"), ("--epsilon", "nan"),
+    ])
+    def test_bad_training_setting(self, tmp_path, flag, value):
+        proc = run_cli("train-toy", "--data", TOY_GOLDEN / "synth", "--epochs", "1",
+                       f"{flag}={value}", "--output-dir", tmp_path)
+        one_error_line(proc)
+        assert not (tmp_path / "history.jsonl").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("ablation", "--variants"), ("ablation", "--seeds"),
+        ("grid", "--alphas"), ("grid", "--betas"), ("grid", "--seeds"),
+    ])
+    def test_empty_list(self, command, flag):
+        err = one_error_line(run_cli(command, f"{flag}=", "--train-n", "20", "--epochs", "1"))
+        assert err == f"error: {flag} needs at least one comma-separated value\n"
 
 
 class TestUsage:

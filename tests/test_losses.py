@@ -17,6 +17,7 @@ from avqa_debias.losses import (
     joint_loss,
     log_softmax,
     softmax,
+    softmaxed,
 )
 
 # fixed bundle used for the frozen oracle values below
@@ -173,19 +174,24 @@ class TestJointLoss:
 
     def test_stacked_path_matches_list_path(self):
         # joint_loss over a list of bundles is the summed components of
-        # joint_components_stacked over the stacked heads, value and grads
+        # joint_components_stacked over the stacked heads, value and grads;
+        # its one gradient buffer holds exactly the sum of the terms
+        # computed apart, discrepancy first, then cycle, then answer
         rng = np.random.default_rng(5)
         batch = random_batch(rng, 6, 4)
         labels = list(rng.integers(4, size=6))
-        y = {name: np.stack([getattr(b, name) for b in batch]) for name in HEADS}
+        y = np.stack([[getattr(b, name) for b in batch] for name in HEADS])
+        sm = softmaxed(y)
         for cfg in (MccdConfig(), MccdConfig(distance_space="raw_logit", heads=("audio", "video"))):
             joint = joint_loss(batch, labels, cfg)
-            la, ld, lc, grads = joint_components_stacked(y, labels, cfg)
+            la, ld, lc, grad = joint_components_stacked(sm, labels, cfg)
             assert joint.value == la.value + ld.value + lc.value
-            for name in HEADS:
-                assert np.array_equal(joint.grads[name], grads[name]), name
-                summed = la.grads[name] + ld.grads[name] + lc.grads[name]
-                assert np.array_equal(grads[name], summed), name
+            assert la.value == answer_loss(y[3], labels).value
+            assert np.array_equal(joint.grad, grad)
+            summed = (discrepancy_loss_stacked(sm, cfg).grad + cycle_loss_stacked(sm, cfg).grad
+                      + answer_loss(y[3], labels).grad)
+            assert np.array_equal(grad, summed)
+            assert la.grad is ld.grad is lc.grad is grad
 
 
 class TestShiftInvariance:
@@ -256,7 +262,7 @@ class TestGradientStructure:
 
     def test_stacked_variants_expose_grads_per_head(self):
         rng = np.random.default_rng(22)
-        y = {name: rng.standard_normal((3, 4)) for name in HEADS}
+        y = softmaxed(rng.standard_normal((4, 3, 4)))  # HEADS order
         for lv in (discrepancy_loss_stacked(y), cycle_loss_stacked(y)):
             assert set(lv.grads) == set(HEADS)
             assert all(g.shape == (3, 4) for g in lv.grads.values())
@@ -270,3 +276,9 @@ class TestMccdConfig:
             MccdConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             MccdConfig(distance_space="cosine")
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_weights_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            MccdConfig(**{field: value})

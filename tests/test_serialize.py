@@ -103,6 +103,19 @@ def test_model_round_trip(tmp_path):
         assert np.array_equal(params[k], back[k])
 
 
+@pytest.mark.parametrize("body, what", [
+    (struct.pack("<II", FORMAT_VERSION, 2) + struct.pack("<HcBId", 1, b"w", 1, 1, 1.0)
+     + struct.pack("<HcBId", 1, b"w", 1, 1, 2.0), "parameter 'w' appears twice"),
+    (struct.pack("<II", FORMAT_VERSION, 1) + struct.pack("<HcBId", 1, b"w", 1, 1, 1.0) + b"junk",
+     "trailing bytes after the last parameter"),
+], ids=["repeated_name", "trailing_bytes"])
+def test_model_repeated_name_and_trailing_bytes(tmp_path, body, what):
+    p = tmp_path / "m.bin"
+    p.write_bytes(MODEL_MAGIC + body)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: {what}$"):
+        read_model(p)
+
+
 def test_model_bad_magic(tmp_path):
     p = tmp_path / "m.bin"
     p.write_bytes(b"XXXX" + b"\x00" * 8)
@@ -158,6 +171,10 @@ _FIELD = (
 @given(prefix=_PREFIX, fields=st.lists(_FIELD, max_size=10))
 @example(prefix=b"", fields=[model_bytes(struct.pack("<H", 1), b"\xff")])
 @example(prefix=b"", fields=[model_bytes(struct.pack("<HcB4I", 1, b"w", 4, *[65536] * 4))])
+# a parameter named twice, then trailing junk (each parses without the other)
+@example(prefix=b"", fields=[MODEL_MAGIC + struct.pack("<II", FORMAT_VERSION, 2),
+                             *[struct.pack("<HcBId", 1, b"w", 1, 1, v) for v in (1.0, 2.0)]])
+@example(prefix=b"", fields=[model_bytes(struct.pack("<HcBId", 1, b"w", 1, 1, 1.0)), b"junk"])
 @example(prefix=b"", fields=[model_bytes(struct.pack("<HcB", 1, b"w", 65), b"\x01\0\0\0" * 65,
                                          b"\0" * 8)])
 def test_binary_reader_fuzz(tmp_path_factory, read, prefix, fields):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from avqa_debias import toy
-from avqa_debias.losses import MccdConfig
+from avqa_debias.losses import HEADS, MccdConfig
 from avqa_debias.splitting import SplitLabel, answer_distribution
 from avqa_debias.toy import (
     AblationSpec,
@@ -36,7 +36,7 @@ def small_data(**kw):
 
 def head_logits(model, batch):
     """All four logit heads of the training forward pass, keyed by head name."""
-    return _forward_cache(model, batch.features())["logits"]
+    return dict(zip(HEADS, _forward_cache(model, batch.features())["heads"].logits))
 
 
 class TestClassNames:
@@ -196,6 +196,11 @@ class TestTrain:
             assert np.array_equal(results[0].model.params[k], results[1].model.params[k])
         assert results[0].history == results[1].history
 
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ToyError, match="learning_rate must be finite and positive"):
+            TrainConfig(learning_rate=lr)
+
     def test_history_schema_and_lr_decay(self):
         data = small_data()
         model = ToyModel.initialize(6, 16, seed=0)
@@ -227,8 +232,8 @@ class TestBiasLearners:
         model = ToyModel.initialize(6, 16, seed=0)
         cache = _forward_cache(model, data.train[:16].features())
         rng = np.random.default_rng(0)
-        dlogits = {m: rng.standard_normal((16, 6)) for m in ToyModel.MODALITIES}
-        dlogits["fused"] = np.zeros((16, 6))
+        dlogits = np.zeros((4, 16, 6))  # HEADS order: the fused head is last
+        dlogits[:3] = rng.standard_normal((3, 16, 6))
         buf = np.full_like(model.flat, np.nan)
         grads = model.views(buf)
         _backward(model, cache, dlogits, grads)
