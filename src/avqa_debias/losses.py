@@ -142,7 +142,7 @@ def _stack(batch: list[LogitBundle]) -> Softmaxed:
 
 
 def _ordered_sum(rows: np.ndarray) -> float:
-    """Sum each row as one C-contiguous run, then the row sums in order."""
+    """Sum each C-contiguous row, then the row sums left to right, uncompensated."""
     total = 0.0
     for v in np.ascontiguousarray(rows).reshape(len(rows), -1).sum(axis=1).tolist():
         total += v
@@ -214,7 +214,7 @@ def cycle_loss_stacked(sm: Softmaxed, cfg: MccdConfig = MccdConfig(), grad=None)
     return LossValue(scale * total, grad)
 
 
-def answer_loss(logits, labels: list[int], grad=None) -> LossValue:
+def answer_loss(logits: np.ndarray | Softmaxed, labels: list[int], grad=None) -> LossValue:
     """Softmax cross-entropy against integer labels, averaged over the batch.
 
     ``logits`` is the (K, C) fused head; its gradient fills the fused row
