@@ -77,6 +77,8 @@ class MccdConfig:
         for h in self.heads:
             if h not in UNIMODAL:
                 raise LossError(f"unknown uni-modal head {h!r}")
+        if len(set(self.heads)) < len(self.heads):
+            raise LossError(f"repeated uni-modal head in {self.heads}")
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and positive")
         if self.distance_space not in ("probability", "raw_logit"):
@@ -134,10 +136,8 @@ def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _stack(batch: list[LogitBundle]) -> Softmaxed:
     if not batch:
         raise LossError("empty batch")
-    c = batch[0].num_classes
-    for b in batch:
-        if b.num_classes != c:
-            raise LossError("inconsistent answer-space size across the batch")
+    if len({b.num_classes for b in batch}) > 1:
+        raise LossError("inconsistent answer-space size across the batch")
     return softmaxed([[getattr(b, name) for b in batch] for name in HEADS])
 
 

@@ -108,6 +108,11 @@ class TestDiscrepancyLoss:
         with pytest.raises(LossError, match="unknown uni-modal head"):
             MccdConfig(heads=("audio", "fused"))
 
+    def test_repeated_head_rejected(self):
+        # the stacked kernel adds each head's gradient once
+        with pytest.raises(LossError, match="repeated uni-modal head"):
+            MccdConfig(heads=("audio", "audio"))
+
     def test_batch_mean_semantics(self):
         rng = np.random.default_rng(3)
         batch = random_batch(rng, 5, 4)

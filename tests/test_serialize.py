@@ -171,7 +171,7 @@ _FIELD = (
 @given(prefix=_PREFIX, fields=st.lists(_FIELD, max_size=10))
 @example(prefix=b"", fields=[model_bytes(struct.pack("<H", 1), b"\xff")])
 @example(prefix=b"", fields=[model_bytes(struct.pack("<HcB4I", 1, b"w", 4, *[65536] * 4))])
-# a parameter named twice, then trailing junk (each parses without the other)
+# a parameter named twice; one parameter followed by junk bytes
 @example(prefix=b"", fields=[MODEL_MAGIC + struct.pack("<II", FORMAT_VERSION, 2),
                              *[struct.pack("<HcBId", 1, b"w", 1, 1, v) for v in (1.0, 2.0)]])
 @example(prefix=b"", fields=[model_bytes(struct.pack("<HcBId", 1, b"w", 1, 1, 1.0)), b"junk"])

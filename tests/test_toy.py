@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from avqa_debias import toy
-from avqa_debias.losses import HEADS, MccdConfig
+from avqa_debias import losses, toy
+from avqa_debias.losses import HEADS, MccdConfig, softmaxed
 from avqa_debias.splitting import SplitLabel, answer_distribution
 from avqa_debias.toy import (
     AblationSpec,
@@ -195,6 +195,20 @@ class TestTrain:
         for k in results[0].model.params:
             assert np.array_equal(results[0].model.params[k], results[1].model.params[k])
         assert results[0].history == results[1].history
+
+    def test_one_stacked_softmax_per_step(self, monkeypatch):
+        # each step softmaxes its four heads once, as one (4, K, C) array,
+        # and every loss term reads that record
+        shapes = []
+
+        def counting(v):
+            shapes.append(np.shape(v))
+            return softmaxed(v)
+
+        monkeypatch.setattr(toy, "softmaxed", counting)
+        monkeypatch.setattr(losses, "softmaxed", counting)
+        train(ToyModel.initialize(6, 16, seed=0), small_data().train, replace(QUICK, epochs=1))
+        assert shapes == [(4, 64, 6)] * 4 + [(4, 300 - 4 * 64, 6)]
 
     @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
     def test_learning_rate_must_be_finite_and_positive(self, lr):
