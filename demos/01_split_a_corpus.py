@@ -64,6 +64,9 @@ for key, members in group_samples(corpus).items():
 # The full pipeline: filter balanced groups, then mark each answer class
 # head or tail. An answer is tail when its count is at most 1.2x the mean
 # class count; two-answer groups use the low-frequency rule instead.
+# Each group's decision is one GroupReport: its answer distribution and,
+# for a retained group, the labels and the rule that chose them. The
+# skipped groups are the reports without labels.
 
 result = assign_splits(corpus)
 

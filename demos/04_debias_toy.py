@@ -46,9 +46,9 @@ print("training answer histogram:",
 
 for variant in (AblationVariant.BASELINE_CE_ONLY, AblationVariant.FULL):
     model = ToyModel.initialize(scfg.num_classes, scfg.feature_dim, seed=tcfg.seed)
-    result = train(model, data.train, tcfg, AblationSpec(variant=variant))
-    report = evaluate(result.model, data.test, data.splits)
-    last = result.history[-1]
+    history = train(model, data.train, tcfg, AblationSpec(variant=variant))
+    report = evaluate(model, data.test, data.splits)
+    last = history[-1]
     print(f"\n--- {variant.value}  "
           f"(final L_a={last['L_a']:.4f} L_d={last['L_d']:.4f} L_c={last['L_c']:.4f})")
     print(render_report(report, "text-table").decode(), end="")

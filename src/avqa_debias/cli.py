@@ -28,14 +28,7 @@ from .losses import (
     joint_loss,
 )
 from .scoring import VoteTable, fleiss_kappa, render_report, score_predictions
-from .splitting import (
-    SplitConfig,
-    TiePolicy,
-    assign_splits,
-    group_report_json,
-    read_splits,
-    write_splits,
-)
+from .splitting import SplitConfig, assign_splits, group_report_json, read_splits, write_splits
 from .toy import (
     AblationSpec,
     AblationVariant,
@@ -95,13 +88,8 @@ def _train_from_args(args, alpha: float, beta: float) -> TrainConfig:
 
 
 def cmd_split(args) -> int:
-    corpus = _parse_file(parse_samples, args.input)
-    cfg = SplitConfig(
-        entropy_threshold=args.entropy_threshold,
-        tail_factor=args.tail_factor,
-        two_answer_tie=TiePolicy.BOTH_HEAD if args.tie_both_head else TiePolicy.ERROR,
-    )
-    result = assign_splits(corpus, cfg)
+    cfg = SplitConfig(entropy_threshold=args.entropy_threshold, tail_factor=args.tail_factor)
+    result = assign_splits(_parse_file(parse_samples, args.input), cfg)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "splits.jsonl", "wb") as f:
@@ -212,8 +200,8 @@ def cmd_train_toy(args) -> int:
         feature_dim=synth_cfg["feature_dim"],
         seed=args.seed,
     )
-    result = train(model, train_set, tcfg, spec)
-    report = evaluate(result.model, test_set, splits)
+    history = train(model, train_set, tcfg, spec)
+    report = evaluate(model, test_set, splits)
 
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -234,9 +222,9 @@ def cmd_train_toy(args) -> int:
         config["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     _dump_json(config, out / "config.json")
     with open(out / "history.jsonl", "wb") as f:
-        for row in result.history:
+        for row in history:
             f.write(json.dumps(row).encode("utf-8") + b"\n")
-    serialize.write_model(out / "model.bin", result.model.params)
+    serialize.write_model(out / "model.bin", model.params)
     (out / "report.json").write_bytes(render_report(report, "json"))
     sys.stdout.buffer.write(render_report(report, "text-table"))
     return EXIT_OK
@@ -347,14 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=0,
-                        help="worker bound; outputs are identical for any value")
+                        help="accepted and ignored for now: no code reads it yet")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("split", help="build head/tail splits from a corpus")
     p.add_argument("--input", required=True)
     p.add_argument("--entropy-threshold", type=float, default=0.9)
     p.add_argument("--tail-factor", type=float, default=1.2)
-    p.add_argument("--tie-both-head", action="store_true")
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_split)
 

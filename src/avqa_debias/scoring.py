@@ -202,6 +202,11 @@ def _cell_json(cell: AccuracyCell) -> dict:
     }
 
 
+def _table_row(name: str, cell: AccuracyCell) -> str:
+    return (f"| {name:<24} | {_pct(cell.head_acc)} | {_pct(cell.tail_acc)} "
+            f"| {_pct(cell.overall_acc)} | {cell.head_n:>7} | {cell.tail_n:>7} |")
+
+
 def render_report(report: RobustnessReport, format: str = "text-table") -> bytes:
     """Render a robustness report as an ASCII table or stable JSON."""
     if format == "json":
@@ -218,21 +223,8 @@ def render_report(report: RobustnessReport, format: str = "text-table") -> bytes
         raise ScoringError(f"unknown report format {format!r}")
 
     header = f"| {'Group':<24} | {'H':>6} | {'T':>6} | {'Avg.':>6} | {'head_n':>7} | {'tail_n':>7} |"
-    rule = "|" + "-" * (len(header) - 2) + "|"
-    lines = [header, rule]
-    for key, cell in report.per_group.items():
-        lines.append(
-            f"| {str(key):<24} | {_pct(cell.head_acc)} | {_pct(cell.tail_acc)} "
-            f"| {_pct(cell.overall_acc)} | {cell.head_n:>7} | {cell.tail_n:>7} |"
-        )
-    for task, cell in report.per_task.items():
-        lines.append(
-            f"| {task.value + ' (task)':<24} | {_pct(cell.head_acc)} | {_pct(cell.tail_acc)} "
-            f"| {_pct(cell.overall_acc)} | {cell.head_n:>7} | {cell.tail_n:>7} |"
-        )
-    agg = report.aggregate
-    lines.append(
-        f"| {'All':<24} | {_pct(agg.head_acc)} | {_pct(agg.tail_acc)} "
-        f"| {_pct(agg.overall_acc)} | {agg.head_n:>7} | {agg.tail_n:>7} |"
-    )
+    lines = [header, "|" + "-" * (len(header) - 2) + "|"]
+    lines += [_table_row(str(key), cell) for key, cell in report.per_group.items()]
+    lines += [_table_row(f"{task.value} (task)", cell) for task, cell in report.per_task.items()]
+    lines.append(_table_row("All", report.aggregate))
     return ("\n".join(lines) + "\n").encode("utf-8")

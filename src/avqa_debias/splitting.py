@@ -6,6 +6,12 @@ a threshold (default 0.9). Within a kept group an answer class is *tail*
 when its count is at most ``tail_factor`` times the mean class count
 (default 1.2), and *head* otherwise; two-answer groups instead label the
 strictly less frequent answer as tail.
+
+A two-answer tie and a single-answer group both have normalized entropy
+exactly 1.0, and the threshold is at most 1.0, so ``assign_splits`` always
+skips them; ``split_head_tail`` called on either raises ``SplitError``.
+Each group's decision lives in one ``GroupReport``: its distribution and,
+when the group is retained, the labels and the rule.
 """
 
 from __future__ import annotations
@@ -30,11 +36,6 @@ class SplitRule(enum.Enum):
     TWO_ANSWER_LOW_FREQUENCY = "two_answer_low_frequency"
 
 
-class TiePolicy(enum.Enum):
-    ERROR = "error"
-    BOTH_HEAD = "both_head"
-
-
 class SplitError(ValueError):
     pass
 
@@ -43,13 +44,12 @@ class SplitError(ValueError):
 class SplitConfig:
     entropy_threshold: float = 0.9
     tail_factor: float = 1.2
-    two_answer_tie: TiePolicy = TiePolicy.ERROR
 
     def __post_init__(self):
         if not 0.0 < self.entropy_threshold <= 1.0:
             raise ValueError("entropy_threshold must be in (0, 1]")
-        if self.tail_factor <= 0:
-            raise ValueError("tail_factor must be positive")
+        if not (math.isfinite(self.tail_factor) and self.tail_factor > 0):
+            raise ValueError(f"tail_factor must be finite and positive, not {self.tail_factor}")
 
     def tail_factor_exact(self) -> Fraction:
         # str() round-trips the decimal the user wrote, so 1.2 becomes 6/5
@@ -77,8 +77,7 @@ class AnswerDistribution:
         h = 0.0
         for c in self.counts.values():
             p = c / total
-            if p > 0.0:  # defensive; zero-count classes are never stored
-                h -= p * math.log(p)
+            h -= p * math.log(p)
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "class_count", n)
         object.__setattr__(self, "entropy", h)
@@ -103,17 +102,25 @@ class SplitAssignment:
 
 @dataclass
 class GroupReport:
+    """One group's split decision; ``labels`` and ``rule`` are None for a skipped group."""
+
     distribution: AnswerDistribution
-    retained: bool
     labels: dict[str, SplitLabel] | None
     rule: SplitRule | None
+
+    @property
+    def retained(self) -> bool:
+        return self.labels is not None
 
 
 @dataclass
 class SplitResult:
     assignments: list[SplitAssignment]
-    skipped_groups: list[GroupKey]
     group_reports: list[GroupReport]
+
+    @property
+    def skipped_groups(self) -> list[GroupKey]:
+        return [r.distribution.group for r in self.group_reports if not r.retained]
 
 
 def answer_distribution(samples: list[QASample]) -> AnswerDistribution:
@@ -149,14 +156,11 @@ def split_head_tail(
     if dist.class_count == 2:
         (a, ca), (b, cb) = sorted(dist.counts.items())
         if ca == cb:
-            if cfg.two_answer_tie is TiePolicy.ERROR:
-                raise SplitError(
-                    f"group {dist.group}: two answer classes with equal counts; "
-                    "the low-frequency rule cannot break the tie "
-                    "(set two_answer_tie=BOTH_HEAD to force head)"
-                )
-            labels = {a: SplitLabel.HEAD, b: SplitLabel.HEAD}
-        elif ca < cb:
+            raise SplitError(
+                f"group {dist.group}: two answer classes with equal counts; "
+                "the low-frequency rule cannot break the tie"
+            )
+        if ca < cb:
             labels = {a: SplitLabel.TAIL, b: SplitLabel.HEAD}
         else:
             labels = {a: SplitLabel.HEAD, b: SplitLabel.TAIL}
@@ -177,37 +181,24 @@ def assign_splits(
 
     Samples in excluded (balanced) groups get no assignment; their groups
     are listed in ``skipped_groups``. Deterministic given corpus order.
+    Every assignment of a group shares that group's ``GroupKey``.
     """
     if not corpus:
         raise SplitError("empty corpus")
-    groups = group_samples(corpus)
-    retained: dict[GroupKey, tuple[dict[str, SplitLabel], SplitRule]] = {}
-    skipped: list[GroupKey] = []
-    reports: list[GroupReport] = []
-    for key, members in groups.items():
+    reports: dict[GroupKey, GroupReport] = {}
+    for key, members in group_samples(corpus).items():
         dist = answer_distribution(members)
+        reports[key] = report = GroupReport(dist, labels=None, rule=None)
         if select_imbalanced_groups([dist], cfg):
-            try:
-                labels, rule = split_head_tail(dist, cfg)
-            except SplitError as exc:
-                raise SplitError(f"group {key}: {exc}") from exc
-            retained[key] = (labels, rule)
-            reports.append(GroupReport(dist, retained=True, labels=labels, rule=rule))
-        else:
-            skipped.append(key)
-            reports.append(GroupReport(dist, retained=False, labels=None, rule=None))
-    assignments = [
-        SplitAssignment(
-            sample_id=s.id,
-            group=s.group,
-            label=retained[s.group][0][s.answer],
-            answer_class=s.answer,
-            rule=retained[s.group][1],
-        )
-        for s in corpus
-        if s.group in retained
-    ]
-    return SplitResult(assignments=assignments, skipped_groups=skipped, group_reports=reports)
+            report.labels, report.rule = split_head_tail(dist, cfg)
+    assignments = []
+    for s in corpus:
+        report = reports[s.task, s.question_type]  # a GroupKey hashes as its plain tuple
+        if report.labels is not None:
+            assignments.append(SplitAssignment(
+                s.id, report.distribution.group, report.labels[s.answer], s.answer, report.rule
+            ))
+    return SplitResult(assignments=assignments, group_reports=list(reports.values()))
 
 
 def write_splits(assignments: list[SplitAssignment], stream: IO[bytes]) -> None:

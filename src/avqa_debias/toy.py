@@ -83,6 +83,8 @@ class SyntheticConfig:
             raise ToyError("tail_fraction must lie in (0, 1)")
         if self.train_n < 1 or self.test_n < 1:
             raise ToyError("train_n and test_n must be positive")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ToyError(f"noise_scale must be finite and nonnegative, not {self.noise_scale}")
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,6 @@ class SyntheticData:
     train: ToySet
     test: ToySet
     splits: list[SplitAssignment]
-    config: SyntheticConfig
 
 
 def generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticData:
@@ -234,7 +235,7 @@ def generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticDat
                 shortcut_ok = rng.random() < cfg.bias_strength
             else:
                 shortcut_ok = bool(regime[i])
-            if shortcut_ok or c < 2:
+            if shortcut_ok:
                 shortcut = label
             else:
                 shortcut = int(rng.integers(c - 1))
@@ -263,7 +264,7 @@ def generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticDat
         )
         for i, qa in enumerate(test.qa)
     ]
-    return SyntheticData(train=train, test=test, splits=splits, config=cfg)
+    return SyntheticData(train=train, test=test, splits=splits)
 
 
 @dataclass
@@ -411,19 +412,15 @@ class Adam:
         self.params -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
-@dataclass
-class TrainResult:
-    model: ToyModel
-    history: list[dict]
-
-
 def train(
     model: ToyModel,
     corpus: ToySet,
     tcfg: TrainConfig = TrainConfig(),
     spec: AblationSpec = AblationSpec(),
-) -> TrainResult:
+) -> list[dict]:
     """Algorithm: seeded shuffle, minibatch joint loss, Adam, stepped lr decay.
+
+    ``model`` is trained in place; the return value is the per-epoch history.
 
     The minibatch loss is the joint objective plus one unit-weight
     cross-entropy per uni-modal head; those bias-learner terms are not
@@ -475,7 +472,7 @@ def train(
             opt.step(grad_flat)
         history.append({"epoch": epoch, **{key: v / batches for key, v in sums.items()},
                         "train_acc": correct / n, "lr": opt.lr})
-    return TrainResult(model=model, history=history)
+    return history
 
 
 def evaluate(model: ToyModel, test: ToySet, splits: list[SplitAssignment]) -> RobustnessReport:
@@ -504,15 +501,15 @@ def run_variant(
     if data is None:
         data = generate_synthetic(replace(scfg, seed=seed))
     model = ToyModel.initialize(scfg.num_classes, scfg.feature_dim, seed=seed)
-    result = train(model, data.train, replace(tcfg, seed=seed), spec)
-    agg = evaluate(result.model, data.test, data.splits).aggregate
+    history = train(model, data.train, replace(tcfg, seed=seed), spec)
+    agg = evaluate(model, data.test, data.splits).aggregate
     return {
         "variant": spec.variant.value,
         "seed": seed,
         "head_acc": _acc_float(agg.head_acc),
         "tail_acc": _acc_float(agg.tail_acc),
         "overall_acc": _acc_float(agg.overall_acc),
-        "final_epoch": result.history[-1],
+        "final_epoch": history[-1],
     }
 
 

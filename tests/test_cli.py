@@ -446,6 +446,34 @@ class TestSettingsRejected:
         one_error_line(proc)
         assert not (tmp_path / "history.jsonl").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("two_answer_only", [False, True])
+    def test_bad_tail_factor(self, tmp_path, value, two_answer_only):
+        # the golden corpus has a three-answer group; with only two-answer
+        # groups the factor is never used, and it must still be rejected
+        lines = (GOLDEN / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b"".join(ln for ln in lines if not two_answer_only or b'"aq' in ln))
+        proc = run_cli("split", "--input", corpus, f"--tail-factor={value}",
+                       "--output-dir", tmp_path / "out")
+        assert "tail_factor must be finite and positive" in one_error_line(proc)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, value", [
+        ("gen-synth", "nan"), ("gen-synth", "inf"), ("gen-synth", "-1"), ("ablation", "nan"),
+    ])
+    def test_bad_noise_scale(self, tmp_path, command, value):
+        proc = run_cli(command, "--train-n", "20", "--test-n", "10", f"--noise-scale={value}",
+                       "--output-dir", tmp_path / "out")
+        assert "noise_scale must be finite and nonnegative" in one_error_line(proc)
+        assert not (tmp_path / "out").exists()
+
+    def test_tie_policy_flag_is_gone(self, tmp_path):
+        proc = run_cli("split", "--input", GOLDEN / "corpus.jsonl", "--tie-both-head",
+                       "--output-dir", tmp_path)
+        assert proc.returncode == EXIT_USAGE
+        assert not (tmp_path / "splits.jsonl").exists()
+
     @pytest.mark.parametrize("command, flag", [
         ("ablation", "--variants"), ("ablation", "--seeds"),
         ("grid", "--alphas"), ("grid", "--betas"), ("grid", "--seeds"),

@@ -3,17 +3,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from avqa_debias.data import CorpusError, QuestionType, Task
+from avqa_debias.data import CorpusError, GroupKey, QuestionType, Task
 from avqa_debias.splitting import (
     AnswerDistribution,
     SplitConfig,
     SplitError,
     SplitLabel,
     SplitRule,
-    TiePolicy,
     answer_distribution,
     assign_splits,
     read_splits,
@@ -111,10 +110,43 @@ class TestSplitHeadTail:
     def test_two_answer_tie(self):
         with pytest.raises(SplitError, match="equal counts"):
             split_head_tail(dist({"a": 5, "b": 5}))
-        labels, _ = split_head_tail(
-            dist({"a": 5, "b": 5}), SplitConfig(two_answer_tie=TiePolicy.BOTH_HEAD)
+
+    @pytest.mark.parametrize("factor", [0.0, -1.2, math.nan, math.inf, -math.inf])
+    def test_tail_factor_must_be_finite_and_positive(self, factor):
+        with pytest.raises(ValueError, match="tail_factor must be finite and positive"):
+            SplitConfig(tail_factor=factor)
+
+
+class TestSkippedByConstruction:
+    """A two-answer tie and a single-answer group have normalized entropy
+    exactly 1.0. No threshold in (0, 1] keeps them, so ``assign_splits``
+    never hands either to ``split_head_tail``."""
+
+    @given(
+        st.integers(min_value=1, max_value=10**6),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    )
+    @example(1, 1.0)
+    @example(10**6, 1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_tie_and_single_answer_have_entropy_one(self, c, threshold):
+        key = GroupKey(Task.AVQA, QuestionType.COUNTING)
+        tie = AnswerDistribution(group=key, counts={"a": c, "b": c})
+        single = AnswerDistribution(group=key, counts={"a": c})
+        assert tie.normalized_entropy == 1.0
+        assert single.normalized_entropy == 1.0
+        cfg = SplitConfig(entropy_threshold=threshold)
+        assert select_imbalanced_groups([tie, single], cfg) == []
+
+    def test_assign_splits_skips_both_at_threshold_one(self):
+        corpus = TestAssignSplits().corpus()  # holds a single-answer VisualQA group
+        corpus += samples_from_counts(
+            {"p": 3, "q": 3}, task=Task.AVQA, qtype=QuestionType.TEMPORAL, prefix="tie"
         )
-        assert labels == {"a": SplitLabel.HEAD, "b": SplitLabel.HEAD}
+        result = assign_splits(corpus, SplitConfig(entropy_threshold=1.0))
+        assert [str(g) for g in result.skipped_groups] == ["VisualQA/Counting", "AVQA/Temporal"]
+        assigned = [a.sample_id for a in result.assignments]
+        assert assigned == [s.id for s in corpus if s.id.startswith(("avqa", "aq"))]
 
 
 class TestAssignSplits:
@@ -142,6 +174,19 @@ class TestAssignSplits:
         assert by_id["aq0000"].label is SplitLabel.HEAD  # answer "x", two-answer rule
         assert by_id["aq0008"].label is SplitLabel.TAIL  # answer "y"
         assert by_id["aq0000"].rule is SplitRule.TWO_ANSWER_LOW_FREQUENCY
+
+    def test_one_report_per_group(self):
+        result = assign_splits(self.corpus())
+        by_group = {str(r.distribution.group): r for r in result.group_reports}
+        assert list(by_group) == ["AudioQA/Comparative", "VisualQA/Counting", "AVQA/Counting"]
+        skipped = by_group["VisualQA/Counting"]
+        assert not skipped.retained and skipped.labels is None and skipped.rule is None
+        assert result.skipped_groups == [skipped.distribution.group]
+        for a in result.assignments:
+            report = by_group[str(a.group)]
+            assert report.retained
+            assert a.group is report.distribution.group  # one key object per group
+            assert (a.label, a.rule) == (report.labels[a.answer_class], report.rule)
 
     def test_assignment_order_follows_corpus(self):
         corpus = self.corpus()

@@ -60,6 +60,12 @@ class TestSyntheticConfig:
         with pytest.raises(ToyError):
             generate_synthetic(SyntheticConfig(feature_dim=4, num_classes=6))
 
+    @pytest.mark.parametrize("scale", [-0.5, float("nan"), float("inf"), float("-inf")])
+    def test_noise_scale_must_be_finite_and_nonnegative(self, scale):
+        with pytest.raises(ToyError, match="noise_scale must be finite and nonnegative"):
+            SyntheticConfig(noise_scale=scale)
+        assert SyntheticConfig(noise_scale=0.0).noise_scale == 0.0
+
 
 class TestGenerateSynthetic:
     def test_deterministic(self):
@@ -188,13 +194,13 @@ class TestForward:
 class TestTrain:
     def test_deterministic(self):
         data = small_data()
-        results = []
+        models, histories = [], []
         for _ in range(2):
-            model = ToyModel.initialize(6, 16, seed=1)
-            results.append(train(model, data.train, replace(QUICK, seed=1)))
-        for k in results[0].model.params:
-            assert np.array_equal(results[0].model.params[k], results[1].model.params[k])
-        assert results[0].history == results[1].history
+            models.append(ToyModel.initialize(6, 16, seed=1))
+            histories.append(train(models[-1], data.train, replace(QUICK, seed=1)))
+        for k in models[0].params:
+            assert np.array_equal(models[0].params[k], models[1].params[k])
+        assert histories[0] == histories[1]
 
     def test_one_stacked_softmax_per_step(self, monkeypatch):
         # each step softmaxes its four heads once, as one (4, K, C) array,
@@ -219,7 +225,7 @@ class TestTrain:
         data = small_data()
         model = ToyModel.initialize(6, 16, seed=0)
         tcfg = TrainConfig(epochs=41, learning_rate=1e-3)
-        hist = train(model, data.train, tcfg).history
+        hist = train(model, data.train, tcfg)
         assert [h["epoch"] for h in hist] == list(range(1, 42))
         assert set(hist[0]) == {"epoch", "L_a", "L_d", "L_c", "train_acc", "lr"}
         # halved after every 20 epochs
@@ -233,7 +239,7 @@ class TestTrain:
     def test_loss_decreases(self):
         data = small_data()
         model = ToyModel.initialize(6, 16, seed=0)
-        hist = train(model, data.train, TrainConfig(epochs=10)).history
+        hist = train(model, data.train, TrainConfig(epochs=10))
         assert hist[-1]["L_a"] < hist[0]["L_a"]
         assert hist[-1]["train_acc"] > hist[0]["train_acc"]
 
@@ -282,7 +288,7 @@ class TestBiasLearners:
 class TestAblationContract:
     def variant_history(self, variant, data):
         model = ToyModel.initialize(6, 16, seed=0)
-        return train(model, data.train, QUICK, AblationSpec(variant=variant)).history
+        return train(model, data.train, QUICK, AblationSpec(variant=variant))
 
     def test_dropped_terms_are_identically_zero(self):
         data = small_data()
