@@ -28,7 +28,13 @@ from .losses import (
     joint_loss,
 )
 from .scoring import VoteTable, fleiss_kappa, render_report, score_predictions
-from .splitting import SplitConfig, assign_splits, group_report_json, read_splits, write_splits
+from .splitting import (
+    SplitConfig,
+    assign_splits,
+    group_report_json,
+    read_splits,
+    write_splits,
+)
 from .toy import (
     AblationSpec,
     AblationVariant,
