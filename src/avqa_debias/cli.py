@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -237,6 +238,9 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
+        if not (math.isfinite(value) and value > 0):
+            raise CliError(f"{flag} must be finite and positive, not {value}")
     rng = np.random.default_rng(args.seed)
     batch = [
         LogitBundle(*(rng.standard_normal(args.classes) * 3.0 for _ in range(4)))

@@ -60,6 +60,8 @@ KNOWN_GROUPS = frozenset(
 )
 
 REQUIRED_FIELDS = ("id", "task", "question_type", "question", "answer")
+_REQUIRED = frozenset(REQUIRED_FIELDS)
+_KNOWN_FIELDS = _REQUIRED | {"source_id"}
 
 
 class CorpusError(ValueError):
@@ -84,7 +86,14 @@ class GroupKey(NamedTuple):
         return f"{self.task.value}/{self.question_type.value}"
 
 
-@dataclass(frozen=True)
+# Every GroupKey, by the pair of strings that spell it on disk. The readers
+# decode a row's task and question_type with one lookup here, and call the
+# enum constructors only for a pair this table lacks, so that an unknown or
+# unhashable value reports the error the constructor gives.
+GROUP_KEYS = {(t.value, q.value): GroupKey(t, q) for t in Task for q in QuestionType}
+
+
+@dataclass(frozen=True, slots=True)
 class QASample:
     id: str
     task: Task
@@ -119,12 +128,32 @@ class CorpusStats:
     warnings: list[str]
 
 
+# One decoder for every line: raw_decode is the call json.loads makes after
+# it skips leading whitespace, without the check for trailing bytes.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _loads(text: str, lineno: int):
+    """``json.loads(text)``; malformed JSON is a CorpusError with the line number."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"malformed JSON: {exc.msg}", lineno) from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+        raise CorpusError(f"malformed JSON: {exc}", lineno) from exc
+
+
 def read_jsonl(stream: IO[bytes]) -> Iterator[tuple[int, dict]]:
     """Yield (1-based line number, object) for each nonblank line of a JSONL stream.
 
     Every line check lives here: a CorpusError with the line number on a
     byte-order mark, invalid UTF-8, malformed JSON, or a value that is not
     a JSON object. Blank lines are skipped but still counted.
+
+    A line is decoded by one ``raw_decode`` call, kept only when it read
+    the whole line. Any other line (an error, leading or trailing
+    whitespace, extra data) goes to ``json.loads``, so every value and
+    every error is the one ``json.loads`` gives for that line alone.
     """
     for lineno, raw in enumerate(stream, start=1):
         raw = raw.rstrip(b"\r\n")
@@ -133,52 +162,52 @@ def read_jsonl(stream: IO[bytes]) -> Iterator[tuple[int, dict]]:
         if lineno == 1 and raw.startswith(b"\xef\xbb\xbf"):
             raise CorpusError("byte-order mark not allowed; files must be plain UTF-8", lineno)
         try:
-            obj = json.loads(raw.decode("utf-8"))
+            text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorpusError(f"invalid UTF-8: {exc}", lineno) from exc
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"malformed JSON: {exc.msg}", lineno) from exc
-        except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
-            raise CorpusError(f"malformed JSON: {exc}", lineno) from exc
+        try:
+            obj, end = _raw_decode(text)
+        except (ValueError, RecursionError):
+            end = -1
+        if end != len(text):
+            obj = _loads(text, lineno)
         if not isinstance(obj, dict):
             raise CorpusError("each line must be a JSON object", lineno)
         yield lineno, obj
 
 
 def _sample_from_obj(obj: dict, lineno: int, warnings: list[str] | None) -> QASample:
-    for name in REQUIRED_FIELDS:
-        if name not in obj:
-            raise CorpusError(f"missing required field {name!r}", lineno)
+    if not obj.keys() >= _REQUIRED:
+        missing = next(name for name in REQUIRED_FIELDS if name not in obj)
+        raise CorpusError(f"missing required field {missing!r}", lineno)
     try:
-        task = Task(obj["task"])
-    except ValueError:
-        raise CorpusError(f"unknown task {obj['task']!r}", lineno) from None
-    try:
-        qtype = QuestionType(obj["question_type"])
-    except ValueError:
-        raise CorpusError(f"unknown question_type {obj['question_type']!r}", lineno) from None
+        task, qtype = GROUP_KEYS[obj["task"], obj["question_type"]]
+    except (KeyError, TypeError):  # an unknown or unhashable value; the enums name it
+        try:
+            task = Task(obj["task"])
+        except ValueError:
+            raise CorpusError(f"unknown task {obj['task']!r}", lineno) from None
+        try:
+            qtype = QuestionType(obj["question_type"])
+        except ValueError:
+            raise CorpusError(f"unknown question_type {obj['question_type']!r}", lineno) from None
     sid = obj["id"]
     if not isinstance(sid, str) or not sid:
         raise CorpusError("id must be a nonempty string", lineno)
     answer = obj["answer"]
     if not isinstance(answer, str) or not answer:
         raise CorpusError("answer must be a nonempty string", lineno)
-    if not isinstance(obj["question"], str):
+    question = obj["question"]
+    if not isinstance(question, str):
         raise CorpusError("question must be a string", lineno)
     source_id = obj.get("source_id")
     if source_id is not None and not isinstance(source_id, str):
         raise CorpusError("source_id must be a string or null", lineno)
-    unknown = sorted(set(obj) - set(REQUIRED_FIELDS) - {"source_id"})
-    if unknown and warnings is not None:
-        warnings.append(f"line {lineno}: ignored unknown fields: {', '.join(unknown)}")
-    return QASample(
-        id=sid,
-        task=task,
-        question_type=qtype,
-        question=obj["question"],
-        answer=answer,
-        source_id=source_id,
-    )
+    if warnings is not None:
+        unknown = obj.keys() - _KNOWN_FIELDS
+        if unknown:
+            warnings.append(f"line {lineno}: ignored unknown fields: {', '.join(sorted(unknown))}")
+    return QASample(sid, task, qtype, question, answer, source_id)
 
 
 def parse_samples(stream: IO[bytes], warnings: list[str] | None = None) -> list[QASample]:
@@ -192,11 +221,9 @@ def parse_samples(stream: IO[bytes], warnings: list[str] | None = None) -> list[
     seen: dict[str, int] = {}
     for lineno, obj in read_jsonl(stream):
         sample = _sample_from_obj(obj, lineno, warnings)
-        if sample.id in seen:
-            raise CorpusError(
-                f"duplicate id {sample.id!r} (first seen on line {seen[sample.id]})", lineno
-            )
-        seen[sample.id] = lineno
+        first = seen.setdefault(sample.id, lineno)
+        if first != lineno:
+            raise CorpusError(f"duplicate id {sample.id!r} (first seen on line {first})", lineno)
         samples.append(sample)
     return samples
 
@@ -253,12 +280,14 @@ def parse_predictions(stream: IO[bytes]) -> dict[str, str]:
     """
     preds: dict[str, str] = {}
     for lineno, obj in read_jsonl(stream):
-        for name in ("id", "predicted_answer"):
-            if name not in obj:
-                raise CorpusError(f"missing required field {name!r}", lineno)
-            if not isinstance(obj[name], str):
-                raise CorpusError(f"{name} must be a string", lineno)
-        if obj["id"] in preds:
-            raise CorpusError(f"duplicate prediction id {obj['id']!r}", lineno)
-        preds[obj["id"]] = obj["predicted_answer"]
+        pid, predicted = obj.get("id"), obj.get("predicted_answer")
+        if not (isinstance(pid, str) and isinstance(predicted, str)):
+            for name in ("id", "predicted_answer"):
+                if name not in obj:
+                    raise CorpusError(f"missing required field {name!r}", lineno)
+                if not isinstance(obj[name], str):
+                    raise CorpusError(f"{name} must be a string", lineno)
+        if pid in preds:
+            raise CorpusError(f"duplicate prediction id {pid!r}", lineno)
+        preds[pid] = predicted
     return preds

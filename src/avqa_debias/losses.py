@@ -268,16 +268,17 @@ def finite_difference_check(loss_fn, batch: list[LogitBundle], h: float = 1e-5) 
     """Max relative error of loss_fn's analytic gradient vs central differences.
 
     loss_fn maps a batch of LogitBundles to a LossValue; relative error is
-    |ga - gf| / max(1, |ga|, |gf|) per coordinate.
+    |ga - gf| / max(1, |ga|, |gf|) per coordinate. A NaN error at any
+    coordinate makes the result NaN, so no threshold passes it.
     """
-    if h <= 0:
-        raise LossError("step size must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise LossError(f"step size must be finite and positive, not {h}")
     base = loss_fn(batch)
     y = _stack(batch).logits
     # LogitBundle keeps float64 inputs by reference, so these bundles see
     # in-place edits of y and never need rebuilding.
     bundles = [LogitBundle(*y[:, m]) for m in range(y.shape[1])]
-    max_err = 0.0
+    errs = np.empty(y.shape)
     for idx in np.ndindex(y.shape):
         orig = y[idx]
         y[idx] = orig + h
@@ -286,6 +287,5 @@ def finite_difference_check(loss_fn, batch: list[LogitBundle], h: float = 1e-5) 
         down = loss_fn(bundles).value
         y[idx] = orig
         gf = (up - down) / (2.0 * h)
-        err = abs(base.grad[idx] - gf) / max(1.0, abs(base.grad[idx]), abs(gf))
-        max_err = max(max_err, err)
-    return max_err
+        errs[idx] = abs(base.grad[idx] - gf) / max(1.0, abs(base.grad[idx]), abs(gf))
+    return float(errs.max())  # unlike max(), ndarray.max keeps a NaN

@@ -7,6 +7,7 @@ is rendered, so aggregate figures are reproducible bit-for-bit.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,13 +33,14 @@ class AccuracyCell:
     tail_correct: int = 0
     tail_n: int = 0
 
-    def add(self, label: SplitLabel, correct: bool) -> None:
+    def add(self, label: SplitLabel, correct: bool, count: int = 1) -> None:
+        """Count ``count`` rows of one split label, all right or all wrong."""
         if label is SplitLabel.HEAD:
-            self.head_n += 1
-            self.head_correct += int(correct)
+            self.head_n += count
+            self.head_correct += count if correct else 0
         else:
-            self.tail_n += 1
-            self.tail_correct += int(correct)
+            self.tail_n += count
+            self.tail_correct += count if correct else 0
 
     @property
     def head_acc(self) -> Fraction | None:
@@ -65,6 +67,26 @@ class RobustnessReport:
     warnings: list[str] = field(default_factory=list)
 
 
+def _outcomes(splits, gold_by_id, preds, unmatched):
+    """Yield (group, label, correct) for each assignment, checked against its gold sample."""
+    for a in splits:
+        sample = gold_by_id.get(a.sample_id)
+        if sample is None:
+            raise ScoringError(f"split assignment refers to unknown sample id {a.sample_id!r}")
+        if a.group != (sample.task, sample.question_type) or a.answer_class != sample.answer:
+            raise ScoringError(
+                f"split assignment {a.sample_id!r} ({a.group}, answer {a.answer_class!r}) "
+                f"disagrees with the gold sample ({sample.group}, answer {sample.answer!r})"
+            )
+        predicted = preds.get(a.sample_id)
+        if predicted is None:
+            unmatched.append(a.sample_id)
+            correct = False
+        else:
+            correct = normalize_answer(predicted) == normalize_answer(sample.answer)
+        yield a.group, a.label, correct
+
+
 def score_predictions(
     gold: list[QASample],
     splits: list[SplitAssignment],
@@ -76,32 +98,22 @@ def score_predictions(
     whitespace trimming and lowercasing. Samples with no prediction count
     as incorrect and are listed in ``unmatched_ids``. An assignment whose
     group or answer disagrees with its gold sample is an error.
+
+    Each row adds one to a tally of (group, label, correct); the cells are
+    built from the tallies once, and integer sums keep them exact.
     """
     gold_by_id = {s.id: s for s in gold}
     warnings = [f"prediction id {pid!r} not in gold corpus" for pid in preds if pid not in gold_by_id]
+    unmatched: list[str] = []
+    tally = Counter(_outcomes(splits, gold_by_id, preds, unmatched))
 
     per_group: dict[GroupKey, AccuracyCell] = {}
     per_task: dict[Task, AccuracyCell] = {}
     aggregate = AccuracyCell()
-    unmatched: list[str] = []
-    for a in splits:
-        sample = gold_by_id.get(a.sample_id)
-        if sample is None:
-            raise ScoringError(f"split assignment refers to unknown sample id {a.sample_id!r}")
-        if a.group != sample.group or a.answer_class != sample.answer:
-            raise ScoringError(
-                f"split assignment {a.sample_id!r} ({a.group}, answer {a.answer_class!r}) "
-                f"disagrees with the gold sample ({sample.group}, answer {sample.answer!r})"
-            )
-        predicted = preds.get(a.sample_id)
-        if predicted is None:
-            unmatched.append(a.sample_id)
-            correct = False
-        else:
-            correct = normalize_answer(predicted) == normalize_answer(sample.answer)
-        per_group.setdefault(a.group, AccuracyCell()).add(a.label, correct)
-        per_task.setdefault(a.group.task, AccuracyCell()).add(a.label, correct)
-        aggregate.add(a.label, correct)
+    for (group, label, correct), count in tally.items():
+        per_group.setdefault(group, AccuracyCell()).add(label, correct, count)
+        per_task.setdefault(group.task, AccuracyCell()).add(label, correct, count)
+        aggregate.add(label, correct, count)
     return RobustnessReport(
         per_group=dict(sorted(per_group.items())),
         per_task=dict(sorted(per_task.items(), key=lambda kv: kv[0].value)),

@@ -23,7 +23,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO
 
-from .data import CorpusError, GroupKey, QASample, QuestionType, Task, group_samples, read_jsonl
+from .data import (
+    GROUP_KEYS,
+    CorpusError,
+    GroupKey,
+    QASample,
+    QuestionType,
+    Task,
+    group_samples,
+    read_jsonl,
+)
 
 
 class SplitLabel(enum.Enum):
@@ -34,6 +43,10 @@ class SplitLabel(enum.Enum):
 class SplitRule(enum.Enum):
     GENERAL_THRESHOLD = "general_threshold"
     TWO_ANSWER_LOW_FREQUENCY = "two_answer_low_frequency"
+
+
+_LABELS = {m.value: m for m in SplitLabel}
+_RULES = {m.value: m for m in SplitRule}
 
 
 class SplitError(ValueError):
@@ -91,7 +104,7 @@ class AnswerDistribution:
         return Fraction(self.total, self.class_count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplitAssignment:
     sample_id: str
     group: GroupKey
@@ -215,32 +228,43 @@ def write_splits(assignments: list[SplitAssignment], stream: IO[bytes]) -> None:
         stream.write(json.dumps(obj, ensure_ascii=False).encode("utf-8") + b"\n")
 
 
+def _assignment_from_constructors(obj: dict) -> SplitAssignment:
+    """The record the lookups in ``read_splits`` stand for, built by the enum
+    constructors; on a line those lookups miss, it raises the error to report."""
+    return SplitAssignment(
+        sample_id=obj["id"],
+        group=GroupKey(Task(obj["task"]), QuestionType(obj["question_type"])),
+        label=SplitLabel(obj["split"]),
+        answer_class=obj["answer"],
+        rule=SplitRule(obj["rule"]),
+    )
+
+
 def read_splits(stream: IO[bytes]) -> list[SplitAssignment]:
     """Parse a splits JSONL file, read by ``data.read_jsonl``, into assignments.
 
-    A duplicate id is an error, raised at the line of its second copy:
-    counting a sample twice would change the reported accuracy.
+    Each enum field is decoded by one table lookup, and the assignments of
+    a group share one ``GroupKey``. A duplicate id is an error, raised at
+    the line of its second copy: counting a sample twice would change the
+    reported accuracy.
     """
     out: list[SplitAssignment] = []
     seen: dict[str, int] = {}
     for lineno, obj in read_jsonl(stream):
         try:
-            if not isinstance(obj["id"], str):
+            sid = obj["id"]
+            if not isinstance(sid, str):
                 raise ValueError("id must be a string")
-            a = SplitAssignment(
-                sample_id=obj["id"],
-                group=GroupKey(Task(obj["task"]), QuestionType(obj["question_type"])),
-                label=SplitLabel(obj["split"]),
-                answer_class=obj["answer"],
-                rule=SplitRule(obj["rule"]),
-            )
+            try:
+                a = SplitAssignment(sid, GROUP_KEYS[obj["task"], obj["question_type"]],
+                                    _LABELS[obj["split"]], obj["answer"], _RULES[obj["rule"]])
+            except (KeyError, TypeError):  # a missing field, an unknown or unhashable value
+                a = _assignment_from_constructors(obj)
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"invalid splits record: {exc}", lineno) from exc
-        if a.sample_id in seen:
-            raise CorpusError(
-                f"duplicate id {a.sample_id!r} (first seen on line {seen[a.sample_id]})", lineno
-            )
-        seen[a.sample_id] = lineno
+        first = seen.setdefault(sid, lineno)
+        if first != lineno:
+            raise CorpusError(f"duplicate id {sid!r} (first seen on line {first})", lineno)
         out.append(a)
     return out
 

@@ -65,6 +65,16 @@ class TestSplitCommand:
         proc = run_cli("split", "--input", bad, "--output-dir", tmp_path)
         assert one_error_line(proc) == f"error: {bad}: line 1: {problem}\n"
 
+    @pytest.mark.parametrize("value", ["bogus", [1], {}])
+    @pytest.mark.parametrize("field", ["task", "question_type"])
+    def test_bad_enum_value(self, tmp_path, field, value):
+        obj = {"id": "a", "task": "AVQA", "question_type": "Temporal", "question": "q",
+               "answer": "yes", field: value}
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(json.dumps(obj).encode() + b"\n")
+        proc = run_cli("split", "--input", bad, "--output-dir", tmp_path / "out")
+        assert one_error_line(proc) == f"error: {bad}: line 1: unknown {field} {value!r}\n"
+
 
 class TestScoreCommand:
     def make_inputs(self, tmp_path):
@@ -129,6 +139,22 @@ class TestScoreCommand:
         proc = run_cli("score", "--gold", GOLDEN / "corpus.jsonl",
                        "--splits", GOLDEN / "splits.jsonl", "--preds", preds)
         assert one_error_line(proc) == f"error: {preds}: line 1: predicted_answer must be a string\n"
+
+    @pytest.mark.parametrize("value", ["bogus", [1], {}])
+    @pytest.mark.parametrize("field, enum_name", [
+        ("task", "Task"), ("question_type", "QuestionType"), ("split", "SplitLabel"),
+        ("rule", "SplitRule"),
+    ])
+    def test_bad_enum_value(self, tmp_path, field, enum_name, value):
+        row = json.loads((GOLDEN / "splits.jsonl").read_text().splitlines()[0])
+        row[field] = value
+        splits = tmp_path / "splits.jsonl"
+        splits.write_bytes(json.dumps(row).encode() + b"\n")
+        proc = run_cli("score", "--gold", GOLDEN / "corpus.jsonl", "--splits", splits,
+                       "--preds", self.make_inputs(tmp_path))
+        assert one_error_line(proc) == (
+            f"error: {splits}: line 1: invalid splits record: {value!r} is not a valid {enum_name}\n"
+        )
 
     @pytest.mark.parametrize("flag", ["--gold", "--splits", "--preds"])
     def test_reader_error_names_the_file(self, tmp_path, flag):
@@ -473,6 +499,18 @@ class TestSettingsRejected:
                        "--output-dir", tmp_path)
         assert proc.returncode == EXIT_USAGE
         assert not (tmp_path / "splits.jsonl").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--step", "nan"), ("--step", "inf"), ("--step", "0"), ("--step", "-1e-5"),
+        ("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "0"),
+        ("--tolerance", "-1"),
+    ])
+    def test_bad_gradcheck_setting(self, flag, value):
+        # a NaN or infinite step compared nothing and passed; a NaN or
+        # negative tolerance failed a check whose error was 4e-11
+        proc = run_cli("gradcheck", "--classes", "4", "--batch", "2", f"{flag}={value}")
+        assert one_error_line(proc).startswith(f"error: {flag} must be finite and positive, not ")
+        assert proc.stdout == b""
 
     @pytest.mark.parametrize("command, flag", [
         ("ablation", "--variants"), ("ablation", "--seeds"),

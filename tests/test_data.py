@@ -1,11 +1,14 @@
+import enum
 import io
 import json
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from avqa_debias.data import (
+    KNOWN_GROUPS,
     CorpusError,
     GroupKey,
     QASample,
@@ -14,10 +17,12 @@ from avqa_debias.data import (
     group_samples,
     parse_predictions,
     parse_samples,
+    read_jsonl,
     validate_corpus,
     write_samples,
 )
-from avqa_debias.splitting import read_splits
+from avqa_debias.scoring import score_predictions
+from avqa_debias.splitting import assign_splits, read_splits, write_splits
 from conftest import jsonl_stream, make_sample
 
 
@@ -132,6 +137,97 @@ class TestParseSamples:
         assert warnings and "extra" in warnings[0]
 
 
+# The enum fields of each reader and the enum that names a bad value; a
+# value no member has, and two unhashable ones, which a table lookup rejects
+# with TypeError rather than KeyError.
+_SAMPLE = {"id": "a", "task": "AVQA", "question_type": "Temporal", "question": "q", "answer": "yes"}
+_SPLIT = {"id": "a", "task": "AVQA", "question_type": "Temporal", "answer": "yes",
+          "split": "head", "rule": "general_threshold"}
+_SAMPLE_ENUMS = ["task", "question_type"]
+_SPLIT_ENUMS = {"task": "Task", "question_type": "QuestionType", "split": "SplitLabel",
+                "rule": "SplitRule"}
+_BAD_ENUM_VALUES = ["bogus", [1], {}]
+
+
+class TestEnumErrors:
+    """Every unknown or unhashable enum value gives the enum constructor's message."""
+
+    @pytest.mark.parametrize("value", _BAD_ENUM_VALUES)
+    @pytest.mark.parametrize("field", _SAMPLE_ENUMS)
+    def test_parse_samples(self, field, value):
+        line = json.dumps(dict(_SAMPLE, **{field: value})).encode()
+        with pytest.raises(CorpusError) as info:
+            parse_samples(jsonl_stream([line]))
+        assert str(info.value) == f"line 1: unknown {field} {value!r}"
+
+    @pytest.mark.parametrize("value", _BAD_ENUM_VALUES)
+    @pytest.mark.parametrize("field", list(_SPLIT_ENUMS))
+    def test_read_splits(self, field, value):
+        line = json.dumps(dict(_SPLIT, **{field: value})).encode()
+        with pytest.raises(CorpusError) as info:
+            read_splits(jsonl_stream([line]))
+        expected = f"line 1: invalid splits record: {value!r} is not a valid {_SPLIT_ENUMS[field]}"
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize("drop, bad, message", [
+        ("answer", {"rule": "x"}, "'answer'"),  # the answer is read before the rule
+        ("question_type", {"task": [1]}, "[1] is not a valid Task"),
+        ("split", {"question_type": "Why"}, "'Why' is not a valid QuestionType"),
+        ("rule", {}, "'rule'"),
+    ])
+    def test_read_splits_reports_the_first_bad_field(self, drop, bad, message):
+        obj = {k: v for k, v in _SPLIT.items() if k != drop} | bad
+        with pytest.raises(CorpusError) as info:
+            read_splits(jsonl_stream([json.dumps(obj).encode()]))
+        assert str(info.value) == f"line 1: invalid splits record: {message}"
+
+
+def test_clean_input_takes_the_fast_path(monkeypatch):
+    """Clean rows reach neither json.loads nor an enum constructor, and
+    scoring builds no GroupKey per row."""
+    groups = sorted(KNOWN_GROUPS)
+    corpus = [
+        QASample(f"q{i:04d}", *groups[i % len(groups)], f"question {i}", "abbbbbc"[i % 7],
+                 f"t{i // 10}" if i % 10 == 0 else None)
+        for i in range(1_000)
+    ]
+    corpus_bytes, splits_bytes = io.BytesIO(), io.BytesIO()
+    write_samples(corpus, corpus_bytes)
+    result = assign_splits(corpus)
+    write_splits(result.assignments, splits_bytes)
+    preds_bytes = b"".join(
+        json.dumps({"id": s.id, "predicted_answer": "b"}).encode() + b"\n" for s in corpus
+    )
+
+    calls: Counter = Counter()
+    loads, enum_call, group = json.loads, enum.EnumType.__call__, QASample.group
+
+    def counting_loads(*args, **kwargs):
+        calls["json.loads"] += 1
+        return loads(*args, **kwargs)
+
+    def counting_enum_call(cls, *args, **kwargs):
+        calls[cls.__name__] += 1
+        return enum_call(cls, *args, **kwargs)
+
+    def counting_group(sample):
+        calls["QASample.group"] += 1
+        return group.fget(sample)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    monkeypatch.setattr(enum.EnumType, "__call__", counting_enum_call)
+    monkeypatch.setattr(QASample, "group", property(counting_group))
+    gold = parse_samples(io.BytesIO(corpus_bytes.getvalue()))
+    splits = read_splits(io.BytesIO(splits_bytes.getvalue()))
+    preds = parse_predictions(io.BytesIO(preds_bytes))
+    report = score_predictions(gold, splits, preds)
+    monkeypatch.undo()
+
+    assert calls == Counter()
+    assert gold == corpus and splits == result.assignments and len(preds) == 1_000
+    assert len(splits) == 1_000 and report.aggregate.head_n + report.aggregate.tail_n == 1_000
+
+
 class TestGroupKey:
     def test_ordering_is_task_major(self):
         a = GroupKey(task=Task.AUDIO_QA, question_type=QuestionType.TEMPORAL)
@@ -241,6 +337,12 @@ _LINE = (
 @example(lines=[b"\xef\xbb\xbf{}"])
 @example(lines=[b"", b"[" * 100_000])
 @example(lines=[b"1" * 5_000])
+@example(lines=[json.dumps(dict(_SAMPLE, task=[1])).encode()])
+@example(lines=[json.dumps(dict(_SAMPLE, question_type={})).encode()])
+@example(lines=[json.dumps(dict(_SPLIT, task="bogus")).encode()])
+@example(lines=[json.dumps(dict(_SPLIT, question_type=[1])).encode()])
+@example(lines=[json.dumps(dict(_SPLIT, split={})).encode()])
+@example(lines=[json.dumps(dict(_SPLIT, rule=[1])).encode()])
 def test_reader_fuzz(parse, lines):
     """Any input either parses or raises a CorpusError that names one of its lines."""
     data = b"\n".join(lines)
@@ -249,3 +351,67 @@ def test_reader_fuzz(parse, lines):
     except CorpusError as exc:
         match = re.match(r"line (\d+): ", str(exc))
         assert match and 1 <= int(match[1]) <= len(io.BytesIO(data).readlines()), str(exc)
+
+
+def _reference_read(stream) -> list[tuple[int, dict]]:
+    """What read_jsonl must yield: one plain json.loads per line."""
+    out = []
+    for lineno, raw in enumerate(stream, start=1):
+        raw = raw.rstrip(b"\r\n")
+        if not raw.strip():
+            continue
+        if lineno == 1 and raw.startswith(b"\xef\xbb\xbf"):
+            raise CorpusError("byte-order mark not allowed; files must be plain UTF-8", lineno)
+        try:
+            obj = json.loads(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"invalid UTF-8: {exc}", lineno) from exc
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"malformed JSON: {exc.msg}", lineno) from exc
+        except (ValueError, RecursionError) as exc:
+            raise CorpusError(f"malformed JSON: {exc}", lineno) from exc
+        if not isinstance(obj, dict):
+            raise CorpusError("each line must be a JSON object", lineno)
+        out.append((lineno, obj))
+    return out
+
+
+def _outcome(read, data: bytes) -> str:
+    """The repr of what ``read`` yields, or of the error it raises; repr keeps
+    NaN comparable and tells 1 from 1.0 and True."""
+    try:
+        return repr(list(read(io.BytesIO(data))))
+    except CorpusError as exc:
+        return f"CorpusError({str(exc)!r})"
+
+
+_PAD = st.sampled_from([b"", b" ", b"\t", b"\r", b" \r"])
+_ENCODED = (_JSON | _RECORD).map(lambda v: json.dumps(v).encode())
+_DIFF_LINE = (
+    st.binary(max_size=12)
+    | st.tuples(_PAD, _ENCODED, _PAD).map(b"".join)
+    | st.tuples(_ENCODED, st.sampled_from([b"", b" ", b",", b", ", b"],[", b"]"]), _ENCODED)
+    .map(b"".join)
+    | st.tuples(_ENCODED, st.integers(0, 40)).map(lambda t: t[0][: t[1]])
+)
+
+
+@settings(deadline=None)
+@given(lines=st.lists(_DIFF_LINE, max_size=6), ending=st.sampled_from([b"\n", b"\r\n"]))
+@example(lines=[b' {"a": 1}', b'{"a": 1} ', b"\t{}\t", b'{"b": 2}\r'], ending=b"\n")
+@example(lines=[b'{"a": 1}', b"{}"], ending=b"\r\n")
+@example(lines=[b"{} {}"], ending=b"\n")
+@example(lines=[b'{"a":1}, {"b":2}'], ending=b"\n")
+@example(lines=[b'{"k":[[1', b"2]]}"], ending=b"\n")
+@example(lines=[b'{"a":1}],[{"b":2}'], ending=b"\n")
+@example(lines=[b'{"x": NaN, "y": -Infinity}', b'{"x": 1e999}'], ending=b"\n")
+@example(lines=[b'{"n": ' + b"7" * 5_000 + b"}"], ending=b"\n")
+@example(lines=[b'{"d": ' + b"[" * 50 + b"]" * 50 + b"}"], ending=b"\n")
+@example(lines=[b'{"d": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"], ending=b"\n")
+@example(lines=[b"\xef\xbb\xbf{}"], ending=b"\n")
+@example(lines=[b"{}", b"\xef\xbb\xbf{}"], ending=b"\n")
+@example(lines=[b'{"a": "x\xffy"}'], ending=b"\n")
+def test_read_jsonl_matches_per_line_json_loads(lines, ending):
+    """read_jsonl yields the pairs, or raises the error, of one json.loads per line."""
+    data = b"".join(line + ending for line in lines)
+    assert _outcome(read_jsonl, data) == _outcome(_reference_read, data)

@@ -6,6 +6,7 @@ from avqa_debias.losses import (
     UNIMODAL,
     LogitBundle,
     LossError,
+    LossValue,
     MccdConfig,
     answer_loss,
     cycle_loss,
@@ -254,6 +255,25 @@ class TestFiniteDifference:
     def test_bad_step_rejected(self):
         with pytest.raises(LossError):
             finite_difference_check(lambda b: cycle_loss(b), [ORACLE], h=0.0)
+
+    @pytest.mark.parametrize("h", [-1e-5, float("nan"), float("inf")])
+    def test_non_finite_or_negative_step_rejected(self, h):
+        # a NaN or infinite step compared nothing and reported an error of 0.0
+        with pytest.raises(LossError, match="step size must be finite and positive"):
+            finite_difference_check(lambda b: cycle_loss(b), [ORACLE], h=h)
+
+    def test_nan_error_fails_the_check(self):
+        # one coordinate whose finite difference is NaN: max(0.0, nan) is
+        # 0.0, so a running max() would report a clean pass
+        calls = []
+
+        def fn(batch):
+            lv = cycle_loss(batch)
+            calls.append(None)
+            return LossValue(float("nan"), lv.grad) if len(calls) == 2 else lv
+
+        err = finite_difference_check(fn, [ORACLE])
+        assert np.isnan(err) and not err < 1e-5
 
 
 class TestGradientStructure:
