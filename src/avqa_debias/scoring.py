@@ -68,7 +68,8 @@ class RobustnessReport:
 
 
 def _outcomes(splits, gold_by_id, preds, unmatched):
-    """Yield (group, label, correct) for each assignment, checked against its gold sample."""
+    """Yield (group, label, correct) for each assignment, checked against its
+    gold sample; the id of each assignment without a prediction goes to ``unmatched``."""
     for a in splits:
         sample = gold_by_id.get(a.sample_id)
         if sample is None:

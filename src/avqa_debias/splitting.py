@@ -229,8 +229,9 @@ def write_splits(assignments: list[SplitAssignment], stream: IO[bytes]) -> None:
 
 
 def _assignment_from_constructors(obj: dict) -> SplitAssignment:
-    """The record the lookups in ``read_splits`` stand for, built by the enum
-    constructors; on a line those lookups miss, it raises the error to report."""
+    """The record of one splits line, built by the enum constructors in field
+    order; ``read_splits`` calls it when its table lookups miss, so that the
+    error it reports is the one these constructors raise."""
     return SplitAssignment(
         sample_id=obj["id"],
         group=GroupKey(Task(obj["task"]), QuestionType(obj["question_type"])),
