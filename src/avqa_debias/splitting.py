@@ -228,19 +228,6 @@ def write_splits(assignments: list[SplitAssignment], stream: IO[bytes]) -> None:
         stream.write(json.dumps(obj, ensure_ascii=False).encode("utf-8") + b"\n")
 
 
-def _assignment_from_constructors(obj: dict) -> SplitAssignment:
-    """The record of one splits line, built by the enum constructors in field
-    order; ``read_splits`` calls it when its table lookups miss, so that the
-    error it reports is the one these constructors raise."""
-    return SplitAssignment(
-        sample_id=obj["id"],
-        group=GroupKey(Task(obj["task"]), QuestionType(obj["question_type"])),
-        label=SplitLabel(obj["split"]),
-        answer_class=obj["answer"],
-        rule=SplitRule(obj["rule"]),
-    )
-
-
 def read_splits(stream: IO[bytes]) -> list[SplitAssignment]:
     """Parse a splits JSONL file, read by ``data.read_jsonl``, into assignments.
 
@@ -259,8 +246,11 @@ def read_splits(stream: IO[bytes]) -> list[SplitAssignment]:
             try:
                 a = SplitAssignment(sid, GROUP_KEYS[obj["task"], obj["question_type"]],
                                     _LABELS[obj["split"]], obj["answer"], _RULES[obj["rule"]])
-            except (KeyError, TypeError):  # a missing field, an unknown or unhashable value
-                a = _assignment_from_constructors(obj)
+            except (KeyError, TypeError):  # a missing field, an unknown or unhashable value:
+                # the constructors, read in field order, raise the error to report
+                group = GroupKey(Task(obj["task"]), QuestionType(obj["question_type"]))
+                a = SplitAssignment(sid, group, SplitLabel(obj["split"]), obj["answer"],
+                                    SplitRule(obj["rule"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"invalid splits record: {exc}", lineno) from exc
         first = seen.setdefault(sid, lineno)
