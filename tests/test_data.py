@@ -137,9 +137,10 @@ class TestParseSamples:
         assert warnings and "extra" in warnings[0]
 
 
-# The enum fields of each reader and the enum that names a bad value; a
-# value no member has, and two unhashable ones, which a table lookup rejects
-# with TypeError rather than KeyError.
+# A clean corpus record and splits record; the enum fields each reader
+# decodes (for splits, with the enum its message names); and bad values:
+# one that no member has, and two unhashable ones, which a table lookup
+# rejects with TypeError rather than KeyError.
 _SAMPLE = {"id": "a", "task": "AVQA", "question_type": "Temporal", "question": "q", "answer": "yes"}
 _SPLIT = {"id": "a", "task": "AVQA", "question_type": "Temporal", "answer": "yes",
           "split": "head", "rule": "general_threshold"}
