@@ -68,7 +68,8 @@ for variant in (AblationVariant.BASELINE_CE_ONLY, AblationVariant.FULL):
 # or both, and compare median accuracies.
 
 # ablation_run takes (training config, variant) arms; here every arm
-# shares one training config, and each seed's corpus is built once.
+# shares one training config. It runs in this process (pass workers=N for
+# a pool of N processes), and builds each seed's corpus once.
 short = replace(tcfg, epochs=15)
 arms = [
     (short, AblationSpec(variant=v))

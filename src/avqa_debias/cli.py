@@ -8,9 +8,11 @@ tolerance exceeded), 2 usage or IO error.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import datetime
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -275,10 +277,24 @@ def _parse_list(args, name: str, cast) -> list:
     return items
 
 
+def _workers_from_args(args) -> int:
+    """The worker count that ``--threads`` asks for: 0 means one per usable
+    CPU, and N means at most N, capped at the usable CPUs."""
+    if args.threads < 0:
+        raise CliError(f"--threads must be 0 (one worker per usable CPU) or positive, "
+                       f"not {args.threads}")
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:  # macOS has no affinity mask
+        usable = os.cpu_count() or 1
+    return min(args.threads or usable, usable)
+
+
 def cmd_ablation(args) -> int:
+    workers = _workers_from_args(args)
     tcfg = _train_from_args(args, args.alpha, args.beta)
     arms = [(tcfg, AblationSpec(AblationVariant(v))) for v in _parse_list(args, "variants", str)]
-    rows = ablation_run(_synth_from_args(args), arms, _parse_list(args, "seeds", int))
+    rows = ablation_run(_synth_from_args(args), arms, _parse_list(args, "seeds", int), workers)
     report = {"schema_version": 1, "rows": rows}
     if args.output_dir:
         out = Path(args.output_dir)
@@ -292,10 +308,11 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    workers = _workers_from_args(args)
     alphas, betas = _parse_list(args, "alphas", float), _parse_list(args, "betas", float)
     cells = [(alpha, beta) for alpha in alphas for beta in betas]
     arms = [(_train_from_args(args, alpha, beta), AblationSpec()) for alpha, beta in cells]
-    rows = ablation_run(_synth_from_args(args), arms, _parse_list(args, "seeds", int))
+    rows = ablation_run(_synth_from_args(args), arms, _parse_list(args, "seeds", int), workers)
     lines = ["alpha,beta,median_head_acc,median_tail_acc,median_overall_acc"]
     for (alpha, beta), row in zip(cells, rows):
         lines.append(
@@ -345,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=0,
-                        help="accepted and ignored for now: no code reads it yet")
+                        help="worker processes for the runs of ablation and grid: 0 (the "
+                             "default) means one per usable CPU, N at most N; outputs do not "
+                             "depend on it, and the other subcommands ignore it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("split", help="build head/tail splits from a corpus")
@@ -420,7 +439,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CliError, OSError, ValueError, KeyError) as exc:
+    # a worker process of ablation or grid that dies breaks its pool
+    except (CliError, OSError, ValueError, KeyError, concurrent.futures.BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

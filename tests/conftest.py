@@ -1,4 +1,5 @@
 import io
+import os
 
 import pytest
 
@@ -42,3 +43,13 @@ def tiny_corpus_bytes() -> bytes:
         b'{"id": "q2", "task": "AudioQA", "question_type": "Comparative", "question": "which is louder?", "answer": "piano", "source_id": "t1"}',
     ]
     return b"".join(r + b"\n" for r in rows)
+
+
+def exit_in_worker(task):
+    """An ablation task whose worker process dies; it refuses to run in the test process."""
+    if os.getpid() == TEST_PID:
+        raise AssertionError("the task ran in the test process, not in a worker")
+    os._exit(3)
+
+
+TEST_PID = os.getpid()

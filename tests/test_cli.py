@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from avqa_debias import toy
 from avqa_debias.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from conftest import exit_in_worker
 
 GOLDEN = Path(__file__).parent / "golden"
 TOY_GOLDEN = GOLDEN / "toy"
@@ -454,11 +456,61 @@ class TestGridCommand:
 
         monkeypatch.setattr(toy, "generate_synthetic", counting)
         assert main([
+            "--threads", "1",  # in this process, where the calls can be counted
             "grid", "--alphas", "0.01,0.1", "--betas", "0.3,1.0", "--seeds", "0,1",
             "--train-n", "60", "--test-n", "20", "--epochs", "1",
         ]) == EXIT_OK
         assert calls == [0, 1]
         assert len(capsys.readouterr().out.splitlines()) == 1 + 4
+
+
+class TestThreads:
+    """``--threads`` sets the worker processes of ablation and grid; no output depends on it."""
+
+    SMALL = ("--seeds", "0,1", "--train-n", "120", "--test-n", "60", "--epochs", "2")
+
+    # 2 seeds and 3 or 4 arms: more tasks than workers
+    @pytest.mark.parametrize("argv", [
+        ("ablation", "--variants", "full,without_md,without_cg", "--format", "json"),
+        ("ablation", "--variants", "full,without_md,without_cg"),
+        ("grid", "--alphas", "0.01,0.1", "--betas", "0.3,1.0"),
+    ], ids=["ablation-json", "ablation-text", "grid"])
+    def test_outputs_do_not_depend_on_threads(self, tmp_path, argv):
+        outputs = []
+        for threads in ("1", "2", "0"):
+            out = tmp_path / threads
+            proc = run_cli("--threads", threads, *argv, *self.SMALL, "--output-dir", out)
+            assert proc.returncode == EXIT_OK, proc.stderr.decode()
+            outputs.append((proc.stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0][1]
+
+    @pytest.mark.parametrize("command", ["ablation", "grid"])
+    def test_negative_threads(self, tmp_path, command):
+        proc = run_cli("--threads", "-1", command, *self.SMALL, "--output-dir", tmp_path / "out")
+        err = one_error_line(proc)
+        assert err.startswith("error: --threads must be 0 (one worker per usable CPU) or positive")
+        assert not (tmp_path / "out").exists()
+
+    def test_worker_error_is_the_same_line(self):
+        # a learning rate of 1e300 diverges in the second epoch of every run
+        errors = [
+            one_error_line(run_cli("--threads", threads, "ablation", "--variants", "full,baseline",
+                                   *self.SMALL, "--lr", "1e300"))
+            for threads in ("1", "2")
+        ]
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: non-finite ")
+
+    def test_dead_worker_is_one_line(self, monkeypatch, capfd):
+        monkeypatch.setattr(toy, "_run_task", exit_in_worker)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a pool on 1 CPU too
+        assert main(["--threads", "2", "ablation", "--variants", "full,baseline", *self.SMALL]) \
+            == EXIT_USAGE
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert "terminated abruptly" in err
 
 
 class TestSettingsRejected:

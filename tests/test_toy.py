@@ -1,4 +1,8 @@
+import os
 import statistics
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +29,7 @@ from avqa_debias.toy import (
     run_variant,
     train,
 )
+from conftest import exit_in_worker
 
 SMALL = SyntheticConfig(train_n=300, test_n=200)
 QUICK = TrainConfig(epochs=3)
@@ -32,6 +37,19 @@ QUICK = TrainConfig(epochs=3)
 
 def small_data(**kw):
     return generate_synthetic(replace(SMALL, **kw))
+
+
+MARK_DIR = None  # set by the test that plants marks
+
+
+def fail_first_then_mark(task):
+    """The first task (seed 0, full) fails; every other one waits, then leaves a mark."""
+    _, _, spec, seed = task
+    if seed == 0 and spec.variant is AblationVariant.FULL:
+        raise ToyError("planted failure")
+    time.sleep(0.2)
+    (MARK_DIR / f"{seed}-{spec.variant.value}").touch()
+    return {}
 
 
 def head_logits(model, batch):
@@ -369,6 +387,35 @@ class TestRunVariant:
         assert [r["variant"] for r in rows] == ["full", "baseline"]
         for spec, row in zip(variants, rows):
             assert row["runs"] == [run_variant(SMALL, QUICK, spec, seed) for seed in (0, 1)]
+
+    def test_worker_pool_returns_the_in_process_rows(self):
+        # 2 seeds x 3 arms: more tasks than workers, and each worker moves
+        # from one seed's corpus to the next
+        arms = [(QUICK, AblationSpec(v)) for v in (AblationVariant.FULL,
+                AblationVariant.WITHOUT_CG, AblationVariant.BASELINE_CE_ONLY)]
+        in_process = ablation_run(SMALL, arms, seeds=[0, 1])
+        assert ablation_run(SMALL, arms, seeds=[0, 1], workers=2) == in_process
+        assert [r["variant"] for r in in_process] == ["full", "without_cg", "baseline"]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_must_be_positive(self, workers):
+        with pytest.raises(ToyError, match="workers must be at least 1"):
+            ablation_run(SMALL, [(QUICK, AblationSpec())], seeds=[0], workers=workers)
+
+    def test_dead_worker_breaks_the_pool(self, monkeypatch):
+        monkeypatch.setattr(toy, "_run_task", exit_in_worker)
+        with pytest.raises(BrokenProcessPool):
+            ablation_run(SMALL, [(QUICK, AblationSpec())], seeds=[0, 1], workers=2)
+
+    def test_first_failure_cancels_the_pending_tasks(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(toy, "_run_task", fail_first_then_mark)
+        monkeypatch.setattr(sys.modules[__name__], "MARK_DIR", tmp_path)
+        arms = [(QUICK, AblationSpec(v)) for v in list(AblationVariant)[:4]]
+        with pytest.raises(ToyError, match="planted failure"):
+            ablation_run(SMALL, arms, seeds=[0, 1, 2], workers=2)
+        # only tasks already started or queued to a worker leave a mark; a
+        # pool that ran every pending task before raising would leave 11
+        assert len(list(tmp_path.iterdir())) < 11
 
     def test_seed_changes_the_data_and_model(self):
         a = run_variant(SMALL, QUICK, AblationSpec(), seed=0)
