@@ -8,7 +8,6 @@ tolerance exceeded), 2 usage or IO error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import json
 import math
@@ -439,8 +438,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    # a worker process of ablation or grid that dies breaks its pool
-    except (CliError, OSError, ValueError, KeyError, concurrent.futures.BrokenExecutor) as exc:
+    except (CliError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

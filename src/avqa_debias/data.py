@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -128,18 +129,47 @@ class CorpusStats:
     warnings: list[str]
 
 
+# The deepest nesting of arrays and objects a line may have; the outer
+# object is level 1. A fixed limit makes the verdict on a line the same
+# from any caller: the JSON decoder counts its nesting against the
+# interpreter's recursion limit, which the caller's own frames use up.
+MAX_DEPTH = 100
+
 # One decoder for every line: raw_decode is the call json.loads makes after
 # it skips leading whitespace, without the check for trailing bytes.
 _raw_decode = json.JSONDecoder().raw_decode
 
+# A line that raw_decode reads whole has a closing bracket for each opening
+# one, so it nests deeper than MAX_DEPTH only if it is longer than this.
+_LONG_LINE = 2 * MAX_DEPTH
+
+# A JSON string (its closing quote may be missing) or one bracket.
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[][{}]')
+_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def _too_deep(text: str) -> bool:
+    """Whether the brackets of ``text`` outside its strings nest deeper than MAX_DEPTH."""
+    if text.count("[") + text.count("{") <= MAX_DEPTH:
+        return False
+    depth = 0
+    for token in _TOKEN.findall(text):
+        depth += _STEP.get(token, 0)
+        if depth > MAX_DEPTH:
+            return True
+    return False
+
 
 def _loads(text: str, lineno: int):
-    """``json.loads(text)``; malformed JSON is a CorpusError with the line number."""
+    """``json.loads(text)``; malformed JSON, or nesting deeper than MAX_DEPTH,
+    is a CorpusError with the line number."""
+    if _too_deep(text):
+        raise CorpusError(f"JSON nested deeper than {MAX_DEPTH} levels", lineno)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"malformed JSON: {exc.msg}", lineno) from exc
-    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+    except (ValueError, RecursionError) as exc:  # an over-long integer; a caller near the limit
         raise CorpusError(f"malformed JSON: {exc}", lineno) from exc
 
 
@@ -147,13 +177,17 @@ def read_jsonl(stream: IO[bytes]) -> Iterator[tuple[int, dict]]:
     """Yield (1-based line number, object) for each nonblank line of a JSONL stream.
 
     Every line check lives here: a CorpusError with the line number on a
-    byte-order mark, invalid UTF-8, malformed JSON, or a value that is not
-    a JSON object. Blank lines are skipped but still counted.
+    byte-order mark, invalid UTF-8, malformed JSON, nesting deeper than
+    ``MAX_DEPTH``, a value that is not a JSON object, or a string holding
+    a lone surrogate. Blank lines are skipped but still counted.
 
     A line is decoded by one ``raw_decode`` call, kept only when it read
     the whole line. Any other line (an error, leading or trailing
     whitespace, extra data) goes to ``json.loads``, so every value and
-    every error is the one ``json.loads`` gives for that line alone.
+    every error is the one ``json.loads`` gives for that line alone. Only
+    a line longer than ``2 * MAX_DEPTH`` characters has its depth checked,
+    and only a line with a ``\\u`` escape, the one way a lone surrogate
+    gets into decoded UTF-8, has its strings checked.
     """
     for lineno, raw in enumerate(stream, start=1):
         raw = raw.rstrip(b"\r\n")
@@ -169,10 +203,20 @@ def read_jsonl(stream: IO[bytes]) -> Iterator[tuple[int, dict]]:
             obj, end = _raw_decode(text)
         except (ValueError, RecursionError):
             end = -1
-        if end != len(text):
+        n = len(text)
+        if end != n or n > _LONG_LINE and _too_deep(text):
             obj = _loads(text, lineno)
         if not isinstance(obj, dict):
             raise CorpusError("each line must be a JSON object", lineno)
+        # A one-character search is the cheapest test; "\\u" is looked for
+        # only in a line with a backslash.
+        if "\\" in text and "\\u" in text:
+            try:
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise CorpusError(
+                    f"lone surrogate {exc.object[exc.start]!r} in a string", lineno
+                ) from None
         yield lineno, obj
 
 
@@ -264,11 +308,20 @@ def validate_corpus(samples: list[QASample]) -> CorpusStats:
 
 
 def group_samples(samples: list[QASample]) -> dict[GroupKey, list[QASample]]:
-    """Partition samples by (task, question_type); iteration follows GroupKey order."""
-    groups: dict[GroupKey, list[QASample]] = {}
+    """Partition samples by (task, question_type); iteration follows GroupKey order.
+
+    Rows are grouped by the identity of their two enum members, which
+    hashes in C where an enum's own hash is a Python call, and each
+    group's GroupKey is built once, from its first member.
+    """
+    groups: dict[tuple[int, int], list[QASample]] = {}
     for s in samples:
-        groups.setdefault(s.group, []).append(s)
-    return dict(sorted(groups.items()))
+        key = id(s.task), id(s.question_type)
+        members = groups.get(key)
+        if members is None:
+            groups[key] = members = []
+        members.append(s)
+    return dict(sorted((GroupKey(m[0].task, m[0].question_type), m) for m in groups.values()))
 
 
 def parse_predictions(stream: IO[bytes]) -> dict[str, str]:

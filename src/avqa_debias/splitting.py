@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring
 from typing import IO
 
 from .data import (
@@ -47,6 +48,11 @@ class SplitRule(enum.Enum):
 
 _LABELS = {m.value: m for m in SplitLabel}
 _RULES = {m.value: m for m in SplitRule}
+
+
+# Lines per write of ``write_splits``: a bounded chunk, so the encoded
+# text of a whole file is never held at once.
+_CHUNK_LINES = 4096
 
 
 class SplitError(ValueError):
@@ -140,15 +146,16 @@ def answer_distribution(samples: list[QASample]) -> AnswerDistribution:
     """Answer-class histogram and entropy statistics for one group."""
     if not samples:
         raise SplitError("cannot build an answer distribution from an empty group")
-    group = samples[0].group
+    first = samples[0]
+    task, qtype = first.task, first.question_type
     counts: dict[str, int] = {}
     for s in samples:
-        if s.group != group:
+        if s.task is not task or s.question_type is not qtype:
             raise SplitError(
-                f"mixed groups in one distribution: {group} vs {s.group}"
+                f"mixed groups in one distribution: {first.group} vs {s.group}"
             )
         counts[s.answer] = counts.get(s.answer, 0) + 1
-    return AnswerDistribution(group=group, counts=counts)
+    return AnswerDistribution(group=first.group, counts=counts)
 
 
 def select_imbalanced_groups(
@@ -204,28 +211,53 @@ def assign_splits(
         reports[key] = report = GroupReport(dist, labels=None, rule=None)
         if select_imbalanced_groups([dist], cfg):
             report.labels, report.rule = split_head_tail(dist, cfg)
+    # A row finds its group's report by the identity of its two enum
+    # members, as in group_samples, so no row hashes an enum.
+    decisions = {
+        (id(key.task), id(key.question_type)): (r.distribution.group, r.labels, r.rule)
+        for key, r in reports.items()
+    }
     assignments = []
     for s in corpus:
-        report = reports[s.task, s.question_type]  # a GroupKey hashes as its plain tuple
-        if report.labels is not None:
-            assignments.append(SplitAssignment(
-                s.id, report.distribution.group, report.labels[s.answer], s.answer, report.rule
-            ))
+        group, labels, rule = decisions[id(s.task), id(s.question_type)]
+        if labels is not None:
+            assignments.append(SplitAssignment(s.id, group, labels[s.answer], s.answer, rule))
     return SplitResult(assignments=assignments, group_reports=list(reports.values()))
 
 
 def write_splits(assignments: list[SplitAssignment], stream: IO[bytes]) -> None:
-    """Write assignments as JSONL: id, task, question_type, answer, split, rule."""
-    for a in assignments:
-        obj = {
-            "id": a.sample_id,
-            "task": a.group.task.value,
-            "question_type": a.group.question_type.value,
-            "answer": a.answer_class,
-            "split": a.label.value,
-            "rule": a.rule.value,
-        }
-        stream.write(json.dumps(obj, ensure_ascii=False).encode("utf-8") + b"\n")
+    """Write assignments as JSONL: id, task, question_type, answer, split, rule.
+
+    Each line is the text ``json.dumps(obj, ensure_ascii=False)`` gives for
+    the row's object. The fields after ``id`` are encoded once per (group,
+    answer, label, rule), and the id by the string encoder ``json.dumps``
+    uses. Lines are written ``_CHUNK_LINES`` at a time; a chunk that cannot
+    be encoded (a lone surrogate) is written row by row instead, so the
+    bytes written and the error raised are those of a per-row writer.
+    """
+    suffixes: dict[tuple, str] = {}
+    for start in range(0, len(assignments), _CHUNK_LINES):
+        lines = []
+        for a in assignments[start : start + _CHUNK_LINES]:
+            group = a.group
+            key = id(group.task), id(group.question_type), a.answer_class, id(a.label), id(a.rule)
+            suffix = suffixes.get(key)
+            if suffix is None:
+                suffix = suffixes[key] = json.dumps({
+                    "task": group.task.value,
+                    "question_type": group.question_type.value,
+                    "answer": a.answer_class,
+                    "split": a.label.value,
+                    "rule": a.rule.value,
+                }, ensure_ascii=False)[1:]
+            lines.append(f'{{"id": {encode_basestring(a.sample_id)}, {suffix}')
+        try:
+            chunk = ("\n".join(lines) + "\n").encode("utf-8")
+        except UnicodeEncodeError:
+            for line in lines:
+                stream.write(line.encode("utf-8") + b"\n")
+        else:
+            stream.write(chunk)
 
 
 def read_splits(stream: IO[bytes]) -> list[SplitAssignment]:

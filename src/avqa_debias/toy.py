@@ -39,7 +39,6 @@ and holds one corpus at a time.
 
 from __future__ import annotations
 
-import concurrent.futures
 import enum
 import math
 import statistics
@@ -556,7 +555,8 @@ def ablation_run(
     ``workers``. Each process generates a seed's corpus once for the
     consecutive tasks of that seed it runs and holds one corpus at a
     time; with a pool, this process holds none. The first failed task
-    cancels the tasks not yet started and its exception is raised here.
+    cancels the tasks not yet started and its exception is raised here; a
+    worker that dies is a ``ToyError``.
     """
     if workers < 1:
         raise ToyError(f"workers must be at least 1, not {workers}")
@@ -582,10 +582,14 @@ def ablation_run(
 def _map_tasks(tasks: list[tuple], workers: int) -> list[dict]:
     """``_run_task`` of each task, in order: by the built-in ``map`` for at
     most one worker, else by a process pool that is shut down, with its
-    pending tasks cancelled, before this returns or raises."""
+    pending tasks cancelled, before this returns or raises. A worker that
+    dies breaks the pool, and that is raised as a ``ToyError``."""
     if workers <= 1:
         return list(map(_run_task, tasks))
-    import multiprocessing  # here, so that runs without a pool never load it
+    # Here, so that runs without a pool load neither; concurrent.futures
+    # also loads logging.
+    import concurrent.futures
+    import multiprocessing
 
     # Forked, not spawned: a spawned worker imports numpy and this package
     # again, which made a 12-run ablation use 0.8 s more CPU and 4 MiB more
@@ -593,12 +597,33 @@ def _map_tasks(tasks: list[tuple], workers: int) -> list[dict]:
     # it starts a thread of its own, and OpenBLAS stops its threads before a
     # fork and starts them again when next needed.
     pool = concurrent.futures.ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork")
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=_one_blas_thread
     )
     try:
         return list(pool.map(_run_task, tasks))
+    except concurrent.futures.BrokenExecutor as exc:
+        raise ToyError(str(exc)) from exc
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _one_blas_thread() -> None:
+    """Limit numpy's bundled OpenBLAS to one thread in this pool worker, so
+    that the workers run one compute thread each and do not contend with
+    each other's BLAS threads. Does nothing when numpy has no such library."""
+    import ctypes
+    import glob
+    import os
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        [path] = glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))
+        set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+    except (ValueError, OSError, AttributeError):  # no library, or not the one we know
+        return
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    set_threads(1)
 
 
 def render_ablation_table(rows: list[dict]) -> str:

@@ -67,6 +67,19 @@ class TestSplitCommand:
         proc = run_cli("split", "--input", bad, "--output-dir", tmp_path)
         assert one_error_line(proc) == f"error: {bad}: line 1: {problem}\n"
 
+    @pytest.mark.parametrize("field", ["id", "question", "answer", "source_id"])
+    def test_lone_surrogate(self, tmp_path, field):
+        good = {"id": "a", "task": "AVQA", "question_type": "Temporal", "question": "q",
+                "answer": "yes"}
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(json.dumps(good).encode() + b"\n"
+                        + json.dumps({**good, "id": "b", field: "x\ud800"}).encode() + b"\n")
+        assert b"\\ud800" in bad.read_bytes()
+        proc = run_cli("split", "--input", bad, "--output-dir", tmp_path / "out")
+        err = one_error_line(proc)
+        assert err == f"error: {bad}: line 2: lone surrogate '\\ud800' in a string\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", ["bogus", [1], {}])
     @pytest.mark.parametrize("field", ["task", "question_type"])
     def test_bad_enum_value(self, tmp_path, field, value):

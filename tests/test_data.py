@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from avqa_debias.data import (
     KNOWN_GROUPS,
+    MAX_DEPTH,
     CorpusError,
     GroupKey,
     QASample,
@@ -185,7 +186,7 @@ class TestEnumErrors:
 
 def test_clean_input_takes_the_fast_path(monkeypatch):
     """Clean rows reach neither json.loads nor an enum constructor, and
-    scoring builds no GroupKey per row."""
+    neither splitting nor scoring builds a GroupKey per row."""
     groups = sorted(KNOWN_GROUPS)
     corpus = [
         QASample(f"q{i:04d}", *groups[i % len(groups)], f"question {i}", "abbbbbc"[i % 7],
@@ -194,8 +195,6 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
     ]
     corpus_bytes, splits_bytes = io.BytesIO(), io.BytesIO()
     write_samples(corpus, corpus_bytes)
-    result = assign_splits(corpus)
-    write_splits(result.assignments, splits_bytes)
     preds_bytes = b"".join(
         json.dumps({"id": s.id, "predicted_answer": "b"}).encode() + b"\n" for s in corpus
     )
@@ -218,12 +217,16 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
     monkeypatch.setattr(json, "loads", counting_loads)
     monkeypatch.setattr(enum.EnumType, "__call__", counting_enum_call)
     monkeypatch.setattr(QASample, "group", property(counting_group))
+    result = assign_splits(corpus)
+    group_calls = calls.pop("QASample.group", 0)
+    write_splits(result.assignments, splits_bytes)
     gold = parse_samples(io.BytesIO(corpus_bytes.getvalue()))
     splits = read_splits(io.BytesIO(splits_bytes.getvalue()))
     preds = parse_predictions(io.BytesIO(preds_bytes))
     report = score_predictions(gold, splits, preds)
     monkeypatch.undo()
 
+    assert group_calls <= len(result.group_reports) == len(groups)
     assert calls == Counter()
     assert gold == corpus and splits == result.assignments and len(preds) == 1_000
     assert len(splits) == 1_000 and report.aggregate.head_n + report.aggregate.tail_n == 1_000
@@ -354,8 +357,20 @@ def test_reader_fuzz(parse, lines):
         assert match and 1 <= int(match[1]) <= len(io.BytesIO(data).readlines()), str(exc)
 
 
+def _nesting(value) -> int:
+    """How deep arrays and objects nest in a decoded JSON value; a scalar is 0."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return 1 + max(map(_nesting, value), default=0)
+    return 0
+
+
 def _reference_read(stream) -> list[tuple[int, dict]]:
-    """What read_jsonl must yield: one plain json.loads per line."""
+    """What read_jsonl must yield: one plain json.loads per line, with two
+    rules of its own: nesting deeper than MAX_DEPTH, and a string holding a
+    lone surrogate, are errors."""
+    too_deep = f"JSON nested deeper than {MAX_DEPTH} levels"
     out = []
     for lineno, raw in enumerate(stream, start=1):
         raw = raw.rstrip(b"\r\n")
@@ -369,10 +384,18 @@ def _reference_read(stream) -> list[tuple[int, dict]]:
             raise CorpusError(f"invalid UTF-8: {exc}", lineno) from exc
         except json.JSONDecodeError as exc:
             raise CorpusError(f"malformed JSON: {exc.msg}", lineno) from exc
-        except (ValueError, RecursionError) as exc:
+        except ValueError as exc:
             raise CorpusError(f"malformed JSON: {exc}", lineno) from exc
+        except RecursionError:
+            raise CorpusError(too_deep, lineno) from None
+        if _nesting(obj) > MAX_DEPTH:
+            raise CorpusError(too_deep, lineno)
         if not isinstance(obj, dict):
             raise CorpusError("each line must be a JSON object", lineno)
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CorpusError(f"lone surrogate {exc.object[exc.start]!r} in a string", lineno)
         out.append((lineno, obj))
     return out
 
@@ -409,6 +432,12 @@ _DIFF_LINE = (
 @example(lines=[b'{"n": ' + b"7" * 5_000 + b"}"], ending=b"\n")
 @example(lines=[b'{"d": ' + b"[" * 50 + b"]" * 50 + b"}"], ending=b"\n")
 @example(lines=[b'{"d": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"], ending=b"\n")
+@example(lines=[b'{"d": ' + b"[" * n + b"]" * n + b"}" for n in (99, 100)], ending=b"\n")
+@example(lines=[b'{"d": ' + b"[" * 99 + b"{}" + b"]" * 99 + b"}"], ending=b"\n")
+@example(lines=[b'{"s": "\\"' + b"[" * 300 + b'", "t": ["]"]}'], ending=b"\n")
+@example(lines=[b'{"a": "\\ud83d\\ude00"}', b'{"a": "x\\ud800"}'], ending=b"\n")
+@example(lines=[b'{"\\udc00": 1}'], ending=b"\n")
+@example(lines=[b'[1, "\\ud800"]'], ending=b"\n")
 @example(lines=[b"\xef\xbb\xbf{}"], ending=b"\n")
 @example(lines=[b"{}", b"\xef\xbb\xbf{}"], ending=b"\n")
 @example(lines=[b'{"a": "x\xffy"}'], ending=b"\n")
@@ -416,3 +445,21 @@ def test_read_jsonl_matches_per_line_json_loads(lines, ending):
     """read_jsonl yields the pairs, or raises the error, of one json.loads per line."""
     data = b"".join(line + ending for line in lines)
     assert _outcome(read_jsonl, data) == _outcome(_reference_read, data)
+
+
+def _at_stack_depth(frames: int, fn):
+    """``fn()``, called ``frames`` frames below this one."""
+    return fn() if frames == 0 else _at_stack_depth(frames - 1, fn)
+
+
+@pytest.mark.parametrize("arrays", [MAX_DEPTH - 1, MAX_DEPTH, 600])
+def test_nesting_verdict_does_not_depend_on_the_callers_stack(arrays):
+    """A line is accepted or rejected the same from a shallow and a deep
+    caller; the JSON decoder alone rejects 600 levels only from the deep one."""
+    line = b'{"id": "p", "predicted_answer": "a", "x": ' + b"[" * arrays + b"]" * arrays + b"}\n"
+    outcomes = {
+        _at_stack_depth(frames, lambda: _outcome(parse_predictions, line)) for frames in (0, 400)
+    }
+    assert len(outcomes) == 1
+    expected = "line 1: JSON nested deeper than 100 levels" if arrays >= MAX_DEPTH else "['p']"
+    assert expected in outcomes.pop()

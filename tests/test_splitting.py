@@ -1,14 +1,18 @@
 import io
+import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from avqa_debias import splitting
 from avqa_debias.data import CorpusError, GroupKey, QuestionType, Task
 from avqa_debias.splitting import (
     AnswerDistribution,
+    SplitAssignment,
     SplitConfig,
     SplitError,
     SplitLabel,
@@ -218,6 +222,74 @@ class TestAssignSplits:
         data = b"\n\n" + b"".join(lines) + lines[0]
         with pytest.raises(CorpusError, match=r"^line 6: duplicate id 'avqa0000' \(first .* 3\)"):
             read_splits(io.BytesIO(data))
+
+
+def _write_per_row(assignments, stream):
+    """The writer write_splits must match byte for byte: one json.dumps per row."""
+    for a in assignments:
+        obj = {
+            "id": a.sample_id,
+            "task": a.group.task.value,
+            "question_type": a.group.question_type.value,
+            "answer": a.answer_class,
+            "split": a.label.value,
+            "rule": a.rule.value,
+        }
+        stream.write(json.dumps(obj, ensure_ascii=False).encode("utf-8") + b"\n")
+
+
+def _written(write, assignments) -> tuple[bytes, str | None]:
+    """The bytes ``write`` writes, and the type and text of the error it raises."""
+    buf = io.BytesIO()
+    try:
+        write(assignments, buf)
+    except ValueError as exc:  # UnicodeEncodeError is one
+        return buf.getvalue(), f"{type(exc).__name__}: {exc}"
+    return buf.getvalue(), None
+
+
+# Quotes, a backslash, control characters, a line separator, non-ASCII and
+# non-BMP characters, and lone surrogates of both halves.
+_TRICKY = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "é", "\U0001f600",
+                     "\ud800", "\udfff"]) | st.characters(),
+    max_size=4,
+)
+_ASSIGNMENT = st.builds(
+    SplitAssignment,
+    _TRICKY,
+    st.builds(GroupKey, st.sampled_from(Task), st.sampled_from(QuestionType)),
+    st.sampled_from(SplitLabel),
+    _TRICKY,
+    st.sampled_from(SplitRule),
+)
+
+
+class TestWriteSplits:
+    @settings(max_examples=300, deadline=None)
+    @given(assignments=st.lists(_ASSIGNMENT, max_size=12), chunk=st.integers(1, 5))
+    def test_matches_a_per_row_writer(self, assignments, chunk):
+        """Same bytes, or the same error after the same bytes, with a lone
+        surrogate at any row, on either side of a chunk boundary."""
+        with mock.patch.object(splitting, "_CHUNK_LINES", chunk):
+            assert _written(write_splits, assignments) == _written(_write_per_row, assignments)
+
+    @pytest.mark.parametrize("bad_row", [None, 0, 4095, 4096, 8192])
+    def test_matches_a_per_row_writer_at_full_chunks(self, bad_row):
+        group = GroupKey(Task.AVQA, QuestionType.COUNTING)
+        assignments = [
+            SplitAssignment(f"r{i}", group, SplitLabel(("head", "tail")[i % 2]), "two",
+                            SplitRule.GENERAL_THRESHOLD)
+            for i in range(2 * 4096 + 1)
+        ]
+        if bad_row is not None:
+            assignments[bad_row] = SplitAssignment(
+                'q"\ud800', group, SplitLabel.TAIL, "two", SplitRule.GENERAL_THRESHOLD
+            )
+        assert splitting._CHUNK_LINES == 4096
+        got = _written(write_splits, assignments)
+        assert got == _written(_write_per_row, assignments)
+        assert got[0].count(b"\n") == (len(assignments) if bad_row is None else bad_row)
 
 
 class TestEntropyProperties:

@@ -404,8 +404,9 @@ class TestRunVariant:
 
     def test_dead_worker_breaks_the_pool(self, monkeypatch):
         monkeypatch.setattr(toy, "_run_task", exit_in_worker)
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(ToyError, match="terminated abruptly") as info:
             ablation_run(SMALL, [(QUICK, AblationSpec())], seeds=[0, 1], workers=2)
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
 
     def test_first_failure_cancels_the_pending_tasks(self, monkeypatch, tmp_path):
         monkeypatch.setattr(toy, "_run_task", fail_first_then_mark)
