@@ -442,7 +442,7 @@ _DIFF_LINE = (
 @example(lines=[b"{}", b"\xef\xbb\xbf{}"], ending=b"\n")
 @example(lines=[b'{"a": "x\xffy"}'], ending=b"\n")
 def test_read_jsonl_matches_per_line_json_loads(lines, ending):
-    """read_jsonl yields the pairs, or raises the error, of one json.loads per line."""
+    """read_jsonl yields the pairs, or raises the error, of _reference_read."""
     data = b"".join(line + ending for line in lines)
     assert _outcome(read_jsonl, data) == _outcome(_reference_read, data)
 
