@@ -34,7 +34,7 @@ scfg = SyntheticConfig(train_n=2000, test_n=1000, seed=3)
 tcfg = TrainConfig(epochs=30, seed=3)
 
 # data.train and data.test are ToySets: QA records plus one label vector
-# and one (n, d) feature matrix per modality.
+# and one (3, n, d) feature array, one (n, d) matrix per modality.
 data = generate_synthetic(scfg)
 answers = [s.answer for s in data.train.qa]
 print("training answer histogram:",

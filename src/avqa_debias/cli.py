@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .data import CorpusError, parse_predictions, parse_samples, write_samples
+from .data import CorpusError, QASample, parse_predictions, parse_samples, read_jsonl, write_samples
 from .losses import (
     LogitBundle,
     MccdConfig,
@@ -41,11 +42,13 @@ from .toy import (
     AblationSpec,
     AblationVariant,
     SyntheticConfig,
+    ToyError,
     ToyModel,
     ToySet,
     TrainConfig,
     ablation_run,
     class_index,
+    class_name,
     evaluate,
     generate_synthetic,
     render_ablation_table,
@@ -161,7 +164,7 @@ def cmd_gen_synth(args) -> int:
     for name, part in (("train", data.train), ("test", data.test)):
         with open(out / f"{name}.jsonl", "wb") as f:
             write_samples(part.qa, f)
-        serialize.write_features(out / f"{name}.features", part.audio, part.video, part.question)
+        serialize.write_features(out / f"{name}.features", *part.features())
     with open(out / "splits.jsonl", "wb") as f:
         write_splits(data.splits, f)
     _dump_json({"schema_version": 1, **asdict(cfg)}, out / "synth_config.json")
@@ -169,18 +172,40 @@ def cmd_gen_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_toy_corpus(data_dir: Path, name: str, feature_dim: int) -> ToySet:
-    qa = _parse_file(parse_samples, data_dir / f"{name}.jsonl")
+def _labels(path: Path, qa: list[QASample], num_classes: int) -> np.ndarray:
+    """The class index of each sample's answer. Only ``class_name(k)`` for
+    ``0 <= k < num_classes`` is an answer class: any other answer is a
+    CliError naming its line of the corpus file at ``path``, since the
+    predictions are written as ``class_name(k)`` and would never match it."""
+    labels = np.empty(len(qa), dtype=np.int64)
+    for i, s in enumerate(qa):
+        try:
+            k = class_index(s.answer)
+        except ToyError:
+            k = num_classes
+        if k >= num_classes:
+            with open(path, "rb") as f:  # the i-th sample's line; blank lines are skipped
+                line = next(itertools.islice(read_jsonl(f), i, None))[0]
+            raise CliError(f"{path}: line {line}: answer {s.answer!r} is not one of the "
+                           f"{num_classes} answer classes {class_name(0)} to "
+                           f"{class_name(num_classes - 1)}")
+        labels[i] = k
+    return labels
+
+
+def _load_toy_corpus(data_dir: Path, name: str, synth_cfg: dict) -> ToySet:
+    corpus_path = data_dir / f"{name}.jsonl"
+    qa = _parse_file(parse_samples, corpus_path)
     path = data_dir / f"{name}.features"
     audio, video, question = serialize.read_features(path)
     if len(audio) != len(qa):
         raise CliError(f"{name}: {len(qa)} samples but {len(audio)} feature rows")
     for m, x in zip(ToyModel.MODALITIES, (audio, video, question)):
-        if x.shape[1] != feature_dim:
+        if x.shape[1] != synth_cfg["feature_dim"]:
             raise CliError(f"{path}: {m} features are {x.shape[1]} wide, but feature_dim "
-                           f"in {data_dir / 'synth_config.json'} is {feature_dim}")
-    labels = np.array([class_index(s.answer) for s in qa], dtype=np.int64)
-    return ToySet(qa=qa, labels=labels, audio=audio, video=video, question=question)
+                           f"in {data_dir / 'synth_config.json'} is {synth_cfg['feature_dim']}")
+    labels = _labels(corpus_path, qa, synth_cfg["num_classes"])
+    return ToySet(qa=qa, labels=labels, x=np.stack((audio, video, question)))
 
 
 def _read_synth_config(path: Path) -> dict:
@@ -197,8 +222,8 @@ def cmd_train_toy(args) -> int:
     if not data_dir.is_dir():
         raise CliError(f"data directory not found: {args.data}")
     synth_cfg = _read_synth_config(data_dir / "synth_config.json")
-    train_set = _load_toy_corpus(data_dir, "train", synth_cfg["feature_dim"])
-    test_set = _load_toy_corpus(data_dir, "test", synth_cfg["feature_dim"])
+    train_set = _load_toy_corpus(data_dir, "train", synth_cfg)
+    test_set = _load_toy_corpus(data_dir, "test", synth_cfg)
     splits = _parse_file(read_splits, data_dir / "splits.jsonl")
 
     spec = AblationSpec(variant=AblationVariant(args.variant))

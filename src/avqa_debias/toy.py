@@ -8,9 +8,10 @@ are the head regime; samples where it disagrees are the tail regime. A
 model that memorizes the question shortcut aces the head and fails the
 tail, which is exactly what the debiasing objective is meant to prevent.
 
-A corpus is a ``ToySet``: the ``QASample`` records plus one int64 label
-vector and one (n, d) float64 matrix per modality, so a minibatch is a
-row selection of each array.
+A corpus is a ``ToySet``: the ``QASample`` records, one int64 label
+vector, and the features of all three modalities as one (3, n, d)
+float64 array in ``MODALITIES`` order, so a minibatch is one row
+selection of each array.
 
 The classifier is a small numpy network: one affine+ramp encoder per
 modality, an affine fusion head producing the answer logits, and one
@@ -21,7 +22,11 @@ encoder-plus-fusion pass, ``_encode``, which reads no bias-learner
 parameter. Every parameter is a view into one contiguous buffer, and the
 backward pass writes its gradients into views of one buffer of the same
 layout, so the optimizer updates the whole network with one elementwise
-pass.
+pass. The buffer holds each modality's encoder and bias-learner
+parameters as one block, the three blocks alike, so each kind of
+per-modality parameter is also a (3, ...) view (``ToyModel.stacked``).
+The encoders and bias learners run as one stacked matmul per layer over
+the modality axis, forward and backward; no step loops over modalities.
 
 Each bias learner is trained on its own softmax cross-entropy against the
 label, so it captures what its modality alone predicts, and its gradients
@@ -61,9 +66,12 @@ def class_name(label: int) -> str:
 
 
 def class_index(name: str) -> int:
-    if not name.startswith("c"):
-        raise ToyError(f"not a synthetic answer class: {name!r}")
-    return int(name[1:])
+    """The ``k`` whose ``class_name(k)`` is ``name``; any other string,
+    such as ``c2`` for ``c02``, is a ToyError."""
+    digits = name[1:]
+    if digits.isascii() and digits.isdigit() and class_name(int(digits)) == name:
+        return int(digits)
+    raise ToyError(f"not a synthetic answer class: {name!r}")
 
 
 @dataclass(frozen=True)
@@ -94,37 +102,44 @@ class SyntheticConfig:
 class ToySet:
     """A toy corpus as arrays: row i of each array belongs to ``qa[i]``.
 
-    ``labels`` is an int64 vector of answer-class indices; ``audio``,
-    ``video`` and ``question`` are (n, d) float64 feature matrices.
+    ``labels`` is an int64 vector of answer-class indices; ``x`` is the
+    (3, n, d) float64 feature array, one (n, d) matrix per modality in
+    ``ToyModel.MODALITIES`` order. ``audio``, ``video`` and ``question``
+    are read-only views of its three matrices.
     """
 
     qa: list[QASample]
     labels: np.ndarray
-    audio: np.ndarray
-    video: np.ndarray
-    question: np.ndarray
+    x: np.ndarray
 
     def __post_init__(self):
         n = len(self.qa)
         if self.labels.shape != (n,):
             raise ToyError(f"labels have shape {self.labels.shape}, expected ({n},)")
-        for m in ToyModel.MODALITIES:
-            x = getattr(self, m)
-            if x.ndim != 2 or x.shape[0] != n:
-                raise ToyError(f"{m} features have shape {x.shape}, expected ({n}, d)")
+        if self.x.ndim != 3 or self.x.shape[:2] != (3, n):
+            raise ToyError(f"features have shape {self.x.shape}, expected (3, {n}, d)")
 
     def __len__(self) -> int:
         return len(self.qa)
 
     def __getitem__(self, rows: slice | np.ndarray) -> "ToySet":
         """The samples at ``rows`` (a slice or an index array) as a new set."""
-        qa = self.qa[rows] if isinstance(rows, slice) else [self.qa[i] for i in rows]
-        return ToySet(
-            qa, self.labels[rows], self.audio[rows], self.video[rows], self.question[rows]
-        )
+        if isinstance(rows, slice):
+            return ToySet(self.qa[rows], self.labels[rows], self.x[:, rows])
+        return ToySet([self.qa[i] for i in rows], self.labels[rows], np.take(self.x, rows, axis=1))
 
-    def features(self) -> dict[str, np.ndarray]:
-        return {"audio": self.audio, "video": self.video, "question": self.question}
+    def _modality(self, i: int) -> np.ndarray:
+        view = self.x[i]
+        view.flags.writeable = False
+        return view
+
+    audio = property(lambda self: self._modality(0))
+    video = property(lambda self: self._modality(1))
+    question = property(lambda self: self._modality(2))
+
+    def features(self) -> np.ndarray:
+        """The (3, n, d) feature array itself, not a copy."""
+        return self.x
 
 
 class AblationVariant(enum.Enum):
@@ -228,7 +243,8 @@ def generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticDat
 
     def draw(n: int, prefix: str, regime: np.ndarray | None) -> ToySet:
         labels = rng.choice(c, size=n, p=probs)
-        audio, video, question = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
+        x = np.empty((3, n, d))
+        audio, video, question = x
         qa = []
         for i, label in enumerate(labels):
             label = int(label)
@@ -247,8 +263,7 @@ def generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticDat
             question[i] = 0.1 * rng.standard_normal(d)
             question[i, shortcut] += 2.0
             qa.append(_make_sample(f"{prefix}-{i:05d}", label))
-        return ToySet(qa=qa, labels=labels.astype(np.int64), audio=audio, video=video,
-                      question=question)
+        return ToySet(qa=qa, labels=labels.astype(np.int64), x=x)
 
     train = draw(cfg.train_n, "train", regime=None)
     head_mask = np.ones(cfg.test_n, dtype=bool)
@@ -276,29 +291,57 @@ class ToyModel:
 
     On construction the parameters are copied into one contiguous float64
     buffer, ``flat``; each entry of ``params`` is then a view into it, in
-    the order the dict lists them.
+    the order the dict lists them. The buffer starts with one block per
+    modality, in ``MODALITIES`` order, each holding that modality's
+    ``PER_MODALITY`` parameters in that order, so ``stacked`` holds each
+    kind of them as one (3, ...) view of ``flat``.
     """
 
     num_classes: int
     feature_dim: int
     params: dict[str, np.ndarray]
     flat: np.ndarray = field(init=False, repr=False)
+    stacked: dict[str, np.ndarray] = field(init=False, repr=False)
 
     MODALITIES = ("audio", "video", "question")
+    # The per-modality parameters of one block, as name templates.
+    PER_MODALITY = ("enc_{}_W", "enc_{}_b", "bias_{}_1_W", "bias_{}_1_b", "bias_{}_2_W",
+                    "bias_{}_2_b")
     HIDDEN = 32  # width of each encoder output and bias-learner layer
 
     def __post_init__(self):
+        blocks = [kind.format(m) for m in self.MODALITIES for kind in self.PER_MODALITY]
+        if list(self.params)[: len(blocks)] != blocks or any(
+            len({self.params[kind.format(m)].shape for m in self.MODALITIES}) > 1
+            for kind in self.PER_MODALITY
+        ):
+            raise ToyError("parameters must start with one block per modality, alike in shape")
         self.flat = np.empty(sum(arr.size for arr in self.params.values()))
         views = self.views(self.flat)
         for name, arr in self.params.items():
             views[name][...] = arr
         self.params = views
+        self.stacked = self.stacked_views(self.flat)
 
     def views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
         """Arrays keyed by parameter name, viewing ``buf`` laid out like ``flat``."""
         out, pos = {}, 0
         for name, arr in self.params.items():
             out[name] = buf[pos : pos + arr.size].reshape(arr.shape)
+            pos += arr.size
+        return out
+
+    def stacked_views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
+        """(3, ...) arrays keyed by the templates of ``PER_MODALITY``, viewing
+        ``buf`` laid out like ``flat``: row i of ``out[kind]`` is the view of
+        parameter ``kind.format(MODALITIES[i])``. The three blocks are alike,
+        so each is a strided view, not a copy."""
+        first = [self.params[kind.format(self.MODALITIES[0])] for kind in self.PER_MODALITY]
+        step = sum(arr.size for arr in first)
+        blocks = buf[: 3 * step].reshape(3, step)
+        out, pos = {}, 0
+        for kind, arr in zip(self.PER_MODALITY, first):
+            out[kind] = blocks[:, pos : pos + arr.size].reshape(3, *arr.shape)
             pos += arr.size
         return out
 
@@ -320,43 +363,48 @@ class ToyModel:
         return cls(num_classes=num_classes, feature_dim=feature_dim, params=p)
 
 
-def _encode(model: ToyModel, x: dict[str, np.ndarray]) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Encoder outputs per modality, their concatenation, and the fused
-    logits. Reads the encoder and fusion parameters only."""
-    p = model.params
-    h = {
-        m: np.maximum(x[m] @ p[f"enc_{m}_W"].T + p[f"enc_{m}_b"], 0.0)
-        for m in ToyModel.MODALITIES
-    }
-    h_cat = np.concatenate([h[m] for m in ToyModel.MODALITIES], axis=1)
-    return h, h_cat, h_cat @ p["fusion_W"].T + p["fusion_b"]
+def _encode(
+    model: ToyModel, x: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (3, K, H) encoder outputs of the (3, K, d) features ``x``, their
+    (K, 3H) concatenation in modality order, and the fused logits, written
+    into ``out`` when it is given. Reads the encoder and fusion parameters
+    only."""
+    p, s = model.params, model.stacked
+    h = np.matmul(x, s["enc_{}_W"].transpose(0, 2, 1))
+    h += s["enc_{}_b"][:, None]
+    np.maximum(h, 0.0, out=h)
+    h_cat = h.transpose(1, 0, 2).reshape(h.shape[1], 3 * h.shape[2])
+    fused = np.matmul(h_cat, p["fusion_W"].T, out=out)
+    fused += p["fusion_b"]
+    return h, h_cat, fused
 
 
-def _forward_cache(model: ToyModel, x: dict[str, np.ndarray]) -> dict:
-    """Training forward pass: the four logit heads stacked (4, K, C) in
-    ``HEADS`` order with their softmax, as the ``Softmaxed`` record
-    ``"heads"``, plus what ``_backward`` needs."""
-    p = model.params
-    h, h_cat, fused = _encode(model, x)
-    cache: dict = {"x": x, "h": h, "h_cat": h_cat, "ba": {}}
-    logits = []
-    for m in ToyModel.MODALITIES:
-        ba = cache["ba"][m] = np.maximum(h[m] @ p[f"bias_{m}_1_W"].T + p[f"bias_{m}_1_b"], 0.0)
-        logits.append(ba @ p[f"bias_{m}_2_W"].T + p[f"bias_{m}_2_b"])
-    cache["heads"] = softmaxed(np.stack([*logits, fused]))
-    return cache
+def _forward_cache(model: ToyModel, x: np.ndarray) -> dict:
+    """Training forward pass over the (3, K, d) minibatch ``x``: the four
+    logit heads stacked (4, K, C) in ``HEADS`` order with their softmax, as
+    the ``Softmaxed`` record ``"heads"``, plus what ``_backward`` needs."""
+    s = model.stacked
+    logits = np.empty((4, x.shape[1], model.num_classes))
+    h, h_cat, _ = _encode(model, x, out=logits[3])
+    ba = np.matmul(h, s["bias_{}_1_W"].transpose(0, 2, 1))
+    ba += s["bias_{}_1_b"][:, None]
+    np.maximum(ba, 0.0, out=ba)
+    np.matmul(ba, s["bias_{}_2_W"].transpose(0, 2, 1), out=logits[:3])
+    logits[:3] += s["bias_{}_2_b"][:, None]
+    return {"x": x, "h": h, "h_cat": h_cat, "ba": ba, "heads": softmaxed(logits)}
 
 
-def _stack_features(features: dict[str, np.ndarray], idx: np.ndarray) -> dict[str, np.ndarray]:
-    """The minibatch at row indices ``idx`` of each modality's feature matrix."""
-    return {m: x[idx] for m, x in features.items()}
+def _stack_features(features: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The minibatch at row indices ``idx`` of the (3, n, d) feature array,
+    as one C-contiguous (3, K, d) array."""
+    return np.take(features, idx, axis=1)
 
 
 def _check_feature_dim(model: ToyModel, data: ToySet) -> None:
-    for m in ToyModel.MODALITIES:
-        d = getattr(data, m).shape[1]
-        if d != model.feature_dim:
-            raise ToyError(f"{m} feature dim {d} does not match model dim {model.feature_dim}")
+    d = data.x.shape[2]  # the width of all three modalities
+    if d != model.feature_dim:
+        raise ToyError(f"audio feature dim {d} does not match model dim {model.feature_dim}")
 
 
 def predict_logits(model: ToyModel, data: ToySet) -> np.ndarray:
@@ -366,31 +414,35 @@ def predict_logits(model: ToyModel, data: ToySet) -> np.ndarray:
     return fused
 
 
-def _backward(model: ToyModel, cache: dict, dlogits: np.ndarray, g: dict[str, np.ndarray]) -> None:
-    """Write every parameter's gradient into ``g``, views laid out like
-    ``model.flat``, from the (4, K, C) gradient of the heads."""
-    p = model.params
-    h_cat = cache["h_cat"]
+def _backward(
+    model: ToyModel,
+    cache: dict,
+    dlogits: np.ndarray,
+    g: dict[str, np.ndarray],
+    gs: dict[str, np.ndarray],
+) -> None:
+    """Write every parameter's gradient, from the (4, K, C) gradient of the
+    heads, into one buffer laid out like ``model.flat``: the fusion head's
+    through ``g``, its ``model.views``, and the rest through ``gs``, its
+    ``model.stacked_views``."""
+    p, s = model.params, model.stacked
+    h, ba = cache["h"], cache["ba"]
     dy = dlogits[-1]
-    np.matmul(dy.T, h_cat, out=g["fusion_W"])
+    np.matmul(dy.T, cache["h_cat"], out=g["fusion_W"])
     dy.sum(axis=0, out=g["fusion_b"])
-    dh_cat = dy @ p["fusion_W"]
-    hdim = ToyModel.HIDDEN
-    for idx, m in enumerate(ToyModel.MODALITIES):
-        # bias-learner branch; its gradient stops at the encoder output h,
-        # so the bias learners never shape the features inference uses
-        dyb = dlogits[idx]
-        ba, h = cache["ba"][m], cache["h"][m]
-        np.matmul(dyb.T, ba, out=g[f"bias_{m}_2_W"])
-        dyb.sum(axis=0, out=g[f"bias_{m}_2_b"])
-        dba = dyb @ p[f"bias_{m}_2_W"]
-        dbz = dba * (ba > 0.0)  # ba > 0 exactly where its pre-activation is
-        np.matmul(dbz.T, h, out=g[f"bias_{m}_1_W"])
-        dbz.sum(axis=0, out=g[f"bias_{m}_1_b"])
-        # encoder, driven by the fused head alone; h > 0 exactly where z > 0
-        dz = dh_cat[:, idx * hdim : (idx + 1) * hdim] * (h > 0.0)
-        np.matmul(dz.T, cache["x"][m], out=g[f"enc_{m}_W"])
-        dz.sum(axis=0, out=g[f"enc_{m}_b"])
+    # bias learners; their gradient stops at the encoder output h, so the
+    # bias learners never shape the features inference uses
+    dyb = dlogits[:3]
+    np.matmul(dyb.transpose(0, 2, 1), ba, out=gs["bias_{}_2_W"])
+    dyb.sum(axis=1, out=gs["bias_{}_2_b"])
+    dbz = np.matmul(dyb, s["bias_{}_2_W"])
+    dbz *= ba > 0.0  # ba > 0 exactly where its pre-activation is
+    np.matmul(dbz.transpose(0, 2, 1), h, out=gs["bias_{}_1_W"])
+    dbz.sum(axis=1, out=gs["bias_{}_1_b"])
+    # encoders, driven by the fused head alone; h > 0 exactly where z > 0
+    dz = (dy @ p["fusion_W"]).reshape(len(dy), 3, -1).transpose(1, 0, 2) * (h > 0.0)
+    np.matmul(dz.transpose(0, 2, 1), cache["x"], out=gs["enc_{}_W"])
+    dz.sum(axis=1, out=gs["enc_{}_b"])
 
 
 class Adam:
@@ -440,7 +492,7 @@ def train(
     rng = np.random.default_rng(tcfg.seed)
     opt = Adam(model.flat, lr=tcfg.learning_rate)
     grad_flat = np.empty_like(model.flat)
-    grads = model.views(grad_flat)
+    grads, stacked_grads = model.views(grad_flat), model.stacked_views(grad_flat)
     features = corpus.features()
     labels_all = corpus.labels
     history: list[dict] = []
@@ -474,7 +526,7 @@ def train(
             for key, term in zip(sums, (la, ld, lc)):
                 sums[key] += term.value
             batches += 1
-            _backward(model, cache, dlogits, grads)
+            _backward(model, cache, dlogits, grads, stacked_grads)
             opt.step(grad_flat)
         history.append({"epoch": epoch, **{key: v / batches for key, v in sums.items()},
                         "train_acc": correct / n, "lr": opt.lr})

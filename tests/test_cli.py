@@ -342,6 +342,30 @@ class TestGenSynthAndTrain:
                        "--output-dir", tmp_path / "run")
         assert one_error_line(proc).startswith(f"error: {cfg_path}: {problem}")
 
+    # Predictions are written as c00, c01, ..., so an answer spelled another
+    # way, or a class beyond num_classes, could only change the accuracy.
+    @pytest.mark.parametrize("names, old, new, blank_lines", [
+        pytest.param(("test.jsonl", "splits.jsonl"), "c02", "c2", 0, id="unpadded"),
+        pytest.param(("train.jsonl",), "c00", "cx", 2, id="not_a_number"),
+        pytest.param(("train.jsonl",), "c01", "c09", 0, id="beyond_num_classes"),
+    ])
+    def test_answer_must_be_a_class_name(self, tmp_path, names, old, new, blank_lines):
+        data = tmp_path / "d"
+        shutil.copytree(TOY_GOLDEN / "synth", data)
+        for name in names:
+            path = data / name
+            text = path.read_text().replace(f'"answer": "{old}"', f'"answer": "{new}"')
+            path.write_text("\n" * blank_lines + text)
+        path = data / names[0]
+        line = next(i for i, l in enumerate(path.read_text().splitlines(), 1) if f'"{new}"' in l)
+        proc = run_cli("train-toy", "--data", data, "--epochs", "1",
+                       "--output-dir", tmp_path / "run")
+        assert one_error_line(proc) == (
+            f"error: {path}: line {line}: answer {new!r} is not one of the 6 answer classes "
+            f"c00 to c05\n"
+        )
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("name", ["train.jsonl", "test.jsonl", "splits.jsonl"])
     def test_reader_error_names_the_file(self, tmp_path, name):
         data = tmp_path / "d"

@@ -66,6 +66,14 @@ class TestClassNames:
         with pytest.raises(ToyError):
             class_index("dog")
 
+    @pytest.mark.parametrize("name", ["c2", "c002", "c+2", "c-1", "c", "c 2", "c٢٢", "C02"])
+    def test_only_class_name_spellings(self, name):
+        # class_name(k) is the one spelling of class k; any other would
+        # never equal a prediction
+        with pytest.raises(ToyError, match="not a synthetic answer class"):
+            class_index(name)
+        assert class_index("c100") == 100 and class_name(100) == "c100"
+
 
 class TestSyntheticConfig:
     def test_validation(self):
@@ -137,8 +145,8 @@ class TestToySet:
         data = small_data().train
         with pytest.raises(ToyError, match="labels"):
             replace(data, labels=data.labels[:-1])
-        with pytest.raises(ToyError, match="video"):
-            replace(data, video=data.video[:-1])
+        with pytest.raises(ToyError, match="features"):
+            replace(data, x=data.x[:, :-1])
 
     def test_row_selection(self):
         data = small_data().train
@@ -148,6 +156,15 @@ class TestToySet:
         assert np.array_equal(part.labels, data.labels[idx])
         assert np.array_equal(part.question, data.question[idx])
         assert len(data[2:4]) == 2
+
+    def test_modalities_are_views_of_one_array(self):
+        data = small_data().train
+        assert data.features() is data.x and data.x.shape == (3, 300, 16)
+        for part in (data, data[3:9], data[np.array([5, 0, 7])]):
+            for i, m in enumerate(ToyModel.MODALITIES):
+                view = getattr(part, m)
+                assert np.shares_memory(view, part.x) and np.array_equal(view, part.x[i])
+                assert not view.flags.writeable
 
 
 class TestFlatParameters:
@@ -168,6 +185,28 @@ class TestFlatParameters:
         train(model, data.train, QUICK)
         assert all(model.params[k] is v for k, v in views.items())
         assert not np.array_equal(before, model.flat)
+
+
+class TestStackedLayout:
+    def test_stacked_rows_are_the_named_parameters(self):
+        # for the parameters and for a gradient buffer alike, row i of each
+        # (3, ...) view is modality i's parameter of that kind, in place
+        model = ToyModel.initialize(6, 16, seed=0)
+        buf = np.random.default_rng(0).standard_normal(model.flat.size)
+        for named, stacked in ((model.params, model.stacked),
+                               (model.views(buf), model.stacked_views(buf))):
+            assert list(stacked) == list(ToyModel.PER_MODALITY)
+            for kind, view in stacked.items():
+                for i, m in enumerate(ToyModel.MODALITIES):
+                    assert np.shares_memory(view[i], named[kind.format(m)]), (kind, m)
+                    assert np.array_equal(view[i], named[kind.format(m)]), (kind, m)
+
+    def test_parameters_must_start_with_the_modality_blocks(self):
+        params = dict(ToyModel.initialize(6, 16, seed=0).params)
+        with pytest.raises(ToyError, match="one block per modality"):
+            ToyModel(6, 16, dict(reversed(params.items())))
+        with pytest.raises(ToyError, match="one block per modality"):
+            ToyModel(6, 16, {**params, "enc_video_b": np.zeros(31)})
 
 
 class TestForward:
@@ -274,13 +313,47 @@ class TestBiasLearners:
         dlogits[:3] = rng.standard_normal((3, 16, 6))
         buf = np.full_like(model.flat, np.nan)
         grads = model.views(buf)
-        _backward(model, cache, dlogits, grads)
+        _backward(model, cache, dlogits, grads, model.stacked_views(buf))
         assert not np.isnan(buf).any()  # every gradient entry is written
         for name in grads:
             if name.startswith("bias_"):
                 assert np.any(grads[name]), name
             else:  # encoders and fusion head: the inference path
                 assert not np.any(grads[name]), name
+
+    def test_backward_matches_central_differences(self):
+        # L = sum(G * logits) over the four heads. The bias learners'
+        # gradient stops at the encoder output, so an encoder's gradient is
+        # that of the fused head's part of L alone.
+        rng = np.random.default_rng(0)
+        data = small_data(num_classes=4, feature_dim=5)
+        model = ToyModel.initialize(4, 5, seed=0)
+        model.flat[:] = 0.5 * rng.standard_normal(model.flat.size)  # nonzero biases too
+        x = data.train[:6].features()
+        G = rng.standard_normal((4, 6, 4))
+        G_fused = np.concatenate([np.zeros((3, 6, 4)), G[3:]])
+        buf = np.full_like(model.flat, np.nan)
+        _backward(model, _forward_cache(model, x), G, model.views(buf), model.stacked_views(buf))
+
+        def loss(weights):
+            return float(np.sum(weights * _forward_cache(model, x)["heads"].logits))
+
+        step = 1e-6
+        for name, grad in model.views(buf).items():
+            weights = G_fused if name.startswith("enc_") else G
+            coords = model.params[name].reshape(-1)  # a view of model.flat
+            numeric = np.empty(coords.size)
+            for j, orig in enumerate(coords.tolist()):
+                coords[j] = orig + step
+                up = loss(weights)
+                coords[j] = orig - step
+                down = loss(weights)
+                coords[j] = orig
+                numeric[j] = (up - down) / (2 * step)
+            analytic = grad.ravel()
+            assert np.any(analytic), name
+            scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
+            assert np.max(np.abs(analytic - numeric) / scale) < 1e-5, name
 
     def test_question_head_learns_the_shortcut(self):
         # with its own answer loss the question-only learner picks up the
