@@ -66,12 +66,12 @@ class TestClassNames:
         with pytest.raises(ToyError):
             class_index("dog")
 
-    @pytest.mark.parametrize("name", ["c2", "c002", "c+2", "c-1", "c", "c 2", "c٢٢", "C02"])
-    def test_only_class_name_spellings(self, name):
+    def test_only_class_name_spellings(self):
         # class_name(k) is the one spelling of class k; any other would
         # never equal a prediction
-        with pytest.raises(ToyError, match="not a synthetic answer class"):
-            class_index(name)
+        for name in ["c2", "c002", "c+2", "c-1", "c", "c 2", "c\u0662\u0662", "C02"]:
+            with pytest.raises(ToyError, match="not a synthetic answer class"):
+                class_index(name)
         assert class_index("c100") == 100 and class_name(100) == "c100"
 
 
@@ -301,27 +301,8 @@ class TestTrain:
         assert hist[-1]["train_acc"] > hist[0]["train_acc"]
 
 
-class TestBiasLearners:
-    def test_bias_gradients_stop_at_the_encoder_output(self):
-        # gradients that reach only the uni-modal heads must train the
-        # bias learners and leave every inference-path parameter alone
-        data = small_data()
-        model = ToyModel.initialize(6, 16, seed=0)
-        cache = _forward_cache(model, data.train[:16].features())
-        rng = np.random.default_rng(0)
-        dlogits = np.zeros((4, 16, 6))  # HEADS order: the fused head is last
-        dlogits[:3] = rng.standard_normal((3, 16, 6))
-        buf = np.full_like(model.flat, np.nan)
-        grads = model.views(buf)
-        _backward(model, cache, dlogits, grads, model.stacked_views(buf))
-        assert not np.isnan(buf).any()  # every gradient entry is written
-        for name in grads:
-            if name.startswith("bias_"):
-                assert np.any(grads[name]), name
-            else:  # encoders and fusion head: the inference path
-                assert not np.any(grads[name]), name
-
-    def test_backward_matches_central_differences(self):
+class TestBackward:
+    def test_matches_central_differences(self):
         # L = sum(G * logits) over the four heads. The bias learners'
         # gradient stops at the encoder output, so an encoder's gradient is
         # that of the fused head's part of L alone.
@@ -354,6 +335,27 @@ class TestBiasLearners:
             assert np.any(analytic), name
             scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
             assert np.max(np.abs(analytic - numeric) / scale) < 1e-5, name
+
+
+class TestBiasLearners:
+    def test_bias_gradients_stop_at_the_encoder_output(self):
+        # gradients that reach only the uni-modal heads must train the
+        # bias learners and leave every inference-path parameter alone
+        data = small_data()
+        model = ToyModel.initialize(6, 16, seed=0)
+        cache = _forward_cache(model, data.train[:16].features())
+        rng = np.random.default_rng(0)
+        dlogits = np.zeros((4, 16, 6))  # HEADS order: the fused head is last
+        dlogits[:3] = rng.standard_normal((3, 16, 6))
+        buf = np.full_like(model.flat, np.nan)
+        grads = model.views(buf)
+        _backward(model, cache, dlogits, grads, model.stacked_views(buf))
+        assert not np.isnan(buf).any()  # every gradient entry is written
+        for name in grads:
+            if name.startswith("bias_"):
+                assert np.any(grads[name]), name
+            else:  # encoders and fusion head: the inference path
+                assert not np.any(grads[name]), name
 
     def test_question_head_learns_the_shortcut(self):
         # with its own answer loss the question-only learner picks up the
