@@ -26,6 +26,7 @@ import numpy as np
 FEATURES_MAGIC = b"AVQF"
 MODEL_MAGIC = b"AVQM"
 FORMAT_VERSION = 1
+_WRITE_ROWS = 256  # rows of the features matrix interleaved per write
 
 
 class FormatError(ValueError):
@@ -57,7 +58,11 @@ def write_features(
     with open(path, "wb") as f:
         f.write(FEATURES_MAGIC)
         f.write(struct.pack("<IIIII", FORMAT_VERSION, n, *(x.shape[1] for x in mats)))
-        f.write(np.concatenate(mats, axis=1))
+        # Interleaved a chunk of rows at a time, so that no copy of the whole
+        # (n, da + dv + dq) matrix is made: that copy set the peak memory of
+        # gen-synth.
+        for start in range(0, n, _WRITE_ROWS):
+            f.write(np.concatenate([x[start : start + _WRITE_ROWS] for x in mats], axis=1))
 
 
 def read_features(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -53,6 +53,20 @@ def test_features_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@settings(deadline=None, max_examples=50)
+@given(n=st.integers(1, 600), dims=st.tuples(*[st.integers(0, 5)] * 3))
+@example(n=256, dims=(3, 2, 3))
+@example(n=257, dims=(16, 16, 16))
+def test_features_bytes_are_one_interleaved_matrix(tmp_path_factory, n, dims):
+    # rows are interleaved a chunk at a time; the file must still be the
+    # header followed by the whole (n, da + dv + dq) matrix, row-major
+    mats = three(n, dims)
+    path = tmp_path_factory.getbasetemp() / "chunked.features"
+    write_features(path, *mats)
+    header = FEATURES_MAGIC + struct.pack("<IIIII", FORMAT_VERSION, n, *dims)
+    assert path.read_bytes() == header + np.concatenate(mats, axis=1).astype("<f8").tobytes()
+
+
 def test_features_errors(tmp_path):
     with pytest.raises(FormatError, match="no feature rows"):
         write_features(tmp_path / "x", *three(0))
