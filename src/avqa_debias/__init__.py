@@ -7,6 +7,7 @@ Submodules:
 * ``scoring`` — head/tail/overall accuracy and Fleiss kappa
 * ``losses`` — the cycle-collaborative debiasing objective with gradients
 * ``toy`` — synthetic biased task, trainer, and ablation grid
+* ``serialize`` — binary files for synthetic features and toy model parameters
 * ``cli`` — command-line entry points
 """
 

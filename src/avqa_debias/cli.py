@@ -164,7 +164,7 @@ def cmd_gen_synth(args) -> int:
     for name, part in (("train", data.train), ("test", data.test)):
         with open(out / f"{name}.jsonl", "wb") as f:
             write_samples(part.qa, f)
-        serialize.write_features(out / f"{name}.features", *part.features())
+        serialize.write_features(out / f"{name}.features", *part.x)
     with open(out / "splits.jsonl", "wb") as f:
         write_splits(data.splits, f)
     _dump_json({"schema_version": 1, **asdict(cfg)}, out / "synth_config.json")
@@ -209,11 +209,16 @@ def _load_toy_corpus(data_dir: Path, name: str, synth_cfg: dict) -> ToySet:
 
 
 def _read_synth_config(path: Path) -> dict:
-    """The generator config of a corpus; the model's shape comes from two of its fields."""
+    """The generator config of a corpus; the model's shape comes from two of its fields.
+    As in ``generate_synthetic``, the question shortcut needs one channel per
+    class, so ``num_classes`` may not exceed ``feature_dim``."""
     cfg = _read_json_object(path)
     for name in ("num_classes", "feature_dim"):
         if type(cfg.get(name)) is not int or cfg[name] < 1:
             raise CliError(f"{path}: {name} must be a positive integer")
+    if cfg["num_classes"] > cfg["feature_dim"]:
+        raise CliError(f"{path}: num_classes {cfg['num_classes']} exceeds "
+                       f"feature_dim {cfg['feature_dim']}")
     return cfg
 
 
@@ -223,6 +228,10 @@ def cmd_train_toy(args) -> int:
         raise CliError(f"data directory not found: {args.data}")
     synth_cfg = _read_synth_config(data_dir / "synth_config.json")
     train_set = _load_toy_corpus(data_dir, "train", synth_cfg)
+    # With rows, the features file's size bounds feature_dim and so the
+    # model's; with none, nothing does, so this comes before the model.
+    if not len(train_set):
+        raise CliError(f"{data_dir / 'train.jsonl'}: no samples to train on")
     test_set = _load_toy_corpus(data_dir, "test", synth_cfg)
     splits = _parse_file(read_splits, data_dir / "splits.jsonl")
 
@@ -257,7 +266,7 @@ def cmd_train_toy(args) -> int:
     with open(out / "history.jsonl", "wb") as f:
         for row in history:
             f.write(json.dumps(row).encode("utf-8") + b"\n")
-    serialize.write_model(out / "model.bin", model.params)
+    serialize.write_model(out / "model.bin", model.named())
     (out / "report.json").write_bytes(render_report(report, "json"))
     sys.stdout.buffer.write(render_report(report, "text-table"))
     return EXIT_OK

@@ -19,14 +19,14 @@ two-layer perceptron bias learner per modality. Bias learners exist only
 at training time; inference uses the encoders and fusion head alone.
 Training (``_forward_cache``) and inference (``predict_logits``) share one
 encoder-plus-fusion pass, ``_encode``, which reads no bias-learner
-parameter. Every parameter is a view into one contiguous buffer, and the
-backward pass writes its gradients into views of one buffer of the same
+parameter. The parameters live in one contiguous buffer, each kind of
+per-modality parameter as one (3, ...) view of it; the backward pass
+writes its gradients into the same views of one buffer of the same
 layout, so the optimizer updates the whole network with one elementwise
-pass. The buffer holds each modality's encoder and bias-learner
-parameters as one block, the three blocks alike, so each kind of
-per-modality parameter is also a (3, ...) view (``ToyModel.stacked``).
-The encoders and bias learners run as one stacked matmul per layer over
-the modality axis, forward and backward; no step loops over modalities.
+pass. The encoders and bias learners run as one stacked matmul per layer
+over the modality axis, forward and backward; no step loops over
+modalities. Per-modality names such as ``enc_audio_W`` exist only in
+``ToyModel.named``, the layout ``model.bin`` stores.
 
 Each bias learner is trained on its own softmax cross-entropy against the
 label, so it captures what its modality alone predicts, and its gradients
@@ -136,10 +136,6 @@ class ToySet:
     audio = property(lambda self: self._modality(0))
     video = property(lambda self: self._modality(1))
     question = property(lambda self: self._modality(2))
-
-    def features(self) -> np.ndarray:
-        """The (3, n, d) feature array itself, not a copy."""
-        return self.x
 
 
 class AblationVariant(enum.Enum):
@@ -289,19 +285,20 @@ def generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticDat
 class ToyModel:
     """Parameter container; the forward/backward passes live in free functions.
 
-    On construction the parameters are copied into one contiguous float64
-    buffer, ``flat``; each entry of ``params`` is then a view into it, in
-    the order the dict lists them. The buffer starts with one block per
-    modality, in ``MODALITIES`` order, each holding that modality's
-    ``PER_MODALITY`` parameters in that order, so ``stacked`` holds each
-    kind of them as one (3, ...) view of ``flat``.
+    The parameters live in one contiguous float64 buffer, ``flat``, and
+    ``params`` holds views of it: each ``PER_MODALITY`` template maps to a
+    (3, ...) array whose row i is that parameter of ``MODALITIES[i]``, and
+    ``fusion_W`` and ``fusion_b`` follow. The buffer holds one block per
+    modality, in ``MODALITIES`` order, with that modality's parameters in
+    ``PER_MODALITY`` order, then the fusion head; the three blocks are
+    alike, so each (3, ...) array is a strided view, not a copy. A new
+    model is all zeros; ``initialize`` draws its weights.
     """
 
     num_classes: int
     feature_dim: int
-    params: dict[str, np.ndarray]
     flat: np.ndarray = field(init=False, repr=False)
-    stacked: dict[str, np.ndarray] = field(init=False, repr=False)
+    params: dict[str, np.ndarray] = field(init=False, repr=False)
 
     MODALITIES = ("audio", "video", "question")
     # The per-modality parameters of one block, as name templates.
@@ -310,57 +307,46 @@ class ToyModel:
     HIDDEN = 32  # width of each encoder output and bias-learner layer
 
     def __post_init__(self):
-        blocks = [kind.format(m) for m in self.MODALITIES for kind in self.PER_MODALITY]
-        if list(self.params)[: len(blocks)] != blocks or any(
-            len({self.params[kind.format(m)].shape for m in self.MODALITIES}) > 1
-            for kind in self.PER_MODALITY
-        ):
-            raise ToyError("parameters must start with one block per modality, alike in shape")
-        self.flat = np.empty(sum(arr.size for arr in self.params.values()))
-        views = self.views(self.flat)
-        for name, arr in self.params.items():
-            views[name][...] = arr
-        self.params = views
-        self.stacked = self.stacked_views(self.flat)
+        h, c = self.HIDDEN, self.num_classes
+        # W and b of the encoder and of both bias-learner layers
+        block = h * (self.feature_dim + 1) + h * (h + 1) + c * (h + 1)
+        self.flat = np.zeros(3 * block + c * (3 * h + 1))
+        self.params = self.views(self.flat)
 
     def views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
-        """Arrays keyed by parameter name, viewing ``buf`` laid out like ``flat``."""
+        """Arrays keyed like ``params``, viewing ``buf`` laid out like ``flat``."""
+        h, c = self.HIDDEN, self.num_classes
+        shapes = [(h, self.feature_dim), (h,), (h, h), (h,), (c, h), (c,)]
+        block = sum(map(math.prod, shapes))
+        blocks = buf[: 3 * block].reshape(3, block)
         out, pos = {}, 0
-        for name, arr in self.params.items():
-            out[name] = buf[pos : pos + arr.size].reshape(arr.shape)
-            pos += arr.size
+        for kind, shape in zip(self.PER_MODALITY, shapes):
+            out[kind] = blocks[:, pos : pos + math.prod(shape)].reshape(3, *shape)
+            pos += math.prod(shape)
+        out["fusion_W"] = buf[3 * block : -c].reshape(c, 3 * h)
+        out["fusion_b"] = buf[-c:]
         return out
 
-    def stacked_views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
-        """(3, ...) arrays keyed by the templates of ``PER_MODALITY``, viewing
-        ``buf`` laid out like ``flat``: row i of ``out[kind]`` is the view of
-        parameter ``kind.format(MODALITIES[i])``. The three blocks are alike,
-        so each is a strided view, not a copy."""
-        first = [self.params[kind.format(self.MODALITIES[0])] for kind in self.PER_MODALITY]
-        step = sum(arr.size for arr in first)
-        blocks = buf[: 3 * step].reshape(3, step)
-        out, pos = {}, 0
-        for kind, arr in zip(self.PER_MODALITY, first):
-            out[kind] = blocks[:, pos : pos + arr.size].reshape(3, *arr.shape)
-            pos += arr.size
-        return out
+    def named(self) -> dict[str, np.ndarray]:
+        """Every parameter under its own name, such as ``enc_audio_W``, as a
+        view of ``flat``, in ``flat`` order: the layout of ``model.bin``."""
+        p = self.params
+        return {**{kind.format(m): p[kind][i] for i, m in enumerate(self.MODALITIES)
+                   for kind in self.PER_MODALITY},
+                "fusion_W": p["fusion_W"], "fusion_b": p["fusion_b"]}
 
     @classmethod
     def initialize(cls, num_classes: int, feature_dim: int, seed: int = 0) -> "ToyModel":
+        """A model with zero biases and He-normal weights, drawn from ``seed``
+        in ``flat`` order: each modality's encoder, bias-learner layer 1 and
+        layer 2 weights, then the fusion weights."""
         rng = np.random.default_rng(seed)
-        hidden = cls.HIDDEN
-        p: dict[str, np.ndarray] = {}
-
-        def affine(name: str, out_dim: int, in_dim: int) -> None:
-            p[f"{name}_W"] = rng.standard_normal((out_dim, in_dim)) * math.sqrt(2.0 / in_dim)
-            p[f"{name}_b"] = np.zeros(out_dim)
-
-        for m in cls.MODALITIES:
-            affine(f"enc_{m}", hidden, feature_dim)
-            affine(f"bias_{m}_1", hidden, hidden)
-            affine(f"bias_{m}_2", num_classes, hidden)
-        affine("fusion", num_classes, 3 * hidden)
-        return cls(num_classes=num_classes, feature_dim=feature_dim, params=p)
+        model = cls(num_classes, feature_dim)
+        p = model.params
+        kinds = ("enc_{}_W", "bias_{}_1_W", "bias_{}_2_W")
+        for w in [p[kind][i] for i in range(3) for kind in kinds] + [p["fusion_W"]]:
+            w[...] = rng.standard_normal(w.shape) * math.sqrt(2.0 / w.shape[1])
+        return model
 
 
 def _encode(
@@ -370,9 +356,9 @@ def _encode(
     (K, 3H) concatenation in modality order, and the fused logits, written
     into ``out`` when it is given. Reads the encoder and fusion parameters
     only."""
-    p, s = model.params, model.stacked
-    h = np.matmul(x, s["enc_{}_W"].transpose(0, 2, 1))
-    h += s["enc_{}_b"][:, None]
+    p = model.params
+    h = np.matmul(x, p["enc_{}_W"].transpose(0, 2, 1))
+    h += p["enc_{}_b"][:, None]
     np.maximum(h, 0.0, out=h)
     h_cat = h.transpose(1, 0, 2).reshape(h.shape[1], 3 * h.shape[2])
     fused = np.matmul(h_cat, p["fusion_W"].T, out=out)
@@ -384,14 +370,14 @@ def _forward_cache(model: ToyModel, x: np.ndarray) -> dict:
     """Training forward pass over the (3, K, d) minibatch ``x``: the four
     logit heads stacked (4, K, C) in ``HEADS`` order with their softmax, as
     the ``Softmaxed`` record ``"heads"``, plus what ``_backward`` needs."""
-    s = model.stacked
+    p = model.params
     logits = np.empty((4, x.shape[1], model.num_classes))
     h, h_cat, _ = _encode(model, x, out=logits[3])
-    ba = np.matmul(h, s["bias_{}_1_W"].transpose(0, 2, 1))
-    ba += s["bias_{}_1_b"][:, None]
+    ba = np.matmul(h, p["bias_{}_1_W"].transpose(0, 2, 1))
+    ba += p["bias_{}_1_b"][:, None]
     np.maximum(ba, 0.0, out=ba)
-    np.matmul(ba, s["bias_{}_2_W"].transpose(0, 2, 1), out=logits[:3])
-    logits[:3] += s["bias_{}_2_b"][:, None]
+    np.matmul(ba, p["bias_{}_2_W"].transpose(0, 2, 1), out=logits[:3])
+    logits[:3] += p["bias_{}_2_b"][:, None]
     return {"x": x, "h": h, "h_cat": h_cat, "ba": ba, "heads": softmaxed(logits)}
 
 
@@ -410,22 +396,15 @@ def _check_feature_dim(model: ToyModel, data: ToySet) -> None:
 def predict_logits(model: ToyModel, data: ToySet) -> np.ndarray:
     """Inference-path logits: encoders + fusion head, bias learners untouched."""
     _check_feature_dim(model, data)
-    *_, fused = _encode(model, data.features())
+    *_, fused = _encode(model, data.x)
     return fused
 
 
-def _backward(
-    model: ToyModel,
-    cache: dict,
-    dlogits: np.ndarray,
-    g: dict[str, np.ndarray],
-    gs: dict[str, np.ndarray],
-) -> None:
+def _backward(model: ToyModel, cache: dict, dlogits: np.ndarray, g: dict[str, np.ndarray]) -> None:
     """Write every parameter's gradient, from the (4, K, C) gradient of the
-    heads, into one buffer laid out like ``model.flat``: the fusion head's
-    through ``g``, its ``model.views``, and the rest through ``gs``, its
-    ``model.stacked_views``."""
-    p, s = model.params, model.stacked
+    heads, into ``g``: the ``model.views`` of one buffer laid out like
+    ``model.flat``."""
+    p = model.params
     h, ba = cache["h"], cache["ba"]
     dy = dlogits[-1]
     np.matmul(dy.T, cache["h_cat"], out=g["fusion_W"])
@@ -433,16 +412,16 @@ def _backward(
     # bias learners; their gradient stops at the encoder output h, so the
     # bias learners never shape the features inference uses
     dyb = dlogits[:3]
-    np.matmul(dyb.transpose(0, 2, 1), ba, out=gs["bias_{}_2_W"])
-    dyb.sum(axis=1, out=gs["bias_{}_2_b"])
-    dbz = np.matmul(dyb, s["bias_{}_2_W"])
+    np.matmul(dyb.transpose(0, 2, 1), ba, out=g["bias_{}_2_W"])
+    dyb.sum(axis=1, out=g["bias_{}_2_b"])
+    dbz = np.matmul(dyb, p["bias_{}_2_W"])
     dbz *= ba > 0.0  # ba > 0 exactly where its pre-activation is
-    np.matmul(dbz.transpose(0, 2, 1), h, out=gs["bias_{}_1_W"])
-    dbz.sum(axis=1, out=gs["bias_{}_1_b"])
+    np.matmul(dbz.transpose(0, 2, 1), h, out=g["bias_{}_1_W"])
+    dbz.sum(axis=1, out=g["bias_{}_1_b"])
     # encoders, driven by the fused head alone; h > 0 exactly where z > 0
     dz = (dy @ p["fusion_W"]).reshape(len(dy), 3, -1).transpose(1, 0, 2) * (h > 0.0)
-    np.matmul(dz.transpose(0, 2, 1), cache["x"], out=gs["enc_{}_W"])
-    dz.sum(axis=1, out=gs["enc_{}_b"])
+    np.matmul(dz.transpose(0, 2, 1), cache["x"], out=g["enc_{}_W"])
+    dz.sum(axis=1, out=g["enc_{}_b"])
 
 
 class Adam:
@@ -492,8 +471,8 @@ def train(
     rng = np.random.default_rng(tcfg.seed)
     opt = Adam(model.flat, lr=tcfg.learning_rate)
     grad_flat = np.empty_like(model.flat)
-    grads, stacked_grads = model.views(grad_flat), model.stacked_views(grad_flat)
-    features = corpus.features()
+    grads = model.views(grad_flat)
+    features = corpus.x
     labels_all = corpus.labels
     history: list[dict] = []
     n = len(corpus)
@@ -526,7 +505,7 @@ def train(
             for key, term in zip(sums, (la, ld, lc)):
                 sums[key] += term.value
             batches += 1
-            _backward(model, cache, dlogits, grads, stacked_grads)
+            _backward(model, cache, dlogits, grads)
             opt.step(grad_flat)
         history.append({"epoch": epoch, **{key: v / batches for key, v in sums.items()},
                         "train_acc": correct / n, "lr": opt.lr})

@@ -5,20 +5,22 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from avqa_debias import toy
+from avqa_debias import serialize, toy
 from avqa_debias.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from conftest import exit_in_worker
 
 GOLDEN = Path(__file__).parent / "golden"
 TOY_GOLDEN = GOLDEN / "toy"
+_GOLDEN_SYNTH_CONFIG = json.loads((TOY_GOLDEN / "synth" / "synth_config.json").read_text())
 
 
 def run_cli(*args):
@@ -200,6 +202,20 @@ _VOTES_BYTES = (
 )
 
 
+# The golden corpus's generator config with the model-shape fields dropped
+# or replaced. Sizes are drawn below 64, small enough to train on, or at
+# 2**40 and above, where an allocation of that size is refused at once
+# rather than taking real memory.
+_SIZE = st.integers(max_value=63) | st.integers(min_value=2**40)
+_SYNTH_FIELD = _SIZE | st.sampled_from([None, False, 8.0, "8"])
+_SYNTH_CONFIG = st.builds(
+    lambda drop, new: {k: v for k, v in {**_GOLDEN_SYNTH_CONFIG, **new}.items() if k not in drop},
+    st.sets(st.sampled_from(["num_classes", "feature_dim"])),
+    st.fixed_dictionaries({}, optional={"num_classes": _SYNTH_FIELD, "feature_dim": _SYNTH_FIELD}),
+)
+_SYNTH_CONFIG_TEXT = st.binary(max_size=64) | _SYNTH_CONFIG.map(lambda v: json.dumps(v).encode())
+
+
 class TestKappaCommand:
     def test_value(self, tmp_path, capsys):
         votes = tmp_path / "votes.json"
@@ -332,6 +348,9 @@ class TestGenSynthAndTrain:
         ('{"num_classes": 6.0, "feature_dim": 8}', "num_classes must be a positive integer"),
         ('{"num_classes": 0, "feature_dim": 8}', "num_classes must be a positive integer"),
         pytest.param("[" * 100_000, "maximum recursion depth exceeded", id="deep_nesting"),
+        # gen-synth never writes one: the shortcut needs a feature channel per class
+        pytest.param(f'{{"num_classes": {10**13}, "feature_dim": 8}}',
+                     f"num_classes {10**13} exceeds feature_dim 8\n", id="classes_beyond_dim"),
     ])
     def test_malformed_synth_config(self, tmp_path, text, problem):
         data = tmp_path / "d"
@@ -341,6 +360,44 @@ class TestGenSynthAndTrain:
         proc = run_cli("train-toy", "--data", data, "--epochs", "1",
                        "--output-dir", tmp_path / "run")
         assert one_error_line(proc).startswith(f"error: {cfg_path}: {problem}")
+
+    def test_empty_train_corpus(self, tmp_path):
+        # With no rows, no file size bounds the width the features headers
+        # declare; a model 2**31 features wide would need 1.5 TiB.
+        data = tmp_path / "d"
+        shutil.copytree(TOY_GOLDEN / "synth", data)
+        wide = 2**31
+        for name in ("train", "test"):
+            (data / f"{name}.jsonl").write_bytes(b"")
+            header = struct.pack("<IIIII", serialize.FORMAT_VERSION, 0, wide, wide, wide)
+            (data / f"{name}.features").write_bytes(serialize.FEATURES_MAGIC + header)
+        cfg_path = data / "synth_config.json"
+        cfg_path.write_text(json.dumps({**json.loads(cfg_path.read_text()), "feature_dim": wide}))
+        proc = run_cli("train-toy", "--data", data, "--epochs", "1",
+                       "--output-dir", tmp_path / "run")
+        assert one_error_line(proc) == f"error: {data / 'train.jsonl'}: no samples to train on\n"
+        assert not (tmp_path / "run").exists()
+
+    @settings(deadline=None)
+    @given(text=_SYNTH_CONFIG_TEXT)
+    @example(text=json.dumps({**_GOLDEN_SYNTH_CONFIG, "num_classes": 2**40}).encode())
+    def test_synth_config_fuzz(self, tmp_path_factory, text):
+        """Any synth_config.json trains (exit 0) or gives exit 2 with one line
+        naming a file of the corpus."""
+        data = tmp_path_factory.getbasetemp() / "fuzz_synth"
+        if not data.exists():
+            shutil.copytree(TOY_GOLDEN / "synth", data)
+        (data / "synth_config.json").write_bytes(text)
+        out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()  # the report is bytes
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["train-toy", "--data", str(data), "--epochs", "1", "--no-timestamp",
+                       "--output-dir", str(tmp_path_factory.getbasetemp() / "fuzz_run")])
+        out.flush()
+        if rc == EXIT_OK:
+            assert not err.getvalue()
+        else:
+            assert rc == EXIT_USAGE and not out.buffer.getvalue()
+            assert re.fullmatch(rf"error: {re.escape(str(data))}/[\w.]+: .*\n", err.getvalue())
 
     # Predictions are written as c00, c01, ..., so an answer spelled another
     # way, or a class beyond num_classes, could only change the accuracy.

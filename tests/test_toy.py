@@ -4,12 +4,14 @@ import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from avqa_debias import losses, toy
 from avqa_debias.losses import HEADS, MccdConfig, softmaxed
+from avqa_debias.serialize import read_model
 from avqa_debias.splitting import SplitLabel, answer_distribution
 from avqa_debias.toy import (
     AblationSpec,
@@ -54,7 +56,7 @@ def fail_first_then_mark(task):
 
 def head_logits(model, batch):
     """All four logit heads of the training forward pass, keyed by head name."""
-    return dict(zip(HEADS, _forward_cache(model, batch.features())["heads"].logits))
+    return dict(zip(HEADS, _forward_cache(model, batch.x)["heads"].logits))
 
 
 class TestClassNames:
@@ -159,7 +161,7 @@ class TestToySet:
 
     def test_modalities_are_views_of_one_array(self):
         data = small_data().train
-        assert data.features() is data.x and data.x.shape == (3, 300, 16)
+        assert data.x.shape == (3, 300, 16)
         for part in (data, data[3:9], data[np.array([5, 0, 7])]):
             for i, m in enumerate(ToyModel.MODALITIES):
                 view = getattr(part, m)
@@ -169,13 +171,15 @@ class TestToySet:
 
 class TestFlatParameters:
     def test_params_are_views_of_one_buffer_in_dict_order(self):
+        # every parameter is a view of flat, and the named ones tile it in order
         model = ToyModel.initialize(6, 16, seed=0)
+        assert all(np.shares_memory(arr, model.flat) for arr in model.params.values())
         assert model.flat.size == sum(arr.size for arr in model.params.values())
         pos = 0
-        for arr in model.params.values():
-            assert np.shares_memory(arr, model.flat)
+        for arr in model.named().values():
             assert np.array_equal(arr.ravel(), model.flat[pos : pos + arr.size])
             pos += arr.size
+        assert pos == model.flat.size
 
     def test_training_writes_through_the_views(self):
         data = small_data()
@@ -187,26 +191,22 @@ class TestFlatParameters:
         assert not np.array_equal(before, model.flat)
 
 
-class TestStackedLayout:
-    def test_stacked_rows_are_the_named_parameters(self):
-        # for the parameters and for a gradient buffer alike, row i of each
-        # (3, ...) view is modality i's parameter of that kind, in place
-        model = ToyModel.initialize(6, 16, seed=0)
-        buf = np.random.default_rng(0).standard_normal(model.flat.size)
-        for named, stacked in ((model.params, model.stacked),
-                               (model.views(buf), model.stacked_views(buf))):
-            assert list(stacked) == list(ToyModel.PER_MODALITY)
-            for kind, view in stacked.items():
-                for i, m in enumerate(ToyModel.MODALITIES):
-                    assert np.shares_memory(view[i], named[kind.format(m)]), (kind, m)
-                    assert np.array_equal(view[i], named[kind.format(m)]), (kind, m)
-
-    def test_parameters_must_start_with_the_modality_blocks(self):
-        params = dict(ToyModel.initialize(6, 16, seed=0).params)
-        with pytest.raises(ToyError, match="one block per modality"):
-            ToyModel(6, 16, dict(reversed(params.items())))
-        with pytest.raises(ToyError, match="one block per modality"):
-            ToyModel(6, 16, {**params, "enc_video_b": np.zeros(31)})
+class TestNamedParameters:
+    def test_named_are_the_stacked_rows_in_model_bin_order(self):
+        # the names and shapes of a model.bin, in its order; row i of each
+        # (3, ...) parameter is modality i's, in place
+        stored = read_model(Path(__file__).parent / "golden" / "toy" / "train" / "model.bin")
+        model = ToyModel.initialize(6, 8, seed=0)
+        named = model.named()
+        assert [(k, v.shape) for k, v in named.items()] == [(k, v.shape) for k, v in stored.items()]
+        assert list(model.params) == [*ToyModel.PER_MODALITY, "fusion_W", "fusion_b"]
+        for i, m in enumerate(ToyModel.MODALITIES):
+            for kind in ToyModel.PER_MODALITY:
+                view = named[kind.format(m)]
+                assert np.shares_memory(view, model.flat), (kind, m)
+                assert np.array_equal(view, model.params[kind][i]), (kind, m)
+        for name in ("fusion_W", "fusion_b"):
+            assert named[name] is model.params[name]
 
 
 class TestForward:
@@ -310,29 +310,33 @@ class TestBackward:
         data = small_data(num_classes=4, feature_dim=5)
         model = ToyModel.initialize(4, 5, seed=0)
         model.flat[:] = 0.5 * rng.standard_normal(model.flat.size)  # nonzero biases too
-        x = data.train[:6].features()
+        x = data.train[:6].x
         G = rng.standard_normal((4, 6, 4))
         G_fused = np.concatenate([np.zeros((3, 6, 4)), G[3:]])
         buf = np.full_like(model.flat, np.nan)
-        _backward(model, _forward_cache(model, x), G, model.views(buf), model.stacked_views(buf))
+        grads = model.views(buf)
+        _backward(model, _forward_cache(model, x), G, grads)
 
         def loss(weights):
             return float(np.sum(weights * _forward_cache(model, x)["heads"].logits))
 
         step = 1e-6
-        for name, grad in model.views(buf).items():
+        coords = model.flat
+        positions = model.views(np.arange(coords.size))  # each entry's index in flat
+        for name, grad in grads.items():
             weights = G_fused if name.startswith("enc_") else G
-            coords = model.params[name].reshape(-1)  # a view of model.flat
-            numeric = np.empty(coords.size)
-            for j, orig in enumerate(coords.tolist()):
-                coords[j] = orig + step
+            numeric = np.empty(grad.size)
+            for j, k in enumerate(positions[name].ravel().tolist()):
+                orig = coords[k]
+                coords[k] = orig + step
                 up = loss(weights)
-                coords[j] = orig - step
+                coords[k] = orig - step
                 down = loss(weights)
-                coords[j] = orig
+                coords[k] = orig
                 numeric[j] = (up - down) / (2 * step)
+            rows = grad if name in ToyModel.PER_MODALITY else grad[None]
+            assert all(np.any(row) for row in rows), name  # each modality's, too
             analytic = grad.ravel()
-            assert np.any(analytic), name
             scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
             assert np.max(np.abs(analytic - numeric) / scale) < 1e-5, name
 
@@ -343,13 +347,13 @@ class TestBiasLearners:
         # bias learners and leave every inference-path parameter alone
         data = small_data()
         model = ToyModel.initialize(6, 16, seed=0)
-        cache = _forward_cache(model, data.train[:16].features())
+        cache = _forward_cache(model, data.train[:16].x)
         rng = np.random.default_rng(0)
         dlogits = np.zeros((4, 16, 6))  # HEADS order: the fused head is last
         dlogits[:3] = rng.standard_normal((3, 16, 6))
         buf = np.full_like(model.flat, np.nan)
         grads = model.views(buf)
-        _backward(model, cache, dlogits, grads, model.stacked_views(buf))
+        _backward(model, cache, dlogits, grads)
         assert not np.isnan(buf).any()  # every gradient entry is written
         for name in grads:
             if name.startswith("bias_"):
@@ -373,7 +377,7 @@ class TestBiasLearners:
         # only the bias learners' own losses can show this divergence
         data = small_data()
         model = ToyModel.initialize(6, 16, seed=0)
-        model.params["bias_question_2_W"][0, 0] = np.nan
+        model.params["bias_{}_2_W"][2, 0, 0] = np.nan  # the question learner's
         with pytest.raises(ToyError, match="non-finite question bias-learner loss at epoch 1"):
             train(model, data.train, QUICK, AblationSpec(variant=AblationVariant.BASELINE_CE_ONLY))
 
