@@ -21,6 +21,7 @@ from .data import (
     group_samples,
     parse_predictions,
     parse_samples,
+    read_gold,
     validate_corpus,
     write_samples,
 )
@@ -46,6 +47,7 @@ from .splitting import (
     AnswerDistribution,
     SplitAssignment,
     SplitConfig,
+    SplitDecision,
     SplitLabel,
     SplitResult,
     SplitRule,

@@ -20,7 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .data import CorpusError, QASample, parse_predictions, parse_samples, read_jsonl, write_samples
+from .data import (
+    CorpusError,
+    QASample,
+    parse_predictions,
+    parse_samples,
+    read_gold,
+    read_jsonl,
+    write_samples,
+)
 from .losses import (
     LogitBundle,
     MccdConfig,
@@ -30,7 +38,7 @@ from .losses import (
     finite_difference_check,
     joint_loss,
 )
-from .scoring import VoteTable, fleiss_kappa, render_report, score_predictions
+from .scoring import ScoringError, VoteTable, fleiss_kappa, render_report, score_predictions
 from .splitting import (
     SplitConfig,
     assign_splits,
@@ -114,10 +122,15 @@ def cmd_split(args) -> int:
 
 
 def cmd_score(args) -> int:
-    gold = _parse_file(parse_samples, args.gold)
+    gold = _parse_file(read_gold, args.gold)
     splits = _parse_file(read_splits, args.splits)
     preds = _parse_file(parse_predictions, args.preds)
-    report = score_predictions(gold, splits, preds)
+    try:
+        report = score_predictions(gold, splits, preds)
+    except ScoringError as exc:  # the splits row at fault; its line is found only now
+        with open(args.splits, "rb") as f:  # "?" if the file changed since it was read
+            line = next((n for n, obj in read_jsonl(f) if obj.get("id") == exc.sample_id), "?")
+        raise CliError(f"{args.splits}: line {line}: {exc}") from None
     fmt = "json" if args.format == "json" else "text-table"
     sys.stdout.buffer.write(render_report(report, fmt))
     return EXIT_OK

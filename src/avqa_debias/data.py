@@ -61,8 +61,7 @@ KNOWN_GROUPS = frozenset(
 )
 
 REQUIRED_FIELDS = ("id", "task", "question_type", "question", "answer")
-_REQUIRED = frozenset(REQUIRED_FIELDS)
-_KNOWN_FIELDS = _REQUIRED | {"source_id"}
+_KNOWN_FIELDS = frozenset(REQUIRED_FIELDS) | {"source_id"}
 
 
 class CorpusError(ValueError):
@@ -220,38 +219,56 @@ def read_jsonl(stream: IO[bytes]) -> Iterator[tuple[int, dict]]:
         yield lineno, obj
 
 
-def _sample_from_obj(obj: dict, lineno: int, warnings: list[str] | None) -> QASample:
-    if not obj.keys() >= _REQUIRED:
-        missing = next(name for name in REQUIRED_FIELDS if name not in obj)
-        raise CorpusError(f"missing required field {missing!r}", lineno)
+def _check_row(
+    obj: dict, lineno: int, records: dict, seen: dict[str, int]
+) -> tuple[str, tuple[GroupKey, str]]:
+    """Every check of one corpus row, in a fixed order; returns the row's id
+    and its ``(GroupKey, answer)`` record.
+
+    ``records`` maps each raw ``(task, question_type, answer)`` triple that
+    has passed to its record, so the group and answer of a triple are
+    checked once and every row with that triple shares one record.
+    ``seen`` maps each id to the line of its first row.
+    """
     try:
-        task, qtype = GROUP_KEYS[obj["task"], obj["question_type"]]
-    except (KeyError, TypeError):  # an unknown or unhashable value; the enums name it
+        sid, task, qtype, question, answer = (
+            obj["id"], obj["task"], obj["question_type"], obj["question"], obj["answer"])
+    except KeyError:
+        missing = next(name for name in REQUIRED_FIELDS if name not in obj)
+        raise CorpusError(f"missing required field {missing!r}", lineno) from None
+    key = task, qtype, answer
+    try:
+        record = records.get(key)
+    except TypeError:  # an unhashable value; the checks below name it
+        record = None
+    if record is None:
         try:
-            task = Task(obj["task"])
-        except ValueError:
-            raise CorpusError(f"unknown task {obj['task']!r}", lineno) from None
-        try:
-            qtype = QuestionType(obj["question_type"])
-        except ValueError:
-            raise CorpusError(f"unknown question_type {obj['question_type']!r}", lineno) from None
-    sid = obj["id"]
+            group = GROUP_KEYS[task, qtype]
+        except (KeyError, TypeError):  # an unknown or unhashable value; the enums name it
+            try:
+                task = Task(task)
+            except ValueError:
+                raise CorpusError(f"unknown task {task!r}", lineno) from None
+            try:
+                qtype = QuestionType(qtype)
+            except ValueError:
+                raise CorpusError(f"unknown question_type {qtype!r}", lineno) from None
+            group = GroupKey(task, qtype)
     if not isinstance(sid, str) or not sid:
         raise CorpusError("id must be a nonempty string", lineno)
-    answer = obj["answer"]
-    if not isinstance(answer, str) or not answer:
-        raise CorpusError("answer must be a nonempty string", lineno)
-    question = obj["question"]
+    if record is None:
+        if not isinstance(answer, str) or not answer:
+            raise CorpusError("answer must be a nonempty string", lineno)
+        record = records[key] = (group, answer)
     if not isinstance(question, str):
         raise CorpusError("question must be a string", lineno)
     source_id = obj.get("source_id")
     if source_id is not None and not isinstance(source_id, str):
         raise CorpusError("source_id must be a string or null", lineno)
-    if warnings is not None:
-        unknown = obj.keys() - _KNOWN_FIELDS
-        if unknown:
-            warnings.append(f"line {lineno}: ignored unknown fields: {', '.join(sorted(unknown))}")
-    return QASample(sid, task, qtype, question, answer, source_id)
+    first = seen.setdefault(sid, lineno)
+    if first != lineno:
+        raise CorpusError(f"duplicate id {sid!r} (first seen on line {first})", lineno)
+    return sid, record
 
 
 def parse_samples(stream: IO[bytes], warnings: list[str] | None = None) -> list[QASample]:
@@ -262,14 +279,32 @@ def parse_samples(stream: IO[bytes], warnings: list[str] | None = None) -> list[
     ignored and, when a ``warnings`` list is given, recorded there.
     """
     samples: list[QASample] = []
+    records: dict = {}
     seen: dict[str, int] = {}
     for lineno, obj in read_jsonl(stream):
-        sample = _sample_from_obj(obj, lineno, warnings)
-        first = seen.setdefault(sample.id, lineno)
-        if first != lineno:
-            raise CorpusError(f"duplicate id {sample.id!r} (first seen on line {first})", lineno)
-        samples.append(sample)
+        sid, (group, answer) = _check_row(obj, lineno, records, seen)
+        if warnings is not None:
+            unknown = obj.keys() - _KNOWN_FIELDS
+            if unknown:
+                warnings.append(f"line {lineno}: ignored unknown fields: {', '.join(sorted(unknown))}")
+        samples.append(QASample(sid, *group, obj["question"], answer, obj.get("source_id")))
     return samples
+
+
+def read_gold(stream: IO[bytes]) -> dict[str, tuple[GroupKey, str]]:
+    """Map each sample id of a corpus JSONL stream to its ``(GroupKey, answer)``.
+
+    Each line gets the checks of ``parse_samples``, with the same errors.
+    Rows with the same task, question type and answer share one record,
+    and nothing else of a row is kept.
+    """
+    gold: dict[str, tuple[GroupKey, str]] = {}
+    records: dict = {}
+    seen: dict[str, int] = {}
+    for lineno, obj in read_jsonl(stream):
+        sid, record = _check_row(obj, lineno, records, seen)
+        gold[sid] = record
+    return gold
 
 
 def write_samples(samples: Iterable[QASample], stream: IO[bytes]) -> None:

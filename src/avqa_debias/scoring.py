@@ -18,7 +18,11 @@ SCHEMA_VERSION = 1
 
 
 class ScoringError(ValueError):
-    pass
+    """Invalid scoring input; ``sample_id`` names the split assignment at fault, if one is."""
+
+    def __init__(self, message: str, sample_id: str | None = None):
+        super().__init__(message)
+        self.sample_id = sample_id
 
 
 def normalize_answer(text: str) -> str:
@@ -67,51 +71,72 @@ class RobustnessReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _outcomes(splits, gold_by_id, preds, unmatched):
-    """Yield (group, label, correct) for each assignment, checked against its
-    gold sample; the id of each assignment without a prediction goes to ``unmatched``."""
-    for a in splits:
-        sample = gold_by_id.get(a.sample_id)
-        if sample is None:
-            raise ScoringError(f"split assignment refers to unknown sample id {a.sample_id!r}")
-        if a.group != (sample.task, sample.question_type) or a.answer_class != sample.answer:
-            raise ScoringError(
-                f"split assignment {a.sample_id!r} ({a.group}, answer {a.answer_class!r}) "
-                f"disagrees with the gold sample ({sample.group}, answer {sample.answer!r})"
-            )
-        predicted = preds.get(a.sample_id)
+def _outcomes(splits, gold, preds, unmatched, checked):
+    """Yield (id of the decision, correct) for each assignment, and put the
+    id of each assignment without a prediction in ``unmatched``.
+
+    ``checked`` maps the id of each decision met to the decision, the gold
+    record last found to agree with it and that record's normalized answer,
+    so a row is checked against its gold record only when that pair is new.
+    Each distinct prediction string is normalized once.
+    """
+    normalized: dict[str, str] = {}
+    for sid, decision in splits:
+        record = gold.get(sid)
+        key = id(decision)
+        known = checked.get(key)
+        if known is None or known[1] is not record:
+            if record is None:
+                raise ScoringError(f"split assignment refers to unknown sample id {sid!r}", sid)
+            if decision[:2] != record:
+                raise ScoringError(
+                    f"split assignment {sid!r} ({decision.group}, answer "
+                    f"{decision.answer_class!r}) disagrees with the gold sample ({record[0]}, "
+                    f"answer {record[1]!r})", sid)
+            known = checked[key] = (decision, record, normalize_answer(record[1]))
+        predicted = preds.get(sid)
         if predicted is None:
-            unmatched.append(a.sample_id)
-            correct = False
-        else:
-            correct = normalize_answer(predicted) == normalize_answer(sample.answer)
-        yield a.group, a.label, correct
+            unmatched.append(sid)
+            yield key, False
+            continue
+        ours = normalized.get(predicted)
+        if ours is None:
+            ours = normalized[predicted] = normalize_answer(predicted)
+        yield key, ours == known[2]
 
 
 def score_predictions(
-    gold: list[QASample],
+    gold: dict[str, tuple[GroupKey, str]] | list[QASample],
     splits: list[SplitAssignment],
     preds: dict[str, str],
 ) -> RobustnessReport:
     """Score predictions over the samples that carry a head/tail label.
+
+    ``gold`` maps each sample id to its ``(GroupKey, answer)``, as
+    ``data.read_gold`` returns; a list of samples is mapped so first.
 
     A sample is correct iff the prediction matches the gold answer after
     whitespace trimming and lowercasing. Samples with no prediction count
     as incorrect and are listed in ``unmatched_ids``. An assignment whose
     group or answer disagrees with its gold sample is an error.
 
-    Each row adds one to a tally of (group, label, correct); the cells are
-    built from the tallies once, and integer sums keep them exact.
+    Rows are tallied by the identity of their decision and whether they
+    are right, so no row hashes an enum, and each answer string is
+    normalized once. The cells are built from the tallies once, and
+    integer sums keep them exact.
     """
-    gold_by_id = {s.id: s for s in gold}
-    warnings = [f"prediction id {pid!r} not in gold corpus" for pid in preds if pid not in gold_by_id]
+    if not isinstance(gold, dict):
+        gold = {s.id: (s.group, s.answer) for s in gold}
+    warnings = [f"prediction id {pid!r} not in gold corpus" for pid in preds if pid not in gold]
     unmatched: list[str] = []
-    tally = Counter(_outcomes(splits, gold_by_id, preds, unmatched))
+    checked: dict[int, tuple] = {}
+    tally = Counter(_outcomes(splits, gold, preds, unmatched, checked))
 
     per_group: dict[GroupKey, AccuracyCell] = {}
     per_task: dict[Task, AccuracyCell] = {}
     aggregate = AccuracyCell()
-    for (group, label, correct), count in tally.items():
+    for (key, correct), count in tally.items():
+        group, _, label, _ = checked[key][0]
         per_group.setdefault(group, AccuracyCell()).add(label, correct, count)
         per_task.setdefault(group.task, AccuracyCell()).add(label, correct, count)
         aggregate.add(label, correct, count)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring
-from typing import IO
+from typing import IO, NamedTuple
 
 from .data import (
     GROUP_KEYS,
@@ -110,13 +110,38 @@ class AnswerDistribution:
         return Fraction(self.total, self.class_count)
 
 
-@dataclass(frozen=True, slots=True)
-class SplitAssignment:
-    sample_id: str
+class SplitDecision(NamedTuple):
+    """The split of one answer class of one group. Its first two fields are
+    the ``(GroupKey, answer)`` a gold sample of that class has; every row of
+    the class shares one decision."""
+
     group: GroupKey
-    label: SplitLabel
     answer_class: str
+    label: SplitLabel
     rule: SplitRule
+
+
+class SplitAssignment(NamedTuple):
+    """One sample's split: its id and its answer class's shared decision."""
+
+    sample_id: str
+    decision: SplitDecision
+
+    @property
+    def group(self) -> GroupKey:
+        return self.decision.group
+
+    @property
+    def answer_class(self) -> str:
+        return self.decision.answer_class
+
+    @property
+    def label(self) -> SplitLabel:
+        return self.decision.label
+
+    @property
+    def rule(self) -> SplitRule:
+        return self.decision.rule
 
 
 @dataclass
@@ -201,7 +226,7 @@ def assign_splits(
 
     Samples in excluded (balanced) groups get no assignment; their groups
     are listed in ``skipped_groups``. Deterministic given corpus order.
-    Every assignment of a group shares that group's ``GroupKey``.
+    The assignments of one (group, answer) share one ``SplitDecision``.
     """
     if not corpus:
         raise SplitError("empty corpus")
@@ -211,17 +236,20 @@ def assign_splits(
         reports[key] = report = GroupReport(dist, labels=None, rule=None)
         if select_imbalanced_groups([dist], cfg):
             report.labels, report.rule = split_head_tail(dist, cfg)
-    # A row finds its group's report by the identity of its two enum
+    # A row finds its group's decisions by the identity of its two enum
     # members, as in group_samples, so no row hashes an enum.
     decisions = {
-        (id(key.task), id(key.question_type)): (r.distribution.group, r.labels, r.rule)
+        (id(key.task), id(key.question_type)): None if r.labels is None else {
+            answer: SplitDecision(r.distribution.group, answer, label, r.rule)
+            for answer, label in r.labels.items()
+        }
         for key, r in reports.items()
     }
     assignments = []
     for s in corpus:
-        group, labels, rule = decisions[id(s.task), id(s.question_type)]
-        if labels is not None:
-            assignments.append(SplitAssignment(s.id, group, labels[s.answer], s.answer, rule))
+        by_answer = decisions[id(s.task), id(s.question_type)]
+        if by_answer is not None:
+            assignments.append(SplitAssignment(s.id, by_answer[s.answer]))
     return SplitResult(assignments=assignments, group_reports=list(reports.values()))
 
 
@@ -229,46 +257,57 @@ def write_splits(assignments: list[SplitAssignment], stream: IO[bytes]) -> None:
     """Write assignments as JSONL: id, task, question_type, answer, split, rule.
 
     Each line is the text ``json.dumps(obj, ensure_ascii=False)`` gives for
-    the row's object. The fields after ``id`` are encoded once per (group,
-    answer, label, rule), and the id by the string encoder ``json.dumps``
-    uses. Lines are written ``_CHUNK_LINES`` at a time; a chunk that cannot
-    be encoded (a lone surrogate) is written row by row instead, so the
-    bytes written and the error raised are those of a per-row writer.
+    the row's object. The fields after ``id`` are encoded once per decision,
+    and the id by the string encoder ``json.dumps`` uses. Each line is
+    encoded to UTF-8 on its own, and the lines go out ``_CHUNK_LINES`` per
+    write; a line that cannot be encoded (a lone surrogate) raises after
+    the lines before it are written, as from a per-row writer.
     """
-    suffixes: dict[tuple, str] = {}
+    suffixes: dict[int, str] = {}  # by the id of a decision, which every assignment keeps alive
     for start in range(0, len(assignments), _CHUNK_LINES):
-        lines = []
-        for a in assignments[start : start + _CHUNK_LINES]:
-            group = a.group
-            key = id(group.task), id(group.question_type), a.answer_class, id(a.label), id(a.rule)
-            suffix = suffixes.get(key)
-            if suffix is None:
-                suffix = suffixes[key] = json.dumps({
-                    "task": group.task.value,
-                    "question_type": group.question_type.value,
-                    "answer": a.answer_class,
-                    "split": a.label.value,
-                    "rule": a.rule.value,
-                }, ensure_ascii=False)[1:]
-            lines.append(f'{{"id": {encode_basestring(a.sample_id)}, {suffix}')
+        lines: list[bytes] = []
         try:
-            chunk = ("\n".join(lines) + "\n").encode("utf-8")
-        except UnicodeEncodeError:
-            for line in lines:
-                stream.write(line.encode("utf-8") + b"\n")
-        else:
-            stream.write(chunk)
+            for sid, decision in assignments[start : start + _CHUNK_LINES]:
+                suffix = suffixes.get(id(decision))
+                if suffix is None:
+                    group, answer, label, rule = decision
+                    suffix = suffixes[id(decision)] = json.dumps({
+                        "task": group.task.value,
+                        "question_type": group.question_type.value,
+                        "answer": answer,
+                        "split": label.value,
+                        "rule": rule.value,
+                    }, ensure_ascii=False)[1:]
+                lines.append(f'{{"id": {encode_basestring(sid)}, {suffix}\n'.encode("utf-8"))
+        finally:
+            stream.write(b"".join(lines))
+
+
+def _decision(obj: dict) -> SplitDecision:
+    """The decision a splits row spells; an unknown or unhashable value is the
+    ValueError its enum constructor raises, and a missing field a KeyError,
+    reading the fields in file order."""
+    try:
+        group = GROUP_KEYS[obj["task"], obj["question_type"]]
+        label, answer, rule = _LABELS[obj["split"]], obj["answer"], _RULES[obj["rule"]]
+    except (KeyError, TypeError):  # the constructors raise the error to report
+        group = GroupKey(Task(obj["task"]), QuestionType(obj["question_type"]))
+        label, answer, rule = SplitLabel(obj["split"]), obj["answer"], SplitRule(obj["rule"])
+    if not isinstance(answer, str) or not answer:
+        raise ValueError("answer must be a nonempty string")
+    return SplitDecision(group, answer, label, rule)
 
 
 def read_splits(stream: IO[bytes]) -> list[SplitAssignment]:
     """Parse a splits JSONL file, read by ``data.read_jsonl``, into assignments.
 
-    Each enum field is decoded by one table lookup, and the assignments of
-    a group share one ``GroupKey``. A duplicate id is an error, raised at
-    the line of its second copy: counting a sample twice would change the
-    reported accuracy.
+    The rows that spell one (task, question_type, answer, split, rule)
+    share one ``SplitDecision``, checked once. A duplicate id is an error,
+    raised at the line of its second copy: counting a sample twice would
+    change the reported accuracy.
     """
     out: list[SplitAssignment] = []
+    decisions: dict[tuple, SplitDecision] = {}  # by the raw strings of a row's fields
     seen: dict[str, int] = {}
     for lineno, obj in read_jsonl(stream):
         try:
@@ -276,19 +315,18 @@ def read_splits(stream: IO[bytes]) -> list[SplitAssignment]:
             if not isinstance(sid, str):
                 raise ValueError("id must be a string")
             try:
-                a = SplitAssignment(sid, GROUP_KEYS[obj["task"], obj["question_type"]],
-                                    _LABELS[obj["split"]], obj["answer"], _RULES[obj["rule"]])
-            except (KeyError, TypeError):  # a missing field, an unknown or unhashable value:
-                # the constructors, read in field order, raise the error to report
-                group = GroupKey(Task(obj["task"]), QuestionType(obj["question_type"]))
-                a = SplitAssignment(sid, group, SplitLabel(obj["split"]), obj["answer"],
-                                    SplitRule(obj["rule"]))
+                key = obj["task"], obj["question_type"], obj["answer"], obj["split"], obj["rule"]
+                decision = decisions[key]
+            except (KeyError, TypeError):  # a new key, or a missing field or unhashable value,
+                decision = decisions[key] = _decision(obj)  # for which _decision raises
+            if not sid:
+                raise ValueError("id must be a nonempty string")
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"invalid splits record: {exc}", lineno) from exc
         first = seen.setdefault(sid, lineno)
         if first != lineno:
             raise CorpusError(f"duplicate id {sid!r} (first seen on line {first})", lineno)
-        out.append(a)
+        out.append(SplitAssignment(sid, decision))
     return out
 
 

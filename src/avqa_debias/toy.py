@@ -54,7 +54,7 @@ import numpy as np
 from .data import QASample, QuestionType, Task
 from .losses import UNIMODAL, MccdConfig, answer_loss, joint_components_stacked, softmaxed
 from .scoring import RobustnessReport, score_predictions
-from .splitting import SplitAssignment, SplitLabel, SplitRule
+from .splitting import SplitAssignment, SplitDecision, SplitLabel, SplitRule
 
 
 class ToyError(ValueError):
@@ -268,16 +268,15 @@ def generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticDat
     rng.shuffle(head_mask)
     test = draw(cfg.test_n, "test", regime=head_mask)
 
-    splits = [
-        SplitAssignment(
-            sample_id=qa.id,
-            group=qa.group,
-            label=SplitLabel.HEAD if head_mask[i] else SplitLabel.TAIL,
-            answer_class=qa.answer,
-            rule=SplitRule.GENERAL_THRESHOLD,
-        )
-        for i, qa in enumerate(test.qa)
-    ]
+    decisions: dict[tuple[str, bool], SplitDecision] = {}
+    splits = []
+    for qa, head in zip(test.qa, head_mask.tolist()):
+        decision = decisions.get((qa.answer, head))
+        if decision is None:
+            label = SplitLabel.HEAD if head else SplitLabel.TAIL
+            decision = decisions[qa.answer, head] = SplitDecision(
+                qa.group, qa.answer, label, SplitRule.GENERAL_THRESHOLD)
+        splits.append(SplitAssignment(qa.id, decision))
     return SyntheticData(train=train, test=test, splits=splits)
 
 

@@ -150,6 +150,40 @@ class TestScoreCommand:
                        "--preds", preds)
         assert "disagrees with the gold sample" in one_error_line(proc)
 
+    @pytest.mark.parametrize("change, problem", [
+        ({"id": "ghost"}, "split assignment refers to unknown sample id 'ghost'"),
+        ({"answer": "ax"}, "split assignment 'avqa0002' (AVQA/Counting, answer 'ax') disagrees "
+                           "with the gold sample (AVQA/Counting, answer 'a')"),
+        ({"task": "AudioQA"}, "split assignment 'avqa0002' (AudioQA/Counting, answer 'a') "
+                              "disagrees with the gold sample (AVQA/Counting, answer 'a')"),
+    ])
+    def test_cross_file_error_names_the_splits_line(self, tmp_path, change, problem):
+        """The third record, after two blank lines, is line 5 of the splits file."""
+        lines = (GOLDEN / "splits.jsonl").read_bytes().splitlines(keepends=True)
+        lines[2] = json.dumps(json.loads(lines[2]) | change).encode() + b"\n"
+        splits = tmp_path / "splits.jsonl"
+        splits.write_bytes(b"\n \n" + b"".join(lines))
+        proc = run_cli("score", "--gold", GOLDEN / "corpus.jsonl", "--splits", splits,
+                       "--preds", self.make_inputs(tmp_path))
+        assert one_error_line(proc) == f"error: {splits}: line 5: {problem}\n"
+
+    @pytest.mark.parametrize("change, problem", [
+        ({"answer": 3}, "answer must be a nonempty string"),
+        ({"answer": ""}, "answer must be a nonempty string"),
+        ({"answer": None}, "answer must be a nonempty string"),
+        ({"answer": ["a"]}, "answer must be a nonempty string"),
+        ({"id": ""}, "id must be a nonempty string"),
+    ])
+    def test_bad_split_answer_or_id(self, tmp_path, change, problem):
+        """Rejected where it is read, not later as a disagreement with the gold corpus."""
+        lines = (GOLDEN / "splits.jsonl").read_bytes().splitlines(keepends=True)
+        lines[1] = json.dumps(json.loads(lines[1]) | change).encode() + b"\n"
+        splits = tmp_path / "splits.jsonl"
+        splits.write_bytes(b"".join(lines))
+        proc = run_cli("score", "--gold", GOLDEN / "corpus.jsonl", "--splits", splits,
+                       "--preds", self.make_inputs(tmp_path))
+        assert one_error_line(proc) == f"error: {splits}: line 2: invalid splits record: {problem}\n"
+
     def test_non_string_prediction(self, tmp_path):
         preds = tmp_path / "preds.jsonl"
         preds.write_bytes(b'{"id": "avqa0000", "predicted_answer": 3}\n')
@@ -705,3 +739,24 @@ def test_traced_training_path_attribute_exists(target):
     for name in path.split("."):
         owner = getattr(owner, name, None)
     assert callable(owner)
+
+
+def test_single_run_commands_do_not_load_the_pool_modules(tmp_path):
+    """split, score and train-toy start no pool, so they must not pay to import
+    concurrent.futures (which loads logging) or multiprocessing."""
+    script = ("import sys\nfrom avqa_debias.cli import main\ncode = main(sys.argv[1:])\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+              "('concurrent', 'multiprocessing')))\nsys.exit(code)")
+    preds = tmp_path / "preds.jsonl"
+    preds.write_bytes(b'{"id": "avqa0000", "predicted_answer": "a"}\n')
+    commands = [
+        ["split", "--input", GOLDEN / "corpus.jsonl", "--output-dir", tmp_path / "split"],
+        ["score", "--gold", GOLDEN / "corpus.jsonl", "--splits", GOLDEN / "splits.jsonl",
+         "--preds", preds],
+        ["train-toy", "--data", TOY_GOLDEN / "synth", "--epochs", "1",
+         "--output-dir", tmp_path / "train"],
+    ]
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)], capture_output=True)
+        assert proc.returncode == EXIT_OK, proc.stderr.decode()
+        assert proc.stdout.decode().splitlines()[-1] == "[]", argv[0]

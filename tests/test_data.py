@@ -18,6 +18,7 @@ from avqa_debias.data import (
     group_samples,
     parse_predictions,
     parse_samples,
+    read_gold,
     read_jsonl,
     validate_corpus,
     write_samples,
@@ -185,8 +186,9 @@ class TestEnumErrors:
 
 
 def test_clean_input_takes_the_fast_path(monkeypatch):
-    """Clean rows reach neither json.loads nor an enum constructor, and
-    neither splitting nor scoring builds a GroupKey per row."""
+    """Clean rows reach neither json.loads nor an enum constructor, neither
+    splitting nor scoring builds a GroupKey per row, and the rows of one
+    answer class share one gold record and one split decision."""
     groups = sorted(KNOWN_GROUPS)
     corpus = [
         QASample(f"q{i:04d}", *groups[i % len(groups)], f"question {i}", "abbbbbc"[i % 7],
@@ -221,15 +223,20 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
     group_calls = calls.pop("QASample.group", 0)
     write_splits(result.assignments, splits_bytes)
     gold = parse_samples(io.BytesIO(corpus_bytes.getvalue()))
+    records = read_gold(io.BytesIO(corpus_bytes.getvalue()))
     splits = read_splits(io.BytesIO(splits_bytes.getvalue()))
     preds = parse_predictions(io.BytesIO(preds_bytes))
-    report = score_predictions(gold, splits, preds)
+    report = score_predictions(records, splits, preds)
     monkeypatch.undo()
 
     assert group_calls <= len(result.group_reports) == len(groups)
     assert calls == Counter()
     assert gold == corpus and splits == result.assignments and len(preds) == 1_000
     assert len(splits) == 1_000 and report.aggregate.head_n + report.aggregate.tail_n == 1_000
+    assert report == score_predictions(gold, splits, preds)
+    # one record per (group, answer) and one decision per (group, answer, label)
+    assert len({id(r) for r in records.values()}) == len(set(records.values())) == 9 * 3
+    assert len({id(a.decision) for a in splits}) == len({a.decision for a in splits})
 
 
 class TestGroupKey:
@@ -335,7 +342,7 @@ _LINE = (
 )
 
 
-@pytest.mark.parametrize("parse", [parse_samples, parse_predictions, read_splits])
+@pytest.mark.parametrize("parse", [parse_samples, read_gold, parse_predictions, read_splits])
 @settings(deadline=None)
 @given(lines=st.lists(_LINE, max_size=6))
 @example(lines=[b"\xef\xbb\xbf{}"])
@@ -355,6 +362,75 @@ def test_reader_fuzz(parse, lines):
     except CorpusError as exc:
         match = re.match(r"line (\d+): ", str(exc))
         assert match and 1 <= int(match[1]) <= len(io.BytesIO(data).readlines()), str(exc)
+
+
+# Corpus rows whose fields come from small pools, so that a file repeats
+# ids, (task, question_type, answer) triples and faults in any order: a
+# good triple met first and then on a row with another fault, or a fault
+# before the triple's first good row.
+_CORPUS_FIELDS = {
+    "id": st.sampled_from(["a", "b", "c", "d", "", 3, None]),
+    "task": st.sampled_from(["AVQA", "AVQA", "AudioQA", "bogus", [1], 1]),
+    "question_type": st.sampled_from(["Counting", "Counting", "Temporal", "Why", {}, None]),
+    "question": st.sampled_from(["q", "q", "", 7, None]),
+    "answer": st.sampled_from(["yes", "yes", "no", " No", "", 3, True, [1], None]),
+}
+_CORPUS_OPTIONAL = {"source_id": st.sampled_from(["t", None, 5]), "extra": st.just(1)}
+_CORPUS_LINE = (
+    st.fixed_dictionaries(_CORPUS_FIELDS, optional=_CORPUS_OPTIONAL)
+    | st.fixed_dictionaries({}, optional=_CORPUS_FIELDS | _CORPUS_OPTIONAL)
+).map(lambda obj: json.dumps(obj).encode()) | _LINE
+
+
+def _read(reader, data: bytes):
+    """What ``reader`` returns for ``data``, or the text of the CorpusError it raises."""
+    try:
+        return reader(io.BytesIO(data)), None
+    except CorpusError as exc:
+        return None, str(exc)
+
+
+def _one_line_at_a_time(data: bytes):
+    """What parse_samples must give for ``data``: each line read on its own,
+    at its line number, and an id met twice a duplicate at its second line."""
+    samples, first = [], {}
+    for lineno, line in enumerate(data.split(b"\n"), start=1):
+        parsed, error = _read(parse_samples, b"\n" * (lineno - 1) + line)
+        if error is not None:
+            return None, error
+        for sample in parsed:
+            if sample.id in first:
+                return None, (f"line {lineno}: duplicate id {sample.id!r} "
+                              f"(first seen on line {first[sample.id]})")
+            first[sample.id] = lineno
+            samples.append(sample)
+    return samples, None
+
+
+_GOOD_ROW = dict(_SAMPLE, task="AVQA", question_type="Counting")
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=st.lists(_CORPUS_LINE, max_size=8))
+@example(lines=[json.dumps(_GOOD_ROW).encode(), json.dumps(dict(_GOOD_ROW, id="")).encode()])
+@example(lines=[json.dumps(_GOOD_ROW).encode(), json.dumps(dict(_GOOD_ROW, id="b", question=1)).encode()])
+@example(lines=[json.dumps(_GOOD_ROW).encode(), b"", json.dumps(_GOOD_ROW).encode()])
+@example(lines=[json.dumps(dict(_GOOD_ROW, answer=["yes"])).encode()])
+def test_gold_reader_matches_parse_samples(lines):
+    """read_gold accepts the lines parse_samples accepts, maps each id to its
+    sample's (group, answer), and rejects the rest with the same error;
+    rows with one (group, answer) share one record. Both give what each
+    line gives when read on its own, so no check is lost to the cache of
+    checked (task, question_type, answer) triples."""
+    data = b"\n".join(lines)
+    samples, error = _read(parse_samples, data)
+    gold, gold_error = _read(read_gold, data)
+    assert gold_error == error
+    assert (samples, error) == _one_line_at_a_time(data)
+    if error is None:
+        assert gold == {s.id: (s.group, s.answer) for s in samples}
+        shared: dict = {}
+        assert all(shared.setdefault(record, record) is record for record in gold.values())
 
 
 def _nesting(value) -> int:

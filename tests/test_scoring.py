@@ -1,10 +1,12 @@
+import io
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from avqa_debias.data import QuestionType, Task
+from avqa_debias.data import GroupKey, QASample, QuestionType, Task, read_gold, write_samples
 from avqa_debias.scoring import (
     AccuracyCell,
     ScoringError,
@@ -14,18 +16,13 @@ from avqa_debias.scoring import (
     render_report,
     score_predictions,
 )
-from avqa_debias.splitting import SplitAssignment, SplitLabel, SplitRule
+from avqa_debias.splitting import SplitAssignment, SplitDecision, SplitLabel, SplitRule
 from conftest import make_sample
 
 
 def assignment(sample, label):
-    return SplitAssignment(
-        sample_id=sample.id,
-        group=sample.group,
-        label=label,
-        answer_class=sample.answer,
-        rule=SplitRule.GENERAL_THRESHOLD,
-    )
+    decision = SplitDecision(sample.group, sample.answer, label, SplitRule.GENERAL_THRESHOLD)
+    return SplitAssignment(sample.id, decision)
 
 
 def fixture_4h2t():
@@ -134,6 +131,126 @@ class TestScorePredictions:
     def test_empty_cell_accuracy_is_none(self):
         cell = AccuracyCell()
         assert cell.head_acc is None and cell.tail_acc is None and cell.overall_acc is None
+
+
+def _reference_score(gold, splits, preds):
+    """The scorer's rules as a plain per-row tally: (per_group, per_task,
+    aggregate) cells as [head_correct, head_n, tail_correct, tail_n] lists,
+    the unmatched ids and the warnings; or the ScoringError to raise."""
+    by_id = {s.id: s for s in gold}
+    cells: dict = {}
+    unmatched = []
+    for a in splits:
+        sample = by_id.get(a.sample_id)
+        if sample is None:
+            raise ScoringError(f"split assignment refers to unknown sample id {a.sample_id!r}")
+        if a.group != sample.group or a.answer_class != sample.answer:
+            raise ScoringError(
+                f"split assignment {a.sample_id!r} ({a.group}, answer {a.answer_class!r}) "
+                f"disagrees with the gold sample ({sample.group}, answer {sample.answer!r})")
+        predicted = preds.get(a.sample_id)
+        if predicted is None:
+            unmatched.append(a.sample_id)
+        ascii_space = " \t\r\n\f\v"
+        correct = (predicted is not None and predicted.strip(ascii_space).lower()
+                   == sample.answer.strip(ascii_space).lower())
+        i = 0 if a.label is SplitLabel.HEAD else 2
+        for key in (a.group, a.group.task, "All"):
+            cell = cells.setdefault(key, [0, 0, 0, 0])
+            cell[i] += correct
+            cell[i + 1] += 1
+    warnings = [f"prediction id {pid!r} not in gold corpus" for pid in preds if pid not in by_id]
+    per_group = dict(sorted((k, v) for k, v in cells.items() if isinstance(k, GroupKey)))
+    per_task = dict(sorted(((k, v) for k, v in cells.items() if isinstance(k, Task)),
+                           key=lambda kv: kv[0].value))
+    return per_group, per_task, cells.get("All", [0, 0, 0, 0]), unmatched, warnings
+
+
+def _cell(c: AccuracyCell) -> list[int]:
+    return [c.head_correct, c.head_n, c.tail_correct, c.tail_n]
+
+
+_GROUPS = [GroupKey(Task.AVQA, QuestionType.COUNTING), GroupKey(Task.AVQA, QuestionType.TEMPORAL),
+           GroupKey(Task.AUDIO_QA, QuestionType.COUNTING)]
+_ANSWERS = ["yes", "No", " two", "three\t", "\u00a0yes", "İ"]
+# Ways to spell a prediction of an answer: as is, in another case, with
+# ASCII whitespace (trimmed), with a no-break space (kept).
+_SPELLINGS = [str, str.upper, str.lower, lambda a: f" {a}\n", lambda a: f"\u00a0{a}"]
+
+
+@st.composite
+def _scoring_case(draw):
+    """A corpus, splits over some of its samples in any order (their
+    decisions shared by answer class, or one per row), and predictions that
+    are right, wrong, missing or for unknown ids; at times one assignment
+    names an unknown id or disagrees with its gold sample."""
+    gold = [QASample(f"s{i}", *draw(st.sampled_from(_GROUPS)), "q", draw(st.sampled_from(_ANSWERS)))
+            for i in range(draw(st.integers(0, 24)))]
+    shared = draw(st.booleans())
+    decisions: dict = {}
+    splits = []
+    for i in draw(st.lists(st.integers(0, len(gold) - 1), unique=True)) if gold else []:
+        s = gold[i]
+        decision = SplitDecision(s.group, s.answer, draw(st.sampled_from(SplitLabel)),
+                                 SplitRule.GENERAL_THRESHOLD)
+        if shared:
+            decision = decisions.setdefault(decision, decision)
+        splits.append(SplitAssignment(s.id, decision))
+    fault = draw(st.sampled_from([None, None, None, "unknown", "group", "answer", "borrowed"]))
+    if fault and splits:
+        k = draw(st.integers(0, len(splits) - 1))
+        sid, decision = splits[k]
+        group, answer, label, rule = decision
+        if fault == "unknown":
+            sid = "ghost"
+        elif fault == "group":
+            group = draw(st.sampled_from([g for g in _GROUPS if g != group]))
+        elif fault == "answer":
+            answer = draw(st.sampled_from([a for a in _ANSWERS if a != answer]))
+        else:  # the decision object of another row, perhaps of another answer class
+            decision = draw(st.sampled_from(splits))[1]
+        if fault != "borrowed":
+            decision = SplitDecision(group, answer, label, rule)
+        splits[k] = SplitAssignment(sid, decision)
+    preds = {}
+    for s in gold:
+        kind = draw(st.sampled_from(["right", "wrong", "missing"]))
+        if kind != "missing":
+            answer = s.answer if kind == "right" else draw(st.sampled_from(_ANSWERS))
+            preds[s.id] = draw(st.sampled_from(_SPELLINGS))(answer)
+    for pid in draw(st.lists(st.sampled_from(["ghost", "x1", "x2"]), unique=True)):
+        preds[pid] = "yes"
+    return gold, splits, dict(draw(st.permutations(list(preds.items()))))
+
+
+class TestScoreAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_scoring_case(), as_records=st.booleans())
+    def test_matches_a_per_row_tally(self, case, as_records):
+        """Same cells in the same order, unmatched ids and warnings, or the
+        same error, whether gold is a list of samples or read_gold's map."""
+        gold, splits, preds = case
+        if as_records:
+            buf = io.BytesIO()
+            write_samples(gold, buf)
+            scored_gold = read_gold(io.BytesIO(buf.getvalue()))
+        else:
+            scored_gold = gold
+        try:
+            expected = _reference_score(gold, splits, preds)
+        except ScoringError as exc:
+            with pytest.raises(ScoringError) as info:
+                score_predictions(scored_gold, splits, preds)
+            assert str(info.value) == str(exc)
+            return
+        report = score_predictions(scored_gold, splits, preds)
+        per_group, per_task, aggregate, unmatched, warnings = expected
+        assert {k: _cell(c) for k, c in report.per_group.items()} == per_group
+        assert list(report.per_group) == list(per_group)
+        assert {k: _cell(c) for k, c in report.per_task.items()} == per_task
+        assert list(report.per_task) == list(per_task)
+        assert _cell(report.aggregate) == aggregate
+        assert report.unmatched_ids == unmatched and report.warnings == warnings
 
 
 class TestVoteTable:

@@ -14,6 +14,7 @@ from avqa_debias.splitting import (
     AnswerDistribution,
     SplitAssignment,
     SplitConfig,
+    SplitDecision,
     SplitError,
     SplitLabel,
     SplitRule,
@@ -255,19 +256,27 @@ _TRICKY = st.text(
                      "\ud800", "\udfff"]) | st.characters(),
     max_size=4,
 )
-_ASSIGNMENT = st.builds(
-    SplitAssignment,
-    _TRICKY,
+_DECISION = st.builds(
+    SplitDecision,
     st.builds(GroupKey, st.sampled_from(Task), st.sampled_from(QuestionType)),
-    st.sampled_from(SplitLabel),
     _TRICKY,
+    st.sampled_from(SplitLabel),
     st.sampled_from(SplitRule),
 )
 
 
+@st.composite
+def _assignments(draw):
+    """Up to 12 assignments, whose decisions come from a pool of up to 3, so
+    rows share a decision as they do in ``assign_splits`` and ``read_splits``."""
+    pool = draw(st.lists(_DECISION, min_size=1, max_size=3))
+    return [SplitAssignment(sid, draw(st.sampled_from(pool)))
+            for sid in draw(st.lists(_TRICKY, max_size=12))]
+
+
 class TestWriteSplits:
     @settings(max_examples=300, deadline=None)
-    @given(assignments=st.lists(_ASSIGNMENT, max_size=12), chunk=st.integers(1, 5))
+    @given(assignments=_assignments(), chunk=st.integers(1, 5))
     def test_matches_a_per_row_writer(self, assignments, chunk):
         """Same bytes, or the same error after the same bytes, with a lone
         surrogate at any row, on either side of a chunk boundary."""
@@ -277,15 +286,11 @@ class TestWriteSplits:
     @pytest.mark.parametrize("bad_row", [None, 0, 4095, 4096, 8192])
     def test_matches_a_per_row_writer_at_full_chunks(self, bad_row):
         group = GroupKey(Task.AVQA, QuestionType.COUNTING)
-        assignments = [
-            SplitAssignment(f"r{i}", group, SplitLabel(("head", "tail")[i % 2]), "two",
-                            SplitRule.GENERAL_THRESHOLD)
-            for i in range(2 * 4096 + 1)
-        ]
+        head, tail = (SplitDecision(group, "two", label, SplitRule.GENERAL_THRESHOLD)
+                      for label in SplitLabel)
+        assignments = [SplitAssignment(f"r{i}", (head, tail)[i % 2]) for i in range(2 * 4096 + 1)]
         if bad_row is not None:
-            assignments[bad_row] = SplitAssignment(
-                'q"\ud800', group, SplitLabel.TAIL, "two", SplitRule.GENERAL_THRESHOLD
-            )
+            assignments[bad_row] = SplitAssignment('q"\ud800', tail)
         assert splitting._CHUNK_LINES == 4096
         got = _written(write_splits, assignments)
         assert got == _written(_write_per_row, assignments)
