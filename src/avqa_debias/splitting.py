@@ -317,8 +317,10 @@ def read_splits(stream: IO[bytes]) -> list[SplitAssignment]:
             try:
                 key = obj["task"], obj["question_type"], obj["answer"], obj["split"], obj["rule"]
                 decision = decisions[key]
-            except (KeyError, TypeError):  # a new key, or a missing field or unhashable value,
-                decision = decisions[key] = _decision(obj)  # for which _decision raises
+            except (KeyError, TypeError):
+                # A new key; or a missing field or an unhashable value, for
+                # which _decision raises before anything is stored.
+                decision = decisions[key] = _decision(obj)
             if not sid:
                 raise ValueError("id must be a nonempty string")
         except (KeyError, TypeError, ValueError) as exc:
