@@ -78,5 +78,5 @@ for report in result.group_reports:
 
 counts = {"head": 0, "tail": 0}
 for a in result.assignments:
-    counts[a.label.value] += 1
+    counts[a.decision.label.value] += 1
 print("\nsample-level split sizes:", counts)

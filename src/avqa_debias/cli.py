@@ -177,7 +177,7 @@ def cmd_gen_synth(args) -> int:
     for name, part in (("train", data.train), ("test", data.test)):
         with open(out / f"{name}.jsonl", "wb") as f:
             write_samples(part.qa, f)
-        serialize.write_features(out / f"{name}.features", *part.x)
+        serialize.write_features(out / f"{name}.features", part.x)
     with open(out / "splits.jsonl", "wb") as f:
         write_splits(data.splits, f)
     _dump_json({"schema_version": 1, **asdict(cfg)}, out / "synth_config.json")
@@ -210,15 +210,15 @@ def _load_toy_corpus(data_dir: Path, name: str, synth_cfg: dict) -> ToySet:
     corpus_path = data_dir / f"{name}.jsonl"
     qa = _parse_file(parse_samples, corpus_path)
     path = data_dir / f"{name}.features"
-    audio, video, question = serialize.read_features(path)
-    if len(audio) != len(qa):
-        raise CliError(f"{name}: {len(qa)} samples but {len(audio)} feature rows")
-    for m, x in zip(ToyModel.MODALITIES, (audio, video, question)):
-        if x.shape[1] != synth_cfg["feature_dim"]:
-            raise CliError(f"{path}: {m} features are {x.shape[1]} wide, but feature_dim "
-                           f"in {data_dir / 'synth_config.json'} is {synth_cfg['feature_dim']}")
+    x = serialize.read_features(path)
+    _, n, d = x.shape
+    if n != len(qa):
+        raise CliError(f"{path}: {n} feature rows, but {corpus_path} has {len(qa)} samples")
+    if d != synth_cfg["feature_dim"]:
+        raise CliError(f"{path}: audio features are {d} wide, but feature_dim "
+                       f"in {data_dir / 'synth_config.json'} is {synth_cfg['feature_dim']}")
     labels = _labels(corpus_path, qa, synth_cfg["num_classes"])
-    return ToySet(qa=qa, labels=labels, x=np.stack((audio, video, question)))
+    return ToySet(qa=qa, labels=labels, x=x)
 
 
 def _read_synth_config(path: Path) -> dict:
@@ -485,7 +485,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CliError, OSError, ValueError, KeyError) as exc:
+    # MemoryError: a size numpy refuses to allocate, such as --train-n 2**40
+    except (CliError, OSError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

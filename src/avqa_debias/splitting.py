@@ -127,22 +127,6 @@ class SplitAssignment(NamedTuple):
     sample_id: str
     decision: SplitDecision
 
-    @property
-    def group(self) -> GroupKey:
-        return self.decision.group
-
-    @property
-    def answer_class(self) -> str:
-        return self.decision.answer_class
-
-    @property
-    def label(self) -> SplitLabel:
-        return self.decision.label
-
-    @property
-    def rule(self) -> SplitRule:
-        return self.decision.rule
-
 
 @dataclass
 class GroupReport:

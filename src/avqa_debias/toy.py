@@ -10,8 +10,9 @@ tail, which is exactly what the debiasing objective is meant to prevent.
 
 A corpus is a ``ToySet``: the ``QASample`` records, one int64 label
 vector, and the features of all three modalities as one (3, n, d)
-float64 array in ``MODALITIES`` order, so a minibatch is one row
-selection of each array.
+float64 array in ``MODALITIES`` order. That array is the one form the
+features take from the generator through the features file to training,
+and a minibatch is one row selection of it.
 
 The classifier is a small numpy network: one affine+ramp encoder per
 modality, an affine fusion head producing the answer logits, and one
@@ -104,8 +105,8 @@ class ToySet:
 
     ``labels`` is an int64 vector of answer-class indices; ``x`` is the
     (3, n, d) float64 feature array, one (n, d) matrix per modality in
-    ``ToyModel.MODALITIES`` order. ``audio``, ``video`` and ``question``
-    are read-only views of its three matrices.
+    ``ToyModel.MODALITIES`` order, as a features file stores it, so ``x[i]``
+    is modality i's matrix.
     """
 
     qa: list[QASample]
@@ -121,21 +122,6 @@ class ToySet:
 
     def __len__(self) -> int:
         return len(self.qa)
-
-    def __getitem__(self, rows: slice | np.ndarray) -> "ToySet":
-        """The samples at ``rows`` (a slice or an index array) as a new set."""
-        if isinstance(rows, slice):
-            return ToySet(self.qa[rows], self.labels[rows], self.x[:, rows])
-        return ToySet([self.qa[i] for i in rows], self.labels[rows], np.take(self.x, rows, axis=1))
-
-    def _modality(self, i: int) -> np.ndarray:
-        view = self.x[i]
-        view.flags.writeable = False
-        return view
-
-    audio = property(lambda self: self._modality(0))
-    video = property(lambda self: self._modality(1))
-    question = property(lambda self: self._modality(2))
 
 
 class AblationVariant(enum.Enum):
@@ -389,7 +375,7 @@ def _stack_features(features: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _check_feature_dim(model: ToyModel, data: ToySet) -> None:
     d = data.x.shape[2]  # the width of all three modalities
     if d != model.feature_dim:
-        raise ToyError(f"audio feature dim {d} does not match model dim {model.feature_dim}")
+        raise ToyError(f"feature dim {d} does not match model dim {model.feature_dim}")
 
 
 def predict_logits(model: ToyModel, data: ToySet) -> np.ndarray:

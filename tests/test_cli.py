@@ -359,6 +359,20 @@ class TestGenSynthAndTrain:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err == f"error: {feats}: truncated header\n"
 
+    @pytest.mark.parametrize("name", ["train", "test"])
+    def test_row_count_mismatch(self, tmp_path, name):
+        data = tmp_path / "d"
+        shutil.copytree(TOY_GOLDEN / "synth", data)
+        corpus = data / f"{name}.jsonl"
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        corpus.write_bytes(b"".join(lines[:-1]))
+        proc = run_cli("train-toy", "--data", data, "--epochs", "1",
+                       "--output-dir", tmp_path / "run")
+        assert one_error_line(proc) == (
+            f"error: {data / f'{name}.features'}: {len(lines)} feature rows, "
+            f"but {corpus} has {len(lines) - 1} samples\n"
+        )
+
     def test_feature_dim_mismatch(self, tmp_path):
         data = tmp_path / "d"
         shutil.copytree(TOY_GOLDEN / "synth", data)
@@ -680,6 +694,20 @@ class TestSettingsRejected:
         assert proc.returncode == EXIT_USAGE
         assert not (tmp_path / "splits.jsonl").exists()
 
+    # 2**40 and above, where numpy refuses the allocation at once
+    @pytest.mark.parametrize("argv", [
+        ("gen-synth", "--train-n", 2**40),
+        ("gen-synth", "--test-n", 2**40),
+        ("--threads", "1", "ablation", "--train-n", 2**40),
+        ("gradcheck", "--classes", 2**40),
+    ], ids=["gen-synth-train-n", "gen-synth-test-n", "ablation-train-n", "gradcheck-classes"])
+    def test_size_too_large_to_allocate(self, tmp_path, argv):
+        out = tmp_path / "out"
+        writes = "gradcheck" not in argv  # the one command with no --output-dir
+        proc = run_cli(*argv, *(["--output-dir", out] if writes else []))
+        assert one_error_line(proc).startswith("error: Unable to allocate ")
+        assert proc.stdout == b"" and not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--step", "nan"), ("--step", "inf"), ("--step", "0"), ("--step", "-1e-5"),
         ("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "0"),
@@ -742,14 +770,15 @@ def test_traced_training_path_attribute_exists(target):
 
 
 def test_single_run_commands_do_not_load_the_pool_modules(tmp_path):
-    """split, score and train-toy start no pool, so they must not pay to import
-    concurrent.futures (which loads logging) or multiprocessing."""
+    """gen-synth, split, score and train-toy start no pool, so they must not pay
+    to import concurrent.futures (which loads logging) or multiprocessing."""
     script = ("import sys\nfrom avqa_debias.cli import main\ncode = main(sys.argv[1:])\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] in "
               "('concurrent', 'multiprocessing')))\nsys.exit(code)")
     preds = tmp_path / "preds.jsonl"
     preds.write_bytes(b'{"id": "avqa0000", "predicted_answer": "a"}\n')
     commands = [
+        ["gen-synth", "--output-dir", tmp_path / "synth"],
         ["split", "--input", GOLDEN / "corpus.jsonl", "--output-dir", tmp_path / "split"],
         ["score", "--gold", GOLDEN / "corpus.jsonl", "--splits", GOLDEN / "splits.jsonl",
          "--preds", preds],

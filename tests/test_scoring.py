@@ -144,9 +144,10 @@ def _reference_score(gold, splits, preds):
         sample = by_id.get(a.sample_id)
         if sample is None:
             raise ScoringError(f"split assignment refers to unknown sample id {a.sample_id!r}")
-        if a.group != sample.group or a.answer_class != sample.answer:
+        d = a.decision
+        if d.group != sample.group or d.answer_class != sample.answer:
             raise ScoringError(
-                f"split assignment {a.sample_id!r} ({a.group}, answer {a.answer_class!r}) "
+                f"split assignment {a.sample_id!r} ({d.group}, answer {d.answer_class!r}) "
                 f"disagrees with the gold sample ({sample.group}, answer {sample.answer!r})")
         predicted = preds.get(a.sample_id)
         if predicted is None:
@@ -154,8 +155,8 @@ def _reference_score(gold, splits, preds):
         ascii_space = " \t\r\n\f\v"
         correct = (predicted is not None and predicted.strip(ascii_space).lower()
                    == sample.answer.strip(ascii_space).lower())
-        i = 0 if a.label is SplitLabel.HEAD else 2
-        for key in (a.group, a.group.task, "All"):
+        i = 0 if d.label is SplitLabel.HEAD else 2
+        for key in (d.group, d.group.task, "All"):
             cell = cells.setdefault(key, [0, 0, 0, 0])
             cell[i] += correct
             cell[i + 1] += 1

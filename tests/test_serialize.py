@@ -17,73 +17,91 @@ from avqa_debias.serialize import (
 )
 
 
-def three(n, dims=(3, 2, 3)):
-    """Audio, video and question matrices with distinct entries."""
-    start = np.cumsum([0, *dims])
-    return tuple(np.arange(n * d, dtype=float).reshape(n, d) + 100.0 * s
-                 for d, s in zip(dims, start))
+def three(n, d=3):
+    """A (3, n, d) feature array with distinct entries."""
+    return np.arange(3 * n * d, dtype=float).reshape(3, n, d) + 0.5
+
+
+def interleaved(x):
+    """The body of a features file, built one vector at a time: per sample,
+    its audio, video and question vectors."""
+    return b"".join(x[m, i].astype("<f8").tobytes() for i in range(x.shape[1]) for m in range(3))
 
 
 def test_features_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    mats = (rng.standard_normal((5, 4)), rng.standard_normal((5, 6)), rng.standard_normal((5, 4)))
+    x = np.random.default_rng(0).standard_normal((3, 5, 4))
     path = tmp_path / "x.features"
-    write_features(path, *mats)
+    write_features(path, x)
     back = read_features(path)
-    assert len(back) == 3
-    for m, m2 in zip(mats, back):
-        assert m2.dtype == np.float64 and m2.flags.c_contiguous
-        assert np.array_equal(m, m2)
+    assert back.dtype == np.float64 and back.flags.c_contiguous
+    assert np.array_equal(x, back)
 
 
 def test_features_rows_interleave_on_disk(tmp_path):
     # per sample: audio, video, then question vector, after a 24-byte header
-    a, v, q = three(2)
+    x = three(2)
     p = tmp_path / "x"
-    write_features(p, a, v, q)
+    write_features(p, x)
     body = np.frombuffer(p.read_bytes()[24:], dtype="<f8")
+    a, v, q = x
     assert np.array_equal(body, np.concatenate([a[0], v[0], q[0], a[1], v[1], q[1]]))
 
 
 def test_features_deterministic_bytes(tmp_path):
-    mats = three(1)
+    x = three(1)
     p1, p2 = tmp_path / "a", tmp_path / "b"
-    write_features(p1, *mats)
-    write_features(p2, *mats)
+    write_features(p1, x)
+    write_features(p2, x)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 @settings(deadline=None, max_examples=50)
-@given(n=st.integers(1, 600), dims=st.tuples(*[st.integers(0, 5)] * 3))
-@example(n=256, dims=(3, 2, 3))
-@example(n=257, dims=(16, 16, 16))
-def test_features_bytes_are_one_interleaved_matrix(tmp_path_factory, n, dims):
+@given(n=st.integers(1, 600), d=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+@example(n=256, d=3, seed=0)
+@example(n=257, d=16, seed=0)
+def test_features_bytes_are_one_interleaved_matrix(tmp_path_factory, n, d, seed):
     # rows are interleaved a chunk at a time; the file must still be the
-    # header followed by the whole (n, da + dv + dq) matrix, row-major
-    mats = three(n, dims)
+    # header followed by each sample's three vectors, and read back as the
+    # array that was written
+    x = np.random.default_rng(seed).standard_normal((3, n, d))
     path = tmp_path_factory.getbasetemp() / "chunked.features"
-    write_features(path, *mats)
-    header = FEATURES_MAGIC + struct.pack("<IIIII", FORMAT_VERSION, n, *dims)
-    assert path.read_bytes() == header + np.concatenate(mats, axis=1).astype("<f8").tobytes()
+    write_features(path, x)
+    header = FEATURES_MAGIC + struct.pack("<IIIII", FORMAT_VERSION, n, d, d, d)
+    assert path.read_bytes() == header + interleaved(x)
+    back = read_features(path)
+    assert back.dtype == np.float64 and back.flags.c_contiguous
+    assert np.array_equal(back, x)
 
 
 def test_features_errors(tmp_path):
     with pytest.raises(FormatError, match="no feature rows"):
-        write_features(tmp_path / "x", *three(0))
-    a, v, q = three(2)
+        write_features(tmp_path / "x", three(0))
+    x = three(2)
     with pytest.raises(FormatError, match="shape"):
-        write_features(tmp_path / "x", a, v[:1], q)
+        write_features(tmp_path / "x", x[:2])
     with pytest.raises(FormatError, match="shape"):
-        write_features(tmp_path / "x", a, v, q[0])
+        write_features(tmp_path / "x", x[0])
     p = tmp_path / "junk"
     p.write_bytes(b"NOPE" + b"\x00" * 20)
     with pytest.raises(FormatError, match="not a features file"):
         read_features(p)
 
 
+@pytest.mark.parametrize("widths", [(8, 4, 8), (4, 8, 8), (8, 8, 4), (0, 0, 1)])
+def test_features_unequal_widths(tmp_path, widths):
+    # no writer produces such a header; the three modalities share one width
+    p = tmp_path / "x.features"
+    header = FEATURES_MAGIC + struct.pack("<IIIII", FORMAT_VERSION, 1, *widths)
+    p.write_bytes(header + b"\x00" * 8 * sum(widths))
+    da, dv, dq = widths
+    with pytest.raises(FormatError) as info:
+        read_features(p)
+    assert str(info.value) == f"{p}: modality widths {da}, {dv} and {dq} differ"
+
+
 def test_features_truncation_and_trailing(tmp_path):
     p = tmp_path / "x"
-    write_features(p, *three(1))
+    write_features(p, three(1))
     blob = p.read_bytes()
     p.write_bytes(blob[:-4])
     with pytest.raises(FormatError, match="truncated"):
@@ -100,7 +118,7 @@ def test_features_truncation_and_trailing(tmp_path):
 @pytest.mark.parametrize("cut", [4, 10, 23])
 def test_features_short_header(tmp_path, cut):
     p = tmp_path / "x.features"
-    write_features(p, *three(1))
+    write_features(p, three(1))
     p.write_bytes(p.read_bytes()[:cut])
     with pytest.raises(FormatError, match=r"x\.features: truncated header"):
         read_features(p)

@@ -174,11 +174,11 @@ class TestAssignSplits:
         by_id = {a.sample_id: a for a in result.assignments}
         assert len(by_id) == 13 + 10
         # answer a has count 10 > 1.2 * 13/3 = 5.2 -> head
-        assert by_id["avqa0000"].label is SplitLabel.HEAD
-        assert by_id["avqa0010"].label is SplitLabel.TAIL  # answer "b"
-        assert by_id["aq0000"].label is SplitLabel.HEAD  # answer "x", two-answer rule
-        assert by_id["aq0008"].label is SplitLabel.TAIL  # answer "y"
-        assert by_id["aq0000"].rule is SplitRule.TWO_ANSWER_LOW_FREQUENCY
+        assert by_id["avqa0000"].decision.label is SplitLabel.HEAD
+        assert by_id["avqa0010"].decision.label is SplitLabel.TAIL  # answer "b"
+        assert by_id["aq0000"].decision.label is SplitLabel.HEAD  # answer "x", two-answer rule
+        assert by_id["aq0008"].decision.label is SplitLabel.TAIL  # answer "y"
+        assert by_id["aq0000"].decision.rule is SplitRule.TWO_ANSWER_LOW_FREQUENCY
 
     def test_one_report_per_group(self):
         result = assign_splits(self.corpus())
@@ -188,10 +188,11 @@ class TestAssignSplits:
         assert not skipped.retained and skipped.labels is None and skipped.rule is None
         assert result.skipped_groups == [skipped.distribution.group]
         for a in result.assignments:
-            report = by_group[str(a.group)]
+            d = a.decision
+            report = by_group[str(d.group)]
             assert report.retained
-            assert a.group is report.distribution.group  # one key object per group
-            assert (a.label, a.rule) == (report.labels[a.answer_class], report.rule)
+            assert d.group is report.distribution.group  # one key object per group
+            assert (d.label, d.rule) == (report.labels[d.answer_class], report.rule)
 
     def test_assignment_order_follows_corpus(self):
         corpus = self.corpus()
@@ -228,13 +229,14 @@ class TestAssignSplits:
 def _write_per_row(assignments, stream):
     """The writer write_splits must match byte for byte: one json.dumps per row."""
     for a in assignments:
+        d = a.decision
         obj = {
             "id": a.sample_id,
-            "task": a.group.task.value,
-            "question_type": a.group.question_type.value,
-            "answer": a.answer_class,
-            "split": a.label.value,
-            "rule": a.rule.value,
+            "task": d.group.task.value,
+            "question_type": d.group.question_type.value,
+            "answer": d.answer_class,
+            "split": d.label.value,
+            "rule": d.rule.value,
         }
         stream.write(json.dumps(obj, ensure_ascii=False).encode("utf-8") + b"\n")
 

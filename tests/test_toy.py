@@ -19,6 +19,7 @@ from avqa_debias.toy import (
     SyntheticConfig,
     ToyError,
     ToyModel,
+    ToySet,
     TrainConfig,
     _backward,
     _forward_cache,
@@ -54,9 +55,10 @@ def fail_first_then_mark(task):
     return {}
 
 
-def head_logits(model, batch):
-    """All four logit heads of the training forward pass, keyed by head name."""
-    return dict(zip(HEADS, _forward_cache(model, batch.x)["heads"].logits))
+def head_logits(model, x):
+    """All four logit heads of the training forward pass over the (3, K, d)
+    features ``x``, keyed by head name."""
+    return dict(zip(HEADS, _forward_cache(model, x)["heads"].logits))
 
 
 class TestClassNames:
@@ -99,32 +101,31 @@ class TestGenerateSynthetic:
     def test_deterministic(self):
         a, b = small_data(), small_data()
         assert [s.id for s in a.train.qa] == [s.id for s in b.train.qa]
-        for x, y in ((a.train, b.train), (a.test, b.test)):
-            assert np.array_equal(x.labels, y.labels)
-            assert np.array_equal(x.audio, y.audio)
-            assert np.array_equal(x.question, y.question)
+        for p, q in ((a.train, b.train), (a.test, b.test)):
+            assert np.array_equal(p.labels, q.labels)
+            assert np.array_equal(p.x, q.x)
 
     def test_sizes_and_split_fractions(self):
         data = small_data()
         assert len(data.train) == 300 and len(data.test) == 200
-        tails = sum(1 for a in data.splits if a.label is SplitLabel.TAIL)
+        tails = sum(1 for a in data.splits if a.decision.label is SplitLabel.TAIL)
         assert tails == round(0.3 * 200)
 
     def test_shortcut_channel_semantics(self):
         # bias_strength 1: the shortcut channel always names the label;
         # bias_strength 0: it never does
         clean = small_data(bias_strength=1.0).train
-        assert np.array_equal(np.argmax(clean.question, axis=1), clean.labels)
+        assert np.array_equal(np.argmax(clean.x[2], axis=1), clean.labels)
         flipped = small_data(bias_strength=0.0).train
-        assert np.all(np.argmax(flipped.question, axis=1) != flipped.labels)
+        assert np.all(np.argmax(flipped.x[2], axis=1) != flipped.labels)
 
     def test_test_regime_matches_split_labels(self):
         data = small_data()
         row = {s.id: i for i, s in enumerate(data.test.qa)}
         for a in data.splits:
             i = row[a.sample_id]
-            agrees = int(np.argmax(data.test.question[i])) == data.test.labels[i]
-            assert agrees == (a.label is SplitLabel.HEAD)
+            agrees = int(np.argmax(data.test.x[2, i])) == data.test.labels[i]
+            assert agrees == (a.decision.label is SplitLabel.HEAD)
 
     def test_training_answers_are_splitter_compatible(self):
         # the planted skew keeps normalized entropy under the 0.9 cutoff
@@ -137,7 +138,7 @@ class TestGenerateSynthetic:
         # labels share each audio prototype and three share each video one
         data = small_data(noise_scale=0.0)
         by_audio = {}
-        for audio, label in zip(data.train.audio, data.train.labels):
+        for audio, label in zip(data.train.x[0], data.train.labels):
             by_audio.setdefault(tuple(audio), set()).add(int(label))
         assert any(len(v) > 1 for v in by_audio.values())
 
@@ -145,28 +146,11 @@ class TestGenerateSynthetic:
 class TestToySet:
     def test_rows_must_align(self):
         data = small_data().train
+        assert data.x.shape == (3, 300, 16)
         with pytest.raises(ToyError, match="labels"):
             replace(data, labels=data.labels[:-1])
         with pytest.raises(ToyError, match="features"):
             replace(data, x=data.x[:, :-1])
-
-    def test_row_selection(self):
-        data = small_data().train
-        idx = np.array([5, 0, 7])
-        part = data[idx]
-        assert [s.id for s in part.qa] == [data.qa[i].id for i in idx]
-        assert np.array_equal(part.labels, data.labels[idx])
-        assert np.array_equal(part.question, data.question[idx])
-        assert len(data[2:4]) == 2
-
-    def test_modalities_are_views_of_one_array(self):
-        data = small_data().train
-        assert data.x.shape == (3, 300, 16)
-        for part in (data, data[3:9], data[np.array([5, 0, 7])]):
-            for i, m in enumerate(ToyModel.MODALITIES):
-                view = getattr(part, m)
-                assert np.shares_memory(view, part.x) and np.array_equal(view, part.x[i])
-                assert not view.flags.writeable
 
 
 class TestFlatParameters:
@@ -213,16 +197,16 @@ class TestForward:
     def test_heads_shapes(self):
         data = small_data()
         model = ToyModel.initialize(6, 16, seed=0)
-        logits = head_logits(model, data.train[:10])
+        logits = head_logits(model, data.train.x[:, :10])
         assert set(logits) == {"audio", "video", "question", "fused"}
         assert all(v.shape == (10, 6) for v in logits.values())
 
     def test_batching_invariance(self):
         data = small_data()
         model = ToyModel.initialize(6, 16, seed=0)
-        whole = head_logits(model, data.train[:8])
+        whole = head_logits(model, data.train.x[:, :8])
         for i in range(8):
-            single = head_logits(model, data.train[i : i + 1])
+            single = head_logits(model, data.train.x[:, i : i + 1])
             for name in whole:
                 assert np.allclose(whole[name][i], single[name][0], atol=1e-12)
 
@@ -230,22 +214,23 @@ class TestForward:
         # data meets the model in train and predict_logits; both check
         data = small_data()
         model = ToyModel.initialize(6, 8, seed=0)
-        with pytest.raises(ToyError, match="audio feature dim 16 does not match model dim 8"):
+        with pytest.raises(ToyError, match="^feature dim 16 does not match model dim 8$"):
             train(model, data.train, QUICK)
-        with pytest.raises(ToyError, match="audio feature dim 16 does not match model dim 8"):
+        with pytest.raises(ToyError, match="^feature dim 16 does not match model dim 8$"):
             predict_logits(model, data.test)
 
     def test_predict_uses_only_fusion_path(self):
         data = small_data()
         model = ToyModel.initialize(6, 16, seed=0)
-        before = predict_logits(model, data.test[:20])
+        test = ToySet(data.test.qa[:20], data.test.labels[:20], data.test.x[:, :20])
+        before = predict_logits(model, test)
         # clobber every bias-learner parameter; inference must not move
         for name, arr in model.params.items():
             if name.startswith("bias_"):
                 arr += 100.0
-        after = predict_logits(model, data.test[:20])
+        after = predict_logits(model, test)
         assert np.array_equal(before, after)
-        assert np.array_equal(before, head_logits(model, data.test[:20])["fused"])
+        assert np.array_equal(before, head_logits(model, test.x)["fused"])
 
 
 class TestTrain:
@@ -291,7 +276,7 @@ class TestTrain:
     def test_empty_corpus(self):
         model = ToyModel.initialize(6, 16, seed=0)
         with pytest.raises(ToyError, match="empty"):
-            train(model, small_data().train[:0], QUICK)
+            train(model, ToySet([], np.empty(0, np.int64), np.empty((3, 0, 16))), QUICK)
 
     def test_loss_decreases(self):
         data = small_data()
@@ -310,7 +295,7 @@ class TestBackward:
         data = small_data(num_classes=4, feature_dim=5)
         model = ToyModel.initialize(4, 5, seed=0)
         model.flat[:] = 0.5 * rng.standard_normal(model.flat.size)  # nonzero biases too
-        x = data.train[:6].x
+        x = data.train.x[:, :6]
         G = rng.standard_normal((4, 6, 4))
         G_fused = np.concatenate([np.zeros((3, 6, 4)), G[3:]])
         buf = np.full_like(model.flat, np.nan)
@@ -347,7 +332,7 @@ class TestBiasLearners:
         # bias learners and leave every inference-path parameter alone
         data = small_data()
         model = ToyModel.initialize(6, 16, seed=0)
-        cache = _forward_cache(model, data.train[:16].x)
+        cache = _forward_cache(model, data.train.x[:, :16])
         rng = np.random.default_rng(0)
         dlogits = np.zeros((4, 16, 6))  # HEADS order: the fused head is last
         dlogits[:3] = rng.standard_normal((3, 16, 6))
@@ -367,8 +352,8 @@ class TestBiasLearners:
         data = small_data()
         model = ToyModel.initialize(6, 16, seed=0)
         train(model, data.train, TrainConfig(epochs=10), AblationSpec(variant=AblationVariant.FULL))
-        guesses = np.argmax(head_logits(model, data.train)["question"], axis=1)
-        shortcut = np.argmax(data.train.question, axis=1)
+        guesses = np.argmax(head_logits(model, data.train.x)["question"], axis=1)
+        shortcut = np.argmax(data.train.x[2], axis=1)
         assert np.mean(guesses == shortcut) > 0.5
 
 
