@@ -108,7 +108,7 @@ def _train_from_args(args, alpha: float, beta: float) -> TrainConfig:
 
 def cmd_split(args) -> int:
     cfg = SplitConfig(entropy_threshold=args.entropy_threshold, tail_factor=args.tail_factor)
-    result = assign_splits(_parse_file(parse_samples, args.input), cfg)
+    result = assign_splits(_parse_file(read_gold, args.input), cfg)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "splits.jsonl", "wb") as f:

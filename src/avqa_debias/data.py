@@ -61,7 +61,6 @@ KNOWN_GROUPS = frozenset(
 )
 
 REQUIRED_FIELDS = ("id", "task", "question_type", "question", "answer")
-_KNOWN_FIELDS = frozenset(REQUIRED_FIELDS) | {"source_id"}
 
 
 class CorpusError(ValueError):
@@ -271,22 +270,17 @@ def _check_row(
     return sid, record
 
 
-def parse_samples(stream: IO[bytes], warnings: list[str] | None = None) -> list[QASample]:
+def parse_samples(stream: IO[bytes]) -> list[QASample]:
     """Parse a JSONL byte stream into samples, preserving file order.
 
     Lines are read by ``read_jsonl``; a missing or invalid field or a
-    duplicate id is a CorpusError with the line number. Unknown fields are
-    ignored and, when a ``warnings`` list is given, recorded there.
+    duplicate id is a CorpusError with the line number. Unknown fields are ignored.
     """
     samples: list[QASample] = []
     records: dict = {}
     seen: dict[str, int] = {}
     for lineno, obj in read_jsonl(stream):
         sid, (group, answer) = _check_row(obj, lineno, records, seen)
-        if warnings is not None:
-            unknown = obj.keys() - _KNOWN_FIELDS
-            if unknown:
-                warnings.append(f"line {lineno}: ignored unknown fields: {', '.join(sorted(unknown))}")
         samples.append(QASample(sid, *group, obj["question"], answer, obj.get("source_id")))
     return samples
 
@@ -304,6 +298,24 @@ def read_gold(stream: IO[bytes]) -> dict[str, tuple[GroupKey, str]]:
     for lineno, obj in read_jsonl(stream):
         sid, record = _check_row(obj, lineno, records, seen)
         gold[sid] = record
+    return gold
+
+
+def as_gold(corpus: dict | Iterable[QASample]) -> dict[str, tuple[GroupKey, str]]:
+    """``corpus`` as ``read_gold``'s map: a map as it is, or each sample's id to a
+    ``(GroupKey, answer)`` record shared, as there, by one (group, answer). A
+    duplicate id is a CorpusError: either sample could change a split or an accuracy."""
+    if isinstance(corpus, dict):
+        return corpus
+    gold: dict[str, tuple[GroupKey, str]] = {}
+    records: dict[tuple[int, int, str], tuple[GroupKey, str]] = {}  # by the enums' identity
+    for s in corpus:
+        key = id(s.task), id(s.question_type), s.answer
+        if key not in records:
+            records[key] = GROUP_KEYS[s.task.value, s.question_type.value], s.answer
+        if s.id in gold:
+            raise CorpusError(f"duplicate id {s.id!r}")
+        gold[s.id] = records[key]
     return gold
 
 
@@ -343,20 +355,11 @@ def validate_corpus(samples: list[QASample]) -> CorpusStats:
 
 
 def group_samples(samples: list[QASample]) -> dict[GroupKey, list[QASample]]:
-    """Partition samples by (task, question_type); iteration follows GroupKey order.
-
-    Rows are grouped by the identity of their two enum members, which
-    hashes in C where an enum's own hash is a Python call, and each
-    group's GroupKey is built once, from its first member.
-    """
-    groups: dict[tuple[int, int], list[QASample]] = {}
+    """Partition samples by (task, question_type); iteration follows GroupKey order."""
+    groups: dict[GroupKey, list[QASample]] = {}
     for s in samples:
-        key = id(s.task), id(s.question_type)
-        members = groups.get(key)
-        if members is None:
-            groups[key] = members = []
-        members.append(s)
-    return dict(sorted((GroupKey(m[0].task, m[0].question_type), m) for m in groups.values()))
+        groups.setdefault(s.group, []).append(s)
+    return dict(sorted(groups.items()))
 
 
 def parse_predictions(stream: IO[bytes]) -> dict[str, str]:

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .data import GroupKey, QASample, Task
+from .data import GroupKey, QASample, Task, as_gold
 from .splitting import SplitAssignment, SplitLabel
 
 SCHEMA_VERSION = 1
@@ -112,8 +112,8 @@ def score_predictions(
 ) -> RobustnessReport:
     """Score predictions over the samples that carry a head/tail label.
 
-    ``gold`` maps each sample id to its ``(GroupKey, answer)``, as
-    ``data.read_gold`` returns; a list of samples is mapped so first.
+    ``gold`` is ``data.read_gold``'s map of each sample id to its
+    ``(GroupKey, answer)``, or samples that ``data.as_gold`` maps so.
 
     A sample is correct iff the prediction matches the gold answer after
     whitespace trimming and lowercasing. Samples with no prediction count
@@ -125,8 +125,7 @@ def score_predictions(
     normalized once. The cells are built from the tallies once, and
     integer sums keep them exact.
     """
-    if not isinstance(gold, dict):
-        gold = {s.id: (s.group, s.answer) for s in gold}
+    gold = as_gold(gold)
     warnings = [f"prediction id {pid!r} not in gold corpus" for pid in preds if pid not in gold]
     unmatched: list[str] = []
     checked: dict[int, tuple] = {}

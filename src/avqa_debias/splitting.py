@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring
@@ -31,7 +32,8 @@ from .data import (
     QASample,
     QuestionType,
     Task,
-    group_samples,
+    as_gold,
+    group_samples,  # not called here; the benchmark's tracer looks it up in this module
     read_jsonl,
 )
 
@@ -155,16 +157,11 @@ def answer_distribution(samples: list[QASample]) -> AnswerDistribution:
     """Answer-class histogram and entropy statistics for one group."""
     if not samples:
         raise SplitError("cannot build an answer distribution from an empty group")
-    first = samples[0]
-    task, qtype = first.task, first.question_type
-    counts: dict[str, int] = {}
-    for s in samples:
-        if s.task is not task or s.question_type is not qtype:
-            raise SplitError(
-                f"mixed groups in one distribution: {first.group} vs {s.group}"
-            )
-        counts[s.answer] = counts.get(s.answer, 0) + 1
-    return AnswerDistribution(group=first.group, counts=counts)
+    group = samples[0].group
+    mixed = next((s.group for s in samples if s.group != group), None)
+    if mixed is not None:
+        raise SplitError(f"mixed groups in one distribution: {group} vs {mixed}")
+    return AnswerDistribution(group=group, counts=dict(Counter(s.answer for s in samples)))
 
 
 def select_imbalanced_groups(
@@ -204,37 +201,38 @@ def split_head_tail(
 
 
 def assign_splits(
-    corpus: list[QASample], cfg: SplitConfig = SplitConfig()
+    corpus: dict[str, tuple[GroupKey, str]] | list[QASample], cfg: SplitConfig = SplitConfig()
 ) -> SplitResult:
-    """Run the full pipeline: group, measure entropy, filter, label samples.
+    """Run the full pipeline: count answers, measure entropy, filter, label samples.
 
-    Samples in excluded (balanced) groups get no assignment; their groups
-    are listed in ``skipped_groups``. Deterministic given corpus order.
-    The assignments of one (group, answer) share one ``SplitDecision``.
+    ``corpus`` is ``data.read_gold``'s map, or samples that ``data.as_gold``
+    maps so. Samples in excluded (balanced) groups get no assignment; their
+    groups are listed in ``skipped_groups``. Deterministic given corpus order.
+    Rows are counted by the identity of their record, so no row hashes an
+    enum, and the rows of one (group, answer) share one ``SplitDecision``.
     """
-    if not corpus:
+    gold = as_gold(corpus)
+    if not gold:
         raise SplitError("empty corpus")
-    reports: dict[GroupKey, GroupReport] = {}
-    for key, members in group_samples(corpus).items():
-        dist = answer_distribution(members)
-        reports[key] = report = GroupReport(dist, labels=None, rule=None)
+    records = gold.values()
+    shared = dict(zip(map(id, records), records))  # each record by its id, in order of first row
+    counts: dict[GroupKey, dict[str, int]] = {}  # equal records that are not shared add up
+    for key, n in Counter(map(id, records)).items():
+        group, answer = shared[key]
+        by_answer = counts.setdefault(group, {})
+        by_answer[answer] = by_answer.get(answer, 0) + n
+    reports, decisions = [], {}
+    for group, by_answer in sorted(counts.items()):
+        dist = AnswerDistribution(group, by_answer)
+        reports.append(report := GroupReport(dist, labels=None, rule=None))
         if select_imbalanced_groups([dist], cfg):
             report.labels, report.rule = split_head_tail(dist, cfg)
-    # A row finds its group's decisions by the identity of its two enum
-    # members, as in group_samples, so no row hashes an enum.
-    decisions = {
-        (id(key.task), id(key.question_type)): None if r.labels is None else {
-            answer: SplitDecision(r.distribution.group, answer, label, r.rule)
-            for answer, label in r.labels.items()
-        }
-        for key, r in reports.items()
-    }
-    assignments = []
-    for s in corpus:
-        by_answer = decisions[id(s.task), id(s.question_type)]
-        if by_answer is not None:
-            assignments.append(SplitAssignment(s.id, by_answer[s.answer]))
-    return SplitResult(assignments=assignments, group_reports=list(reports.values()))
+            for answer, label in report.labels.items():
+                decisions[group, answer] = SplitDecision(group, answer, label, report.rule)
+    by_record = {key: decisions.get(record) for key, record in shared.items()}
+    rows = zip(gold, map(by_record.__getitem__, map(id, records)))
+    assignments = [SplitAssignment(sid, decision) for sid, decision in rows if decision is not None]
+    return SplitResult(assignments=assignments, group_reports=reports)
 
 
 def write_splits(assignments: list[SplitAssignment], stream: IO[bytes]) -> None:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from avqa_debias import serialize, toy
 from avqa_debias.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from avqa_debias.data import QASample, parse_samples
 from conftest import exit_in_worker
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -45,6 +46,24 @@ class TestSplitCommand:
         assert rc == EXIT_OK
         assert (tmp_path / "splits.jsonl").read_bytes() == (GOLDEN / "splits.jsonl").read_bytes()
         assert (tmp_path / "groups.json").read_bytes() == (GOLDEN / "groups.json").read_bytes()
+
+    def test_builds_no_sample_objects(self, tmp_path, monkeypatch):
+        """split keeps read_gold's shared records, not one QASample per row;
+        the counter does see each sample parse_samples builds."""
+        built = []
+        init = QASample.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs["id"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(QASample, "__init__", counting_init)
+        rc = main(["split", "--input", str(GOLDEN / "corpus.jsonl"), "--output-dir", str(tmp_path)])
+        assert rc == EXIT_OK and built == []
+        for name in ("splits.jsonl", "groups.json"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+        with open(GOLDEN / "corpus.jsonl", "rb") as f:
+            assert [s.id for s in parse_samples(f)] == built != []
 
     def test_missing_input(self, tmp_path, capsys):
         rc = main(["split", "--input", str(tmp_path / "nope.jsonl"), "--output-dir", str(tmp_path)])

@@ -24,7 +24,15 @@ from avqa_debias.data import (
     write_samples,
 )
 from avqa_debias.scoring import score_predictions
-from avqa_debias.splitting import assign_splits, read_splits, write_splits
+from avqa_debias.splitting import (
+    SplitError,
+    answer_distribution,
+    assign_splits,
+    read_splits,
+    select_imbalanced_groups,
+    split_head_tail,
+    write_splits,
+)
 from conftest import jsonl_stream, make_sample
 
 
@@ -124,7 +132,7 @@ class TestParseSamples:
         [sample] = parse_samples(jsonl_stream([json.dumps(obj).encode()]))
         assert sample.source_id is None and "source_id" not in sample.to_json_obj()
 
-    def test_unknown_fields_ignored_and_warned(self):
+    def test_unknown_fields_ignored(self):
         obj = {
             "id": "a",
             "task": "AVQA",
@@ -133,10 +141,8 @@ class TestParseSamples:
             "answer": "yes",
             "extra": 1,
         }
-        warnings: list[str] = []
-        samples = parse_samples(jsonl_stream([json.dumps(obj).encode()]), warnings)
-        assert len(samples) == 1
-        assert warnings and "extra" in warnings[0]
+        samples = parse_samples(jsonl_stream([json.dumps(obj).encode()]))
+        assert samples == [QASample("a", Task.AVQA, QuestionType.TEMPORAL, "q", "yes")]
 
 
 # A clean corpus record and splits record; the enum fields each reader
@@ -187,7 +193,8 @@ class TestEnumErrors:
 
 def test_clean_input_takes_the_fast_path(monkeypatch):
     """Clean rows reach neither json.loads nor an enum constructor, neither
-    splitting nor scoring builds a GroupKey per row, and the rows of one
+    splitting nor scoring builds a GroupKey per row, splitting read_gold's
+    records gives what splitting the samples gives, and the rows of one
     answer class share one gold record and one split decision."""
     groups = sorted(KNOWN_GROUPS)
     corpus = [
@@ -224,6 +231,7 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
     write_splits(result.assignments, splits_bytes)
     gold = parse_samples(io.BytesIO(corpus_bytes.getvalue()))
     records = read_gold(io.BytesIO(corpus_bytes.getvalue()))
+    from_records = assign_splits(records)
     splits = read_splits(io.BytesIO(splits_bytes.getvalue()))
     preds = parse_predictions(io.BytesIO(preds_bytes))
     report = score_predictions(records, splits, preds)
@@ -232,11 +240,14 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
     assert group_calls <= len(result.group_reports) == len(groups)
     assert calls == Counter()
     assert gold == corpus and splits == result.assignments and len(preds) == 1_000
+    assert from_records == result
     assert len(splits) == 1_000 and report.aggregate.head_n + report.aggregate.tail_n == 1_000
     assert report == score_predictions(gold, splits, preds)
     # one record per (group, answer) and one decision per (group, answer, label)
     assert len({id(r) for r in records.values()}) == len(set(records.values())) == 9 * 3
     assert len({id(a.decision) for a in splits}) == len({a.decision for a in splits})
+    decisions = [a.decision for a in from_records.assignments]
+    assert len({id(d) for d in decisions}) == len(set(decisions)) == len({d[:2] for d in decisions})
 
 
 class TestGroupKey:
@@ -431,6 +442,78 @@ def test_gold_reader_matches_parse_samples(lines):
         assert gold == {s.id: (s.group, s.answer) for s in samples}
         shared: dict = {}
         assert all(shared.setdefault(record, record) is record for record in gold.values())
+
+
+def _split(corpus):
+    """``assign_splits(corpus)``, or the text of the SplitError it raises."""
+    try:
+        return assign_splits(corpus)
+    except SplitError as exc:
+        return str(exc)
+
+
+def _reference_split(samples: list[QASample]):
+    """What assign_splits must give for ``samples``: each group's histogram
+    counted row by row, in GroupKey order, and each row of a retained group
+    labelled in corpus order."""
+    if not samples:
+        return "empty corpus"
+    reports, decided = [], {}
+    for group, members in group_samples(samples).items():
+        dist = answer_distribution(members)
+        labels, rule = split_head_tail(dist) if select_imbalanced_groups([dist]) else (None, None)
+        reports.append((group, list(dist.counts.items()), labels, rule))
+        decided[group] = labels, rule
+    assignments = [(s.id, s.group, s.answer, decided[s.group][0][s.answer], decided[s.group][1])
+                   for s in samples if decided[s.group][0] is not None]
+    return assignments, reports
+
+
+# Corpora that parse and, unlike most of _CORPUS_LINE's, keep a group: rows
+# with distinct ids and answer classes of unequal size.
+_VALID_CORPUS = st.lists(st.fixed_dictionaries({
+    "id": st.sampled_from("abcdefghijklmnopqrstuvwxyz"),
+    "task": st.sampled_from(["AVQA", "AVQA", "AudioQA"]),
+    "question_type": st.just("Counting"),
+    "question": st.just("q"),
+    "answer": st.sampled_from(["yes", "yes", "yes", "yes", "no", " No", "two"]),
+}), min_size=6, max_size=26, unique_by=lambda obj: obj["id"]).map(
+    lambda rows: [json.dumps(obj).encode() for obj in rows])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_CORPUS_LINE, max_size=8) | _VALID_CORPUS)
+@example(lines=[json.dumps(dict(_GOOD_ROW, id=i, answer=a)).encode()
+                for i, a in zip("abcdef", ["yes", "no", "yes", "yes", "two", "yes"])])
+@example(lines=[])
+def test_split_is_the_same_from_either_reader(lines):
+    """Whenever parse_samples accepts a file, assign_splits gives the same
+    assignments and group reports from read_gold's map as from the samples
+    or from a map with one record per row, and these equal a row-by-row
+    reference. Each decision's group is its report's key object, and each
+    (group, answer) has one decision object."""
+    data = b"\n".join(lines)
+    samples, error = _read(parse_samples, data)
+    if error is not None:
+        return
+    from_samples = _split(samples)
+    from_gold = _split(read_gold(io.BytesIO(data)))
+    assert from_gold == from_samples
+    # a hand-built map, whose equal records are not shared, counts the same
+    assert _split({s.id: (s.group, s.answer) for s in samples}) == from_gold
+    if isinstance(from_gold, str):
+        assert from_gold == _reference_split(samples)
+        return
+    reports = [(r.distribution.group, list(r.distribution.counts.items()), r.labels, r.rule)
+               for r in from_gold.group_reports]
+    assignments = [(a.sample_id, *a.decision) for a in from_gold.assignments]
+    assert (assignments, reports) == _reference_split(samples)
+    for result in (from_gold, from_samples):
+        keys = {r.distribution.group: r.distribution.group for r in result.group_reports}
+        one: dict = {}
+        for a in result.assignments:
+            assert a.decision.group is keys[a.decision.group]
+            assert one.setdefault(a.decision[:2], a.decision) is a.decision
 
 
 def _nesting(value) -> int:

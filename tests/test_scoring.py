@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avqa_debias.data import GroupKey, QASample, QuestionType, Task, read_gold, write_samples
+from avqa_debias.data import (
+    CorpusError, GroupKey, QASample, QuestionType, Task, read_gold, write_samples,
+)
 from avqa_debias.scoring import (
     AccuracyCell,
     ScoringError,
@@ -89,6 +91,14 @@ class TestScorePredictions:
         with pytest.raises(ScoringError, match=r"'s4' \(AVQA/Counting, answer 'no'\) disagrees "
                                                r"with the gold sample \(.*, answer 'yes'\)"):
             score_predictions(gold, splits, preds)
+
+    def test_duplicate_gold_id_rejected(self):
+        # keeping the last gold row would score s0 right, at head accuracy 1
+        gold = [make_sample("s0", "yes"), make_sample("s0", "no")]
+        splits = [assignment(gold[1], SplitLabel.HEAD)]
+        with pytest.raises(CorpusError) as info:
+            score_predictions(gold, splits, {"s0": "no"})
+        assert str(info.value) == "duplicate id 's0'"
 
     def test_normalization_applied_to_both_sides(self):
         gold = [make_sample("s0", "  Yes ")]

@@ -204,6 +204,14 @@ class TestAssignSplits:
         with pytest.raises(SplitError, match="empty corpus"):
             assign_splits([])
 
+    def test_duplicate_sample_id_rejected(self):
+        # counted twice, s0000 would make this skipped group (entropy 0.946) a kept one (0.865)
+        corpus = samples_from_counts({"a": 2, "b": 1, "c": 1})
+        corpus.append(make_sample(corpus[0].id, "a"))
+        with pytest.raises(CorpusError) as info:
+            assign_splits(corpus)
+        assert str(info.value) == "duplicate id 's0000'"
+
     def test_round_trip(self):
         result = assign_splits(self.corpus())
         buf = io.BytesIO()
