@@ -38,7 +38,14 @@ from .losses import (
     finite_difference_check,
     joint_loss,
 )
-from .scoring import ScoringError, VoteTable, fleiss_kappa, render_report, score_predictions
+from .scoring import (
+    RobustnessReport,
+    ScoringError,
+    VoteTable,
+    fleiss_kappa,
+    render_report,
+    score_predictions,
+)
 from .splitting import (
     SplitConfig,
     assign_splits,
@@ -121,16 +128,23 @@ def cmd_split(args) -> int:
     return EXIT_OK
 
 
+def _score(gold, splits, preds, splits_path) -> RobustnessReport:
+    """``score_predictions(gold, splits, preds)``; an assignment that names an
+    unknown sample or disagrees with its gold sample is a CliError naming its
+    line of the splits file at ``splits_path``."""
+    try:
+        return score_predictions(gold, splits, preds)
+    except ScoringError as exc:  # the splits row at fault; its line is found only now
+        with open(splits_path, "rb") as f:  # "?" if the file changed since it was read
+            line = next((n for n, obj in read_jsonl(f) if obj.get("id") == exc.sample_id), "?")
+        raise CliError(f"{splits_path}: line {line}: {exc}") from None
+
+
 def cmd_score(args) -> int:
     gold = _parse_file(read_gold, args.gold)
     splits = _parse_file(read_splits, args.splits)
     preds = _parse_file(parse_predictions, args.preds)
-    try:
-        report = score_predictions(gold, splits, preds)
-    except ScoringError as exc:  # the splits row at fault; its line is found only now
-        with open(args.splits, "rb") as f:  # "?" if the file changed since it was read
-            line = next((n for n, obj in read_jsonl(f) if obj.get("id") == exc.sample_id), "?")
-        raise CliError(f"{args.splits}: line {line}: {exc}") from None
+    report = _score(gold, splits, preds, args.splits)
     fmt = "json" if args.format == "json" else "text-table"
     sys.stdout.buffer.write(render_report(report, fmt))
     return EXIT_OK
@@ -247,6 +261,7 @@ def cmd_train_toy(args) -> int:
         raise CliError(f"{data_dir / 'train.jsonl'}: no samples to train on")
     test_set = _load_toy_corpus(data_dir, "test", synth_cfg)
     splits = _parse_file(read_splits, data_dir / "splits.jsonl")
+    _score(test_set.qa, splits, {}, data_dir / "splits.jsonl")  # a bad split fails before training
 
     spec = AblationSpec(variant=AblationVariant(args.variant))
     tcfg = _train_from_args(args, args.alpha, args.beta)

@@ -16,7 +16,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 
 @functools.total_ordering
@@ -61,6 +61,8 @@ KNOWN_GROUPS = frozenset(
 )
 
 REQUIRED_FIELDS = ("id", "task", "question_type", "question", "answer")
+
+T = TypeVar("T")
 
 
 class CorpusError(ValueError):
@@ -171,15 +173,74 @@ def _loads(text: str, lineno: int):
         raise CorpusError(f"malformed JSON: {exc}", lineno) from exc
 
 
-def read_jsonl(stream: IO[bytes]) -> Iterator[tuple[int, dict]]:
-    """Yield (1-based line number, object) for each nonblank line of a JSONL stream.
+# Bytes per read of a JSONL stream. Each read is cut after its last newline,
+# so that a block holds whole lines and is decoded from UTF-8 in one call.
+# A block is alive about five times over while its lines are read (the
+# read, its copies, the text and the lines), and heap pages freed after
+# reading stay resident, so a larger block raises a command's peak memory
+# without making it faster.
+_BLOCK_BYTES = 1 << 13
 
-    Every line check lives here: a CorpusError with the line number on a
-    byte-order mark, invalid UTF-8, malformed JSON, nesting deeper than
-    ``MAX_DEPTH``, a value that is not a JSON object, or a string holding
-    a lone surrogate. Blank lines are skipped but still counted.
+# The whitespace ``bytes.strip()`` removes, less the newline that ends a line:
+# a line of only these is blank. ``str.strip()`` would remove more.
+_BLANK = " \t\r\x0b\x0c"
 
-    A line is decoded by one ``raw_decode`` call, kept only when it read
+
+def _blocks(stream: IO[bytes]) -> Iterator[bytes]:
+    """The bytes of ``stream`` as runs of whole lines, without the newline that
+    ends each run; a line longer than one read makes a run of its own."""
+    pieces: list[bytes] = []
+    while chunk := stream.read(_BLOCK_BYTES):
+        end = chunk.rfind(b"\n")
+        if end < 0:
+            pieces.append(chunk)
+            continue
+        pieces.append(chunk[:end])
+        yield b"".join(pieces)
+        pieces = [chunk[end + 1 :]]
+    if last := b"".join(pieces):
+        yield last
+
+
+def _lines(stream: IO[bytes], decode: Callable[[str, int], T]) -> Iterator[tuple[int, T]]:
+    """Yield (1-based line number, ``decode(text, line number)``) for each
+    nonblank line of a JSONL stream.
+
+    A line loses its trailing carriage returns; blank lines are skipped but
+    still counted. A byte-order mark on line 1, or a line that is not valid
+    UTF-8, is a CorpusError with the line number. A block that does not
+    decode is decoded with its bad bytes escaped, and each of its lines is
+    checked alone, so the error names the first bad line, after every line
+    before it has been decoded.
+    """
+    lineno = 0
+    for block in _blocks(stream):
+        try:
+            text, escaped = block.decode("utf-8"), False
+        except UnicodeDecodeError:
+            text, escaped = block.decode("utf-8", "surrogateescape"), True
+        if lineno == 0 and text.startswith("\ufeff"):  # line 1, which is not blank
+            raise CorpusError("byte-order mark not allowed; files must be plain UTF-8", 1)
+        cr = "\r" in text
+        for lineno, line in enumerate(text.split("\n"), lineno + 1):
+            if cr:
+                line = line.rstrip("\r")
+            if not line.strip(_BLANK):
+                continue
+            if escaped:
+                try:  # the line's own bytes, so the message gives its position in the line
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CorpusError(f"invalid UTF-8: {exc}", lineno) from exc
+            yield lineno, decode(line, lineno)
+
+
+def _decode_line(text: str, lineno: int) -> dict:
+    """The JSON object on one line; malformed JSON, nesting deeper than
+    ``MAX_DEPTH``, a value that is not an object, or a string holding a lone
+    surrogate is a CorpusError with the line number.
+
+    The line is decoded by one ``raw_decode`` call, kept only when it read
     the whole line. Any other line (an error, leading or trailing
     whitespace, extra data) goes to ``json.loads``, so every value and
     every error is the one ``json.loads`` gives for that line alone. Only
@@ -187,35 +248,78 @@ def read_jsonl(stream: IO[bytes]) -> Iterator[tuple[int, dict]]:
     and only a line with a ``\\u`` escape, the one way a lone surrogate
     gets into decoded UTF-8, has its strings checked.
     """
-    for lineno, raw in enumerate(stream, start=1):
-        raw = raw.rstrip(b"\r\n")
-        if not raw.strip():
-            continue
-        if lineno == 1 and raw.startswith(b"\xef\xbb\xbf"):
-            raise CorpusError("byte-order mark not allowed; files must be plain UTF-8", lineno)
+    try:
+        obj, end = _raw_decode(text)
+    except (ValueError, RecursionError):
+        end = -1
+    n = len(text)
+    if end != n or n > _LONG_LINE and _too_deep(text):
+        obj = _loads(text, lineno)
+    if not isinstance(obj, dict):
+        raise CorpusError("each line must be a JSON object", lineno)
+    # A one-character search costs a fifth of a two-character one, so
+    # only a line with a backslash is searched for a \u escape.
+    if "\\" in text and "\\u" in text:
         try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"invalid UTF-8: {exc}", lineno) from exc
-        try:
-            obj, end = _raw_decode(text)
-        except (ValueError, RecursionError):
-            end = -1
-        n = len(text)
-        if end != n or n > _LONG_LINE and _too_deep(text):
-            obj = _loads(text, lineno)
-        if not isinstance(obj, dict):
-            raise CorpusError("each line must be a JSON object", lineno)
-        # A one-character search costs a fifth of a two-character one, so
-        # only a line with a backslash is searched for a \u escape.
-        if "\\" in text and "\\u" in text:
-            try:
-                json.dumps(obj, ensure_ascii=False).encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise CorpusError(
-                    f"lone surrogate {exc.object[exc.start]!r} in a string", lineno
-                ) from None
-        yield lineno, obj
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CorpusError(
+                f"lone surrogate {exc.object[exc.start]!r} in a string", lineno
+            ) from None
+    return obj
+
+
+def read_jsonl(stream: IO[bytes]) -> Iterator[tuple[int, dict]]:
+    """Yield (1-based line number, object) for each nonblank line of a JSONL stream.
+
+    Every line check lives in ``_lines`` (a byte-order mark, invalid UTF-8)
+    and ``_decode_line`` (malformed JSON, nesting deeper than ``MAX_DEPTH``,
+    a value that is not a JSON object, a lone surrogate); each failure is a
+    CorpusError with the line number.
+    """
+    return _lines(stream, _decode_line)
+
+
+# A line that starts with a plain id: no quote, backslash or control
+# character, so the JSON string is the text between the quotes.
+_PLAIN_ID = re.compile(r'\{"id": "([^"\\\x00-\x1f]*)", ')
+
+# The most tails ``read_id_rows`` memoizes from one stream. A file whose
+# tails seldom repeat, such as one distinct prediction per row, gains
+# nothing from the memo, so once it holds this many, every line is decoded.
+_MEMO_TAILS = 1024
+
+
+def read_id_rows(
+    stream: IO[bytes], row: Callable[[dict, int], tuple[str, T]]
+) -> Iterator[tuple[int, tuple[str, T]]]:
+    """Yield (line number, (id, value)) for each nonblank line of a JSONL
+    stream whose rows are keyed by ``id``, where ``(id, value) = row(obj,
+    lineno)`` for the line's object, read as by ``read_jsonl``.
+
+    ``row`` makes every check of a row but those on its id's value (empty,
+    duplicate), which are the caller's, and raises a CorpusError. A line
+    ``{"id": "<id>", <tail>`` whose id is plain (``_PLAIN_ID``) and whose
+    tail holds no backslash and no ``"id"`` decodes to ``{"id": <id>}`` and
+    what the tail alone spells, so every such line with one tail gets the
+    same value and passes the same checks: its value is memoized by the
+    tail, and a later line with that tail is not decoded at all. Once the
+    memo holds ``_MEMO_TAILS`` tails, every further line is decoded.
+    """
+    memo: dict[str, T] = {}
+
+    def decode(text: str, lineno: int) -> tuple[str, T]:
+        head = _PLAIN_ID.match(text) if len(memo) < _MEMO_TAILS else None
+        if head is not None:
+            tail = text[head.end() :]
+            if (value := memo.get(tail)) is not None:
+                return head[1], value
+        sid, value = row(_decode_line(text, lineno), lineno)
+        if head is not None and "\\" not in tail and '"id"' not in tail:
+            memo[tail] = value
+        return sid, value
+
+    return _lines(stream, decode)
 
 
 def _check_row(
@@ -365,20 +469,26 @@ def group_samples(samples: list[QASample]) -> dict[GroupKey, list[QASample]]:
 def parse_predictions(stream: IO[bytes]) -> dict[str, str]:
     """Parse a prediction JSONL file ({"id", "predicted_answer"}) into a map.
 
-    Lines are read by ``read_jsonl``; both fields must be strings. A
+    Lines are read by ``read_id_rows``; both fields must be strings. A
     duplicate prediction id is an error: silently keeping either copy could
-    change the reported accuracy.
+    change the reported accuracy. Lines that spell one prediction the same
+    way after a plain id share one string.
     """
     preds: dict[str, str] = {}
-    for lineno, obj in read_jsonl(stream):
-        pid, predicted = obj.get("id"), obj.get("predicted_answer")
-        if not (isinstance(pid, str) and isinstance(predicted, str)):
-            for name in ("id", "predicted_answer"):
-                if name not in obj:
-                    raise CorpusError(f"missing required field {name!r}", lineno)
-                if not isinstance(obj[name], str):
-                    raise CorpusError(f"{name} must be a string", lineno)
+    for lineno, (pid, predicted) in read_id_rows(stream, _prediction):
         if pid in preds:
             raise CorpusError(f"duplicate prediction id {pid!r}", lineno)
         preds[pid] = predicted
     return preds
+
+
+def _prediction(obj: dict, lineno: int) -> tuple[str, str]:
+    """The id and predicted answer of a predictions row, both strings."""
+    pid, predicted = obj.get("id"), obj.get("predicted_answer")
+    if not (isinstance(pid, str) and isinstance(predicted, str)):
+        for name in ("id", "predicted_answer"):
+            if name not in obj:
+                raise CorpusError(f"missing required field {name!r}", lineno)
+            if not isinstance(obj[name], str):
+                raise CorpusError(f"{name} must be a string", lineno)
+    return pid, predicted

@@ -34,7 +34,7 @@ from .data import (
     Task,
     as_gold,
     group_samples,  # not called here; the benchmark's tracer looks it up in this module
-    read_jsonl,
+    read_id_rows,
 )
 
 
@@ -281,17 +281,19 @@ def _decision(obj: dict) -> SplitDecision:
 
 
 def read_splits(stream: IO[bytes]) -> list[SplitAssignment]:
-    """Parse a splits JSONL file, read by ``data.read_jsonl``, into assignments.
+    """Parse a splits JSONL file, read by ``data.read_id_rows``, into assignments.
 
     The rows that spell one (task, question_type, answer, split, rule)
-    share one ``SplitDecision``, checked once. A duplicate id is an error,
-    raised at the line of its second copy: counting a sample twice would
-    change the reported accuracy.
+    share one ``SplitDecision``, checked once; a line whose text after a
+    plain id repeats an earlier line's is not decoded again. An empty id is
+    an error, and so is a duplicate id, raised at the line of its second
+    copy: counting a sample twice would change the reported accuracy.
     """
     out: list[SplitAssignment] = []
     decisions: dict[tuple, SplitDecision] = {}  # by the raw strings of a row's fields
     seen: dict[str, int] = {}
-    for lineno, obj in read_jsonl(stream):
+
+    def row(obj: dict, lineno: int) -> tuple[str, SplitDecision]:
         try:
             sid = obj["id"]
             if not isinstance(sid, str):
@@ -303,10 +305,13 @@ def read_splits(stream: IO[bytes]) -> list[SplitAssignment]:
                 # A new key; or a missing field or an unhashable value, for
                 # which _decision raises before anything is stored.
                 decision = decisions[key] = _decision(obj)
-            if not sid:
-                raise ValueError("id must be a nonempty string")
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"invalid splits record: {exc}", lineno) from exc
+        return sid, decision
+
+    for lineno, (sid, decision) in read_id_rows(stream, row):
+        if not sid:
+            raise CorpusError("invalid splits record: id must be a nonempty string", lineno)
         first = seen.setdefault(sid, lineno)
         if first != lineno:
             raise CorpusError(f"duplicate id {sid!r} (first seen on line {first})", lineno)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from avqa_debias import serialize, toy
+from avqa_debias import cli, serialize, toy
 from avqa_debias.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from avqa_debias.data import QASample, parse_samples
 from conftest import exit_in_worker
@@ -488,6 +488,29 @@ class TestGenSynthAndTrain:
             f"error: {path}: line {line}: answer {new!r} is not one of the 6 answer classes "
             f"c00 to c05\n"
         )
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("change, problem", [
+        ({"id": "nope"}, "split assignment refers to unknown sample id 'nope'"),
+        ({"answer": "c05"}, "split assignment 'test-00001' (AVQA/Existential, answer 'c05') "
+                            "disagrees with the gold sample (AVQA/Existential, answer 'c02')"),
+    ])
+    def test_split_at_odds_with_the_test_corpus(self, tmp_path, monkeypatch, change, problem):
+        """Reported with the splits file and line, before any training and
+        with no run directory, as ``score`` reports it."""
+        data = tmp_path / "d"
+        shutil.copytree(TOY_GOLDEN / "synth", data)
+        lines = (data / "splits.jsonl").read_bytes().splitlines(keepends=True)
+        lines[1] = json.dumps(json.loads(lines[1]) | change).encode() + b"\n"
+        (data / "splits.jsonl").write_bytes(b"\n" + b"".join(lines))
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(len(args)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["train-toy", "--data", str(data), "--epochs", "1",
+                       "--output-dir", str(tmp_path / "run")])
+        assert (rc, out.getvalue(), trained) == (EXIT_USAGE, "", [])
+        assert err.getvalue() == f"error: {data / 'splits.jsonl'}: line 3: {problem}\n"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("name", ["train.jsonl", "test.jsonl", "splits.jsonl"])

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import avqa_debias.data as data_module
 from avqa_debias.data import (
     KNOWN_GROUPS,
     MAX_DEPTH,
@@ -195,7 +196,9 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
     """Clean rows reach neither json.loads nor an enum constructor, neither
     splitting nor scoring builds a GroupKey per row, splitting read_gold's
     records gives what splitting the samples gives, and the rows of one
-    answer class share one gold record and one split decision."""
+    answer class share one gold record and one split decision. The splits
+    and predictions readers decode each distinct line tail after the id at
+    most once, and the predictions of one tail share one string."""
     groups = sorted(KNOWN_GROUPS)
     corpus = [
         QASample(f"q{i:04d}", *groups[i % len(groups)], f"question {i}", "abbbbbc"[i % 7],
@@ -205,15 +208,21 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
     corpus_bytes, splits_bytes = io.BytesIO(), io.BytesIO()
     write_samples(corpus, corpus_bytes)
     preds_bytes = b"".join(
-        json.dumps({"id": s.id, "predicted_answer": "b"}).encode() + b"\n" for s in corpus
+        json.dumps({"id": s.id, "predicted_answer": "abc"[i % 3]}).encode() + b"\n"
+        for i, s in enumerate(corpus)
     )
 
     calls: Counter = Counter()
     loads, enum_call, group = json.loads, enum.EnumType.__call__, QASample.group
+    raw_decode = data_module._raw_decode
 
     def counting_loads(*args, **kwargs):
         calls["json.loads"] += 1
         return loads(*args, **kwargs)
+
+    def counting_raw_decode(text):
+        calls["raw_decode"] += 1
+        return raw_decode(text)
 
     def counting_enum_call(cls, *args, **kwargs):
         calls[cls.__name__] += 1
@@ -226,17 +235,27 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
     monkeypatch.setattr(json, "loads", counting_loads)
     monkeypatch.setattr(enum.EnumType, "__call__", counting_enum_call)
     monkeypatch.setattr(QASample, "group", property(counting_group))
+    monkeypatch.setattr(data_module, "_raw_decode", counting_raw_decode)
     result = assign_splits(corpus)
     group_calls = calls.pop("QASample.group", 0)
     write_splits(result.assignments, splits_bytes)
     gold = parse_samples(io.BytesIO(corpus_bytes.getvalue()))
     records = read_gold(io.BytesIO(corpus_bytes.getvalue()))
     from_records = assign_splits(records)
+    assert calls.pop("raw_decode") == 2_000  # parse_samples and read_gold decode every row
     splits = read_splits(io.BytesIO(splits_bytes.getvalue()))
+    splits_decodes = calls.pop("raw_decode", 0)
     preds = parse_predictions(io.BytesIO(preds_bytes))
+    preds_decodes = calls.pop("raw_decode", 0)
     report = score_predictions(records, splits, preds)
     monkeypatch.undo()
 
+    def tails(data: bytes) -> set[bytes]:
+        return {line.split(b'", ', 1)[1] for line in data.splitlines()}
+
+    assert 0 < splits_decodes <= len(tails(splits_bytes.getvalue())) < 1_000
+    assert 0 < preds_decodes <= len(tails(preds_bytes)) == 3
+    assert len({id(p) for p in preds.values()}) == len(set(preds.values())) == 3
     assert group_calls <= len(result.group_reports) == len(groups)
     assert calls == Counter()
     assert gold == corpus and splits == result.assignments and len(preds) == 1_000
@@ -444,6 +463,105 @@ def test_gold_reader_matches_parse_samples(lines):
         assert all(shared.setdefault(record, record) is record for record in gold.values())
 
 
+def _id_row(sid: str, tail: str) -> bytes:
+    """A line that starts ``{"id": "<sid>", `` as the id-row reader expects; ``sid``
+    is JSON string text, so it may hold escapes."""
+    return f'{{"id": "{sid}", {tail}'.encode()
+
+
+# A tail both id-row readers accept, and tails that they reject, that name
+# another id (plainly or escaped), nest 100 or 101 levels deep, hold a lone
+# surrogate or an escape, or carry whitespace or extra data after the object.
+_BOTH = ('"task": "AVQA", "question_type": "Counting", "answer": "yes", "split": "head", '
+         '"rule": "general_threshold", "predicted_answer": "yes"}')
+_DEEP = '"x": ' + "[" * 99 + "]" * 99 + ", "  # 100 levels with the outer object
+_DEEPER = '"x": ' + "[" * 100 + "]" * 100 + ", "
+_TAILS = [
+    _BOTH,
+    _BOTH.replace('"yes"', '"no"').replace('"head"', '"tail"'),
+    _BOTH.replace('"AVQA"', '"bogus"'),
+    _BOTH.replace('"answer": "yes"', '"answer": ""'),
+    _BOTH.replace('"predicted_answer": "yes"', '"predicted_answer": 3'),
+    _BOTH.replace('"predicted_answer": "yes"', '"predicted_answer": "y\\tes"'),
+    _BOTH.replace('"predicted_answer": "yes"', '"predicted_answer": "x\\ud800"'),
+    _BOTH.replace('"predicted_answer": "yes"', '"predicted_answer": "id"'),
+    _BOTH[:-1] + ', "id": "b"}',
+    _BOTH[:-1] + ', "\\u0069d": "b"}',
+    _BOTH[:-1] + ', "\\u0069d": 3}',
+    '"predicted_answer": "yes"}',
+    _DEEP + _BOTH,
+    _DEEPER + _BOTH,
+    _BOTH + " ",
+    _BOTH + " {}",
+    _BOTH[:-1],
+]
+# Plain ids; ids with escapes, one of which decodes to a plain one ("A");
+# and an id with a raw tab, which JSON does not allow in a string.
+_ID_TEXTS = ["a", "b", "A", "", "\\u0041", 'q\\"1', "q\\\\2", "é", "a b", "a\tb"]
+_ID_LINE = st.builds(_id_row, st.sampled_from(_ID_TEXTS), st.sampled_from(_TAILS))
+
+
+def _rows(parsed) -> list[tuple]:
+    """The (id, value) pairs of what read_splits or parse_predictions returns."""
+    return list(parsed.items() if isinstance(parsed, dict) else parsed)
+
+
+def _one_row_at_a_time(reader, data: bytes):
+    """What ``reader``, read_splits or parse_predictions, must give for
+    ``data``: the (id, value) pairs of each line read on its own, at its line
+    number, and an id met twice a duplicate at its second line."""
+    rows, first = [], {}
+    for lineno, line in enumerate(data.split(b"\n"), start=1):
+        parsed, error = _read(reader, b"\n" * (lineno - 1) + line)
+        if error is not None:
+            return None, error
+        for sid, value in _rows(parsed):
+            if sid in first:
+                if reader is parse_predictions:
+                    return None, f"line {lineno}: duplicate prediction id {sid!r}"
+                return None, (f"line {lineno}: duplicate id {sid!r} "
+                              f"(first seen on line {first[sid]})")
+            first[sid] = lineno
+            rows.append((sid, value))
+    return rows, None
+
+
+_MANY = [_id_row(f"r{i:04d}", _BOTH) for i in range(500)]  # more than one block
+
+
+@pytest.mark.parametrize("reader", [read_splits, parse_predictions])
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_ID_LINE | _ID_LINE | _LINE | st.sampled_from([b"", b" \t"]), max_size=8),
+       ending=st.sampled_from([b"\n", b"\r\n"]))
+@example(lines=[_id_row(i, _BOTH) for i in ['q\\"1', "q\\\\2", "\\u0041", "A"]], ending=b"\n")
+@example(lines=[_id_row(i, _BOTH[:-1] + ', "id": "b"}') for i in "ac"], ending=b"\n")
+@example(lines=[_id_row(i, _BOTH[:-1] + ', "\\u0069d": "b"}') for i in "ac"], ending=b"\n")
+@example(lines=[_id_row(i, _BOTH) for i in ["a", "", "b", "a"]], ending=b"\n")
+@example(lines=[_id_row(i, _BOTH) for i in "aba"], ending=b"\n")
+@example(lines=[_id_row(i, _BOTH) for i in ["a", "a\tb"]], ending=b"\n")
+@example(lines=[_id_row("a", _BOTH), b"", b" \t", _id_row("b", _BOTH)], ending=b"\r\n")
+@example(lines=[b"\xef\xbb\xbf" + _id_row("a", _BOTH)], ending=b"\n")
+@example(lines=[_id_row("a", _BOTH), b"\xef\xbb\xbf" + _id_row("b", _BOTH)], ending=b"\n")
+@example(lines=[*_MANY, _id_row("bad", _BOTH).replace(b"yes", b"y\xffs"), _id_row("z", _BOTH)],
+         ending=b"\n")
+@example(lines=[_id_row("a", _BOTH), _id_row("long", f'"pad": "{"x" * 70_000}", {_BOTH}'),
+                _id_row("b", _BOTH)], ending=b"\r\n")
+@example(lines=[_id_row(i, _DEEP + _BOTH) for i in "ab"], ending=b"\n")
+@example(lines=[_id_row("a", _DEEP + _BOTH), _id_row("b", _DEEPER + _BOTH)], ending=b"\n")
+@example(lines=[_id_row(i, _BOTH.replace('"yes"}', '"\\udc00"}')) for i in "ab"], ending=b"\n")
+def test_id_row_readers_match_one_line_at_a_time(reader, lines, ending):
+    """read_splits and parse_predictions give, value for value and error for
+    error, what each line gives when read on its own: no line whose tail
+    repeats an earlier one's loses a check to the memo of decoded tails.
+    The rows of one split decision share one SplitDecision."""
+    data = b"".join(line + ending for line in lines)
+    parsed, error = _read(reader, data)
+    assert (None if parsed is None else _rows(parsed), error) == _one_row_at_a_time(reader, data)
+    if reader is read_splits and parsed:
+        shared: dict = {}
+        assert all(shared.setdefault(a.decision, a.decision) is a.decision for a in parsed)
+
+
 def _split(corpus):
     """``assign_splits(corpus)``, or the text of the SplitError it raises."""
     try:
@@ -583,6 +701,7 @@ _DIFF_LINE = (
 @given(lines=st.lists(_DIFF_LINE, max_size=6), ending=st.sampled_from([b"\n", b"\r\n"]))
 @example(lines=[b' {"a": 1}', b'{"a": 1} ', b"\t{}\t", b'{"b": 2}\r'], ending=b"\n")
 @example(lines=[b'{"a": 1}', b"{}"], ending=b"\r\n")
+@example(lines=[b'{"a": "abc'], ending=b"\r\n")
 @example(lines=[b"{} {}"], ending=b"\n")
 @example(lines=[b'{"a":1}, {"b":2}'], ending=b"\n")
 @example(lines=[b'{"k":[[1', b"2]]}"], ending=b"\n")
@@ -600,6 +719,7 @@ _DIFF_LINE = (
 @example(lines=[b"\xef\xbb\xbf{}"], ending=b"\n")
 @example(lines=[b"{}", b"\xef\xbb\xbf{}"], ending=b"\n")
 @example(lines=[b'{"a": "x\xffy"}'], ending=b"\n")
+@example(lines=[b"\x1c", b"\xc2\x85", b"\x0b\x0c", b"\xc2\xa0{}"], ending=b"\n")
 def test_read_jsonl_matches_per_line_json_loads(lines, ending):
     """read_jsonl yields the pairs, or raises the error, of _reference_read."""
     data = b"".join(line + ending for line in lines)
