@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import itertools
 import json
 import math
 import os
@@ -99,6 +98,13 @@ def _read_json_object(path: Path) -> dict:
     return obj
 
 
+def _line_of(path, sid: str):
+    """The line of the row with id ``sid`` in the JSONL file at ``path``, which a
+    reader has accepted, so its ids are unique; "?" if the file changed since."""
+    with open(path, "rb") as f:
+        return next((n for n, obj in read_jsonl(f) if obj.get("id") == sid), "?")
+
+
 def _dump_json(obj, path: Path) -> None:
     path.write_bytes((json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))
 
@@ -115,7 +121,10 @@ def _train_from_args(args, alpha: float, beta: float) -> TrainConfig:
 
 def cmd_split(args) -> int:
     cfg = SplitConfig(entropy_threshold=args.entropy_threshold, tail_factor=args.tail_factor)
-    result = assign_splits(_parse_file(read_gold, args.input), cfg)
+    gold = _parse_file(read_gold, args.input)
+    if not gold:
+        raise CliError(f"{args.input}: empty corpus")
+    result = assign_splits(gold, cfg)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "splits.jsonl", "wb") as f:
@@ -135,8 +144,7 @@ def _score(gold, splits, preds, splits_path) -> RobustnessReport:
     try:
         return score_predictions(gold, splits, preds)
     except ScoringError as exc:  # the splits row at fault; its line is found only now
-        with open(splits_path, "rb") as f:  # "?" if the file changed since it was read
-            line = next((n for n, obj in read_jsonl(f) if obj.get("id") == exc.sample_id), "?")
+        line = _line_of(splits_path, exc.sample_id)
         raise CliError(f"{splits_path}: line {line}: {exc}") from None
 
 
@@ -211,10 +219,8 @@ def _labels(path: Path, qa: list[QASample], num_classes: int) -> np.ndarray:
         except ToyError:
             k = num_classes
         if k >= num_classes:
-            with open(path, "rb") as f:  # the i-th sample's line; blank lines are skipped
-                line = next(itertools.islice(read_jsonl(f), i, None))[0]
-            raise CliError(f"{path}: line {line}: answer {s.answer!r} is not one of the "
-                           f"{num_classes} answer classes {class_name(0)} to "
+            raise CliError(f"{path}: line {_line_of(path, s.id)}: answer {s.answer!r} is not "
+                           f"one of the {num_classes} answer classes {class_name(0)} to "
                            f"{class_name(num_classes - 1)}")
         labels[i] = k
     return labels

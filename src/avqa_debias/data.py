@@ -19,8 +19,15 @@ from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 
+class IdentityEnum(enum.Enum):
+    """Members hash by identity, as they compare, and in C: ``Enum.__hash__`` is
+    Python code, and per-row tables key on tuples of these members."""
+
+    __hash__ = object.__hash__
+
+
 @functools.total_ordering
-class _DeclarationOrder(enum.Enum):
+class _DeclarationOrder(IdentityEnum):
     """Members compare by their declaration order."""
 
     def __lt__(self, other):
@@ -300,11 +307,13 @@ def read_id_rows(
     ``row`` makes every check of a row but those on its id's value (empty,
     duplicate), which are the caller's, and raises a CorpusError. A line
     ``{"id": "<id>", <tail>`` whose id is plain (``_PLAIN_ID``) and whose
-    tail holds no backslash and no ``"id"`` decodes to ``{"id": <id>}`` and
-    what the tail alone spells, so every such line with one tail gets the
-    same value and passes the same checks: its value is memoized by the
-    tail, and a later line with that tail is not decoded at all. Once the
-    memo holds ``_MEMO_TAILS`` tails, every further line is decoded.
+    tail holds neither ``"id"`` nor a ``\\u`` escape (without which it can
+    spell the key ``id`` only as ``"id"``, and no lone surrogate) decodes to
+    ``{"id": <id>}`` and what the tail alone spells, so every such line
+    with one tail gets the same value and passes the same checks: its value
+    is memoized by the tail, and a later line with that tail is not decoded
+    at all. Once the memo holds ``_MEMO_TAILS`` tails, every further line
+    is decoded.
     """
     memo: dict[str, T] = {}
 
@@ -315,7 +324,7 @@ def read_id_rows(
             if (value := memo.get(tail)) is not None:
                 return head[1], value
         sid, value = row(_decode_line(text, lineno), lineno)
-        if head is not None and "\\" not in tail and '"id"' not in tail:
+        if head is not None and "\\u" not in tail and '"id"' not in tail:
             memo[tail] = value
         return sid, value
 
@@ -412,9 +421,9 @@ def as_gold(corpus: dict | Iterable[QASample]) -> dict[str, tuple[GroupKey, str]
     if isinstance(corpus, dict):
         return corpus
     gold: dict[str, tuple[GroupKey, str]] = {}
-    records: dict[tuple[int, int, str], tuple[GroupKey, str]] = {}  # by the enums' identity
+    records: dict[tuple[Task, QuestionType, str], tuple[GroupKey, str]] = {}
     for s in corpus:
-        key = id(s.task), id(s.question_type), s.answer
+        key = s.task, s.question_type, s.answer
         if key not in records:
             records[key] = GROUP_KEYS[s.task.value, s.question_type.value], s.answer
         if s.id in gold:

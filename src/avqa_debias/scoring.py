@@ -71,38 +71,29 @@ class RobustnessReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _outcomes(splits, gold, preds, unmatched, checked):
-    """Yield (id of the decision, correct) for each assignment, and put the
-    id of each assignment without a prediction in ``unmatched``.
-
-    ``checked`` maps the id of each decision met to the decision, the gold
-    record last found to agree with it and that record's normalized answer,
-    so a row is checked against its gold record only when that pair is new.
-    Each distinct prediction string is normalized once.
-    """
+def _outcomes(splits, gold, preds, unmatched):
+    """Yield (decision, normalized prediction or None) for each assignment,
+    and put the id of each assignment without a prediction in ``unmatched``.
+    Each distinct prediction string is normalized once."""
     normalized: dict[str, str] = {}
     for sid, decision in splits:
         record = gold.get(sid)
-        key = id(decision)
-        known = checked.get(key)
-        if known is None or known[1] is not record:
-            if record is None:
-                raise ScoringError(f"split assignment refers to unknown sample id {sid!r}", sid)
-            if decision[:2] != record:
-                raise ScoringError(
-                    f"split assignment {sid!r} ({decision.group}, answer "
-                    f"{decision.answer_class!r}) disagrees with the gold sample ({record[0]}, "
-                    f"answer {record[1]!r})", sid)
-            known = checked[key] = (decision, record, normalize_answer(record[1]))
+        if record is None:
+            raise ScoringError(f"split assignment refers to unknown sample id {sid!r}", sid)
+        if decision[:2] != record:
+            raise ScoringError(
+                f"split assignment {sid!r} ({decision.group}, answer "
+                f"{decision.answer_class!r}) disagrees with the gold sample ({record[0]}, "
+                f"answer {record[1]!r})", sid)
         predicted = preds.get(sid)
         if predicted is None:
             unmatched.append(sid)
-            yield key, False
+            yield decision, None
             continue
         ours = normalized.get(predicted)
         if ours is None:
             ours = normalized[predicted] = normalize_answer(predicted)
-        yield key, ours == known[2]
+        yield decision, ours
 
 
 def score_predictions(
@@ -120,22 +111,21 @@ def score_predictions(
     as incorrect and are listed in ``unmatched_ids``. An assignment whose
     group or answer disagrees with its gold sample is an error.
 
-    Rows are tallied by the identity of their decision and whether they
-    are right, so no row hashes an enum, and each answer string is
-    normalized once. The cells are built from the tallies once, and
+    Rows are tallied by their decision and normalized prediction, so each
+    answer string is normalized once and each distinct pair is judged
+    right or wrong once. The cells are built from the tallies once, and
     integer sums keep them exact.
     """
     gold = as_gold(gold)
     warnings = [f"prediction id {pid!r} not in gold corpus" for pid in preds if pid not in gold]
     unmatched: list[str] = []
-    checked: dict[int, tuple] = {}
-    tally = Counter(_outcomes(splits, gold, preds, unmatched, checked))
+    tally = Counter(_outcomes(splits, gold, preds, unmatched))
 
     per_group: dict[GroupKey, AccuracyCell] = {}
     per_task: dict[Task, AccuracyCell] = {}
     aggregate = AccuracyCell()
-    for (key, correct), count in tally.items():
-        group, _, label, _ = checked[key][0]
+    for ((group, answer, label, _), predicted), count in tally.items():
+        correct = predicted == normalize_answer(answer)
         per_group.setdefault(group, AccuracyCell()).add(label, correct, count)
         per_task.setdefault(group.task, AccuracyCell()).add(label, correct, count)
         aggregate.add(label, correct, count)

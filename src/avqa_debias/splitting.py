@@ -16,7 +16,6 @@ when the group is retained, the labels and the rule.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from collections import Counter
@@ -29,6 +28,7 @@ from .data import (
     GROUP_KEYS,
     CorpusError,
     GroupKey,
+    IdentityEnum,
     QASample,
     QuestionType,
     Task,
@@ -38,12 +38,12 @@ from .data import (
 )
 
 
-class SplitLabel(enum.Enum):
+class SplitLabel(IdentityEnum):
     HEAD = "head"
     TAIL = "tail"
 
 
-class SplitRule(enum.Enum):
+class SplitRule(IdentityEnum):
     GENERAL_THRESHOLD = "general_threshold"
     TWO_ANSWER_LOW_FREQUENCY = "two_answer_low_frequency"
 
@@ -208,19 +208,14 @@ def assign_splits(
     ``corpus`` is ``data.read_gold``'s map, or samples that ``data.as_gold``
     maps so. Samples in excluded (balanced) groups get no assignment; their
     groups are listed in ``skipped_groups``. Deterministic given corpus order.
-    Rows are counted by the identity of their record, so no row hashes an
-    enum, and the rows of one (group, answer) share one ``SplitDecision``.
+    The rows of one (group, answer) share one ``SplitDecision``.
     """
     gold = as_gold(corpus)
     if not gold:
         raise SplitError("empty corpus")
-    records = gold.values()
-    shared = dict(zip(map(id, records), records))  # each record by its id, in order of first row
-    counts: dict[GroupKey, dict[str, int]] = {}  # equal records that are not shared add up
-    for key, n in Counter(map(id, records)).items():
-        group, answer = shared[key]
-        by_answer = counts.setdefault(group, {})
-        by_answer[answer] = by_answer.get(answer, 0) + n
+    counts: dict[GroupKey, dict[str, int]] = {}
+    for (group, answer), n in Counter(gold.values()).items():
+        counts.setdefault(group, {})[answer] = n
     reports, decisions = [], {}
     for group, by_answer in sorted(counts.items()):
         dist = AnswerDistribution(group, by_answer)
@@ -229,8 +224,7 @@ def assign_splits(
             report.labels, report.rule = split_head_tail(dist, cfg)
             for answer, label in report.labels.items():
                 decisions[group, answer] = SplitDecision(group, answer, label, report.rule)
-    by_record = {key: decisions.get(record) for key, record in shared.items()}
-    rows = zip(gold, map(by_record.__getitem__, map(id, records)))
+    rows = zip(gold, map(decisions.get, gold.values()))
     assignments = [SplitAssignment(sid, decision) for sid, decision in rows if decision is not None]
     return SplitResult(assignments=assignments, group_reports=reports)
 
@@ -245,15 +239,15 @@ def write_splits(assignments: list[SplitAssignment], stream: IO[bytes]) -> None:
     write; a line that cannot be encoded (a lone surrogate) raises after
     the lines before it are written, as from a per-row writer.
     """
-    suffixes: dict[int, str] = {}  # by the id of a decision, which every assignment keeps alive
+    suffixes: dict[SplitDecision, str] = {}
     for start in range(0, len(assignments), _CHUNK_LINES):
         lines: list[bytes] = []
         try:
             for sid, decision in assignments[start : start + _CHUNK_LINES]:
-                suffix = suffixes.get(id(decision))
+                suffix = suffixes.get(decision)
                 if suffix is None:
                     group, answer, label, rule = decision
-                    suffix = suffixes[id(decision)] = json.dumps({
+                    suffix = suffixes[decision] = json.dumps({
                         "task": group.task.value,
                         "question_type": group.question_type.value,
                         "answer": answer,

@@ -76,6 +76,14 @@ class TestSplitCommand:
         rc = main(["split", "--input", str(bad), "--output-dir", str(tmp_path)])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("data", [b"", b"\n \t\r\n\n"])
+    def test_empty_corpus(self, tmp_path, data):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_bytes(data)
+        proc = run_cli("split", "--input", empty, "--output-dir", tmp_path / "out")
+        assert one_error_line(proc) == f"error: {empty}: empty corpus\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field, value, problem", [
         ("question", 3, "question must be a string"),
         ("source_id", [1], "source_id must be a string or null"),

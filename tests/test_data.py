@@ -193,12 +193,13 @@ class TestEnumErrors:
 
 
 def test_clean_input_takes_the_fast_path(monkeypatch):
-    """Clean rows reach neither json.loads nor an enum constructor, neither
-    splitting nor scoring builds a GroupKey per row, splitting read_gold's
-    records gives what splitting the samples gives, and the rows of one
-    answer class share one gold record and one split decision. The splits
-    and predictions readers decode each distinct line tail after the id at
-    most once, and the predictions of one tail share one string."""
+    """Clean rows reach neither json.loads nor an enum constructor, nothing
+    from splitting to scoring runs Enum.__hash__ or builds a GroupKey per
+    row, splitting read_gold's records gives what splitting the samples
+    gives, and the rows of one answer class share one gold record and one
+    split decision. The splits and predictions readers decode each distinct
+    line tail after the id at most once, one with a \\t escape too, and the
+    predictions of one tail share one string."""
     groups = sorted(KNOWN_GROUPS)
     corpus = [
         QASample(f"q{i:04d}", *groups[i % len(groups)], f"question {i}", "abbbbbc"[i % 7],
@@ -207,13 +208,15 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
     ]
     corpus_bytes, splits_bytes = io.BytesIO(), io.BytesIO()
     write_samples(corpus, corpus_bytes)
+    spellings = ["a", "b", "c", "b\t"]
     preds_bytes = b"".join(
-        json.dumps({"id": s.id, "predicted_answer": "abc"[i % 3]}).encode() + b"\n"
+        json.dumps({"id": s.id, "predicted_answer": spellings[i % 4]}).encode() + b"\n"
         for i, s in enumerate(corpus)
     )
 
     calls: Counter = Counter()
     loads, enum_call, group = json.loads, enum.EnumType.__call__, QASample.group
+    enum_hash = enum.Enum.__hash__
     raw_decode = data_module._raw_decode
 
     def counting_loads(*args, **kwargs):
@@ -228,6 +231,10 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
         calls[cls.__name__] += 1
         return enum_call(cls, *args, **kwargs)
 
+    def counting_enum_hash(member):
+        calls["Enum.__hash__"] += 1
+        return enum_hash(member)
+
     def counting_group(sample):
         calls["QASample.group"] += 1
         return group.fget(sample)
@@ -236,6 +243,7 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
     monkeypatch.setattr(enum.EnumType, "__call__", counting_enum_call)
     monkeypatch.setattr(QASample, "group", property(counting_group))
     monkeypatch.setattr(data_module, "_raw_decode", counting_raw_decode)
+    monkeypatch.setattr(enum.Enum, "__hash__", counting_enum_hash)
     result = assign_splits(corpus)
     group_calls = calls.pop("QASample.group", 0)
     write_splits(result.assignments, splits_bytes)
@@ -254,9 +262,10 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
         return {line.split(b'", ', 1)[1] for line in data.splitlines()}
 
     assert 0 < splits_decodes <= len(tails(splits_bytes.getvalue())) < 1_000
-    assert 0 < preds_decodes <= len(tails(preds_bytes)) == 3
-    assert len({id(p) for p in preds.values()}) == len(set(preds.values())) == 3
+    assert 0 < preds_decodes <= len(tails(preds_bytes)) == 4
+    assert len({id(p) for p in preds.values()}) == len(set(preds.values())) == 4
     assert group_calls <= len(result.group_reports) == len(groups)
+    assert calls.pop("Enum.__hash__", 0) == 0
     assert calls == Counter()
     assert gold == corpus and splits == result.assignments and len(preds) == 1_000
     assert from_records == result
@@ -549,6 +558,10 @@ _MANY = [_id_row(f"r{i:04d}", _BOTH) for i in range(500)]  # more than one block
 @example(lines=[_id_row(i, _DEEP + _BOTH) for i in "ab"], ending=b"\n")
 @example(lines=[_id_row("a", _DEEP + _BOTH), _id_row("b", _DEEPER + _BOTH)], ending=b"\n")
 @example(lines=[_id_row(i, _BOTH.replace('"yes"}', '"\\udc00"}')) for i in "ab"], ending=b"\n")
+# Tails with escapes other than \u, which are memoized: each one under two ids.
+@example(lines=[_id_row(f"{i}{k}", _BOTH.replace('"yes"', f'"{text}"'))
+                for k, text in enumerate(["y\\tes", '\\"', "\\\\", "\\/", '\\"id\\"'])
+                for i in "ab"], ending=b"\n")
 def test_id_row_readers_match_one_line_at_a_time(reader, lines, ending):
     """read_splits and parse_predictions give, value for value and error for
     error, what each line gives when read on its own: no line whose tail

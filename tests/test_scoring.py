@@ -236,15 +236,18 @@ def _scoring_case(draw):
 
 class TestScoreAgainstReference:
     @settings(max_examples=300, deadline=None)
-    @given(case=_scoring_case(), as_records=st.booleans())
-    def test_matches_a_per_row_tally(self, case, as_records):
+    @given(case=_scoring_case(), form=st.sampled_from(["samples", "read_gold", "by_hand"]))
+    def test_matches_a_per_row_tally(self, case, form):
         """Same cells in the same order, unmatched ids and warnings, or the
-        same error, whether gold is a list of samples or read_gold's map."""
+        same error, whether gold is a list of samples, read_gold's map, or a
+        map built by hand, whose equal records are not shared."""
         gold, splits, preds = case
-        if as_records:
+        if form == "read_gold":
             buf = io.BytesIO()
             write_samples(gold, buf)
             scored_gold = read_gold(io.BytesIO(buf.getvalue()))
+        elif form == "by_hand":
+            scored_gold = {s.id: (s.group, s.answer) for s in gold}
         else:
             scored_gold = gold
         try:
