@@ -65,6 +65,7 @@ from .toy import (
     class_name,
     evaluate,
     generate_synthetic,
+    one_blas_thread,
     render_ablation_table,
     train,
 )
@@ -271,6 +272,7 @@ def cmd_train_toy(args) -> int:
 
     spec = AblationSpec(variant=AblationVariant(args.variant))
     tcfg = _train_from_args(args, args.alpha, args.beta)
+    one_blas_thread()
     model = ToyModel.initialize(
         num_classes=synth_cfg["num_classes"],
         feature_dim=synth_cfg["feature_dim"],
@@ -337,11 +339,24 @@ def cmd_gradcheck(args) -> int:
 
 
 def _parse_list(args, name: str, cast) -> list:
-    """``cast`` of each nonblank item of the comma-separated list in flag ``--name``."""
-    items = [cast(item.strip()) for item in getattr(args, name).split(",") if item.strip()]
-    if not items:
+    """``cast`` of each nonblank item of the comma-separated list in flag
+    ``--name``. An item that ``cast`` rejects, or whose value an earlier
+    item already gave, is a CliError that names the flag and the item."""
+    values = []
+    for item in getattr(args, name).split(","):
+        item = item.strip()
+        if not item:
+            continue
+        try:
+            value = cast(item)
+        except ValueError as exc:
+            raise CliError(f"--{name}: {exc}") from None
+        if value in values:
+            raise CliError(f"--{name} repeats the value {item!r}")
+        values.append(value)
+    if not values:
         raise CliError(f"--{name} needs at least one comma-separated value")
-    return items
+    return values
 
 
 def _workers_from_args(args) -> int:
@@ -357,11 +372,21 @@ def _workers_from_args(args) -> int:
     return min(args.threads or usable, usable)
 
 
+def _ablation_rows(args, workers: int, arms: list[tuple[TrainConfig, AblationSpec]]) -> list[dict]:
+    """``ablation_run`` of ``arms`` over ``--seeds`` on ``workers`` workers.
+    Runs that stay in this process get one BLAS thread, as pool workers do."""
+    scfg = _synth_from_args(args)
+    seeds = _parse_list(args, "seeds", int)
+    if min(workers, len(arms) * len(seeds)) == 1:
+        one_blas_thread()
+    return ablation_run(scfg, arms, seeds, workers)
+
+
 def cmd_ablation(args) -> int:
     workers = _workers_from_args(args)
     tcfg = _train_from_args(args, args.alpha, args.beta)
-    arms = [(tcfg, AblationSpec(AblationVariant(v))) for v in _parse_list(args, "variants", str)]
-    rows = ablation_run(_synth_from_args(args), arms, _parse_list(args, "seeds", int), workers)
+    arms = [(tcfg, AblationSpec(v)) for v in _parse_list(args, "variants", AblationVariant)]
+    rows = _ablation_rows(args, workers, arms)
     report = {"schema_version": 1, "rows": rows}
     if args.output_dir:
         out = Path(args.output_dir)
@@ -379,7 +404,7 @@ def cmd_grid(args) -> int:
     alphas, betas = _parse_list(args, "alphas", float), _parse_list(args, "betas", float)
     cells = [(alpha, beta) for alpha in alphas for beta in betas]
     arms = [(_train_from_args(args, alpha, beta), AblationSpec()) for alpha, beta in cells]
-    rows = ablation_run(_synth_from_args(args), arms, _parse_list(args, "seeds", int), workers)
+    rows = _ablation_rows(args, workers, arms)
     lines = ["alpha,beta,median_head_acc,median_tail_acc,median_overall_acc"]
     for (alpha, beta), row in zip(cells, rows):
         lines.append(

@@ -19,6 +19,14 @@ its gradient into one (4, K, C) buffer and leaves it alone when its
 weight is zero; ``joint_components_stacked`` runs the three terms over one
 record and one buffer. The functions over a list of ``LogitBundle``
 samples stack the list and call their ``*_stacked`` twin.
+
+A training step makes one ``training_components_stacked`` call: into one
+zeroed buffer it adds the discrepancy term, then the cycle term, then one
+cross-entropy over all four heads, whose uni-modal rows are the bias
+learners' losses. Per gradient entry that is the order of
+``joint_components_stacked`` followed by the bias learners' terms, so
+the sums are the same to the bit. ``train`` checks the labels once per
+run, with ``check_labels``, and not at each step.
 """
 
 from __future__ import annotations
@@ -114,7 +122,11 @@ def softmaxed(v: np.ndarray) -> Softmaxed:
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise LossError("softmax of an empty vector")
-    shifted = v - v.max(axis=-1, keepdims=True)
+    # The row max as elementwise maxima over a class-major copy: numpy
+    # reduces a short last axis one row at a time, and a max is exact in
+    # any order. The sum below stays numpy's own last-axis sum, whose
+    # order a column-wise sum would not keep.
+    shifted = v - np.maximum.reduce(v.T.copy(), axis=0).T[..., None]
     e = np.exp(shifted)
     total = e.sum(axis=-1, keepdims=True)
     return Softmaxed(v, e / total, shifted - np.log(total))
@@ -168,21 +180,26 @@ def discrepancy_loss_stacked(sm: Softmaxed, cfg: MccdConfig = MccdConfig(), grad
         return LossValue(0.0, grad)
     scale = cfg.alpha / (len(cfg.heads) * sm.p.shape[1])
     prob_mode = cfg.distance_space == "probability"
-    z = sm.p if prob_mode else sm.logits
     rows = [HEADS.index(h) for h in cfg.heads]
-    diff = z[rows] - z[-1]
-    d = np.linalg.norm(diff, axis=-1)
-    total = _ordered_sum(1.0 / (d + cfg.epsilon))
+    n = len(rows)
+    # the uni-modal rows, then the fused one: all of z, in order, for the
+    # default heads, else a gather
+    ends = slice(None) if rows == [0, 1, 2] else rows + [len(HEADS) - 1]
+    z = (sm.p if prob_mode else sm.logits)[ends]
+    diff = z[:n] - z[n]
+    d = np.sqrt(np.add.reduce(diff * diff, axis=-1))  # np.linalg.norm's own formula
+    d_eps = d + cfg.epsilon
+    total = _ordered_sum(1.0 / d_eps)
     # d(1/(d+eps))/dz_h = -(d+eps)^-2 * diff/d; at d=0 the direction
     # is undefined and the subgradient 0 is used.
-    coef = -1.0 / (d + cfg.epsilon) ** 2
+    coef = -1.0 / d_eps**2
     d = d[..., None]
     with np.errstate(invalid="ignore", divide="ignore"):
         unit = np.where(d > 0.0, diff / np.where(d > 0.0, d, 1.0), 0.0)
-    g = scale * coef[..., None] * unit
-    g = np.concatenate([g, -g.sum(axis=0, keepdims=True)])  # the fused end of each distance
-    rows.append(len(HEADS) - 1)
-    grad[rows] += _softmax_vjp(z[rows], g) if prob_mode else g
+    g = np.empty(z.shape)
+    np.multiply(scale * coef[..., None], unit, out=g[:n])
+    np.negative(g[:n].sum(axis=0), out=g[n])  # the fused end of each distance
+    grad[ends] += _softmax_vjp(z, g) if prob_mode else g
     return LossValue(scale * total, grad)
 
 
@@ -205,38 +222,47 @@ def cycle_loss_stacked(sm: Softmaxed, cfg: MccdConfig = MccdConfig(), grad=None)
     scale = cfg.beta / (3.0 * sm.p.shape[1])
     src = [2, 0, 1]  # pair i runs from head src[i] to head i: q->a, a->v, v->q
     p, logp = sm.p[:3], sm.logp[:3]
+    p_src = p[src]
     s = logp[src] - logp
-    total = _ordered_sum(p[src] * s)
+    total = _ordered_sum(p_src * s)
     # d KL(p_src || p_dst): through src it is the softmax VJP of the
     # pointwise log-ratio; through dst it collapses to p_dst - p_src.
-    through_src = scale * _softmax_vjp(p[src], s)
-    grad[:3] += scale * (p - p[src]) + through_src[[1, 2, 0]]
+    through_src = scale * _softmax_vjp(p_src, s)
+    grad[:3] += scale * (p - p_src) + through_src[[1, 2, 0]]
     return LossValue(scale * total, grad)
 
 
-def answer_loss(logits: np.ndarray | Softmaxed, labels: list[int], grad=None) -> LossValue:
-    """Softmax cross-entropy against integer labels, averaged over the batch.
+def answer_loss(logits: np.ndarray, labels: list[int]) -> LossValue:
+    """Softmax cross-entropy of the (K, C) fused head against integer
+    labels, averaged over the batch; its gradient fills the fused row of a
+    new (4, K, C) array."""
+    y = np.asarray(logits, dtype=np.float64)
+    if y.ndim != 2 or y.shape[0] == 0:
+        raise LossError("expected a nonempty batch of logit vectors")
+    grad = np.zeros((len(HEADS), *y.shape))
+    value = _cross_entropy(softmaxed(y[None]), check_labels(labels, *y.shape), grad[-1:]).value
+    return LossValue(float(value[0]), grad)
 
-    ``logits`` is the (K, C) fused head; its gradient fills the fused row
-    of a new (4, K, C) array. The training step passes instead a record of
-    H stacked heads that share the labels, and gets one value per head and
-    the gradient added into the (H, K, C) ``grad``.
-    """
-    if not isinstance(logits, Softmaxed):
-        y = np.asarray(logits, dtype=np.float64)
-        if y.ndim != 2 or y.shape[0] == 0:
-            raise LossError("expected a nonempty batch of logit vectors")
-        full = np.zeros((len(HEADS), *y.shape))
-        return LossValue(float(answer_loss(softmaxed(y[None]), labels, full[-1:]).value[0]), full)
-    _, k, c = logits.p.shape
+
+def check_labels(labels, k: int, num_classes: int) -> np.ndarray:
+    """``labels`` as an int64 vector, which must hold K classes in
+    [0, num_classes); anything else is a LossError."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (k,):
         raise LossError("labels must align with the batch")
-    if (labels < 0).any() or (labels >= c).any():
-        raise LossError(f"labels must lie in [0, {c})")
+    if k and (labels.min() < 0 or labels.max() >= num_classes):
+        raise LossError(f"labels must lie in [0, {num_classes})")
+    return labels
+
+
+def _cross_entropy(sm: Softmaxed, labels: np.ndarray, grad: np.ndarray) -> LossValue:
+    """Cross-entropy of each of the H stacked heads of ``sm`` against the
+    same checked labels: H values, and the gradient added into the
+    (H, K, C) ``grad``."""
+    k = sm.p.shape[1]
     rows = np.arange(k)
-    value = -np.ascontiguousarray(logits.logp[:, rows, labels]).sum(axis=1) / k
-    g = logits.p.copy()
+    value = -np.ascontiguousarray(sm.logp[:, rows, labels]).sum(axis=1) / k
+    g = sm.p.copy()
     g[:, rows, labels] -= 1.0
     g /= k
     grad += g
@@ -257,11 +283,25 @@ def joint_components_stacked(
     """Answer, discrepancy and cycle terms over the (4, K, C) stacked
     heads, plus their summed gradient: one buffer that the terms add into
     in the order discrepancy, cycle, answer, and that is each term's grad."""
+    labels = check_labels(labels, *sm.p.shape[1:])
     grad = np.zeros(sm.p.shape)
     ld = discrepancy_loss_stacked(sm, cfg, grad)
     lc = cycle_loss_stacked(sm, cfg, grad)
-    la = answer_loss(sm[-1:], labels, grad[-1:])
+    la = _cross_entropy(sm[-1:], labels, grad[-1:])
     return LossValue(float(la.value[0]), grad), ld, lc, grad
+
+
+def training_components_stacked(
+    sm: Softmaxed, labels: np.ndarray, cfg: MccdConfig = MccdConfig()
+) -> tuple[LossValue, LossValue, LossValue, np.ndarray]:
+    """``joint_components_stacked`` with one cross-entropy per head, in
+    one call, in place of the fused one: the first record holds the four
+    in ``HEADS`` order, the uni-modal ones being the bias learners' losses.
+    ``labels`` must have passed ``check_labels``."""
+    grad = np.zeros(sm.p.shape)
+    ld = discrepancy_loss_stacked(sm, cfg, grad)
+    lc = cycle_loss_stacked(sm, cfg, grad)
+    return _cross_entropy(sm, labels, grad), ld, lc, grad
 
 
 def finite_difference_check(loss_fn, batch: list[LogitBundle], h: float = 1e-5) -> float:

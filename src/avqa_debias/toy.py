@@ -53,7 +53,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import QASample, QuestionType, Task
-from .losses import UNIMODAL, MccdConfig, answer_loss, joint_components_stacked, softmaxed
+from .losses import UNIMODAL, MccdConfig, check_labels, softmaxed, training_components_stacked
+# Not called here: perfbench/trace_cli.py wraps these names of this module.
+from .losses import answer_loss, joint_components_stacked  # noqa: F401
 from .scoring import RobustnessReport, score_predictions
 from .splitting import SplitAssignment, SplitDecision, SplitLabel, SplitRule
 
@@ -447,51 +449,53 @@ def train(
     logged in the history, but each is checked for a non-finite value.
     Bias-learner gradients stop at the encoder output (see ``_backward``).
     A divergence is reported once, by the ``ToyError`` of that check: numpy's
-    overflow and invalid-value warnings are off while training.
+    overflow and invalid-value warnings are off while training. The labels
+    are checked once, before the first step.
     """
     if not len(corpus):
         raise ToyError("empty training corpus")
     _check_feature_dim(model, corpus)
+    labels_all = check_labels(corpus.labels, len(corpus), model.num_classes)
     cfg = spec.effective(tcfg.mccd)
     rng = np.random.default_rng(tcfg.seed)
     opt = Adam(model.flat, lr=tcfg.learning_rate)
     grad_flat = np.empty_like(model.flat)
     grads = model.views(grad_flat)
     features = corpus.x
-    labels_all = corpus.labels
     history: list[dict] = []
     n = len(corpus)
+    answers = np.empty(n, dtype=np.intp)  # the fused head's argmax of each row, in epoch order
     for epoch in range(1, tcfg.epochs + 1):
         opt.lr = tcfg.learning_rate * tcfg.LR_DECAY_FACTOR ** ((epoch - 1) // tcfg.LR_DECAY_EVERY)
         order = rng.permutation(n)
         sums = dict.fromkeys(("L_a", "L_d", "L_c"), 0.0)
-        correct = 0
         batches = 0
         for start in range(0, n, tcfg.batch_size):
             idx = order[start : start + tcfg.batch_size]
             labels = labels_all[idx]
             cache = _forward_cache(model, _stack_features(features, idx))
             heads = cache["heads"]
-            la, ld, lc, dlogits = joint_components_stacked(heads, labels, cfg)
-            ce = answer_loss(heads[:3], labels, dlogits[:3])
-            for m, value in zip(UNIMODAL, ce.value.tolist()):
+            ce, ld, lc, dlogits = training_components_stacked(heads, labels, cfg)
+            *bias_ce, la = ce.value.tolist()
+            for m, value in zip(UNIMODAL, bias_ce):
                 if not math.isfinite(value):
                     raise ToyError(
                         f"non-finite {m} bias-learner loss at epoch {epoch} "
                         f"({value}); training aborted"
                     )
-            total = la.value + ld.value + lc.value
+            total = la + ld.value + lc.value
             if not math.isfinite(total):
                 raise ToyError(
-                    f"non-finite loss at epoch {epoch} (L_a={la.value}, "
+                    f"non-finite loss at epoch {epoch} (L_a={la}, "
                     f"L_d={ld.value}, L_c={lc.value}); training aborted"
                 )
-            correct += int(np.sum(np.argmax(heads.logits[-1], axis=1) == labels))
-            for key, term in zip(sums, (la, ld, lc)):
-                sums[key] += term.value
+            np.argmax(heads.logits[-1], axis=1, out=answers[start : start + tcfg.batch_size])
+            for key, value in zip(sums, (la, ld.value, lc.value)):
+                sums[key] += value
             batches += 1
             _backward(model, cache, dlogits, grads)
             opt.step(grad_flat)
+        correct = int(np.count_nonzero(answers == labels_all[order]))
         history.append({"epoch": epoch, **{key: v / batches for key, v in sums.items()},
                         "train_acc": correct / n, "lr": opt.lr})
     return history
@@ -613,7 +617,7 @@ def _map_tasks(tasks: list[tuple], workers: int) -> list[dict]:
     # it starts a thread of its own, and OpenBLAS stops its threads before a
     # fork and starts them again when next needed.
     pool = concurrent.futures.ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"), initializer=_one_blas_thread
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=one_blas_thread
     )
     try:
         return list(pool.map(_run_task, tasks))
@@ -623,10 +627,12 @@ def _map_tasks(tasks: list[tuple], workers: int) -> list[dict]:
         pool.shutdown(cancel_futures=True)
 
 
-def _one_blas_thread() -> None:
-    """Limit numpy's bundled OpenBLAS to one thread in this pool worker, so
-    that the workers run one compute thread each and do not contend with
-    each other's BLAS threads. Does nothing when numpy has no such library."""
+def one_blas_thread() -> None:
+    """Limit numpy's bundled OpenBLAS to one thread in this process. Each
+    pool worker calls it, so that the workers run one compute thread each;
+    a command that trains in one process calls it too, since a second
+    thread only spins and allocates buffers on this network's small
+    matmuls. Does nothing when numpy has no such library."""
     import ctypes
     import glob
     import os

@@ -778,6 +778,29 @@ class TestSettingsRejected:
         err = one_error_line(run_cli(command, f"{flag}=", "--train-n", "20", "--epochs", "1"))
         assert err == f"error: {flag} needs at least one comma-separated value\n"
 
+    @pytest.mark.parametrize("command, flag, value, item", [
+        ("ablation", "--variants", "full,baseline,full", "full"),
+        ("ablation", "--seeds", "0,0,1", "0"),
+        ("grid", "--alphas", "0.1,1e-1", "1e-1"),
+        ("grid", "--betas", "0.3,0.30", "0.30"),
+        ("grid", "--seeds", "1,01", "01"),
+    ])
+    def test_repeated_list_value(self, command, flag, value, item):
+        # a repeated seed or arm counted its runs twice in every median
+        err = one_error_line(run_cli(command, f"{flag}={value}", "--train-n", "20", "--epochs", "1"))
+        assert err == f"error: {flag} repeats the value {item!r}\n"
+
+    @pytest.mark.parametrize("command, flag, value, item", [
+        ("ablation", "--variants", "full,bogus", "bogus"),
+        ("ablation", "--seeds", "0,abc", "abc"),
+        ("grid", "--alphas", "0.1,x", "x"),
+        ("grid", "--betas", "1/2", "1/2"),
+        ("grid", "--seeds", "1.5", "1.5"),
+    ])
+    def test_unparsed_list_value(self, command, flag, value, item):
+        err = one_error_line(run_cli(command, f"{flag}={value}", "--train-n", "20", "--epochs", "1"))
+        assert err.startswith(f"error: {flag}: ") and repr(item) in err
+
 
 class TestUsage:
     def test_no_command(self):

@@ -8,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from avqa_debias import losses, toy
-from avqa_debias.losses import HEADS, MccdConfig, softmaxed
+from avqa_debias.losses import HEADS, LossError, MccdConfig, Softmaxed, softmaxed
 from avqa_debias.serialize import read_model
 from avqa_debias.splitting import SplitLabel, answer_distribution
 from avqa_debias.toy import (
@@ -21,6 +24,7 @@ from avqa_debias.toy import (
     ToyModel,
     ToySet,
     TrainConfig,
+    Adam,
     _backward,
     _forward_cache,
     ablation_run,
@@ -53,6 +57,120 @@ def fail_first_then_mark(task):
     time.sleep(0.2)
     (MARK_DIR / f"{seed}-{spec.variant.value}").touch()
     return {}
+
+
+# The training step written out term by term, one numpy call per formula:
+# the reference that the fused step of ``train`` must match bit for bit.
+def ref_softmaxed(v):
+    shifted = v - v.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    return Softmaxed(v, e / total, shifted - np.log(total))
+
+
+def ref_softmax_vjp(p, g):
+    return p * (g - (p * g).sum(axis=-1, keepdims=True))
+
+
+def ref_ordered_sum(rows):
+    total = 0.0
+    for v in np.ascontiguousarray(rows).reshape(len(rows), -1).sum(axis=1).tolist():
+        total += v
+    return total
+
+
+def ref_discrepancy(sm, cfg, grad):
+    if cfg.alpha == 0.0 or not cfg.heads:
+        return 0.0
+    scale = cfg.alpha / (len(cfg.heads) * sm.p.shape[1])
+    prob_mode = cfg.distance_space == "probability"
+    z = sm.p if prob_mode else sm.logits
+    rows = [HEADS.index(h) for h in cfg.heads]
+    diff = z[rows] - z[-1]
+    d = np.linalg.norm(diff, axis=-1)
+    total = ref_ordered_sum(1.0 / (d + cfg.epsilon))
+    coef = -1.0 / (d + cfg.epsilon) ** 2
+    d = d[..., None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(d > 0.0, diff / np.where(d > 0.0, d, 1.0), 0.0)
+    g = scale * coef[..., None] * unit
+    g = np.concatenate([g, -g.sum(axis=0, keepdims=True)])
+    rows.append(len(HEADS) - 1)
+    grad[rows] += ref_softmax_vjp(z[rows], g) if prob_mode else g
+    return scale * total
+
+
+def ref_cycle(sm, cfg, grad):
+    if cfg.beta == 0.0:
+        return 0.0
+    scale = cfg.beta / (3.0 * sm.p.shape[1])
+    src = [2, 0, 1]
+    p, logp = sm.p[:3], sm.logp[:3]
+    s = logp[src] - logp
+    total = ref_ordered_sum(p[src] * s)
+    through_src = scale * ref_softmax_vjp(p[src], s)
+    grad[:3] += scale * (p - p[src]) + through_src[[1, 2, 0]]
+    return scale * total
+
+
+def ref_answer(sm, labels, grad):
+    k = sm.p.shape[1]
+    rows = np.arange(k)
+    value = -np.ascontiguousarray(sm.logp[:, rows, labels]).sum(axis=1) / k
+    g = sm.p.copy()
+    g[:, rows, labels] -= 1.0
+    g /= k
+    grad += g
+    return value
+
+
+def ref_step_terms(logits, labels, cfg):
+    """(L_a, L_d, L_c, the bias-learner losses, the heads' gradient) of one
+    step: discrepancy, cycle, the fused cross-entropy, then the uni-modal
+    ones, each added into one buffer."""
+    sm = ref_softmaxed(logits)
+    grad = np.zeros(sm.p.shape)
+    ld = ref_discrepancy(sm, cfg, grad)
+    lc = ref_cycle(sm, cfg, grad)
+    la = float(ref_answer(sm[-1:], labels, grad[-1:])[0])
+    bias = ref_answer(sm[:3], labels, grad[:3])
+    return la, ld, lc, bias, grad
+
+
+def ref_train(model, corpus, tcfg, spec=AblationSpec()):
+    """``train`` through ``ref_step_terms``; the forward and backward
+    passes and Adam are ``train``'s own."""
+    cfg = spec.effective(tcfg.mccd)
+    rng = np.random.default_rng(tcfg.seed)
+    opt = Adam(model.flat, lr=tcfg.learning_rate)
+    grad_flat = np.empty_like(model.flat)
+    grads = model.views(grad_flat)
+    history = []
+    n = len(corpus)
+    for epoch in range(1, tcfg.epochs + 1):
+        opt.lr = tcfg.learning_rate * tcfg.LR_DECAY_FACTOR ** ((epoch - 1) // tcfg.LR_DECAY_EVERY)
+        order = rng.permutation(n)
+        sums = [0.0, 0.0, 0.0]
+        correct = batches = 0
+        for start in range(0, n, tcfg.batch_size):
+            idx = order[start : start + tcfg.batch_size]
+            labels = corpus.labels[idx]
+            cache = _forward_cache(model, np.take(corpus.x, idx, axis=1))
+            logits = cache["heads"].logits
+            la, ld, lc, _, dlogits = ref_step_terms(logits, labels, cfg)
+            correct += int(np.sum(np.argmax(logits[-1], axis=1) == labels))
+            sums = [a + b for a, b in zip(sums, (la, ld, lc))]
+            batches += 1
+            _backward(model, cache, dlogits, grads)
+            opt.step(grad_flat)
+        history.append({"epoch": epoch, "L_a": sums[0] / batches, "L_d": sums[1] / batches,
+                        "L_c": sums[2] / batches, "train_acc": correct / n, "lr": opt.lr})
+    return history
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def head_logits(model, x):
@@ -273,6 +391,18 @@ class TestTrain:
         # halved after every 20 epochs
         assert [hist[e - 1]["lr"] for e in (1, 20, 21, 40, 41)] == [1e-3, 1e-3, 5e-4, 5e-4, 2.5e-4]
 
+    @pytest.mark.parametrize("bad", [6, -1])
+    def test_labels_are_checked_before_the_first_step(self, bad):
+        data = small_data()
+        labels = data.train.labels.copy()
+        # the row that the first epoch's shuffle puts in its last batch
+        labels[np.random.default_rng(QUICK.seed).permutation(len(labels))[-1]] = bad
+        model = ToyModel.initialize(6, 16, seed=0)
+        before = model.flat.copy()
+        with pytest.raises(LossError, match=r"labels must lie in \[0, 6\)"):
+            train(model, ToySet(data.train.qa, labels, data.train.x), QUICK)
+        assert same_bits(model.flat, before)
+
     def test_empty_corpus(self):
         model = ToyModel.initialize(6, 16, seed=0)
         with pytest.raises(ToyError, match="empty"):
@@ -284,6 +414,78 @@ class TestTrain:
         hist = train(model, data.train, TrainConfig(epochs=10))
         assert hist[-1]["L_a"] < hist[0]["L_a"]
         assert hist[-1]["train_acc"] > hist[0]["train_acc"]
+
+
+class TestStepMatchesTheReference:
+    """The fused training step against ``ref_train`` and ``ref_step_terms``,
+    bit for bit, on configurations that the golden files do not cover."""
+
+    @pytest.mark.parametrize("num_classes, mccd, coincident", [
+        (10, MccdConfig(), False),
+        (6, MccdConfig(heads=("question", "audio", "video")), False),
+        (6, MccdConfig(distance_space="raw_logit"), False),
+        (6, MccdConfig(), True),
+    ], ids=["ten_classes", "permuted_heads", "raw_logit_all_heads", "coincident_heads"])
+    def test_two_epochs(self, num_classes, mccd, coincident):
+        data = small_data(num_classes=num_classes)
+        models = [ToyModel.initialize(num_classes, 16, seed=3) for _ in range(2)]
+        if coincident:
+            # every head's logits are 0, so on the first step each
+            # uni-modal head's distance to the fused head is 0
+            for model in models:
+                for kind in ("bias_{}_2_W", "bias_{}_2_b", "fusion_W", "fusion_b"):
+                    model.params[kind][...] = 0.0
+            assert not np.any(_forward_cache(models[0], data.train.x[:, :8])["heads"].logits)
+        tcfg = TrainConfig(epochs=2, mccd=mccd, seed=3)
+        history = train(models[0], data.train, tcfg)
+        assert history == ref_train(models[1], data.train, tcfg)
+        assert same_bits(models[0].flat, models[1].flat)
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6),
+                                              st.integers(1, 40)),
+                        elements=st.floats(-1e3, 1e3)))
+    @example(v=np.array([[[-0.0, 0.0, -0.0]], [[0.0, -0.0, 0.0]]]))
+    @example(v=np.zeros((4, 2, 9)))
+    def test_softmaxed(self, v):
+        sm, ref = softmaxed(v), ref_softmaxed(v)
+        assert same_bits(sm.p, ref.p) and same_bits(sm.logp, ref.logp)
+        assert same_bits(softmaxed(v[0, 0]).logp, ref_softmaxed(v[0, 0]).logp)  # one vector
+
+    CONFIGS = st.builds(
+        MccdConfig,
+        alpha=st.sampled_from([0.0, 1e-2, 1.0]),
+        beta=st.sampled_from([0.0, 0.3, 2.0]),
+        epsilon=st.sampled_from([1e-5, 0.5]),
+        distance_space=st.sampled_from(["probability", "raw_logit"]),
+        heads=st.lists(st.sampled_from(losses.UNIMODAL), unique=True, max_size=3).map(tuple),
+    )
+    HEADS_LOGITS = hnp.arrays(np.float64, st.tuples(st.just(4), st.integers(1, 6),
+                                                   st.integers(2, 12)),
+                              elements=st.floats(-30, 30))
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=HEADS_LOGITS, cfg=CONFIGS, start=st.floats(-1, 1))
+    @example(v=np.zeros((4, 3, 6)), cfg=MccdConfig(), start=0.5)  # every distance 0
+    def test_discrepancy_and_cycle(self, v, cfg, start):
+        sm = ref_softmaxed(v)
+        for term, ref in ((losses.discrepancy_loss_stacked, ref_discrepancy),
+                          (losses.cycle_loss_stacked, ref_cycle)):
+            grad, ref_grad = np.full(v.shape, start), np.full(v.shape, start)
+            value = term(sm, cfg, grad).value
+            assert same_bits(value, ref(sm, cfg, ref_grad)), term.__name__
+            assert same_bits(grad, ref_grad), term.__name__
+
+    @settings(max_examples=200, deadline=None)
+    @given(v=HEADS_LOGITS, cfg=CONFIGS, data=st.data())
+    def test_training_components(self, v, cfg, data):
+        k, c = v.shape[1:]
+        labels = np.array(data.draw(st.lists(st.integers(0, c - 1), min_size=k, max_size=k)))
+        ce, ld, lc, grad = losses.training_components_stacked(softmaxed(v), labels, cfg)
+        la, ref_ld, ref_lc, bias, ref_grad = ref_step_terms(v, labels, cfg)
+        assert same_bits(ce.value, [*bias, la])
+        assert same_bits(ld.value, ref_ld) and same_bits(lc.value, ref_lc)
+        assert same_bits(grad, ref_grad)
 
 
 class TestBackward:
