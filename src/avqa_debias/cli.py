@@ -8,6 +8,7 @@ tolerance exceeded), 2 usage or IO error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
@@ -26,6 +27,7 @@ from .data import (
     parse_samples,
     read_gold,
     read_jsonl,
+    read_ranges,
     write_samples,
 )
 from .losses import (
@@ -79,13 +81,19 @@ class CliError(Exception):
     pass
 
 
-def _parse_file(parse, path):
-    """``parse`` applied to the file at ``path``; a CorpusError is prefixed with the path."""
-    with open(path, "rb") as f:
-        try:
-            return parse(f)
-        except CorpusError as exc:
-            raise CliError(f"{path}: {exc}") from None
+def _parse_files(workers: int, *jobs) -> list:
+    """``parse`` applied to the file at ``path``, for each ``(parse, path)`` of
+    ``jobs`` in turn, each regular file read in ``workers`` byte ranges on as
+    many processes (``data.read_ranges``); a CorpusError is prefixed with the
+    path of its file. The results and errors do not depend on ``workers``."""
+    results = []
+    with contextlib.closing(read_ranges(list(jobs), workers)) as reads:
+        for _, path in jobs:
+            try:
+                results.append(next(reads))
+            except CorpusError as exc:
+                raise CliError(f"{path}: {exc}") from None
+    return results
 
 
 def _read_json_object(path: Path) -> dict:
@@ -122,7 +130,7 @@ def _train_from_args(args, alpha: float, beta: float) -> TrainConfig:
 
 def cmd_split(args) -> int:
     cfg = SplitConfig(entropy_threshold=args.entropy_threshold, tail_factor=args.tail_factor)
-    gold = _parse_file(read_gold, args.input)
+    [gold] = _parse_files(_workers_from_args(args), (read_gold, args.input))
     if not gold:
         raise CliError(f"{args.input}: empty corpus")
     result = assign_splits(gold, cfg)
@@ -150,9 +158,9 @@ def _score(gold, splits, preds, splits_path) -> RobustnessReport:
 
 
 def cmd_score(args) -> int:
-    gold = _parse_file(read_gold, args.gold)
-    splits = _parse_file(read_splits, args.splits)
-    preds = _parse_file(parse_predictions, args.preds)
+    gold, splits, preds = _parse_files(
+        _workers_from_args(args),
+        (read_gold, args.gold), (read_splits, args.splits), (parse_predictions, args.preds))
     report = _score(gold, splits, preds, args.splits)
     fmt = "json" if args.format == "json" else "text-table"
     sys.stdout.buffer.write(render_report(report, fmt))
@@ -229,7 +237,7 @@ def _labels(path: Path, qa: list[QASample], num_classes: int) -> np.ndarray:
 
 def _load_toy_corpus(data_dir: Path, name: str, synth_cfg: dict) -> ToySet:
     corpus_path = data_dir / f"{name}.jsonl"
-    qa = _parse_file(parse_samples, corpus_path)
+    [qa] = _parse_files(1, (parse_samples, corpus_path))
     path = data_dir / f"{name}.features"
     x = serialize.read_features(path)
     _, n, d = x.shape
@@ -267,7 +275,7 @@ def cmd_train_toy(args) -> int:
     if not len(train_set):
         raise CliError(f"{data_dir / 'train.jsonl'}: no samples to train on")
     test_set = _load_toy_corpus(data_dir, "test", synth_cfg)
-    splits = _parse_file(read_splits, data_dir / "splits.jsonl")
+    [splits] = _parse_files(1, (read_splits, data_dir / "splits.jsonl"))
     _score(test_set.qa, splits, {}, data_dir / "splits.jsonl")  # a bad split fails before training
 
     spec = AblationSpec(variant=AblationVariant(args.variant))
@@ -454,9 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=0,
-                        help="worker processes for the runs of ablation and grid: 0 (the "
-                             "default) means one per usable CPU, N at most N; outputs do not "
-                             "depend on it, and the other subcommands ignore it")
+                        help="worker processes: ablation and grid spread their runs over "
+                             "them, and split and score read each input file in that many "
+                             "byte ranges, one per process; 0 (the default) means one per "
+                             "usable CPU, N at most N; outputs do not depend on it, and the "
+                             "other subcommands ignore it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("split", help="build head/tail splits from a corpus")

@@ -14,8 +14,13 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import os
+import pickle
 import re
+import signal
+import stat
 from dataclasses import dataclass
+from itertools import islice
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 
@@ -501,3 +506,190 @@ def _prediction(obj: dict, lineno: int) -> tuple[str, str]:
             if not isinstance(obj[name], str):
                 raise CorpusError(f"{name} must be a string", lineno)
     return pid, predicted
+
+
+# The rows in one message from a range worker: a few thousand, so that the
+# parent holds one piece of a worker's map at a time beside the merged map,
+# never the worker's whole map.
+_PIECE_ROWS = 4096
+
+
+class _Slice:
+    """The bytes of the binary file ``f`` from its position up to offset ``end``."""
+
+    def __init__(self, f: IO[bytes], end: int):
+        self._f, self._left = f, end - f.tell()
+
+    def read(self, n: int) -> bytes:
+        data = self._f.read(min(n, self._left)) if self._left > 0 else b""
+        self._left -= len(data)
+        return data
+
+
+def _cut(f: IO[bytes], size: int, k: int, ranges: int) -> int:
+    """Where range ``k`` of ``ranges`` of the open ``size``-byte file ``f`` starts:
+    0 for the first, else just after the first newline at or past
+    ``size * k // ranges``, or at the end of the file if there is none. So
+    each range holds whole lines."""
+    if k == 0:
+        return 0
+    pos = size * k // ranges
+    f.seek(pos)
+    while chunk := f.read(_BLOCK_BYTES):
+        if (i := chunk.find(b"\n")) >= 0:
+            return pos + i + 1
+        pos += len(chunk)
+    return pos
+
+
+def _read_range(parse: Callable[[IO[bytes]], T], path, size: int, k: int, ranges: int) -> T:
+    """``parse`` of range ``k`` of ``ranges`` of the ``size``-byte file at ``path``;
+    the last range runs to the end of the file, so one range is the whole file."""
+    with open(path, "rb") as f:
+        end = _cut(f, size, k + 1, ranges) if k + 1 < ranges else None
+        f.seek(_cut(f, size, k, ranges))
+        return parse(f if end is None else _Slice(f, end))
+
+
+def _read_whole(parse: Callable[[IO[bytes]], T], path) -> T:
+    with open(path, "rb") as f:
+        return parse(f)
+
+
+def _regular_size(path) -> int | None:
+    """The size of the regular file at ``path``; None for anything else (a
+    FIFO, a terminal, a missing file), which is read whole, as a stream."""
+    try:
+        st = os.stat(path)
+    except (OSError, ValueError):
+        return None
+    return st.st_size if stat.S_ISREG(st.st_mode) else None
+
+
+def _send(out: IO[bytes], message) -> None:
+    """Write one message to a range worker's pipe, flushed, so that the
+    parent never waits on bytes left in the buffer."""
+    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    out.write(len(data).to_bytes(8, "little"))
+    out.write(data)
+    out.flush()
+
+
+def _receive(pipe: IO[bytes]):
+    """The next message from a range worker; EOFError if its pipe ends first."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size)
+    if len(head) < 8 or len(data) < size:
+        raise EOFError
+    return pickle.loads(data)
+
+
+def _pieces(pipe: IO[bytes]) -> Iterator[dict]:
+    """The pieces a range worker sends for one file, each a nonempty map of
+    consecutive rows. The worker ends them with ``{}``, or with None when
+    its range raised; None, or a pipe that ends first, is an EOFError."""
+    while piece := _receive(pipe):
+        yield piece
+    if piece is None:
+        raise EOFError
+
+
+def _range_worker(jobs: list, sizes: list, k: int, ranges: int, workers: list, r: int, w: int):
+    """The body of range worker ``k`` in a forked child: parse range ``k`` of
+    each regular file of ``jobs`` in turn and send its rows to the parent on
+    the pipe whose ends are ``r`` and ``w``, in pieces of ``_PIECE_ROWS``. It
+    writes nothing else anywhere, and leaves through ``os._exit``, whatever
+    happens."""
+    code = 0
+    try:
+        os.close(r)
+        for _, pipe in workers:  # the parent's ends of the earlier workers' pipes
+            pipe.close()
+        with open(w, "wb") as out:
+            for (parse, path), size in zip(jobs, sizes):
+                if size is None:
+                    continue
+                try:
+                    rows = _read_range(parse, path, size, k, ranges)
+                except Exception:  # the parent re-reads the file and reports the error
+                    _send(out, None)
+                    continue
+                items = iter(rows.items())
+                while piece := dict(islice(items, _PIECE_ROWS)):
+                    _send(out, piece)
+                _send(out, {})
+                rows = items = None
+    except BaseException:  # a worker reports nothing but through its pipe
+        code = 1
+    os._exit(code)
+
+
+def _stop(workers: list) -> None:
+    """Kill and reap every range worker; none is left behind on any path."""
+    while workers:
+        pid, pipe = workers.pop()
+        pipe.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def read_ranges(jobs: list[tuple[Callable[[IO[bytes]], T], object]], ranges: int) -> Iterator[T]:
+    """Yield ``parse(file)`` for each ``(parse, path)`` of ``jobs`` in turn,
+    each regular file read in ``ranges`` byte ranges of whole lines.
+
+    Range k starts just after the first newline at or past ``size * k /
+    ranges``. Before any file is read, ``ranges - 1`` workers are forked,
+    and worker k parses range k of every regular file in turn with its
+    ``parse``, which must then return a map keyed by id. This process
+    parses range 0 of each file and updates that map in place, in file
+    order, from the workers' pieces. If a worker's range raised, a worker
+    died, or the merged map has fewer rows than the ranges gave (an id in
+    two ranges), the workers are stopped and the file is read whole here by
+    ``parse``, so any error is the one the whole-file read raises; so is an
+    error in range 0, which begins the file. The remaining files are then
+    read whole, as is a file that is not a regular file (a FIFO, a
+    terminal). Without ``os.fork``, or with one range, each file is read
+    whole. Close the generator to stop the workers; every worker is reaped
+    on every path. The workers run only the readers, which are pure
+    Python, so no thread of the parent (a BLAS pool) is needed after the
+    fork.
+    """
+    sizes = [_regular_size(path) for _, path in jobs]
+    workers: list[tuple[int, IO[bytes]]] = []
+    try:
+        ranges = ranges if hasattr(os, "fork") and any(s is not None for s in sizes) else 1
+        for k in range(1, ranges):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: every file is read whole
+                os.close(r)
+                os.close(w)
+                _stop(workers)
+                break
+            if pid == 0:
+                _range_worker(jobs, sizes, k, ranges, workers, r, w)
+            os.close(w)
+            workers.append((pid, open(r, "rb")))
+        for (parse, path), size in zip(jobs, sizes):
+            if size is None or not workers:
+                yield _read_whole(parse, path)
+                continue
+            rows = _read_range(parse, path, size, 0, ranges)
+            try:
+                n = len(rows)
+                for _, pipe in workers:
+                    for piece in _pieces(pipe):
+                        rows.update(piece)
+                        n += len(piece)
+                merged = len(rows) == n  # fewer rows: an id in two ranges
+            except EOFError:  # a worker's range raised, or the worker died
+                merged = False
+            if not merged:
+                rows = None
+                _stop(workers)
+                rows = _read_whole(parse, path)
+            yield rows
+    finally:
+        _stop(workers)

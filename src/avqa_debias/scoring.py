@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .data import GroupKey, QASample, Task, as_gold
-from .splitting import SplitAssignment, SplitLabel
+from .splitting import SplitAssignment, SplitDecision, SplitLabel
 
 SCHEMA_VERSION = 1
 
@@ -98,13 +98,15 @@ def _outcomes(splits, gold, preds, unmatched):
 
 def score_predictions(
     gold: dict[str, tuple[GroupKey, str]] | list[QASample],
-    splits: list[SplitAssignment],
+    splits: dict[str, SplitDecision] | list[SplitAssignment],
     preds: dict[str, str],
 ) -> RobustnessReport:
     """Score predictions over the samples that carry a head/tail label.
 
     ``gold`` is ``data.read_gold``'s map of each sample id to its
     ``(GroupKey, answer)``, or samples that ``data.as_gold`` maps so.
+    ``splits`` is ``splitting.read_splits``'s map of each sample id to its
+    decision, or a list of ``(id, decision)`` assignments.
 
     A sample is correct iff the prediction matches the gold answer after
     whitespace trimming and lowercasing. Samples with no prediction count
@@ -119,7 +121,8 @@ def score_predictions(
     gold = as_gold(gold)
     warnings = [f"prediction id {pid!r} not in gold corpus" for pid in preds if pid not in gold]
     unmatched: list[str] = []
-    tally = Counter(_outcomes(splits, gold, preds, unmatched))
+    pairs = splits.items() if isinstance(splits, dict) else splits
+    tally = Counter(_outcomes(pairs, gold, preds, unmatched))
 
     per_group: dict[GroupKey, AccuracyCell] = {}
     per_task: dict[Task, AccuracyCell] = {}

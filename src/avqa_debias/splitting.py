@@ -274,8 +274,9 @@ def _decision(obj: dict) -> SplitDecision:
     return SplitDecision(group, answer, label, rule)
 
 
-def read_splits(stream: IO[bytes]) -> list[SplitAssignment]:
-    """Parse a splits JSONL file, read by ``data.read_id_rows``, into assignments.
+def read_splits(stream: IO[bytes]) -> dict[str, SplitDecision]:
+    """Map each sample id of a splits JSONL file, read by ``data.read_id_rows``,
+    to its ``SplitDecision``, in file order.
 
     The rows that spell one (task, question_type, answer, split, rule)
     share one ``SplitDecision``, checked once; a line whose text after a
@@ -283,7 +284,7 @@ def read_splits(stream: IO[bytes]) -> list[SplitAssignment]:
     an error, and so is a duplicate id, raised at the line of its second
     copy: counting a sample twice would change the reported accuracy.
     """
-    out: list[SplitAssignment] = []
+    out: dict[str, SplitDecision] = {}
     decisions: dict[tuple, SplitDecision] = {}  # by the raw strings of a row's fields
     seen: dict[str, int] = {}
 
@@ -309,7 +310,7 @@ def read_splits(stream: IO[bytes]) -> list[SplitAssignment]:
         first = seen.setdefault(sid, lineno)
         if first != lineno:
             raise CorpusError(f"duplicate id {sid!r} (first seen on line {first})", lineno)
-        out.append(SplitAssignment(sid, decision))
+        out[sid] = decision
     return out
 
 

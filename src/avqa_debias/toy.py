@@ -501,7 +501,8 @@ def train(
     return history
 
 
-def evaluate(model: ToyModel, test: ToySet, splits: list[SplitAssignment]) -> RobustnessReport:
+def evaluate(model: ToyModel, test: ToySet,
+             splits: dict[str, SplitDecision] | list[SplitAssignment]) -> RobustnessReport:
     """Score argmax answers of the fusion path under the given head/tail splits."""
     answers = np.argmax(predict_logits(model, test), axis=1)
     preds = {qa.id: class_name(int(a)) for qa, a in zip(test.qa, answers)}

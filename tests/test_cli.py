@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -705,6 +706,148 @@ class TestThreads:
         assert "terminated abruptly" in err
 
 
+# The CLI as ``python -m avqa_debias.cli`` runs it, but exiting 99 if any
+# child process of the command is left, running or unreaped.
+_NO_CHILD_LEFT = ("import os, sys\nfrom avqa_debias.cli import main\ncode = main(sys.argv[1:])\n"
+                  "try:\n    os.waitpid(-1, os.WNOHANG)\nexcept ChildProcessError:\n"
+                  "    sys.exit(code)\nsys.exit(99)")
+
+
+def _golden_lines(name: str) -> list[bytes]:
+    return (GOLDEN / name).read_bytes().splitlines(keepends=True)
+
+
+def _with_line(name: str, index: int, change: dict) -> bytes:
+    """The golden file ``name`` with ``change`` merged into the row at ``index``."""
+    lines = _golden_lines(name)
+    lines[index] = json.dumps(json.loads(lines[index]) | change).encode() + b"\n"
+    return b"".join(lines)
+
+
+class TestRangeReads:
+    """split and score read each input file in --threads byte ranges, one per
+    process; what they print, write and exit with is the same at any count,
+    errors included, and no worker process outlives the command."""
+
+    def outcome(self, tmp_path, threads: str, argv: list, fifo: Path | None = None) -> tuple:
+        """(exit code, stdout, stderr, output files) of one command; ``OUT`` in
+        ``argv`` is a fresh output directory. With ``fifo``, the golden corpus is
+        written into that FIFO while the command runs."""
+        out = tmp_path / f"out-{threads}-{fifo is not None}"
+        args = [str(out) if a == "OUT" else str(a) for a in argv]
+        proc = subprocess.Popen([sys.executable, "-c", _NO_CHILD_LEFT, "--threads", threads, *args],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        if fifo is not None:
+            writer = threading.Thread(target=fifo.write_bytes, daemon=True,
+                                      args=((GOLDEN / "corpus.jsonl").read_bytes(),))
+            writer.start()
+        stdout, stderr = proc.communicate(timeout=120)
+        if fifo is not None:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        assert proc.returncode != 99, "a child process of the command was left"
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        return proc.returncode, stdout, stderr, files
+
+    def same_at_any_count(self, tmp_path, argv: list) -> tuple:
+        one, two, auto = (self.outcome(tmp_path, threads, argv) for threads in ("1", "2", "0"))
+        assert one == two == auto
+        return one
+
+    def score_argv(self, tmp_path, gold=None, splits=None, preds=None) -> list:
+        """``score --format json`` of the golden files, or of the given bytes."""
+        paths = {}
+        for name, data, default in (("gold", gold, GOLDEN / "corpus.jsonl"),
+                                    ("splits", splits, GOLDEN / "splits.jsonl"),
+                                    ("preds", preds, None)):
+            paths[name] = default
+            if data is not None:
+                paths[name] = tmp_path / f"{name}.jsonl"
+                paths[name].write_bytes(data)
+        return ["score", "--gold", paths["gold"], "--splits", paths["splits"],
+                "--preds", paths["preds"], "--format", "json"]
+
+    def preds(self) -> bytes:
+        """Predictions for all but one splits row in each half of the file, and
+        one prediction for an unknown id at each end: both ranges hold an
+        unmatched id and a warning."""
+        ids = [json.loads(line)["id"] for line in _golden_lines("splits.jsonl")]
+        rows = [{"id": "ghost-first", "predicted_answer": "a"}]
+        rows += [{"id": sid, "predicted_answer": "a"} for sid in ids if sid not in (ids[1], ids[-2])]
+        rows.append({"id": "ghost-last", "predicted_answer": "a"})
+        return b"".join(json.dumps(r).encode() + b"\n" for r in rows)
+
+    def test_split_outputs(self, tmp_path):
+        code, stdout, stderr, files = self.same_at_any_count(
+            tmp_path, ["split", "--input", GOLDEN / "corpus.jsonl", "--output-dir", "OUT"])
+        assert code == EXIT_OK and stderr == b""
+        assert files == {name: (GOLDEN / name).read_bytes() for name in ("splits.jsonl", "groups.json")}
+
+    def test_score_order_of_unmatched_ids_and_warnings(self, tmp_path):
+        code, stdout, stderr, _ = self.same_at_any_count(
+            tmp_path, self.score_argv(tmp_path, preds=self.preds()))
+        assert code == EXIT_OK and stderr == b""
+        report = json.loads(stdout)
+        ids = [json.loads(line)["id"] for line in _golden_lines("splits.jsonl")]
+        assert report["unmatched_ids"] == [ids[1], ids[-2]]
+        assert report["warnings"] == ["prediction id 'ghost-first' not in gold corpus",
+                                      "prediction id 'ghost-last' not in gold corpus"]
+
+    # Each fault lies past the middle of its file, in the second of two ranges.
+    CORPUS_FAULTS = {
+        "malformed": (b"".join(_golden_lines("corpus.jsonl")[:-2]) + b"{broken\n",
+                      "line 26: malformed JSON: Expecting property name enclosed in double quotes"),
+        "duplicate": (b"".join(_golden_lines("corpus.jsonl") + _golden_lines("corpus.jsonl")[:1]),
+                      "line 28: duplicate id 'avqa0000' (first seen on line 1)"),
+        "unknown_task": (_with_line("corpus.jsonl", -3, {"task": "bogus"}),
+                         "line 25: unknown task 'bogus'"),
+    }
+
+    @pytest.mark.parametrize("fault", CORPUS_FAULTS)
+    @pytest.mark.parametrize("command", ["split", "score"])
+    def test_corpus_errors(self, tmp_path, command, fault):
+        data, message = self.CORPUS_FAULTS[fault]
+        bad = tmp_path / "gold.jsonl"
+        if command == "split":
+            bad.write_bytes(data)
+            argv = ["split", "--input", bad, "--output-dir", "OUT"]
+        else:
+            argv = self.score_argv(tmp_path, gold=data, preds=self.preds())
+        code, stdout, stderr, files = self.same_at_any_count(tmp_path, argv)
+        assert (code, stdout, files) == (EXIT_USAGE, b"", {})
+        assert stderr.decode() == f"error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize("name, data, message", [
+        ("splits", b"".join(_golden_lines("splits.jsonl") + _golden_lines("splits.jsonl")[:1]),
+         "line 24: duplicate id 'avqa0000' (first seen on line 1)"),
+        ("splits", _with_line("splits.jsonl", -2, {"split": "middle"}),
+         "line 22: invalid splits record: 'middle' is not a valid SplitLabel"),
+        ("preds", None, "line 24: duplicate prediction id 'avqa0000'"),
+    ])
+    def test_splits_and_predictions_errors(self, tmp_path, name, data, message):
+        if data is None:
+            data = self.preds() + b'{"id": "avqa0000", "predicted_answer": "b"}\n'
+        argv = self.score_argv(tmp_path, **{"preds": self.preds(), name: data})
+        code, stdout, stderr, _ = self.same_at_any_count(tmp_path, argv)
+        assert (code, stdout) == (EXIT_USAGE, b"")
+        assert stderr.decode() == f"error: {tmp_path / name}.jsonl: {message}\n"
+
+    @pytest.mark.parametrize("command", ["split", "score"])
+    def test_fifo_input(self, tmp_path, command):
+        """A FIFO cannot be read in ranges; it is read whole, as a stream."""
+        fifo = tmp_path / "corpus.fifo"
+        os.mkfifo(fifo)
+        if command == "split":
+            argv = ["split", "--input", "CORPUS", "--output-dir", "OUT"]
+        else:
+            argv = self.score_argv(tmp_path, preds=self.preds())
+            argv[2] = "CORPUS"
+        regular = self.outcome(tmp_path, "2", [GOLDEN / "corpus.jsonl" if a == "CORPUS" else a
+                                               for a in argv])
+        streamed = self.outcome(tmp_path, "2", [fifo if a == "CORPUS" else a for a in argv], fifo)
+        assert streamed == regular and regular[0] == EXIT_OK
+
+
 class TestSettingsRejected:
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "-0.001"), ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"),
@@ -843,8 +986,9 @@ def test_traced_training_path_attribute_exists(target):
 
 
 def test_single_run_commands_do_not_load_the_pool_modules(tmp_path):
-    """gen-synth, split, score and train-toy start no pool, so they must not pay
-    to import concurrent.futures (which loads logging) or multiprocessing."""
+    """gen-synth, split, score and train-toy start no pool: split and score fork
+    their range readers with os.fork. So none of them may pay to import
+    concurrent.futures (which loads logging) or multiprocessing."""
     script = ("import sys\nfrom avqa_debias.cli import main\ncode = main(sys.argv[1:])\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] in "
               "('concurrent', 'multiprocessing')))\nsys.exit(code)")

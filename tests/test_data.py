@@ -1,6 +1,8 @@
+import contextlib
 import enum
 import io
 import json
+import os
 import re
 from collections import Counter
 
@@ -21,6 +23,7 @@ from avqa_debias.data import (
     parse_samples,
     read_gold,
     read_jsonl,
+    read_ranges,
     validate_corpus,
     write_samples,
 )
@@ -267,13 +270,13 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
     assert group_calls <= len(result.group_reports) == len(groups)
     assert calls.pop("Enum.__hash__", 0) == 0
     assert calls == Counter()
-    assert gold == corpus and splits == result.assignments and len(preds) == 1_000
+    assert gold == corpus and splits == dict(result.assignments) and len(preds) == 1_000
     assert from_records == result
     assert len(splits) == 1_000 and report.aggregate.head_n + report.aggregate.tail_n == 1_000
     assert report == score_predictions(gold, splits, preds)
     # one record per (group, answer) and one decision per (group, answer, label)
     assert len({id(r) for r in records.values()}) == len(set(records.values())) == 9 * 3
-    assert len({id(a.decision) for a in splits}) == len({a.decision for a in splits})
+    assert len(set(map(id, splits.values()))) == len(set(splits.values()))
     decisions = [a.decision for a in from_records.assignments]
     assert len({id(d) for d in decisions}) == len(set(decisions)) == len({d[:2] for d in decisions})
 
@@ -572,7 +575,7 @@ def test_id_row_readers_match_one_line_at_a_time(reader, lines, ending):
     assert (None if parsed is None else _rows(parsed), error) == _one_row_at_a_time(reader, data)
     if reader is read_splits and parsed:
         shared: dict = {}
-        assert all(shared.setdefault(a.decision, a.decision) is a.decision for a in parsed)
+        assert all(shared.setdefault(d, d) is d for d in parsed.values())
 
 
 def _split(corpus):
@@ -755,3 +758,82 @@ def test_nesting_verdict_does_not_depend_on_the_callers_stack(arrays):
     assert len(outcomes) == 1
     expected = "line 1: JSON nested deeper than 100 levels" if arrays >= MAX_DEPTH else "['p']"
     assert expected in outcomes.pop()
+
+
+def _row_of_every_file(sid: str, answer: str, split: str, predicted) -> bytes:
+    """One line that is a corpus, a splits and a predictions row at once."""
+    return json.dumps({"id": sid, "task": "AVQA", "question_type": "Counting", "question": "q",
+                       "answer": answer, "split": split, "rule": "general_threshold",
+                       "predicted_answer": predicted}, ensure_ascii=False).encode()
+
+
+# Rows whose ids collide now and then, and whose fields a reader may reject:
+# an empty id or answer, an unknown split, a prediction that is not a string.
+_ANY_ROW = st.builds(
+    _row_of_every_file,
+    st.integers(0, 59).map(lambda i: f"r{i}") | st.just(""),
+    st.sampled_from(["yes", "yes", "no", "n\to", ""]),
+    st.sampled_from(["head", "head", "tail", "bogus"]),
+    st.sampled_from(["yes", "yes", "no", "y\tes", 3]),
+)
+_RANGE_LINE = (
+    _ANY_ROW | _ANY_ROW | _ANY_ROW
+    | _ANY_ROW.map(lambda row: b"\xef\xbb\xbf" + row)  # a byte-order mark
+    | _ANY_ROW.map(lambda row: row.replace(b'"q"', b'"q\xff"'))  # invalid UTF-8
+    | _ANY_ROW.map(lambda row: row[:-1])  # malformed JSON
+    | st.sampled_from([b"", b" \t"])
+    | st.binary(max_size=6)
+)
+_EIGHT = [_row_of_every_file(f"r{i}", "yes", "head", "yes") for i in range(8)]
+
+
+def _read_in_ranges(reader, path, ranges: int):
+    """What ``reader`` gives for the file at ``path`` through ``read_ranges`` in
+    ``ranges`` ranges, or the text of the CorpusError it raises."""
+    with contextlib.closing(read_ranges([(reader, path)], ranges)) as reads:
+        try:
+            return next(reads), None
+        except CorpusError as exc:
+            return None, str(exc)
+
+
+@pytest.mark.parametrize("reader", [read_gold, read_splits, parse_predictions])
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(_RANGE_LINE, max_size=12), ending=st.sampled_from([b"\n", b"\r\n"]),
+       final_newline=st.booleans(), ranges=st.integers(1, 4))
+@example(lines=_EIGHT, ending=b"\n", final_newline=True, ranges=2)
+@example(lines=_EIGHT + _EIGHT[:1], ending=b"\n", final_newline=True, ranges=2)
+@example(lines=_EIGHT[:6] + [b"\xef\xbb\xbf" + _EIGHT[6]], ending=b"\n", final_newline=True,
+         ranges=2)
+@example(lines=_EIGHT[:6] + [_EIGHT[6].replace(b'"q"', b'"q\xff"')], ending=b"\r\n",
+         final_newline=False, ranges=3)
+@example(lines=[b"", *_EIGHT, b" \t"], ending=b"\r\n", final_newline=False, ranges=4)
+def test_read_ranges_matches_one_read(tmp_path_factory, reader, lines, ending, final_newline,
+                                      ranges):
+    """A file read in 1 to 4 byte ranges, on as many processes, gives what
+    one read of the whole stream gives: the same map in the same key order,
+    or the same CorpusError text."""
+    data = ending.join(lines) + (ending if final_newline and lines else b"")
+    path = tmp_path_factory.mktemp("ranges") / "input.jsonl"
+    path.write_bytes(data)
+    expected, error = _read(reader, data)
+    parsed, ranged_error = _read_in_ranges(reader, path, ranges)
+    assert ranged_error == error
+    if error is None:
+        assert list(parsed.items()) == list(expected.items())
+
+
+def test_read_ranges_outlives_a_dead_worker(tmp_path):
+    """A worker that dies leaves its file to be read whole in this process."""
+    parent = os.getpid()
+
+    def parse(stream):
+        if os.getpid() != parent:
+            os._exit(3)
+        return parse_predictions(stream)
+
+    data = b"".join(row + b"\n" for row in _EIGHT)
+    (path := tmp_path / "preds.jsonl").write_bytes(data)
+    parsed, error = _read_in_ranges(parse, path, 3)
+    assert error is None
+    assert list(parsed.items()) == list(parse_predictions(io.BytesIO(data)).items())

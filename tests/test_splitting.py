@@ -217,7 +217,7 @@ class TestAssignSplits:
         buf = io.BytesIO()
         write_splits(result.assignments, buf)
         buf.seek(0)
-        assert read_splits(buf) == result.assignments
+        assert read_splits(buf) == dict(result.assignments)
 
     def test_duplicate_id_rejected_at_the_second_copy(self):
         # a sample listed twice would be scored twice
