@@ -9,14 +9,8 @@ entropy, and splits the imbalanced groups into frequent (head) and rare
 (tail) answer classes.
 """
 
-from avqa_debias import (
-    QASample,
-    QuestionType,
-    Task,
-    answer_distribution,
-    assign_splits,
-    group_samples,
-)
+from avqa_debias.data import QASample, QuestionType, Task, group_samples
+from avqa_debias.splitting import answer_distribution, assign_splits
 
 # ---------------------------------------------------------------------
 # A corpus with three groups of very different shapes:

@@ -11,16 +11,9 @@ agreement for a small vote table.
 """
 
 
-from avqa_debias import (
-    QASample,
-    QuestionType,
-    Task,
-    VoteTable,
-    assign_splits,
-    fleiss_kappa,
-    render_report,
-    score_predictions,
-)
+from avqa_debias.data import QASample, QuestionType, Task
+from avqa_debias.scoring import VoteTable, fleiss_kappa, render_report, score_predictions
+from avqa_debias.splitting import assign_splits
 
 # ---------------------------------------------------------------------
 # A single counting group where "two" dominates 40:8:4.

@@ -17,7 +17,7 @@ central finite differences before trusting them in training.
 
 import numpy as np
 
-from avqa_debias import (
+from avqa_debias.losses import (
     LogitBundle,
     MccdConfig,
     answer_loss,

@@ -16,18 +16,16 @@ table, so the head/tail behavior of each variant can be compared.
 
 from dataclasses import replace
 
-from avqa_debias import (
-    AblationSpec,
-    AblationVariant,
-    SyntheticConfig,
+from avqa_debias.config import AblationSpec, AblationVariant, SyntheticConfig, TrainConfig
+from avqa_debias.scoring import render_report
+from avqa_debias.toy import (
     ToyModel,
-    TrainConfig,
+    ablation_run,
     evaluate,
     generate_synthetic,
-    render_report,
+    render_ablation_table,
     train,
 )
-from avqa_debias.toy import ablation_run, render_ablation_table
 
 # Smaller than the library defaults so the demo finishes in ~30 seconds.
 scfg = SyntheticConfig(train_n=2000, test_n=1000, seed=3)

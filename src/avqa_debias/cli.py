@@ -3,6 +3,11 @@
 Subcommands: split, score, kappa, gen-synth, train-toy, gradcheck,
 ablation, grid. Exit codes: 0 success, 1 check failure (e.g. gradient
 tolerance exceeded), 2 usage or IO error.
+
+Only the subcommands that train (gen-synth, train-toy, gradcheck, ablation,
+grid) import numpy and the training modules, inside their own bodies; split,
+score and kappa load the standard library alone. The parser takes its
+defaults and choices from the stdlib-only records of ``config``.
 """
 
 from __future__ import annotations
@@ -17,9 +22,15 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from . import serialize
+from .config import (
+    DISTANCE_SPACES,
+    AblationSpec,
+    AblationVariant,
+    MccdConfig,
+    SyntheticConfig,
+    ToyError,
+    TrainConfig,
+)
 from .data import (
     CorpusError,
     QASample,
@@ -29,15 +40,6 @@ from .data import (
     read_jsonl,
     read_ranges,
     write_samples,
-)
-from .losses import (
-    LogitBundle,
-    MccdConfig,
-    answer_loss,
-    cycle_loss,
-    discrepancy_loss,
-    finite_difference_check,
-    joint_loss,
 )
 from .scoring import (
     RobustnessReport,
@@ -54,23 +56,6 @@ from .splitting import (
     read_splits,
     write_splits,
 )
-from .toy import (
-    AblationSpec,
-    AblationVariant,
-    SyntheticConfig,
-    ToyError,
-    ToyModel,
-    ToySet,
-    TrainConfig,
-    ablation_run,
-    class_index,
-    class_name,
-    evaluate,
-    generate_synthetic,
-    one_blas_thread,
-    render_ablation_table,
-    train,
-)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -79,6 +64,18 @@ EXIT_USAGE = 2
 
 class CliError(Exception):
     pass
+
+
+def __getattr__(name: str):
+    """``train``, ``evaluate`` and ``generate_synthetic`` of ``toy``, which the
+    subcommands that train import in their own bodies. Kept only so that
+    ``perfbench/trace_cli.py``'s ``WRAPS`` and the tests that pin its names
+    still find them here; the subcommands never read these attributes."""
+    if name in ("train", "evaluate", "generate_synthetic"):
+        from . import toy
+
+        return getattr(toy, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _parse_files(workers: int, *jobs) -> list:
@@ -201,6 +198,9 @@ def _synth_from_args(args) -> SyntheticConfig:
 
 
 def cmd_gen_synth(args) -> int:
+    from . import serialize
+    from .toy import generate_synthetic
+
     cfg = _synth_from_args(args)
     data = generate_synthetic(cfg)
     out = Path(args.output_dir)
@@ -216,11 +216,15 @@ def cmd_gen_synth(args) -> int:
     return EXIT_OK
 
 
-def _labels(path: Path, qa: list[QASample], num_classes: int) -> np.ndarray:
+def _labels(path: Path, qa: list[QASample], num_classes: int):
     """The class index of each sample's answer. Only ``class_name(k)`` for
     ``0 <= k < num_classes`` is an answer class: any other answer is a
     CliError naming its line of the corpus file at ``path``, since the
     predictions are written as ``class_name(k)`` and would never match it."""
+    import numpy as np
+
+    from .toy import class_index, class_name
+
     labels = np.empty(len(qa), dtype=np.int64)
     for i, s in enumerate(qa):
         try:
@@ -235,7 +239,10 @@ def _labels(path: Path, qa: list[QASample], num_classes: int) -> np.ndarray:
     return labels
 
 
-def _load_toy_corpus(data_dir: Path, name: str, synth_cfg: dict) -> ToySet:
+def _load_toy_corpus(data_dir: Path, name: str, synth_cfg: dict):
+    from . import serialize
+    from .toy import ToySet
+
     corpus_path = data_dir / f"{name}.jsonl"
     [qa] = _parse_files(1, (parse_samples, corpus_path))
     path = data_dir / f"{name}.features"
@@ -265,6 +272,9 @@ def _read_synth_config(path: Path) -> dict:
 
 
 def cmd_train_toy(args) -> int:
+    from . import serialize
+    from .toy import ToyModel, evaluate, one_blas_thread, train
+
     data_dir = Path(args.data)
     if not data_dir.is_dir():
         raise CliError(f"data directory not found: {args.data}")
@@ -317,6 +327,11 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    import numpy as np
+
+    from .losses import (
+        LogitBundle, answer_loss, cycle_loss, discrepancy_loss, finite_difference_check, joint_loss)
+
     for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
         if not (math.isfinite(value) and value > 0):
             raise CliError(f"{flag} must be finite and positive, not {value}")
@@ -383,6 +398,8 @@ def _workers_from_args(args) -> int:
 def _ablation_rows(args, workers: int, arms: list[tuple[TrainConfig, AblationSpec]]) -> list[dict]:
     """``ablation_run`` of ``arms`` over ``--seeds`` on ``workers`` workers.
     Runs that stay in this process get one BLAS thread, as pool workers do."""
+    from .toy import ablation_run, one_blas_thread
+
     scfg = _synth_from_args(args)
     seeds = _parse_list(args, "seeds", int)
     if min(workers, len(arms) * len(seeds)) == 1:
@@ -391,6 +408,8 @@ def _ablation_rows(args, workers: int, arms: list[tuple[TrainConfig, AblationSpe
 
 
 def cmd_ablation(args) -> int:
+    from .toy import render_ablation_table
+
     workers = _workers_from_args(args)
     tcfg = _train_from_args(args, args.alpha, args.beta)
     arms = [(tcfg, AblationSpec(v)) for v in _parse_list(args, "variants", AblationVariant)]
@@ -429,29 +448,29 @@ def cmd_grid(args) -> int:
 
 
 def _add_weight_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=1e-2)
-    p.add_argument("--beta", type=float, default=3e-1)
+    p.add_argument("--alpha", type=float, default=MccdConfig.alpha)
+    p.add_argument("--beta", type=float, default=MccdConfig.beta)
 
 
 def _add_distance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float, default=1e-5)
-    p.add_argument("--distance-space", choices=["probability", "raw_logit"], default="probability")
+    p.add_argument("--epsilon", type=float, default=MccdConfig.epsilon)
+    p.add_argument("--distance-space", choices=DISTANCE_SPACES, default=MccdConfig.distance_space)
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--classes", type=int, default=6)
-    p.add_argument("--feature-dim", type=int, default=16)
-    p.add_argument("--train-n", type=int, default=4000)
-    p.add_argument("--test-n", type=int, default=2000)
-    p.add_argument("--bias-strength", type=float, default=0.9)
-    p.add_argument("--tail-fraction", type=float, default=0.3)
-    p.add_argument("--noise-scale", type=float, default=3.0)
+    p.add_argument("--classes", type=int, default=SyntheticConfig.num_classes)
+    p.add_argument("--feature-dim", type=int, default=SyntheticConfig.feature_dim)
+    p.add_argument("--train-n", type=int, default=SyntheticConfig.train_n)
+    p.add_argument("--test-n", type=int, default=SyntheticConfig.test_n)
+    p.add_argument("--bias-strength", type=float, default=SyntheticConfig.bias_strength)
+    p.add_argument("--tail-fraction", type=float, default=SyntheticConfig.tail_fraction)
+    p.add_argument("--noise-scale", type=float, default=SyntheticConfig.noise_scale)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     _add_distance_flags(p)
 
 
@@ -494,7 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-toy", help="train the toy model on a generated corpus")
     p.add_argument("--data", required=True)
-    p.add_argument("--variant", choices=[v.value for v in AblationVariant], default="full")
+    p.add_argument("--variant", choices=[v.value for v in AblationVariant],
+                   default=AblationSpec.variant.value)
     _add_train_flags(p)
     _add_weight_flags(p)
     p.add_argument("--output-dir", required=True)
@@ -534,9 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
+    try:  # no reference to the parser outlives parsing: what a command imports reuses its memory
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -36,12 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import LossError, MccdConfig
+from .config import UNIMODAL  # noqa: F401  (callers import it from here)
+
 HEADS = ("audio", "video", "question", "fused")
-UNIMODAL = ("audio", "video", "question")
-
-
-class LossError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -69,28 +67,6 @@ class LogitBundle:
     @property
     def num_classes(self) -> int:
         return self.audio.shape[0]
-
-
-@dataclass(frozen=True)
-class MccdConfig:
-    alpha: float = 1e-2
-    beta: float = 3e-1
-    epsilon: float = 1e-5
-    distance_space: str = "probability"  # or "raw_logit"
-    heads: tuple[str, ...] = UNIMODAL  # uni-modal heads in the discrepancy term
-
-    def __post_init__(self):
-        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
-            raise ValueError("alpha and beta must be finite and nonnegative")
-        for h in self.heads:
-            if h not in UNIMODAL:
-                raise LossError(f"unknown uni-modal head {h!r}")
-        if len(set(self.heads)) < len(self.heads):
-            raise LossError(f"repeated uni-modal head in {self.heads}")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and positive")
-        if self.distance_space not in ("probability", "raw_logit"):
-            raise ValueError(f"unknown distance_space {self.distance_space!r}")
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib
 import io
@@ -17,6 +18,14 @@ from hypothesis import strategies as st
 
 from avqa_debias import cli, serialize, toy
 from avqa_debias.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from avqa_debias.config import (
+    DISTANCE_SPACES,
+    AblationSpec,
+    AblationVariant,
+    MccdConfig,
+    SyntheticConfig,
+    TrainConfig,
+)
 from avqa_debias.data import QASample, parse_samples
 from conftest import exit_in_worker
 
@@ -513,7 +522,7 @@ class TestGenSynthAndTrain:
         lines[1] = json.dumps(json.loads(lines[1]) | change).encode() + b"\n"
         (data / "splits.jsonl").write_bytes(b"\n" + b"".join(lines))
         trained = []
-        monkeypatch.setattr(cli, "train", lambda *args: trained.append(len(args)))
+        monkeypatch.setattr(toy, "train", lambda *args: trained.append(len(args)))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(["train-toy", "--data", str(data), "--epochs", "1",
@@ -1006,3 +1015,65 @@ def test_single_run_commands_do_not_load_the_pool_modules(tmp_path):
         proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)], capture_output=True)
         assert proc.returncode == EXIT_OK, proc.stderr.decode()
         assert proc.stdout.decode().splitlines()[-1] == "[]", argv[0]
+
+
+_TRAINING_MODULES = ["avqa_debias.losses", "avqa_debias.serialize", "avqa_debias.toy", "numpy"]
+
+
+def test_evaluation_commands_load_no_training_module(tmp_path):
+    """split, score (with a range worker forked) and kappa load neither numpy
+    nor the training modules; the subcommands that train import them, and run."""
+    script = ("import sys\nfrom avqa_debias.cli import main\ncode = main(sys.argv[1:])\n"
+              f"print([m for m in {_TRAINING_MODULES!r} if m in sys.modules])\nsys.exit(code)")
+    preds = tmp_path / "preds.jsonl"
+    preds.write_bytes(b'{"id": "avqa0000", "predicted_answer": "a"}\n')
+    votes = tmp_path / "votes.json"
+    votes.write_text(json.dumps({"raters": 3, "rows": [[3, 0], [1, 2]]}))
+    evaluation = [
+        ["--threads", "2", "split", "--input", GOLDEN / "corpus.jsonl",
+         "--output-dir", tmp_path / "split"],
+        ["--threads", "2", "score", "--gold", GOLDEN / "corpus.jsonl",
+         "--splits", GOLDEN / "splits.jsonl", "--preds", preds],
+        ["kappa", "--votes", votes],
+    ]
+    training = [
+        ["gen-synth", "--train-n", "40", "--test-n", "20", "--output-dir", tmp_path / "synth"],
+        ["train-toy", "--data", TOY_GOLDEN / "synth", "--epochs", "1",
+         "--output-dir", tmp_path / "train"],
+    ]
+    for argv, loaded in [(a, []) for a in evaluation] + [(a, _TRAINING_MODULES) for a in training]:
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)], capture_output=True)
+        assert proc.returncode == EXIT_OK, proc.stderr.decode()
+        assert proc.stdout.decode().splitlines()[-1] == repr(loaded), argv
+
+
+def _subparser(name: str) -> argparse.ArgumentParser:
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
+def _choices(name: str, dest: str) -> list:
+    [action] = [a for a in _subparser(name)._actions if a.dest == dest]
+    return list(action.choices)
+
+
+def test_parser_defaults_are_the_config_defaults():
+    """With no flags, each subcommand that trains builds the library's default
+    configs; the parser holds no second copy of a default or a choice."""
+    parse = cli.build_parser().parse_args
+    for argv in (["gen-synth", "--output-dir", "o"], ["ablation"], ["grid"]):
+        assert cli._synth_from_args(parse(argv)) == SyntheticConfig(), argv
+    for argv in (["train-toy", "--data", "d", "--output-dir", "o"], ["ablation"]):
+        args = parse(argv)
+        assert cli._train_from_args(args, args.alpha, args.beta) == TrainConfig(), argv
+    grid = parse(["grid"])  # --alpha and --beta are swept, not flags
+    assert cli._train_from_args(grid, MccdConfig.alpha, MccdConfig.beta) == TrainConfig()
+    gradcheck = parse(["gradcheck"])
+    assert cli._mccd_from_args(gradcheck, gradcheck.alpha, gradcheck.beta) == MccdConfig()
+    assert gradcheck.classes == 10  # its own default, not SyntheticConfig's
+    train_toy = parse(["train-toy", "--data", "d", "--output-dir", "o"])
+    assert AblationSpec(AblationVariant(train_toy.variant)) == AblationSpec()
+    variants = [v.value for v in AblationVariant]
+    assert _choices("train-toy", "variant") == variants and len(variants) == 7
+    for name in ("train-toy", "gradcheck", "ablation", "grid"):
+        assert _choices(name, "distance_space") == list(DISTANCE_SPACES), name
