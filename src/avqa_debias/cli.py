@@ -66,18 +66,6 @@ class CliError(Exception):
     pass
 
 
-def __getattr__(name: str):
-    """``train``, ``evaluate`` and ``generate_synthetic`` of ``toy``, which the
-    subcommands that train import in their own bodies. Kept only so that
-    ``perfbench/trace_cli.py``'s ``WRAPS`` and the tests that pin its names
-    still find them here; the subcommands never read these attributes."""
-    if name in ("train", "evaluate", "generate_synthetic"):
-        from . import toy
-
-        return getattr(toy, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _parse_files(workers: int, *jobs) -> list:
     """``parse`` applied to the file at ``path``, for each ``(parse, path)`` of
     ``jobs`` in turn, each regular file read in ``workers`` byte ranges on as

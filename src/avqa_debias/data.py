@@ -172,19 +172,6 @@ def _too_deep(text: str) -> bool:
     return False
 
 
-def _loads(text: str, lineno: int):
-    """``json.loads(text)``; malformed JSON, or nesting deeper than MAX_DEPTH,
-    is a CorpusError with the line number."""
-    if _too_deep(text):
-        raise CorpusError(f"JSON nested deeper than {MAX_DEPTH} levels", lineno)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"malformed JSON: {exc.msg}", lineno) from exc
-    except (ValueError, RecursionError) as exc:  # an over-long integer; a caller near the limit
-        raise CorpusError(f"malformed JSON: {exc}", lineno) from exc
-
-
 # Bytes per read of a JSONL stream. Each read is cut after its last newline,
 # so that a block holds whole lines and is decoded from UTF-8 in one call.
 # A block is alive about five times over while its lines are read (the
@@ -255,18 +242,26 @@ def _decode_line(text: str, lineno: int) -> dict:
     The line is decoded by one ``raw_decode`` call, kept only when it read
     the whole line. Any other line (an error, leading or trailing
     whitespace, extra data) goes to ``json.loads``, so every value and
-    every error is the one ``json.loads`` gives for that line alone. Only
-    a line longer than ``2 * MAX_DEPTH`` characters has its depth checked,
-    and only a line with a ``\\u`` escape, the one way a lone surrogate
-    gets into decoded UTF-8, has its strings checked.
+    every error is the one ``json.loads`` gives for that line alone. The
+    depth is checked, once, only on a line that goes to ``json.loads`` or
+    is longer than ``2 * MAX_DEPTH`` characters, and only a line with a
+    ``\\u`` escape, the one way a lone surrogate gets into decoded UTF-8,
+    has its strings checked.
     """
     try:
         obj, end = _raw_decode(text)
     except (ValueError, RecursionError):
         end = -1
     n = len(text)
-    if end != n or n > _LONG_LINE and _too_deep(text):
-        obj = _loads(text, lineno)
+    if (end != n or n > _LONG_LINE) and _too_deep(text):
+        raise CorpusError(f"JSON nested deeper than {MAX_DEPTH} levels", lineno)
+    if end != n:
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"malformed JSON: {exc.msg}", lineno) from exc
+        except (ValueError, RecursionError) as exc:  # an over-long integer; a caller near the limit
+            raise CorpusError(f"malformed JSON: {exc}", lineno) from exc
     if not isinstance(obj, dict):
         raise CorpusError("each line must be a JSON object", lineno)
     # A one-character search costs a fifth of a two-character one, so
@@ -527,33 +522,27 @@ class _Slice:
 
 
 def _cut(f: IO[bytes], size: int, k: int, ranges: int) -> int:
-    """Where range ``k`` of ``ranges`` of the open ``size``-byte file ``f`` starts:
-    0 for the first, else just after the first newline at or past
-    ``size * k // ranges``, or at the end of the file if there is none. So
-    each range holds whole lines."""
-    if k == 0:
-        return 0
-    pos = size * k // ranges
-    f.seek(pos)
-    while chunk := f.read(_BLOCK_BYTES):
-        if (i := chunk.find(b"\n")) >= 0:
-            return pos + i + 1
-        pos += len(chunk)
-    return pos
+    """Seek the open ``size``-byte file ``f`` to where range ``k > 0`` of
+    ``ranges`` starts, and return it: just after the first newline at or
+    past ``size * k // ranges``, or the end of the file if there is none.
+    So each range holds whole lines; the line read here to find the cut
+    ends the range before."""
+    f.seek(size * k // ranges)
+    f.readline()
+    return f.tell()
 
 
-def _read_range(parse: Callable[[IO[bytes]], T], path, size: int, k: int, ranges: int) -> T:
-    """``parse`` of range ``k`` of ``ranges`` of the ``size``-byte file at ``path``;
-    the last range runs to the end of the file, so one range is the whole file."""
+def _read(parse: Callable[[IO[bytes]], T], path, size: int | None, k: int, ranges: int) -> T:
+    """``parse`` of range ``k`` of ``ranges`` of the ``size``-byte file at ``path``.
+    The last range runs to the end of the file, so one range is the whole
+    file, parsed as it opens, without a seek: a FIFO (``size`` None) too."""
     with open(path, "rb") as f:
-        end = _cut(f, size, k + 1, ranges) if k + 1 < ranges else None
-        f.seek(_cut(f, size, k, ranges))
-        return parse(f if end is None else _Slice(f, end))
-
-
-def _read_whole(parse: Callable[[IO[bytes]], T], path) -> T:
-    with open(path, "rb") as f:
-        return parse(f)
+        start = _cut(f, size, k, ranges) if k else 0
+        if k + 1 == ranges:
+            return parse(f)
+        end = _cut(f, size, k + 1, ranges)
+        f.seek(start)
+        return parse(_Slice(f, end))
 
 
 def _regular_size(path) -> int | None:
@@ -567,32 +556,11 @@ def _regular_size(path) -> int | None:
 
 
 def _send(out: IO[bytes], message) -> None:
-    """Write one message to a range worker's pipe, flushed, so that the
-    parent never waits on bytes left in the buffer."""
-    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-    out.write(len(data).to_bytes(8, "little"))
-    out.write(data)
+    """Pickle one message onto a range worker's pipe, flushed, so that the
+    parent never waits on bytes left in the buffer. Pickle frames each
+    message itself: ``pickle.load`` on the pipe reads exactly one."""
+    pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
     out.flush()
-
-
-def _receive(pipe: IO[bytes]):
-    """The next message from a range worker; EOFError if its pipe ends first."""
-    head = pipe.read(8)
-    size = int.from_bytes(head, "little")
-    data = pipe.read(size)
-    if len(head) < 8 or len(data) < size:
-        raise EOFError
-    return pickle.loads(data)
-
-
-def _pieces(pipe: IO[bytes]) -> Iterator[dict]:
-    """The pieces a range worker sends for one file, each a nonempty map of
-    consecutive rows. The worker ends them with ``{}``, or with None when
-    its range raised; None, or a pipe that ends first, is an EOFError."""
-    while piece := _receive(pipe):
-        yield piece
-    if piece is None:
-        raise EOFError
 
 
 def _range_worker(jobs: list, sizes: list, k: int, ranges: int, workers: list, r: int, w: int):
@@ -611,7 +579,7 @@ def _range_worker(jobs: list, sizes: list, k: int, ranges: int, workers: list, r
                 if size is None:
                     continue
                 try:
-                    rows = _read_range(parse, path, size, k, ranges)
+                    rows = _read(parse, path, size, k, ranges)
                 except Exception:  # the parent re-reads the file and reports the error
                     _send(out, None)
                     continue
@@ -674,22 +642,24 @@ def read_ranges(jobs: list[tuple[Callable[[IO[bytes]], T], object]], ranges: int
             workers.append((pid, open(r, "rb")))
         for (parse, path), size in zip(jobs, sizes):
             if size is None or not workers:
-                yield _read_whole(parse, path)
+                yield _read(parse, path, size, 0, 1)
                 continue
-            rows = _read_range(parse, path, size, 0, ranges)
+            rows = _read(parse, path, size, 0, ranges)
             try:
                 n = len(rows)
                 for _, pipe in workers:
-                    for piece in _pieces(pipe):
+                    while piece := pickle.load(pipe):  # {} ends the file's pieces
                         rows.update(piece)
                         n += len(piece)
-                merged = len(rows) == n  # fewer rows: an id in two ranges
-            except EOFError:  # a worker's range raised, or the worker died
+                    if piece is None:  # the worker's range raised
+                        break
+                merged = piece is not None and len(rows) == n  # fewer rows: an id in two ranges
+            except (EOFError, pickle.UnpicklingError):  # the worker died
                 merged = False
             if not merged:
                 rows = None
                 _stop(workers)
-                rows = _read_whole(parse, path)
+                rows = _read(parse, path, size, 0, 1)
             yield rows
     finally:
         _stop(workers)

@@ -64,7 +64,8 @@ def write_features(path: str | Path, x: np.ndarray) -> None:
 
 
 def read_features(path: str | Path) -> np.ndarray:
-    """The (3, n, d) float64 feature array of a features file."""
+    """The (3, n, d) float64 feature array of a features file; a NaN or an
+    infinity in it is a FormatError."""
     with open(path, "rb") as f:
         if f.read(4) != FEATURES_MAGIC:
             raise FormatError(f"{path}: not a features file")
@@ -82,6 +83,8 @@ def read_features(path: str | Path) -> np.ndarray:
     # lower than one transposed copy of the whole buffer did.
     mats = [rows[:, i].copy() for i in range(3)]
     del buf, rows
+    if not all(np.isfinite(m).all() for m in mats):  # before the stack, so the peak does not rise
+        raise FormatError(f"{path}: non-finite feature value")
     return np.stack(mats)
 
 

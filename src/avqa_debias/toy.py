@@ -127,6 +127,7 @@ class SyntheticData:
     splits: list[SplitAssignment]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticData:
     """Build train/test corpora with a planted question shortcut.
 
@@ -135,7 +136,8 @@ def generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticDat
     one-hot shortcut channel equal to the label with probability
     ``bias_strength`` on the training side. Test samples are drawn head
     (shortcut agrees) or tail (shortcut disagrees) per ``tail_fraction``
-    and labeled accordingly.
+    and labeled accordingly. A ``noise_scale`` so large that a feature
+    overflows is a ``ToyError``; numpy's overflow warnings are off.
     """
     rng = np.random.default_rng(cfg.seed)
     c, d = cfg.num_classes, cfg.feature_dim
@@ -169,6 +171,8 @@ def generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticDat
             question[i] = 0.1 * rng.standard_normal(d)
             question[i, shortcut] += 2.0
             qa.append(_make_sample(f"{prefix}-{i:05d}", label))
+        if not np.isfinite(x).all():
+            raise ToyError(f"noise_scale {cfg.noise_scale} makes non-finite {prefix} features")
         return ToySet(qa=qa, labels=labels.astype(np.int64), x=x)
 
     train = draw(cfg.train_n, "train", regime=None)
@@ -425,8 +429,14 @@ def train(
 
 def evaluate(model: ToyModel, test: ToySet,
              splits: dict[str, SplitDecision] | list[SplitAssignment]) -> RobustnessReport:
-    """Score argmax answers of the fusion path under the given head/tail splits."""
-    answers = np.argmax(predict_logits(model, test), axis=1)
+    """Score argmax answers of the fusion path under the given head/tail splits.
+    A non-finite logit, from a model whose last training step diverged after
+    ``train``'s last loss check, is a ``ToyError``: its argmax would be scored."""
+    with np.errstate(all="ignore"):
+        logits = predict_logits(model, test)
+    if not np.isfinite(logits).all():
+        raise ToyError("non-finite test logits: the model diverged in its last training step")
+    answers = np.argmax(logits, axis=1)
     preds = {qa.id: class_name(int(a)) for qa, a in zip(test.qa, answers)}
     return score_predictions(test.qa, splits, preds)
 

@@ -396,6 +396,17 @@ class TestGenSynthAndTrain:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err == f"error: {feats}: truncated header\n"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_non_finite_feature(self, tmp_path, value):
+        data = tmp_path / "d"
+        shutil.copytree(TOY_GOLDEN / "synth", data)
+        feats = data / "train.features"
+        blob = feats.read_bytes()
+        feats.write_bytes(blob[:-8] + struct.pack("<d", value))
+        proc = run_cli("train-toy", "--data", data, "--epochs", "1",
+                       "--output-dir", tmp_path / "run")
+        assert one_error_line(proc) == f"error: {feats}: non-finite feature value\n"
+
     @pytest.mark.parametrize("name", ["train", "test"])
     def test_row_count_mismatch(self, tmp_path, name):
         data = tmp_path / "d"
@@ -890,6 +901,30 @@ class TestSettingsRejected:
         assert "noise_scale must be finite and nonnegative" in one_error_line(proc)
         assert not (tmp_path / "out").exists()
 
+    def test_noise_scale_that_overflows(self, tmp_path):
+        proc = run_cli("gen-synth", "--train-n", "5", "--test-n", "3", "--noise-scale=1e308",
+                       "--output-dir", tmp_path / "out")
+        assert one_error_line(proc) == "error: noise_scale 1e+308 makes non-finite train features\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train-toy", "--epochs", "1", "--lr", "1e308"],
+        *(["--threads", threads, "ablation", "--seeds", "0,1", "--variants", "full",
+           "--train-n", "64", "--test-n", "20", "--epochs", "1", "--lr", "1e308"]
+          for threads in ("1", "2")),
+    ])
+    def test_last_step_that_diverges(self, tmp_path, argv):
+        """One step whose update overflows: no loss check of ``train`` sees it,
+        and the NaN logits it leaves are not scored."""
+        if argv[0] == "train-toy":
+            assert main(["gen-synth", "--train-n", "5", "--test-n", "3",
+                         "--output-dir", str(tmp_path / "d")]) == EXIT_OK
+            argv = [*argv, "--data", tmp_path / "d", "--output-dir", tmp_path / "run"]
+        proc = run_cli(*argv)
+        assert one_error_line(proc) == (
+            "error: non-finite test logits: the model diverged in its last training step\n")
+        assert not (tmp_path / "run" / "report.json").exists()
+
     def test_tie_policy_flag_is_gone(self, tmp_path):
         proc = run_cli("split", "--input", GOLDEN / "corpus.jsonl", "--tie-both-head",
                        "--output-dir", tmp_path)
@@ -979,12 +1014,11 @@ def test_traced_eval_path_attribute_exists(target):
 
 
 @pytest.mark.parametrize("target", [
-    "cli:generate_synthetic", "toy:generate_synthetic", "serialize:write_features",
-    "serialize:read_features", "cli:evaluate", "toy:evaluate", "toy:score_predictions",
-    "toy:_stack_features", "toy:_forward_cache", "losses:answer_loss",
-    "losses:discrepancy_loss_stacked", "losses:cycle_loss_stacked", "toy:answer_loss",
-    "toy:joint_components_stacked", "toy:_backward", "toy:Adam.step", "cli:train", "toy:train",
-    "toy:run_variant",
+    "toy:generate_synthetic", "serialize:write_features", "serialize:read_features",
+    "toy:evaluate", "toy:score_predictions", "toy:_stack_features", "toy:_forward_cache",
+    "losses:answer_loss", "losses:discrepancy_loss_stacked", "losses:cycle_loss_stacked",
+    "toy:answer_loss", "toy:joint_components_stacked", "toy:_backward", "toy:Adam.step",
+    "toy:train", "toy:run_variant",
 ])
 def test_traced_training_path_attribute_exists(target):
     module, path = target.split(":")
@@ -992,6 +1026,18 @@ def test_traced_training_path_attribute_exists(target):
     for name in path.split("."):
         owner = getattr(owner, name, None)
     assert callable(owner)
+
+
+def test_tracer_finds_a_target_for_every_span():
+    """The benchmark's tracer, installed as it is for a traced command, finds at
+    least one attribute to wrap for each of its spans. It patches the modules,
+    so it runs in a process of its own."""
+    script = ("import sys\nsys.path.insert(0, sys.argv[1])\nfrom trace_cli import Tracer\n"
+              "tracer = Tracer()\ntracer.install()\nprint(tracer.absent)")
+    perfbench = Path(__file__).parent.parent / "perfbench"
+    proc = subprocess.run([sys.executable, "-c", script, str(perfbench)], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode() == "[]\n"
 
 
 def test_single_run_commands_do_not_load_the_pool_modules(tmp_path):

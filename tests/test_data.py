@@ -3,6 +3,7 @@ import enum
 import io
 import json
 import os
+import pickle
 import re
 from collections import Counter
 
@@ -835,5 +836,26 @@ def test_read_ranges_outlives_a_dead_worker(tmp_path):
     data = b"".join(row + b"\n" for row in _EIGHT)
     (path := tmp_path / "preds.jsonl").write_bytes(data)
     parsed, error = _read_in_ranges(parse, path, 3)
+    assert error is None
+    assert list(parsed.items()) == list(parse_predictions(io.BytesIO(data)).items())
+
+
+def test_read_ranges_outlives_a_worker_that_dies_mid_message(tmp_path, monkeypatch):
+    """A worker that dies after part of a pickled piece is on its pipe, which
+    ``pickle.load`` reports as truncated, leaves its file to be read whole."""
+    parent, dump = os.getpid(), pickle.dump
+
+    def dump_half_then_exit(message, out, protocol):
+        if os.getpid() == parent:
+            return dump(message, out, protocol)
+        data = pickle.dumps(message, protocol)
+        out.write(data[: len(data) // 2])
+        out.flush()
+        os._exit(3)
+
+    monkeypatch.setattr(pickle, "dump", dump_half_then_exit)
+    data = b"".join(row + b"\n" for row in _EIGHT)
+    (path := tmp_path / "preds.jsonl").write_bytes(data)
+    parsed, error = _read_in_ranges(parse_predictions, path, 3)
     assert error is None
     assert list(parsed.items()) == list(parse_predictions(io.BytesIO(data)).items())

@@ -85,6 +85,12 @@ def test_features_errors(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 20)
     with pytest.raises(FormatError, match="not a features file"):
         read_features(p)
+    for value in (np.nan, np.inf, -np.inf):
+        x[2, 1, 0] = value
+        write_features(p, x)
+        with pytest.raises(FormatError) as info:
+            read_features(p)
+        assert str(info.value) == f"{p}: non-finite feature value"
 
 
 @pytest.mark.parametrize("widths", [(8, 4, 8), (4, 8, 8), (8, 8, 4), (0, 0, 1)])

@@ -2,6 +2,7 @@ import os
 import statistics
 import sys
 import time
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
@@ -250,6 +251,13 @@ class TestGenerateSynthetic:
         data = generate_synthetic(SyntheticConfig())
         dist = answer_distribution(data.train.qa)
         assert dist.normalized_entropy < 0.9
+
+    def test_noise_that_overflows_is_a_toy_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning is off
+            with pytest.raises(ToyError) as info:
+                small_data(noise_scale=1e308)
+        assert str(info.value) == "noise_scale 1e+308 makes non-finite train features"
 
     def test_label_needs_both_modalities(self):
         # audio index is label // 2 and video index label % 2, so two
@@ -612,6 +620,17 @@ class TestEvaluate:
         agg = report.aggregate
         assert agg.head_n + agg.tail_n == len(data.test)
         assert report.unmatched_ids == []
+
+    def test_non_finite_logits_are_a_toy_error(self):
+        """A model whose last update overflowed is not scored: the argmax of
+        its NaN logits would land on one class."""
+        data = small_data()
+        model = ToyModel.initialize(6, 16, seed=0)
+        model.flat[:] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings are off
+            with pytest.raises(ToyError, match="^non-finite test logits"):
+                evaluate(model, data.test, data.splits)
 
     def test_trained_model_beats_chance(self):
         data = small_data()
