@@ -20,7 +20,7 @@ import re
 import signal
 import stat
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 
@@ -201,23 +201,45 @@ def _blocks(stream: IO[bytes]) -> Iterator[bytes]:
         yield last
 
 
-def _lines(stream: IO[bytes], decode: Callable[[str, int], T]) -> Iterator[tuple[int, T]]:
-    """Yield (1-based line number, ``decode(text, line number)``) for each
-    nonblank line of a JSONL stream.
-
-    A line loses its trailing carriage returns; blank lines are skipped but
-    still counted. A byte-order mark on line 1, or a line that is not valid
-    UTF-8, is a CorpusError with the line number. A block that does not
-    decode is decoded with its bad bytes escaped, and each of its lines is
-    checked alone, so the error names the first bad line, after every line
-    before it has been decoded.
-    """
-    lineno = 0
+def _texts(stream: IO[bytes]) -> Iterator[tuple[str, bool]]:
+    """Yield (text, escaped) for each block of a JSONL stream; ``escaped``
+    says the block is not valid UTF-8 and was decoded with its bad bytes
+    escaped."""
     for block in _blocks(stream):
         try:
             text, escaped = block.decode("utf-8"), False
         except UnicodeDecodeError:
             text, escaped = block.decode("utf-8", "surrogateescape"), True
+        yield text, escaped
+
+
+def _rows(pattern: re.Pattern, block: tuple[str, bool]) -> list | None:
+    """``pattern.findall(text)`` if that has one match per line of a block
+    ``(text, escaped)`` from ``_texts`` that is valid UTF-8 and holds no
+    carriage return, else None. A pattern anchored to both ends of a line
+    matches each line at most once. A block that gets None paid its regex
+    pass for nothing, so each reader reads the rest of its stream line by
+    line after one."""
+    text, escaped = block
+    if escaped or "\r" in text:
+        return None
+    found = pattern.findall(text)
+    return found if len(found) == text.count("\n") + 1 else None
+
+
+def _lines(blocks: Iterable[tuple[str, bool]], decode: Callable[[str, int], T],
+           lineno: int = 0) -> Iterator[tuple[int, T]]:
+    """Yield (1-based line number, ``decode(line, line number)``) for each
+    nonblank line of the blocks from ``_texts``, which follow ``lineno``
+    lines.
+
+    A line loses its trailing carriage returns; blank lines are skipped but
+    still counted. A byte-order mark on line 1, or a line that is not valid
+    UTF-8, is a CorpusError with the line number. Each line of an escaped
+    block is checked alone, so the error names the first bad line, after
+    every line before it has been decoded.
+    """
+    for text, escaped in blocks:
         if lineno == 0 and text.startswith("\ufeff"):  # line 1, which is not blank
             raise CorpusError("byte-order mark not allowed; files must be plain UTF-8", 1)
         cr = "\r" in text
@@ -284,12 +306,25 @@ def read_jsonl(stream: IO[bytes]) -> Iterator[tuple[int, dict]]:
     a value that is not a JSON object, a lone surrogate); each failure is a
     CorpusError with the line number.
     """
-    return _lines(stream, _decode_line)
+    return _lines(_texts(stream), _decode_line)
 
 
-# A line that starts with a plain id: no quote, backslash or control
-# character, so the JSON string is the text between the quotes.
-_PLAIN_ID = re.compile(r'\{"id": "([^"\\\x00-\x1f]*)", ')
+# The text of a JSON string that holds no quote, backslash or control
+# character: its value is its text, which in valid UTF-8 holds no lone
+# surrogate.
+_PLAIN = r'[^"\\\x00-\x1f]*'
+
+# A line that starts with a plain id, split into (id, the tail after it).
+_ID_ROW = re.compile(rf'^\{{"id": "({_PLAIN})", (.*)$', re.M)
+
+# A corpus line as ``write_samples`` writes it, with every string plain:
+# one JSON object of distinct keys at depth 1. The groups are its id, task,
+# question type and answer.
+_GOLD_ROW = re.compile(
+    rf'^\{{"id": "({_PLAIN})", "task": "({_PLAIN})", "question_type": "({_PLAIN})", '
+    rf'"question": "{_PLAIN}", "answer": "({_PLAIN})"(?:, "source_id": "{_PLAIN}")?\}}$',
+    re.M,
+)
 
 # The most tails ``read_id_rows`` memoizes from one stream. A file whose
 # tails seldom repeat, such as one distinct prediction per row, gains
@@ -306,29 +341,39 @@ def read_id_rows(
 
     ``row`` makes every check of a row but those on its id's value (empty,
     duplicate), which are the caller's, and raises a CorpusError. A line
-    ``{"id": "<id>", <tail>`` whose id is plain (``_PLAIN_ID``) and whose
+    ``{"id": "<id>", <tail>`` whose id is plain (``_ID_ROW``) and whose
     tail holds neither ``"id"`` nor a ``\\u`` escape (without which it can
     spell the key ``id`` only as ``"id"``, and no lone surrogate) decodes to
     ``{"id": <id>}`` and what the tail alone spells, so every such line
     with one tail gets the same value and passes the same checks: its value
     is memoized by the tail, and a later line with that tail is not decoded
-    at all. Once the memo holds ``_MEMO_TAILS`` tails, every further line
-    is decoded.
+    at all. Until the memo holds ``_MEMO_TAILS`` tails, each block whose
+    every line starts with a plain id is split into ids and tails by one
+    regex pass; from the first block that is not, lines are read one at a
+    time. Once the memo is full, every further line is decoded.
     """
     memo: dict[str, T] = {}
 
     def decode(text: str, lineno: int) -> tuple[str, T]:
-        head = _PLAIN_ID.match(text) if len(memo) < _MEMO_TAILS else None
-        if head is not None:
-            tail = text[head.end() :]
-            if (value := memo.get(tail)) is not None:
-                return head[1], value
+        head = _ID_ROW.match(text) if len(memo) < _MEMO_TAILS else None
+        if head is not None and (value := memo.get(head[2])) is not None:
+            return head[1], value
         sid, value = row(_decode_line(text, lineno), lineno)
-        if head is not None and "\\u" not in tail and '"id"' not in tail:
-            memo[tail] = value
+        if head is not None and "\\u" not in head[2] and '"id"' not in head[2]:
+            memo[head[2]] = value
         return sid, value
 
-    return _lines(stream, decode)
+    start, texts = 0, _texts(stream)
+    for block in texts:
+        rows = _rows(_ID_ROW, block) if len(memo) < _MEMO_TAILS else None
+        if rows is None:  # this block and every later one, line by line
+            yield from _lines(chain([block], texts), decode, start)
+            return
+        for lineno, (sid, tail) in enumerate(rows, start + 1):
+            value = memo.get(tail)
+            yield lineno, (sid, value) if value is not None else decode(
+                f'{{"id": "{sid}", {tail}', lineno)
+        start += len(rows)
 
 
 def _check_row(
@@ -403,14 +448,35 @@ def read_gold(stream: IO[bytes]) -> dict[str, tuple[GroupKey, str]]:
 
     Each line gets the checks of ``parse_samples``, with the same errors.
     Rows with the same task, question type and answer share one record,
-    and nothing else of a row is kept.
+    and nothing else of a row is kept. A row of a block that ``_GOLD_ROW``
+    matches whole is stored from its regex groups, undecoded, if its raw
+    (task, question_type, answer) has a record and its id is new and
+    nonempty, as then every check of ``_check_row`` holds; any other row
+    is decoded and checked at its own line. From the first block that
+    ``_GOLD_ROW`` does not match whole, every row is decoded.
     """
     gold: dict[str, tuple[GroupKey, str]] = {}
     records: dict = {}
     seen: dict[str, int] = {}
-    for lineno, obj in read_jsonl(stream):
-        sid, record = _check_row(obj, lineno, records, seen)
-        gold[sid] = record
+    start, texts = 0, _texts(stream)
+    for block in texts:
+        rows = _rows(_GOLD_ROW, block)
+        if rows is None:  # this block and every later one, line by line
+            for lineno, obj in _lines(chain([block], texts), _decode_line, start):
+                sid, record = _check_row(obj, lineno, records, seen)
+                gold[sid] = record
+            break
+        lines = None
+        for lineno, (sid, task, qtype, answer) in enumerate(rows, start + 1):
+            record = records.get((task, qtype, answer))
+            if record is None or not sid or sid in seen:
+                lines = lines or block[0].split("\n")
+                obj = _decode_line(lines[lineno - start - 1], lineno)
+                sid, record = _check_row(obj, lineno, records, seen)
+            else:
+                seen[sid] = lineno
+            gold[sid] = record
+        start += len(rows)
     return gold
 
 

@@ -6,6 +6,7 @@ import os
 import pickle
 import re
 from collections import Counter
+from typing import Iterable
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -197,11 +198,12 @@ class TestEnumErrors:
 
 
 def test_clean_input_takes_the_fast_path(monkeypatch):
-    """Clean rows reach neither json.loads nor an enum constructor, nothing
-    from splitting to scoring runs Enum.__hash__ or builds a GroupKey per
-    row, splitting read_gold's records gives what splitting the samples
-    gives, and the rows of one answer class share one gold record and one
-    split decision. The splits and predictions readers decode each distinct
+    """Clean rows reach neither json.loads nor an enum constructor, read_gold
+    decodes only the first row of each (group, answer), nothing from
+    splitting to scoring runs Enum.__hash__ or builds a GroupKey per row,
+    splitting read_gold's records gives what splitting the samples gives,
+    and the rows of one answer class share one gold record and one split
+    decision. The splits and predictions readers decode each distinct
     line tail after the id at most once, one with a \\t escape too, and the
     predictions of one tail share one string."""
     groups = sorted(KNOWN_GROUPS)
@@ -252,9 +254,11 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
     group_calls = calls.pop("QASample.group", 0)
     write_splits(result.assignments, splits_bytes)
     gold = parse_samples(io.BytesIO(corpus_bytes.getvalue()))
+    assert calls.pop("raw_decode") == 1_000  # parse_samples decodes every row
     records = read_gold(io.BytesIO(corpus_bytes.getvalue()))
+    # read_gold decodes only the first row of each (group, answer)
+    assert 0 < calls.pop("raw_decode") <= 9 * 3
     from_records = assign_splits(records)
-    assert calls.pop("raw_decode") == 2_000  # parse_samples and read_gold decode every row
     splits = read_splits(io.BytesIO(splits_bytes.getvalue()))
     splits_decodes = calls.pop("raw_decode", 0)
     preds = parse_predictions(io.BytesIO(preds_bytes))
@@ -280,6 +284,45 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
     assert len(set(map(id, splits.values()))) == len(set(splits.values()))
     decisions = [a.decision for a in from_records.assignments]
     assert len({id(d) for d in decisions}) == len(set(decisions)) == len({d[:2] for d in decisions})
+
+
+_BLOCK_READERS = {  # (reader, its block pattern, row i as written, row i in another shape)
+    "read_gold": (read_gold, "_GOLD_ROW", lambda i: _gold_line(i),
+                  lambda i: _gold_line(i, question='a "quoted" question')),
+    "parse_predictions": (parse_predictions, "_ID_ROW", lambda i: _id_row(f"c{i:04d}", _BOTH),
+                          lambda i: _id_row(f'c\\"{i:04d}', _BOTH)),
+}
+
+
+@pytest.mark.parametrize("name", _BLOCK_READERS)
+@pytest.mark.parametrize("odd", [(), (0,), (1_000, 1_500), range(1_990, 2_000)])
+def test_block_pattern_stops_after_a_failed_block(monkeypatch, name, odd):
+    """A reader runs its block pattern on each block of a clean file, up to
+    and including the first block the pattern fails, and on no block after
+    it. The file reads as its lines read one at a time either way."""
+    reader, pattern, line, other = _BLOCK_READERS[name]
+    lines = [other(i) if i in odd else line(i) for i in range(2_000)]
+    data = b"\n".join(lines) + b"\n"
+    ends, end = [], 0
+    for block in data_module._blocks(io.BytesIO(data)):
+        end += block.count(b"\n") + 1
+        ends.append(end)  # the lines before the next block
+    tries = next((i + 1 for i, end in enumerate(ends) if end > min(odd, default=2_000)), len(ends))
+    calls = Counter()
+    real = getattr(data_module, pattern)
+
+    class CountingPattern:
+        match = staticmethod(real.match)
+
+        def findall(self, text):
+            calls["findall"] += 1
+            return real.findall(text)
+
+    monkeypatch.setattr(data_module, pattern, CountingPattern())
+    result = reader(io.BytesIO(data))
+    assert calls["findall"] == tries and len(ends) > 20
+    monkeypatch.undo()
+    assert result == {k: v for text in lines for k, v in reader(io.BytesIO(text)).items()}
 
 
 class TestGroupKey:
@@ -453,8 +496,57 @@ def _one_line_at_a_time(data: bytes):
 _GOOD_ROW = dict(_SAMPLE, task="AVQA", question_type="Counting")
 
 
-@settings(max_examples=400, deadline=None)
-@given(lines=st.lists(_CORPUS_LINE, max_size=8))
+def _after_clean_block(clean: list[bytes], faults: st.SearchStrategy) -> st.SearchStrategy:
+    """Lines that open with more than one 8 KiB block of ``clean`` lines and
+    go on, in a later block, with up to three lines of ``faults`` and then
+    the rest of ``clean``."""
+    return st.builds(lambda k, more: clean[:k] + more + clean[k:],
+                     st.integers(len(clean) // 2, len(clean)), st.lists(faults, max_size=3))
+
+
+def _examples(cases: Iterable[dict]):
+    """A decorator that gives a hypothesis test one example per keyword dict of ``cases``."""
+    def decorate(test):
+        for kwargs in cases:
+            test = example(**kwargs)(test)
+        return test
+    return decorate
+
+
+def _gold_line(i: int, **fields) -> bytes:
+    """Row ``i`` of a corpus, written as write_samples writes it."""
+    row = dict(_GOOD_ROW, id=f"c{i:03d}", question=f"question {i} " + "x" * 150,
+               answer=["yes", "no", "two"][i % 3])
+    return json.dumps(row | fields, ensure_ascii=False).encode()
+
+
+# About four blocks of rows that read_gold stores from its regex pass, and
+# lines to put after the first block: each fault named by a test, and good
+# rows that take the slow path (a \u escape) or that a fast block decodes (a
+# new group and answer, a raw non-ASCII question).
+_CLEAN_GOLD = [_gold_line(i, **({"source_id": f"t{i}"} if i % 5 == 0 else {})) for i in range(120)]
+_GOLD_FAULTS = [
+    _gold_line(500)[:-9],  # malformed
+    _gold_line(501, task="bogus"),
+    _gold_line(502, id=""),
+    _gold_line(0),  # a duplicate of the first row's id
+    b"",
+    _gold_line(503) + b"\r",
+    _gold_line(504, question="q?").replace(b"q?", b"q\xff"),  # invalid UTF-8
+    json.dumps(dict(_GOOD_ROW, id="c505", question="\u00e9")).encode(),
+    json.dumps(dict(_GOOD_ROW, id="c506", question="\ud800")).encode(),
+    _gold_line(507, answer="four"),
+    _gold_line(508, question="\u00e9t\u00e9"),
+]
+
+
+@settings(max_examples=800, deadline=None)
+@given(lines=st.lists(_CORPUS_LINE, max_size=8)
+       | _after_clean_block(_CLEAN_GOLD, st.sampled_from(_GOLD_FAULTS) | _CORPUS_LINE))
+@_examples({"lines": [*_CLEAN_GOLD[:60], line, *_CLEAN_GOLD[60:]]} for line in _GOLD_FAULTS)
+@example(lines=_CLEAN_GOLD)
+@example(lines=[b"\xef\xbb\xbf" + _CLEAN_GOLD[0], *_CLEAN_GOLD[1:]])
+@example(lines=[*_CLEAN_GOLD[:60], _CLEAN_GOLD[59], *_CLEAN_GOLD[60:]])  # a duplicate in its block
 @example(lines=[json.dumps(_GOOD_ROW).encode(), json.dumps(dict(_GOOD_ROW, id="")).encode()])
 @example(lines=[json.dumps(_GOOD_ROW).encode(), json.dumps(dict(_GOOD_ROW, id="b", question=1)).encode()])
 @example(lines=[json.dumps(_GOOD_ROW).encode(), b"", json.dumps(_GOOD_ROW).encode()])
@@ -541,11 +633,37 @@ def _one_row_at_a_time(reader, data: bytes):
 
 _MANY = [_id_row(f"r{i:04d}", _BOTH) for i in range(500)]  # more than one block
 
+# About three blocks of rows that the readers split by one regex pass, and
+# lines to put after the first block: each fault named by a test, and rows
+# that a fast block decodes (a new tail, one that fails a check).
+_CLEAN_IDS = [_id_row(f"c{i:03d}", _TAILS[i % 2]) for i in range(120)]
+_ID_FAULTS = [
+    _id_row("c500", _BOTH[:-9]),  # malformed
+    _id_row("c501", _TAILS[2]),  # an unknown task
+    _id_row("", _BOTH),
+    _id_row("c000", _BOTH),  # a duplicate of the first row's id
+    b"",
+    _id_row("c503", _BOTH) + b"\r",
+    _id_row("c504", _BOTH).replace(b"yes", b"y\xffs", 1),  # invalid UTF-8
+    _id_row("\\u0041", _BOTH),
+    _id_row("c505", _BOTH.replace('"yes"}', '"y\\u0065s"}')),
+    _id_row("c506", _TAILS[8]),  # a tail with "id"
+    _id_row("c507", _TAILS[5]),
+    _id_row("c508", _TAILS[3]),
+]
+
 
 @pytest.mark.parametrize("reader", [read_splits, parse_predictions])
-@settings(max_examples=300, deadline=None)
-@given(lines=st.lists(_ID_LINE | _ID_LINE | _LINE | st.sampled_from([b"", b" \t"]), max_size=8),
+@settings(max_examples=600, deadline=None)
+@given(lines=st.lists(_ID_LINE | _ID_LINE | _LINE | st.sampled_from([b"", b" \t"]), max_size=8)
+       | _after_clean_block(_CLEAN_IDS, st.sampled_from(_ID_FAULTS) | _ID_LINE | _LINE),
        ending=st.sampled_from([b"\n", b"\r\n"]))
+@_examples({"lines": [*_CLEAN_IDS[:60], line, *_CLEAN_IDS[60:]], "ending": b"\n"}
+           for line in _ID_FAULTS)
+@example(lines=[*_CLEAN_IDS[:60], _CLEAN_IDS[59], *_CLEAN_IDS[60:]], ending=b"\n")
+# Every line a plain-id row, in a \r\n file: a string cut off at the end
+# of a line is unterminated, not one holding a control character (\r).
+@example(lines=[*_CLEAN_IDS[:60], _id_row("c509", _BOTH[:-2]), *_CLEAN_IDS[60:]], ending=b"\r\n")
 @example(lines=[_id_row(i, _BOTH) for i in ['q\\"1', "q\\\\2", "\\u0041", "A"]], ending=b"\n")
 @example(lines=[_id_row(i, _BOTH[:-1] + ', "id": "b"}') for i in "ac"], ending=b"\n")
 @example(lines=[_id_row(i, _BOTH[:-1] + ', "\\u0069d": "b"}') for i in "ac"], ending=b"\n")
@@ -570,10 +688,13 @@ def test_id_row_readers_match_one_line_at_a_time(reader, lines, ending):
     """read_splits and parse_predictions give, value for value and error for
     error, what each line gives when read on its own: no line whose tail
     repeats an earlier one's loses a check to the memo of decoded tails.
-    The rows of one split decision share one SplitDecision."""
+    The rows of one split decision share one SplitDecision, and a file
+    with \\r\\n line endings reads as the one with \\n endings."""
     data = b"".join(line + ending for line in lines)
     parsed, error = _read(reader, data)
     assert (None if parsed is None else _rows(parsed), error) == _one_row_at_a_time(reader, data)
+    if ending == b"\r\n":
+        assert (parsed, error) == _read(reader, b"".join(line + b"\n" for line in lines))
     if reader is read_splits and parsed:
         shared: dict = {}
         assert all(shared.setdefault(d, d) is d for d in parsed.values())

@@ -71,6 +71,14 @@ class TestScorePredictions:
         report = score_predictions(gold, splits, preds)
         assert any("ghost" in w for w in report.warnings)
 
+    def test_unknown_prediction_ids_warn_in_prediction_order(self):
+        gold, splits, preds = fixture_4h2t()
+        preds = {"zz": "yes", **preds, "aa": "no"}
+        report = score_predictions(gold, splits, preds)
+        assert report.warnings == ["prediction id 'zz' not in gold corpus",
+                                   "prediction id 'aa' not in gold corpus"]
+        assert report.aggregate.overall_acc == Fraction(2, 3)
+
     def test_split_for_unknown_sample_raises(self):
         gold, splits, preds = fixture_4h2t()
         rogue = assignment(make_sample("other", "yes"), SplitLabel.HEAD)
