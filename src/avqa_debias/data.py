@@ -21,6 +21,7 @@ import signal
 import stat
 from dataclasses import dataclass
 from itertools import chain, islice
+from operator import attrgetter, indexOf, itemgetter
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 
@@ -213,31 +214,33 @@ def _texts(stream: IO[bytes]) -> Iterator[tuple[str, bool]]:
         yield text, escaped
 
 
-def _rows(pattern: re.Pattern, block: tuple[str, bool]) -> list | None:
+def _rows(pattern: re.Pattern, block: tuple[str, bool], refused: str = "\r") -> list | None:
     """``pattern.findall(text)`` if that has one match per line of a block
     ``(text, escaped)`` from ``_texts`` that is valid UTF-8 and holds no
-    carriage return, else None. A pattern anchored to both ends of a line
-    matches each line at most once. A block that gets None paid its regex
-    pass for nothing, so each reader reads the rest of its stream line by
-    line after one."""
+    character of ``refused``, else None. A pattern anchored to both ends of
+    a line matches each line at most once, and a match that runs over two
+    lines leaves fewer matches than lines. A block that gets None paid its
+    regex pass for nothing, so each reader reads the rest of its stream
+    line by line after one."""
     text, escaped = block
-    if escaped or "\r" in text:
+    if escaped or any(map(text.__contains__, refused)):
         return None
     found = pattern.findall(text)
     return found if len(found) == text.count("\n") + 1 else None
 
 
 def _lines(blocks: Iterable[tuple[str, bool]], decode: Callable[[str, int], T],
-           lineno: int = 0) -> Iterator[tuple[int, T]]:
+           lineno: int = 0, blanks: list[int] | None = None) -> Iterator[tuple[int, T]]:
     """Yield (1-based line number, ``decode(line, line number)``) for each
     nonblank line of the blocks from ``_texts``, which follow ``lineno``
     lines.
 
     A line loses its trailing carriage returns; blank lines are skipped but
-    still counted. A byte-order mark on line 1, or a line that is not valid
-    UTF-8, is a CorpusError with the line number. Each line of an escaped
-    block is checked alone, so the error names the first bad line, after
-    every line before it has been decoded.
+    still counted, and appended to ``blanks`` if it is given. A byte-order
+    mark on line 1, or a line that is not valid UTF-8, is a CorpusError
+    with the line number. Each line of an escaped block is checked alone,
+    so the error names the first bad line, after every line before it has
+    been decoded.
     """
     for text, escaped in blocks:
         if lineno == 0 and text.startswith("\ufeff"):  # line 1, which is not blank
@@ -247,6 +250,8 @@ def _lines(blocks: Iterable[tuple[str, bool]], decode: Callable[[str, int], T],
             if cr:
                 line = line.rstrip("\r")
             if not line.strip(_BLANK):
+                if blanks is not None:
+                    blanks.append(lineno)
                 continue
             if escaped:
                 try:  # the line's own bytes, so the message gives its position in the line
@@ -317,14 +322,20 @@ _PLAIN = r'[^"\\\x00-\x1f]*'
 # A line that starts with a plain id, split into (id, the tail after it).
 _ID_ROW = re.compile(rf'^\{{"id": "({_PLAIN})", (.*)$', re.M)
 
-# A corpus line as ``write_samples`` writes it, with every string plain:
-# one JSON object of distinct keys at depth 1. The groups are its id, task,
-# question type and answer.
+# A corpus line as ``write_samples`` writes it: one JSON object of distinct
+# keys at depth 1. The groups are its id, task, question type and answer.
+# Its strings are any text up to the next quote, which is plain (``_PLAIN``)
+# in a block that holds none of ``_GOLD_REFUSED``, and is matched faster.
 _GOLD_ROW = re.compile(
-    rf'^\{{"id": "({_PLAIN})", "task": "({_PLAIN})", "question_type": "({_PLAIN})", '
-    rf'"question": "{_PLAIN}", "answer": "({_PLAIN})"(?:, "source_id": "{_PLAIN}")?\}}$',
+    r'^\{"id": "([^"]*)", "task": "([^"]*)", "question_type": "([^"]*)", '
+    r'"question": "[^"]*", "answer": "([^"]*)"(?:, "source_id": "[^"]*")?\}$',
     re.M,
 )
+# A backslash and every control character but the newline that ends a line.
+_GOLD_REFUSED = "\\" + "".join(map(chr, range(0x20))).replace("\n", "")
+
+# The id of a row that ``_ID_ROW`` or ``_GOLD_ROW`` matched.
+_row_id = itemgetter(0)
 
 # The most tails ``read_id_rows`` memoizes from one stream. A file whose
 # tails seldom repeat, such as one distinct prediction per row, gains
@@ -333,24 +344,35 @@ _MEMO_TAILS = 1024
 
 
 def read_id_rows(
-    stream: IO[bytes], row: Callable[[dict, int], tuple[str, T]]
-) -> Iterator[tuple[int, tuple[str, T]]]:
-    """Yield (line number, (id, value)) for each nonblank line of a JSONL
-    stream whose rows are keyed by ``id``, where ``(id, value) = row(obj,
-    lineno)`` for the line's object, read as by ``read_jsonl``.
+    stream: IO[bytes],
+    row: Callable[[dict, int], tuple[str, T]],
+    out: dict[str, T],
+    check: Callable[[str, int], None],
+    blanks: list[int] | None = None,
+) -> dict[str, T]:
+    """Store ``id: value`` in ``out``, and return it, for each nonblank line
+    of a JSONL stream whose rows are keyed by ``id``, where ``(id, value) =
+    row(obj, lineno)`` for the line's object, read as by ``read_jsonl``.
+    Blank lines are appended to ``blanks`` if it is given.
 
-    ``row`` makes every check of a row but those on its id's value (empty,
-    duplicate), which are the caller's, and raises a CorpusError. A line
-    ``{"id": "<id>", <tail>`` whose id is plain (``_ID_ROW``) and whose
-    tail holds neither ``"id"`` nor a ``\\u`` escape (without which it can
-    spell the key ``id`` only as ``"id"``, and no lone surrogate) decodes to
-    ``{"id": <id>}`` and what the tail alone spells, so every such line
-    with one tail gets the same value and passes the same checks: its value
-    is memoized by the tail, and a later line with that tail is not decoded
-    at all. Until the memo holds ``_MEMO_TAILS`` tails, each block whose
-    every line starts with a plain id is split into ids and tails by one
-    regex pass; from the first block that is not, lines are read one at a
-    time. Once the memo is full, every further line is decoded.
+    ``row`` makes every check of a row but those on its id's value, and
+    raises a CorpusError. Those are ``check(id, lineno)``'s, called before a
+    row whose id is empty or already in ``out`` is stored: it must raise for
+    a duplicate, and for an empty id if that is an error. A line ``{"id":
+    "<id>", <tail>`` whose id is plain (``_ID_ROW``) and whose tail holds
+    neither ``"id"`` nor a ``\\u`` escape (without which it can spell the
+    key ``id`` only as ``"id"``, and no lone surrogate) decodes to ``{"id":
+    <id>}`` and what the tail alone spells, so every such line with one
+    tail gets the same value and passes the same checks: its value is
+    memoized by the tail, and a later line with that tail is not decoded at
+    all. Until the memo holds ``_MEMO_TAILS`` tails, each block whose every
+    line starts with a plain id is split into ids and tails by one regex
+    pass. If the memo has every tail of the block, its values are looked up
+    and stored in bulk, with one ``update``; if that adds fewer keys than
+    the block has rows, or an id is empty, the block's new keys are dropped
+    and its rows stored one at a time. A block with a tail the memo lacks
+    is read line by line. From the first block that is not split, every
+    line is, and once the memo is full, every further line is decoded.
     """
     memo: dict[str, T] = {}
 
@@ -363,29 +385,53 @@ def read_id_rows(
             memo[head[2]] = value
         return sid, value
 
+    def store(rows: Iterable[tuple[int, tuple[str, T]]]) -> None:
+        for lineno, (sid, value) in rows:
+            if not sid or sid in out:
+                check(sid, lineno)
+            out[sid] = value
+
     start, texts = 0, _texts(stream)
     for block in texts:
         rows = _rows(_ID_ROW, block) if len(memo) < _MEMO_TAILS else None
         if rows is None:  # this block and every later one, line by line
-            yield from _lines(chain([block], texts), decode, start)
-            return
-        for lineno, (sid, tail) in enumerate(rows, start + 1):
-            value = memo.get(tail)
-            yield lineno, (sid, value) if value is not None else decode(
-                f'{{"id": "{sid}", {tail}', lineno)
+            store(_lines(chain([block], texts), decode, start, blanks))
+            return out
+        values = list(map(memo.get, map(itemgetter(1), rows)))
+        if None in values:  # a tail the memo lacks
+            store(_lines([block], decode, start))
+        else:
+            n = len(out)
+            out.update(zip(map(_row_id, rows), values))
+            if len(out) - n < len(rows) or "" in map(_row_id, rows):
+                while len(out) > n:
+                    out.popitem()
+                store(enumerate(zip(map(_row_id, rows), values), start + 1))
         start += len(rows)
+    return out
 
 
-def _check_row(
-    obj: dict, lineno: int, records: dict, seen: dict[str, int]
-) -> tuple[str, tuple[GroupKey, str]]:
-    """Every check of one corpus row, in a fixed order; returns the row's id
+def duplicate_id(sid: str, ids: Iterable[str], blanks: list[int], lineno: int) -> CorpusError:
+    """The error for the row at ``lineno`` whose id ``sid`` an earlier row
+    has, given ``ids``, the ids of the rows before it in line order, and
+    ``blanks``, the blank lines before it, in order. The line of the first
+    row is worked out only here, so no reader keeps a map of ids to lines."""
+    first = indexOf(ids, sid) + 1  # its line, were no line blank
+    for blank in blanks:
+        if blank > first:
+            break
+        first += 1
+    return CorpusError(f"duplicate id {sid!r} (first seen on line {first})", lineno)
+
+
+def _check_row(obj: dict, lineno: int, records: dict) -> tuple[str, tuple[GroupKey, str]]:
+    """Every check of one corpus row, in a fixed order, but the one for a
+    duplicate id, which the caller makes after these; returns the row's id
     and its ``(GroupKey, answer)`` record.
 
     ``records`` maps each raw ``(task, question_type, answer)`` triple that
     has passed to its record, so the group and answer of a triple are
     checked once and every row with that triple shares one record.
-    ``seen`` maps each id to the line of its first row.
     """
     try:
         sid, task, qtype, question, answer = (
@@ -422,23 +468,26 @@ def _check_row(
     source_id = obj.get("source_id")
     if source_id is not None and not isinstance(source_id, str):
         raise CorpusError("source_id must be a string or null", lineno)
-    first = seen.setdefault(sid, lineno)
-    if first != lineno:
-        raise CorpusError(f"duplicate id {sid!r} (first seen on line {first})", lineno)
     return sid, record
 
 
 def parse_samples(stream: IO[bytes]) -> list[QASample]:
     """Parse a JSONL byte stream into samples, preserving file order.
 
-    Lines are read by ``read_jsonl``; a missing or invalid field or a
-    duplicate id is a CorpusError with the line number. Unknown fields are ignored.
+    Lines are read as by ``read_jsonl``; a missing or invalid field or a
+    duplicate id is a CorpusError with the line number. Unknown fields are
+    ignored. A set of the ids read so far finds a duplicate; the samples
+    list alone has no fast membership test.
     """
     samples: list[QASample] = []
     records: dict = {}
-    seen: dict[str, int] = {}
-    for lineno, obj in read_jsonl(stream):
-        sid, (group, answer) = _check_row(obj, lineno, records, seen)
+    ids: set[str] = set()
+    blanks: list[int] = []
+    for lineno, obj in _lines(_texts(stream), _decode_line, 0, blanks):
+        sid, (group, answer) = _check_row(obj, lineno, records)
+        if sid in ids:
+            raise duplicate_id(sid, map(attrgetter("id"), samples), blanks, lineno)
+        ids.add(sid)
         samples.append(QASample(sid, *group, obj["question"], answer, obj.get("source_id")))
     return samples
 
@@ -448,34 +497,47 @@ def read_gold(stream: IO[bytes]) -> dict[str, tuple[GroupKey, str]]:
 
     Each line gets the checks of ``parse_samples``, with the same errors.
     Rows with the same task, question type and answer share one record,
-    and nothing else of a row is kept. A row of a block that ``_GOLD_ROW``
-    matches whole is stored from its regex groups, undecoded, if its raw
-    (task, question_type, answer) has a record and its id is new and
-    nonempty, as then every check of ``_check_row`` holds; any other row
-    is decoded and checked at its own line. From the first block that
-    ``_GOLD_ROW`` does not match whole, every row is decoded.
+    and nothing else of a row is kept. A block that ``_GOLD_ROW`` matches
+    whole, and that holds none of ``_GOLD_REFUSED``, is stored from its
+    regex groups, undecoded, with one ``update``, if every raw (task,
+    question_type, answer) of it has a record and its ids are new and
+    nonempty, as then every check of ``_check_row`` holds. Otherwise the
+    block is read again row by row from its first line: a row that passes
+    those tests is stored, and any other row is decoded and checked at its
+    own line. From the first block that is not matched, every row is
+    decoded.
     """
     gold: dict[str, tuple[GroupKey, str]] = {}
     records: dict = {}
-    seen: dict[str, int] = {}
+    blanks: list[int] = []
+
+    def check(obj: dict, lineno: int) -> None:
+        sid, record = _check_row(obj, lineno, records)
+        if sid in gold:
+            raise duplicate_id(sid, gold, blanks, lineno)
+        gold[sid] = record
+
     start, texts = 0, _texts(stream)
     for block in texts:
-        rows = _rows(_GOLD_ROW, block)
+        rows = _rows(_GOLD_ROW, block, _GOLD_REFUSED)
         if rows is None:  # this block and every later one, line by line
-            for lineno, obj in _lines(chain([block], texts), _decode_line, start):
-                sid, record = _check_row(obj, lineno, records, seen)
-                gold[sid] = record
+            for lineno, obj in _lines(chain([block], texts), _decode_line, start, blanks):
+                check(obj, lineno)
             break
-        lines = None
-        for lineno, (sid, task, qtype, answer) in enumerate(rows, start + 1):
-            record = records.get((task, qtype, answer))
-            if record is None or not sid or sid in seen:
-                lines = lines or block[0].split("\n")
-                obj = _decode_line(lines[lineno - start - 1], lineno)
-                sid, record = _check_row(obj, lineno, records, seen)
-            else:
-                seen[sid] = lineno
-            gold[sid] = record
+        n = len(gold)
+        recs = list(map(records.get, map(itemgetter(1, 2, 3), rows)))
+        if None not in recs and "" not in map(_row_id, rows):
+            gold.update(zip(map(_row_id, rows), recs))
+        if len(gold) - n < len(rows):  # not stored, or a duplicate id: row by row
+            while len(gold) > n:
+                gold.popitem()
+            lines = block[0].split("\n")
+            for lineno, (sid, task, qtype, answer) in enumerate(rows, start + 1):
+                record = records.get((task, qtype, answer))
+                if record is None or not sid or sid in gold:
+                    check(_decode_line(lines[lineno - start - 1], lineno), lineno)
+                else:
+                    gold[sid] = record
         start += len(rows)
     return gold
 
@@ -550,11 +612,12 @@ def parse_predictions(stream: IO[bytes]) -> dict[str, str]:
     way after a plain id share one string.
     """
     preds: dict[str, str] = {}
-    for lineno, (pid, predicted) in read_id_rows(stream, _prediction):
+
+    def check(pid: str, lineno: int) -> None:
         if pid in preds:
             raise CorpusError(f"duplicate prediction id {pid!r}", lineno)
-        preds[pid] = predicted
-    return preds
+
+    return read_id_rows(stream, _prediction, preds, check)
 
 
 def _prediction(obj: dict, lineno: int) -> tuple[str, str]:

@@ -10,6 +10,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import filterfalse
+from operator import itemgetter
 
 from .data import GroupKey, QASample, Task, as_gold
 from .splitting import SplitAssignment, SplitDecision, SplitLabel
@@ -71,12 +73,11 @@ class RobustnessReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _outcomes(splits, gold, preds, unmatched):
-    """Yield (decision, normalized prediction or None) for each assignment,
-    and put the id of each assignment without a prediction in ``unmatched``.
-    Each distinct prediction string is normalized once."""
-    normalized: dict[str, str] = {}
-    for sid, decision in splits:
+def _raise_first_fault(pairs, gold) -> None:
+    """Raise the ScoringError of the first ``(id, decision)`` of ``pairs``
+    whose id is not in ``gold`` or whose decision disagrees with its gold
+    sample's ``(GroupKey, answer)``."""
+    for sid, decision in pairs:
         record = gold.get(sid)
         if record is None:
             raise ScoringError(f"split assignment refers to unknown sample id {sid!r}", sid)
@@ -85,15 +86,6 @@ def _outcomes(splits, gold, preds, unmatched):
                 f"split assignment {sid!r} ({decision.group}, answer "
                 f"{decision.answer_class!r}) disagrees with the gold sample ({record[0]}, "
                 f"answer {record[1]!r})", sid)
-        predicted = preds.get(sid)
-        if predicted is None:
-            unmatched.append(sid)
-            yield decision, None
-            continue
-        ours = normalized.get(predicted)
-        if ours is None:
-            ours = normalized[predicted] = normalize_answer(predicted)
-        yield decision, ours
 
 
 def score_predictions(
@@ -110,25 +102,36 @@ def score_predictions(
 
     A sample is correct iff the prediction matches the gold answer after
     whitespace trimming and lowercasing. Samples with no prediction count
-    as incorrect and are listed in ``unmatched_ids``. An assignment whose
-    group or answer disagrees with its gold sample is an error.
+    as incorrect and are listed in ``unmatched_ids``, in splits order. An
+    assignment whose id is not in ``gold``, or whose group or answer
+    disagrees with its gold sample, is an error; the first such assignment
+    in splits order is the one reported.
 
-    Rows are tallied by their decision and normalized prediction, so each
-    answer string is normalized once and each distinct pair is judged
-    right or wrong once. The cells are built from the tallies once, and
-    integer sums keep them exact.
+    The rows are tallied in one bulk pass, by their (decision, gold record,
+    prediction) triple, with no Python code run per row. Each distinct
+    triple is then checked for agreement, and judged right or wrong, once;
+    on a fault the assignments are read again in order to find the first.
+    The unmatched ids and the unknown-id warnings are filtered in bulk too.
+    The cells are built from the tallies, and integer sums keep them exact.
     """
     gold = as_gold(gold)
-    warnings = [f"prediction id {pid!r} not in gold corpus" for pid in preds if pid not in gold]
-    unmatched: list[str] = []
-    pairs = splits.items() if isinstance(splits, dict) else splits
-    tally = Counter(_outcomes(pairs, gold, preds, unmatched))
+    if isinstance(splits, dict):
+        ids, decisions = splits.keys(), splits.values()
+    else:
+        ids, decisions = list(map(itemgetter(0), splits)), list(map(itemgetter(1), splits))
+    tally = Counter(zip(decisions, map(gold.get, ids), map(preds.get, ids)))
+    if any(record is None or decision[:2] != record for decision, record, _ in tally):
+        _raise_first_fault(zip(ids, decisions), gold)
 
+    judged: Counter = Counter()  # rows by (decision, right or wrong)
+    for (decision, _, predicted), count in tally.items():
+        correct = predicted is not None and (
+            normalize_answer(predicted) == normalize_answer(decision.answer_class))
+        judged[decision, correct] += count
     per_group: dict[GroupKey, AccuracyCell] = {}
     per_task: dict[Task, AccuracyCell] = {}
     aggregate = AccuracyCell()
-    for ((group, answer, label, _), predicted), count in tally.items():
-        correct = predicted == normalize_answer(answer)
+    for ((group, _, label, _), correct), count in judged.items():
         per_group.setdefault(group, AccuracyCell()).add(label, correct, count)
         per_task.setdefault(group.task, AccuracyCell()).add(label, correct, count)
         aggregate.add(label, correct, count)
@@ -136,8 +139,9 @@ def score_predictions(
         per_group=dict(sorted(per_group.items())),
         per_task=dict(sorted(per_task.items(), key=lambda kv: kv[0].value)),
         aggregate=aggregate,
-        unmatched_ids=unmatched,
-        warnings=warnings,
+        unmatched_ids=list(filterfalse(preds.__contains__, ids)),
+        warnings=[f"prediction id {pid!r} not in gold corpus"
+                  for pid in filterfalse(gold.__contains__, preds)],
     )
 
 

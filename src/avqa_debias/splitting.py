@@ -33,6 +33,7 @@ from .data import (
     QuestionType,
     Task,
     as_gold,
+    duplicate_id,
     group_samples,  # not called here; the benchmark's tracer looks it up in this module
     read_id_rows,
 )
@@ -286,7 +287,7 @@ def read_splits(stream: IO[bytes]) -> dict[str, SplitDecision]:
     """
     out: dict[str, SplitDecision] = {}
     decisions: dict[tuple, SplitDecision] = {}  # by the raw strings of a row's fields
-    seen: dict[str, int] = {}
+    blanks: list[int] = []
 
     def row(obj: dict, lineno: int) -> tuple[str, SplitDecision]:
         try:
@@ -304,14 +305,13 @@ def read_splits(stream: IO[bytes]) -> dict[str, SplitDecision]:
             raise CorpusError(f"invalid splits record: {exc}", lineno) from exc
         return sid, decision
 
-    for lineno, (sid, decision) in read_id_rows(stream, row):
+    def check(sid: str, lineno: int) -> None:
         if not sid:
             raise CorpusError("invalid splits record: id must be a nonempty string", lineno)
-        first = seen.setdefault(sid, lineno)
-        if first != lineno:
-            raise CorpusError(f"duplicate id {sid!r} (first seen on line {first})", lineno)
-        out[sid] = decision
-    return out
+        if sid in out:
+            raise duplicate_id(sid, out, blanks, lineno)
+
+    return read_id_rows(stream, row, out, check, blanks)
 
 
 def group_report_json(result: SplitResult) -> dict:

@@ -1093,6 +1093,61 @@ def test_evaluation_commands_load_no_training_module(tmp_path):
         assert proc.stdout.decode().splitlines()[-1] == repr(loaded), argv
 
 
+def _oldest_python() -> str | None:
+    """A ``python3.10`` on PATH that runs, or None. 3.10 is the oldest
+    version ``requires-python`` in pyproject.toml allows."""
+    exe = shutil.which("python3.10")
+    if exe is None:
+        return None
+    probe = subprocess.run([exe, "-c", "import sys; assert sys.version_info[:2] == (3, 10)"],
+                           capture_output=True)
+    return exe if probe.returncode == 0 else None
+
+
+def test_evaluation_commands_are_the_same_under_the_oldest_python(tmp_path):
+    """split, score (JSON and text, with a range worker) and kappa, which load
+    the standard library alone, give the same exit code, stdout, stderr and
+    output files under python3.10 as under this interpreter, on good input
+    and on bad: no syntax or call of a later Python is on their path."""
+    oldest = _oldest_python()
+    if oldest is None:
+        pytest.skip("no working python3.10 on PATH")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    preds = tmp_path / "preds.jsonl"
+    ids = [json.loads(line)["id"] for line in _golden_lines("splits.jsonl")]
+    preds.write_bytes(b"".join(json.dumps({"id": sid, "predicted_answer": "a"}).encode() + b"\n"
+                               for sid in ["ghost", *ids[1:]]))
+    bad_preds = tmp_path / "bad_preds.jsonl"
+    bad_preds.write_bytes(preds.read_bytes() + preds.read_bytes().splitlines(keepends=True)[3])
+    votes = tmp_path / "votes.json"
+    votes.write_text(json.dumps({"raters": 3, "rows": [[3, 0], [1, 2]], "multiplicities": [4, 1]}))
+    bad_votes = tmp_path / "bad_votes.json"
+    bad_votes.write_text(json.dumps({"raters": 3, "rows": [[3, 0], [1, 1]]}))
+    corpus, splits = GOLDEN / "corpus.jsonl", GOLDEN / "splits.jsonl"
+    commands = [
+        ["--threads", "2", "split", "--input", corpus, "--output-dir", "OUT"],
+        ["--threads", "2", "split", "--input", splits, "--output-dir", "OUT"],
+        *(["--threads", "2", "score", "--gold", corpus, "--splits", splits, "--preds", p,
+           "--format", fmt] for p in (preds, bad_preds) for fmt in ("json", "text")),
+        ["kappa", "--votes", votes],
+        ["kappa", "--votes", bad_votes],
+    ]
+    codes = set()
+    for k, argv in enumerate(commands):
+        outcomes = []
+        for exe in (oldest, sys.executable):
+            out = tmp_path / f"out-{k}-{len(outcomes)}"
+            args = [str(out) if a == "OUT" else str(a) for a in argv]
+            proc = subprocess.run([exe, "-m", "avqa_debias.cli", *args], capture_output=True, env=env)
+            files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+            outcomes.append((proc.returncode, proc.stdout, proc.stderr, files))
+        assert outcomes[0] == outcomes[1], argv
+        codes.add(outcomes[0][0])
+    assert codes == {EXIT_OK, EXIT_USAGE}
+
+
 def _subparser(name: str) -> argparse.ArgumentParser:
     [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     return sub.choices[name]

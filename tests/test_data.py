@@ -286,10 +286,15 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
     assert len({id(d) for d in decisions}) == len(set(decisions)) == len({d[:2] for d in decisions})
 
 
-_BLOCK_READERS = {  # (reader, its block pattern, row i as written, row i in another shape)
-    "read_gold": (read_gold, "_GOLD_ROW", lambda i: _gold_line(i),
+_BLOCK_READERS = {  # (reader, row i as written, row i in another shape)
+    # a quote in the question: refused by read_gold's check before its pattern runs
+    "read_gold": (read_gold, lambda i: _gold_line(i),
                   lambda i: _gold_line(i, question='a "quoted" question')),
-    "parse_predictions": (parse_predictions, "_ID_ROW", lambda i: _id_row(f"c{i:04d}", _BOTH),
+    "read_gold, extra field": (read_gold, lambda i: _gold_line(i),
+                               lambda i: _gold_line(i, extra="x")),
+    "read_splits": (read_splits, lambda i: _id_row(f"c{i:04d}", _BOTH),
+                    lambda i: _id_row(f'c\\"{i:04d}', _BOTH)),
+    "parse_predictions": (parse_predictions, lambda i: _id_row(f"c{i:04d}", _BOTH),
                           lambda i: _id_row(f'c\\"{i:04d}', _BOTH)),
 }
 
@@ -297,10 +302,10 @@ _BLOCK_READERS = {  # (reader, its block pattern, row i as written, row i in ano
 @pytest.mark.parametrize("name", _BLOCK_READERS)
 @pytest.mark.parametrize("odd", [(), (0,), (1_000, 1_500), range(1_990, 2_000)])
 def test_block_pattern_stops_after_a_failed_block(monkeypatch, name, odd):
-    """A reader runs its block pattern on each block of a clean file, up to
-    and including the first block the pattern fails, and on no block after
-    it. The file reads as its lines read one at a time either way."""
-    reader, pattern, line, other = _BLOCK_READERS[name]
+    """A reader tries its block pattern (``_rows``) on each block of a clean
+    file, up to and including the first block it refuses, and on no block
+    after it. The file reads as its lines read one at a time either way."""
+    reader, line, other = _BLOCK_READERS[name]
     lines = [other(i) if i in odd else line(i) for i in range(2_000)]
     data = b"\n".join(lines) + b"\n"
     ends, end = [], 0
@@ -309,18 +314,15 @@ def test_block_pattern_stops_after_a_failed_block(monkeypatch, name, odd):
         ends.append(end)  # the lines before the next block
     tries = next((i + 1 for i, end in enumerate(ends) if end > min(odd, default=2_000)), len(ends))
     calls = Counter()
-    real = getattr(data_module, pattern)
+    real = data_module._rows
 
-    class CountingPattern:
-        match = staticmethod(real.match)
+    def counting_rows(*args):
+        calls["_rows"] += 1
+        return real(*args)
 
-        def findall(self, text):
-            calls["findall"] += 1
-            return real.findall(text)
-
-    monkeypatch.setattr(data_module, pattern, CountingPattern())
+    monkeypatch.setattr(data_module, "_rows", counting_rows)
     result = reader(io.BytesIO(data))
-    assert calls["findall"] == tries and len(ends) > 20
+    assert calls["_rows"] == tries and len(ends) > 20
     monkeypatch.undo()
     assert result == {k: v for text in lines for k, v in reader(io.BytesIO(text)).items()}
 
@@ -980,3 +982,105 @@ def test_read_ranges_outlives_a_worker_that_dies_mid_message(tmp_path, monkeypat
     parsed, error = _read_in_ranges(parse_predictions, path, 3)
     assert error is None
     assert list(parsed.items()) == list(parse_predictions(io.BytesIO(data)).items())
+
+
+# The corpus-line pattern with every string plain (no quote, backslash or
+# control character), as the reference for read_gold's block test: that
+# test refuses a block with a backslash or a control character other than
+# the newline, and matches the rest with strings that run to the next quote.
+_PLAIN = r'[^"\\\x00-\x1f]*'
+_REFERENCE_GOLD_ROW = re.compile(
+    rf'^\{{"id": "({_PLAIN})", "task": "({_PLAIN})", "question_type": "({_PLAIN})", '
+    rf'"question": "{_PLAIN}", "answer": "({_PLAIN})"(?:, "source_id": "{_PLAIN}")?\}}$',
+    re.M,
+)
+
+
+def _reference_gold_rows(text: str):
+    """The rows of a valid UTF-8 block by the reference pattern, or None if
+    the block holds a carriage return or a line it does not match."""
+    if "\r" in text:
+        return None
+    found = _REFERENCE_GOLD_ROW.findall(text)
+    return found if len(found) == text.count("\n") + 1 else None
+
+
+# The text of a string as it stands between the quotes of a line: plain
+# text, or plain text around one odd piece. The odd pieces are escapes, raw
+# control characters (a raw newline ends the line), U+007F, non-ASCII text,
+# and a raw quote, which ends the string early.
+_PLAIN_PIECES = ["", "a", "yes", "Counting"]
+_ODD_PIECES = (["\u00e9", "\u4e2d", "\U0001f600", "\x7f", '"', "\\u0041", '\\"', "\\\\", "\\/",
+                "\\t"] + [chr(c) for c in range(0x20)])
+_STRING_TEXT = st.sampled_from(_PLAIN_PIECES) | st.builds(
+    lambda a, odd, b: a + odd + b, st.sampled_from(_PLAIN_PIECES), st.sampled_from(_ODD_PIECES),
+    st.sampled_from(_PLAIN_PIECES))
+_SHAPED_GOLD_LINE = st.builds(
+    lambda sid, task, qtype, question, answer, source: (
+        f'{{"id": "{sid}", "task": "{task}", "question_type": "{qtype}", '
+        f'"question": "{question}", "answer": "{answer}"'
+        + ("" if source is None else f', "source_id": "{source}"') + "}"),
+    st.just("c1") | _STRING_TEXT, st.just("AVQA") | _STRING_TEXT,
+    st.just("Counting") | _STRING_TEXT, st.just("q") | _STRING_TEXT,
+    st.just("yes") | _STRING_TEXT, st.none() | _STRING_TEXT,
+)
+
+
+@settings(max_examples=1_000, deadline=None)
+@given(lines=st.lists(_SHAPED_GOLD_LINE | _SHAPED_GOLD_LINE | st.text(max_size=12),
+                      min_size=1, max_size=6))
+@example(lines=['{"id": "c1", "task": "AVQA", "question_type": "Counting", '
+                '"question": "a\nb", "answer": "yes"}'])
+@example(lines=['{"id": "c\\\\", "task": "AVQA", "question_type": "Counting", '
+                '"question": "q", "answer": "yes"}'])
+@_examples({"lines": ['{"id": "c1", "task": "AVQA", "question_type": "Counting", '
+                       f'"question": "q{odd}", "answer": "yes"}}']} for odd in _ODD_PIECES)
+def test_gold_block_check_accepts_what_the_plain_string_pattern_accepts(lines):
+    """read_gold's block test (``_GOLD_REFUSED``, then ``_GOLD_ROW``) accepts
+    exactly the blocks that the pattern with every string plain accepts,
+    with the same groups, whatever the strings of the lines hold."""
+    text = "\n".join(lines)
+    expected = _reference_gold_rows(text)
+    rows = data_module._rows(data_module._GOLD_ROW, (text, False), data_module._GOLD_REFUSED)
+    assert rows == expected
+
+
+def _row_lines(reader, n: int) -> list[bytes]:
+    """``n`` distinct rows that ``reader`` reads, in more than one 8 KiB block."""
+    if reader is read_splits:
+        return [_id_row(f"c{i:03d}", _BOTH) for i in range(n)]
+    return [_gold_line(i) for i in range(n)]
+
+
+# (rows, where a copy of row ``copy`` goes in, blank lines to put before
+# the given rows); each case reads its file in 1 range and in 2.
+_DUPLICATE_CASES = {
+    "same block": (200, 10, 5, []),
+    "later block": (200, 150, 5, []),
+    "after blank lines": (200, 150, 50, [0, 3, 3, 51, 100]),
+    "right after blank lines": (200, 150, 3, [0, 3, 3, 51]),
+    "across ranges": (200, 200, 5, [2]),
+}
+
+
+@pytest.mark.parametrize("reader", [parse_samples, read_gold, read_splits])
+@pytest.mark.parametrize("case", _DUPLICATE_CASES)
+def test_duplicate_id_names_the_line_of_the_first_copy(tmp_path, reader, case):
+    """A duplicate id is reported at the line of its second copy, with the
+    line of its first, counting blank lines: in the block of the first copy,
+    in a later block, after blank lines, and with the copies in different
+    ranges of a read in two."""
+    n, at, copy, blanks = _DUPLICATE_CASES[case]
+    rows = _row_lines(reader, n)
+    lines = rows[:at] + [rows[copy]] + rows[at:]
+    for before in sorted(blanks, reverse=True):
+        lines.insert(lines.index(rows[before]), b" \t" if before % 2 else b"")
+    first, second = [i + 1 for i, line in enumerate(lines) if line == rows[copy]]
+    sid = f"c{copy:03d}"
+    expected = f"line {second}: duplicate id {sid!r} (first seen on line {first})"
+    data = b"\n".join(lines) + b"\n"
+    assert _read(reader, data) == (None, expected)
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(data)
+    if reader is not parse_samples:
+        assert _read_in_ranges(reader, path, 2) == (None, expected)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import random
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avqa_debias.data import (
-    CorpusError, GroupKey, QASample, QuestionType, Task, read_gold, write_samples,
+    CorpusError, GroupKey, QASample, QuestionType, Task, parse_predictions, read_gold,
+    read_ranges, write_samples,
 )
 from avqa_debias.scoring import (
     AccuracyCell,
@@ -18,7 +20,9 @@ from avqa_debias.scoring import (
     render_report,
     score_predictions,
 )
-from avqa_debias.splitting import SplitAssignment, SplitDecision, SplitLabel, SplitRule
+from avqa_debias.splitting import (
+    SplitAssignment, SplitDecision, SplitLabel, SplitRule, read_splits, write_splits,
+)
 from conftest import make_sample
 
 
@@ -193,8 +197,10 @@ _GROUPS = [GroupKey(Task.AVQA, QuestionType.COUNTING), GroupKey(Task.AVQA, Quest
            GroupKey(Task.AUDIO_QA, QuestionType.COUNTING)]
 _ANSWERS = ["yes", "No", " two", "three\t", "\u00a0yes", "İ"]
 # Ways to spell a prediction of an answer: as is, in another case, with
-# ASCII whitespace (trimmed), with a no-break space (kept).
-_SPELLINGS = [str, str.upper, str.lower, lambda a: f" {a}\n", lambda a: f"\u00a0{a}"]
+# ASCII whitespace (trimmed), with a no-break space (kept); or present but
+# empty, which is wrong and not unmatched.
+_SPELLINGS = [str, str.upper, str.lower, lambda a: f" {a}\n", lambda a: f"\u00a0{a}",
+              lambda a: "", lambda a: "  "]
 
 
 @st.composite
@@ -242,30 +248,52 @@ def _scoring_case(draw):
     return gold, splits, dict(draw(st.permutations(list(preds.items()))))
 
 
+def _as_files(tmp_path_factory, gold, splits, preds) -> tuple:
+    """Paths of ``gold``, ``splits`` and ``preds`` written as the CLI reads them."""
+    folder = tmp_path_factory.mktemp("scoring")
+    paths = folder / "gold.jsonl", folder / "splits.jsonl", folder / "preds.jsonl"
+    with open(paths[0], "wb") as f:
+        write_samples(gold, f)
+    with open(paths[1], "wb") as f:
+        write_splits(splits, f)
+    paths[2].write_bytes(b"".join(
+        json.dumps({"id": pid, "predicted_answer": p}).encode() + b"\n" for pid, p in preds.items()))
+    return paths
+
+
 class TestScoreAgainstReference:
     @settings(max_examples=300, deadline=None)
-    @given(case=_scoring_case(), form=st.sampled_from(["samples", "read_gold", "by_hand"]))
-    def test_matches_a_per_row_tally(self, case, form):
+    @given(case=_scoring_case(),
+           form=st.sampled_from(["samples", "read_gold", "by_hand", "read_splits", "read_ranges"]))
+    def test_matches_a_per_row_tally(self, tmp_path_factory, case, form):
         """Same cells in the same order, unmatched ids and warnings, or the
         same error, whether gold is a list of samples, read_gold's map, or a
-        map built by hand, whose equal records are not shared."""
+        map built by hand, whose equal records are not shared; whether splits
+        is a list of assignments or read_splits' map; and whether the three
+        maps are read by read_ranges in two ranges, merged from two processes."""
         gold, splits, preds = case
-        if form == "read_gold":
-            buf = io.BytesIO()
-            write_samples(gold, buf)
-            scored_gold = read_gold(io.BytesIO(buf.getvalue()))
+        scored = gold, splits, preds
+        if form in ("read_gold", "read_splits", "read_ranges"):
+            paths = _as_files(tmp_path_factory, gold, splits, preds)
+            if form == "read_gold":
+                scored = read_gold(io.BytesIO(paths[0].read_bytes())), splits, preds
+            elif form == "read_splits":
+                scored = gold, read_splits(io.BytesIO(paths[1].read_bytes())), preds
+            else:
+                jobs = list(zip([read_gold, read_splits, parse_predictions], paths))
+                with contextlib.closing(read_ranges(jobs, 2)) as reads:
+                    scored = tuple(reads)
+                assert scored[2] == preds
         elif form == "by_hand":
-            scored_gold = {s.id: (s.group, s.answer) for s in gold}
-        else:
-            scored_gold = gold
+            scored = {s.id: (s.group, s.answer) for s in gold}, splits, preds
         try:
             expected = _reference_score(gold, splits, preds)
         except ScoringError as exc:
             with pytest.raises(ScoringError) as info:
-                score_predictions(scored_gold, splits, preds)
+                score_predictions(*scored)
             assert str(info.value) == str(exc)
             return
-        report = score_predictions(scored_gold, splits, preds)
+        report = score_predictions(*scored)
         per_group, per_task, aggregate, unmatched, warnings = expected
         assert {k: _cell(c) for k, c in report.per_group.items()} == per_group
         assert list(report.per_group) == list(per_group)
@@ -273,6 +301,13 @@ class TestScoreAgainstReference:
         assert list(report.per_task) == list(per_task)
         assert _cell(report.aggregate) == aggregate
         assert report.unmatched_ids == unmatched and report.warnings == warnings
+
+    def test_empty_predictions_are_wrong_not_unmatched(self):
+        gold = [make_sample("a", "yes"), make_sample("b", "yes"), make_sample("c", "yes")]
+        splits = {s.id: assignment(s, SplitLabel.HEAD).decision for s in gold}
+        report = score_predictions(gold, splits, {"a": "", "b": "  "})
+        assert _cell(report.aggregate) == [0, 3, 0, 0]
+        assert report.unmatched_ids == ["c"] and report.warnings == []
 
 
 class TestVoteTable:
