@@ -60,7 +60,9 @@ for key, members in group_samples(corpus).items():
 # class count; two-answer groups use the low-frequency rule instead.
 # Each group's decision is one GroupReport: its answer distribution and,
 # for a retained group, the labels and the rule that chose them. The
-# skipped groups are the reports without labels.
+# skipped groups are the reports without labels. result.assignments maps
+# each sample of a retained group, in corpus order, to its SplitDecision;
+# the samples of one answer class share one decision.
 
 result = assign_splits(corpus)
 
@@ -71,6 +73,6 @@ for report in result.group_reports:
         print(f"{report.distribution.group}: {labels}  via {report.rule.value}")
 
 counts = {"head": 0, "tail": 0}
-for a in result.assignments:
-    counts[a.decision.label.value] += 1
+for decision in result.assignments.values():
+    counts[decision.label.value] += 1
 print("\nsample-level split sizes:", counts)

@@ -31,6 +31,8 @@ for answer, n in (("two", 40), ("three", 8), ("five", 4)):
             )
         )
 
+# split.assignments maps each sample id to its head or tail decision;
+# score_predictions scores a predictions map against that map.
 split = assign_splits(corpus)
 
 # Model A always answers the majority class; model B is right 70% of the

@@ -33,6 +33,8 @@ tcfg = TrainConfig(epochs=30, seed=3)
 
 # data.train and data.test are ToySets: QA records plus one label vector
 # and one (3, n, d) feature array, one (n, d) matrix per modality.
+# data.splits maps each test sample id to its head or tail SplitDecision,
+# as splitting.assign_splits and read_splits do for a real corpus.
 data = generate_synthetic(scfg)
 answers = [s.answer for s in data.train.qa]
 print("training answer histogram:",

@@ -367,12 +367,11 @@ def read_id_rows(
     memoized by the tail, and a later line with that tail is not decoded at
     all. Until the memo holds ``_MEMO_TAILS`` tails, each block whose every
     line starts with a plain id is split into ids and tails by one regex
-    pass. If the memo has every tail of the block, its values are looked up
-    and stored in bulk, with one ``update``; if that adds fewer keys than
-    the block has rows, or an id is empty, the block's new keys are dropped
-    and its rows stored one at a time. A block with a tail the memo lacks
-    is read line by line. From the first block that is not split, every
-    line is, and once the memo is full, every further line is decoded.
+    pass. Its values are looked up in the memo and stored in bulk by
+    ``_store_block``; a block with a tail the memo lacks, an empty id or an
+    id already stored is read line by line instead. From the first block
+    that is not split, every line is, and once the memo is full, every
+    further line is decoded.
     """
     memo: dict[str, T] = {}
 
@@ -398,17 +397,25 @@ def read_id_rows(
             store(_lines(chain([block], texts), decode, start, blanks))
             return out
         values = list(map(memo.get, map(itemgetter(1), rows)))
-        if None in values:  # a tail the memo lacks
-            store(_lines([block], decode, start))
-        else:
-            n = len(out)
-            out.update(zip(map(_row_id, rows), values))
-            if len(out) - n < len(rows) or "" in map(_row_id, rows):
-                while len(out) > n:
-                    out.popitem()
-                store(enumerate(zip(map(_row_id, rows), values), start + 1))
+        _store_block(out, rows, values, lambda: store(_lines([block], decode, start)))
         start += len(rows)
     return out
+
+
+def _store_block(out: dict, rows: list, values: list, by_row: Callable[[], None]) -> None:
+    """Store the id of each of ``rows``, from ``_ID_ROW`` or ``_GOLD_ROW``,
+    with its value of ``values`` in ``out`` by one ``update``, if no value is
+    None and every id is nonempty and new. Otherwise drop the keys that
+    added, newest first, and call ``by_row()``, which stores the block one
+    row at a time, with every check of a row, so that any error is the one
+    its line gives."""
+    n = len(out)
+    if None not in values:
+        out.update(zip(map(_row_id, rows), values))
+    if len(out) - n < len(rows) or "" in map(_row_id, rows):
+        while len(out) > n:
+            out.popitem()
+        by_row()
 
 
 def duplicate_id(sid: str, ids: Iterable[str], blanks: list[int], lineno: int) -> CorpusError:
@@ -499,7 +506,7 @@ def read_gold(stream: IO[bytes]) -> dict[str, tuple[GroupKey, str]]:
     Rows with the same task, question type and answer share one record,
     and nothing else of a row is kept. A block that ``_GOLD_ROW`` matches
     whole, and that holds none of ``_GOLD_REFUSED``, is stored from its
-    regex groups, undecoded, with one ``update``, if every raw (task,
+    regex groups, undecoded, by ``_store_block``, if every raw (task,
     question_type, answer) of it has a record and its ids are new and
     nonempty, as then every check of ``_check_row`` holds. Otherwise the
     block is read again row by row from its first line: a row that passes
@@ -517,6 +524,15 @@ def read_gold(stream: IO[bytes]) -> dict[str, tuple[GroupKey, str]]:
             raise duplicate_id(sid, gold, blanks, lineno)
         gold[sid] = record
 
+    def by_row(text: str, rows: list, start: int) -> None:
+        lines = text.split("\n")
+        for lineno, (sid, task, qtype, answer) in enumerate(rows, start + 1):
+            record = records.get((task, qtype, answer))
+            if record is None or not sid or sid in gold:
+                check(_decode_line(lines[lineno - start - 1], lineno), lineno)
+            else:
+                gold[sid] = record
+
     start, texts = 0, _texts(stream)
     for block in texts:
         rows = _rows(_GOLD_ROW, block, _GOLD_REFUSED)
@@ -524,20 +540,8 @@ def read_gold(stream: IO[bytes]) -> dict[str, tuple[GroupKey, str]]:
             for lineno, obj in _lines(chain([block], texts), _decode_line, start, blanks):
                 check(obj, lineno)
             break
-        n = len(gold)
         recs = list(map(records.get, map(itemgetter(1, 2, 3), rows)))
-        if None not in recs and "" not in map(_row_id, rows):
-            gold.update(zip(map(_row_id, rows), recs))
-        if len(gold) - n < len(rows):  # not stored, or a duplicate id: row by row
-            while len(gold) > n:
-                gold.popitem()
-            lines = block[0].split("\n")
-            for lineno, (sid, task, qtype, answer) in enumerate(rows, start + 1):
-                record = records.get((task, qtype, answer))
-                if record is None or not sid or sid in gold:
-                    check(_decode_line(lines[lineno - start - 1], lineno), lineno)
-                else:
-                    gold[sid] = record
+        _store_block(gold, rows, recs, lambda: by_row(block[0], rows, start))
         start += len(rows)
     return gold
 

@@ -11,10 +11,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import filterfalse
-from operator import itemgetter
 
 from .data import GroupKey, QASample, Task, as_gold
-from .splitting import SplitAssignment, SplitDecision, SplitLabel
+from .splitting import SplitDecision, SplitLabel
 
 SCHEMA_VERSION = 1
 
@@ -73,11 +72,11 @@ class RobustnessReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _raise_first_fault(pairs, gold) -> None:
-    """Raise the ScoringError of the first ``(id, decision)`` of ``pairs``
-    whose id is not in ``gold`` or whose decision disagrees with its gold
+def _raise_first_fault(splits, gold) -> None:
+    """Raise the ScoringError of the first id of ``splits``, in map order,
+    that is not in ``gold`` or whose decision disagrees with its gold
     sample's ``(GroupKey, answer)``."""
-    for sid, decision in pairs:
+    for sid, decision in splits.items():
         record = gold.get(sid)
         if record is None:
             raise ScoringError(f"split assignment refers to unknown sample id {sid!r}", sid)
@@ -90,38 +89,35 @@ def _raise_first_fault(pairs, gold) -> None:
 
 def score_predictions(
     gold: dict[str, tuple[GroupKey, str]] | list[QASample],
-    splits: dict[str, SplitDecision] | list[SplitAssignment],
+    splits: dict[str, SplitDecision],
     preds: dict[str, str],
 ) -> RobustnessReport:
     """Score predictions over the samples that carry a head/tail label.
 
     ``gold`` is ``data.read_gold``'s map of each sample id to its
     ``(GroupKey, answer)``, or samples that ``data.as_gold`` maps so.
-    ``splits`` is ``splitting.read_splits``'s map of each sample id to its
-    decision, or a list of ``(id, decision)`` assignments.
+    ``splits`` maps each sample id to its decision, as
+    ``splitting.read_splits`` and ``assign_splits`` give it.
 
     A sample is correct iff the prediction matches the gold answer after
     whitespace trimming and lowercasing. Samples with no prediction count
-    as incorrect and are listed in ``unmatched_ids``, in splits order. An
-    assignment whose id is not in ``gold``, or whose group or answer
-    disagrees with its gold sample, is an error; the first such assignment
-    in splits order is the one reported.
+    as incorrect and are listed in ``unmatched_ids``, in splits order. A
+    split id that is not in ``gold``, or whose group or answer disagrees
+    with its gold sample, is an error; the first such id in splits order is
+    the one reported.
 
     The rows are tallied in one bulk pass, by their (decision, gold record,
     prediction) triple, with no Python code run per row. Each distinct
     triple is then checked for agreement, and judged right or wrong, once;
-    on a fault the assignments are read again in order to find the first.
+    on a fault the splits are read again in order to find the first.
     The unmatched ids and the unknown-id warnings are filtered in bulk too.
     The cells are built from the tallies, and integer sums keep them exact.
     """
     gold = as_gold(gold)
-    if isinstance(splits, dict):
-        ids, decisions = splits.keys(), splits.values()
-    else:
-        ids, decisions = list(map(itemgetter(0), splits)), list(map(itemgetter(1), splits))
-    tally = Counter(zip(decisions, map(gold.get, ids), map(preds.get, ids)))
+    ids = splits.keys()
+    tally = Counter(zip(splits.values(), map(gold.get, ids), map(preds.get, ids)))
     if any(record is None or decision[:2] != record for decision, record, _ in tally):
-        _raise_first_fault(zip(ids, decisions), gold)
+        _raise_first_fault(splits, gold)
 
     judged: Counter = Counter()  # rows by (decision, right or wrong)
     for (decision, _, predicted), count in tally.items():

@@ -21,6 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, islice
 from json.encoder import encode_basestring
 from typing import IO, NamedTuple
 
@@ -124,13 +125,6 @@ class SplitDecision(NamedTuple):
     rule: SplitRule
 
 
-class SplitAssignment(NamedTuple):
-    """One sample's split: its id and its answer class's shared decision."""
-
-    sample_id: str
-    decision: SplitDecision
-
-
 @dataclass
 class GroupReport:
     """One group's split decision; ``labels`` and ``rule`` are None for a skipped group."""
@@ -146,7 +140,7 @@ class GroupReport:
 
 @dataclass
 class SplitResult:
-    assignments: list[SplitAssignment]
+    assignments: dict[str, SplitDecision]  # sample id -> its decision, in corpus order
     group_reports: list[GroupReport]
 
     @property
@@ -207,9 +201,12 @@ def assign_splits(
     """Run the full pipeline: count answers, measure entropy, filter, label samples.
 
     ``corpus`` is ``data.read_gold``'s map, or samples that ``data.as_gold``
-    maps so. Samples in excluded (balanced) groups get no assignment; their
-    groups are listed in ``skipped_groups``. Deterministic given corpus order.
-    The rows of one (group, answer) share one ``SplitDecision``.
+    maps so. ``assignments`` maps each labelled sample's id to its decision,
+    in corpus order; samples in excluded (balanced) groups get none, and
+    their groups are listed in ``skipped_groups``. Deterministic given
+    corpus order. The rows of one (group, answer) share one
+    ``SplitDecision``, and the map is built in bulk, with no Python code run
+    per row.
     """
     gold = as_gold(corpus)
     if not gold:
@@ -225,13 +222,14 @@ def assign_splits(
             report.labels, report.rule = split_head_tail(dist, cfg)
             for answer, label in report.labels.items():
                 decisions[group, answer] = SplitDecision(group, answer, label, report.rule)
-    rows = zip(gold, map(decisions.get, gold.values()))
-    assignments = [SplitAssignment(sid, decision) for sid, decision in rows if decision is not None]
+    kept = list(map(decisions.get, gold.values()))  # a decision, or None for a skipped row
+    assignments = dict(zip(compress(gold, kept), filter(None, kept)))
     return SplitResult(assignments=assignments, group_reports=reports)
 
 
-def write_splits(assignments: list[SplitAssignment], stream: IO[bytes]) -> None:
-    """Write assignments as JSONL: id, task, question_type, answer, split, rule.
+def write_splits(assignments: dict[str, SplitDecision], stream: IO[bytes]) -> None:
+    """Write a map of sample ids to decisions as JSONL, in map order: id,
+    task, question_type, answer, split, rule.
 
     Each line is the text ``json.dumps(obj, ensure_ascii=False)`` gives for
     the row's object. The fields after ``id`` are encoded once per decision,
@@ -241,10 +239,11 @@ def write_splits(assignments: list[SplitAssignment], stream: IO[bytes]) -> None:
     the lines before it are written, as from a per-row writer.
     """
     suffixes: dict[SplitDecision, str] = {}
-    for start in range(0, len(assignments), _CHUNK_LINES):
+    rows = iter(assignments.items())
+    for _ in range(0, len(assignments), _CHUNK_LINES):
         lines: list[bytes] = []
         try:
-            for sid, decision in assignments[start : start + _CHUNK_LINES]:
+            for sid, decision in islice(rows, _CHUNK_LINES):
                 suffix = suffixes.get(decision)
                 if suffix is None:
                     group, answer, label, rule = decision

@@ -58,7 +58,7 @@ from .losses import check_labels, softmaxed, training_components_stacked
 # Not called here: perfbench/trace_cli.py wraps these names of this module.
 from .losses import answer_loss, joint_components_stacked  # noqa: F401
 from .scoring import RobustnessReport, score_predictions
-from .splitting import SplitAssignment, SplitDecision, SplitLabel, SplitRule
+from .splitting import SplitDecision, SplitLabel, SplitRule
 
 
 def class_name(label: int) -> str:
@@ -124,7 +124,7 @@ def _make_sample(sid: str, label: int) -> QASample:
 class SyntheticData:
     train: ToySet
     test: ToySet
-    splits: list[SplitAssignment]
+    splits: dict[str, SplitDecision]  # test sample id -> its head or tail decision
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -182,15 +182,13 @@ def generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticDat
     rng.shuffle(head_mask)
     test = draw(cfg.test_n, "test", regime=head_mask)
 
-    decisions: dict[tuple[str, bool], SplitDecision] = {}
-    splits = []
-    for qa, head in zip(test.qa, head_mask.tolist()):
-        decision = decisions.get((qa.answer, head))
-        if decision is None:
-            label = SplitLabel.HEAD if head else SplitLabel.TAIL
-            decision = decisions[qa.answer, head] = SplitDecision(
-                qa.group, qa.answer, label, SplitRule.GENERAL_THRESHOLD)
-        splits.append(SplitAssignment(qa.id, decision))
+    group = test.qa[0].group  # every synthetic sample's
+    decisions = {
+        (answer, head): SplitDecision(group, answer, SplitLabel.HEAD if head else SplitLabel.TAIL,
+                                      SplitRule.GENERAL_THRESHOLD)
+        for answer in map(class_name, range(c)) for head in (True, False)
+    }
+    splits = {qa.id: decisions[qa.answer, head] for qa, head in zip(test.qa, head_mask.tolist())}
     return SyntheticData(train=train, test=test, splits=splits)
 
 
@@ -427,8 +425,7 @@ def train(
     return history
 
 
-def evaluate(model: ToyModel, test: ToySet,
-             splits: dict[str, SplitDecision] | list[SplitAssignment]) -> RobustnessReport:
+def evaluate(model: ToyModel, test: ToySet, splits: dict[str, SplitDecision]) -> RobustnessReport:
     """Score argmax answers of the fusion path under the given head/tail splits.
     A non-finite logit, from a model whose last training step diverged after
     ``train``'s last loss check, is a ``ToyError``: its argmax would be scored."""

@@ -39,7 +39,7 @@ from avqa_debias.toy import (
     run_variant,
 )
 from conftest import make_sample, samples_from_counts
-from test_scoring import assignment, fixture_4h2t
+from test_scoring import decision, fixture_4h2t
 
 GOLDEN = Path(__file__).parent / "golden"
 SEEDS = list(range(10))
@@ -250,13 +250,13 @@ class TestCriterion7Scoring:
             (Task.AVQA, QuestionType.LOCATION),
             (Task.AVQA, QuestionType.COMPARATIVE),
         ]
-        gold, splits, preds = [], [], {}
+        gold, splits, preds = [], {}, {}
         for gi, (task, qtype) in enumerate(pairs):
             for i in range(int(rng.integers(5, 50))):
                 s = make_sample(f"g{gi}-{i}", "yes", task=task, qtype=qtype)
                 gold.append(s)
                 label = SplitLabel.HEAD if rng.random() < 0.5 else SplitLabel.TAIL
-                splits.append(assignment(s, label))
+                splits[s.id] = decision(s, label)
                 preds[s.id] = "yes" if rng.random() < 0.6 else "no"
         report = score_predictions(gold, splits, preds)
         total = sum(c.head_n + c.tail_n for c in report.per_group.values())

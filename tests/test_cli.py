@@ -1094,14 +1094,21 @@ def test_evaluation_commands_load_no_training_module(tmp_path):
 
 
 def _oldest_python() -> str | None:
-    """A ``python3.10`` on PATH that runs, or None. 3.10 is the oldest
-    version ``requires-python`` in pyproject.toml allows."""
-    exe = shutil.which("python3.10")
-    if exe is None:
-        return None
-    probe = subprocess.run([exe, "-c", "import sys; assert sys.version_info[:2] == (3, 10)"],
-                           capture_output=True)
-    return exe if probe.returncode == 0 else None
+    """A ``python3.10`` that runs, or None: the one on PATH, else, when that
+    is missing or is a pyenv shim with no 3.10 selected, one installed
+    under ``$(pyenv root)/versions/3.10*``. 3.10 is the oldest version
+    ``requires-python`` in pyproject.toml allows."""
+    candidates = [shutil.which("python3.10")]
+    if pyenv := shutil.which("pyenv"):
+        root = subprocess.run([pyenv, "root"], capture_output=True, text=True).stdout.strip()
+        if root:
+            candidates += map(str, sorted(Path(root).glob("versions/3.10*/bin/python3.10")))
+    for exe in filter(None, candidates):
+        probe = subprocess.run([exe, "-c", "import sys; assert sys.version_info[:2] == (3, 10)"],
+                               capture_output=True)
+        if probe.returncode == 0:
+            return exe
+    return None
 
 
 def test_evaluation_commands_are_the_same_under_the_oldest_python(tmp_path):
@@ -1111,7 +1118,7 @@ def test_evaluation_commands_are_the_same_under_the_oldest_python(tmp_path):
     and on bad: no syntax or call of a later Python is on their path."""
     oldest = _oldest_python()
     if oldest is None:
-        pytest.skip("no working python3.10 on PATH")
+        pytest.skip("no working python3.10 on PATH or under pyenv")
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

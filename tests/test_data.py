@@ -275,14 +275,14 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
     assert group_calls <= len(result.group_reports) == len(groups)
     assert calls.pop("Enum.__hash__", 0) == 0
     assert calls == Counter()
-    assert gold == corpus and splits == dict(result.assignments) and len(preds) == 1_000
-    assert from_records == result
+    assert gold == corpus and splits == result.assignments and len(preds) == 1_000
+    assert from_records == result and list(from_records.assignments) == list(result.assignments)
     assert len(splits) == 1_000 and report.aggregate.head_n + report.aggregate.tail_n == 1_000
     assert report == score_predictions(gold, splits, preds)
     # one record per (group, answer) and one decision per (group, answer, label)
     assert len({id(r) for r in records.values()}) == len(set(records.values())) == 9 * 3
     assert len(set(map(id, splits.values()))) == len(set(splits.values()))
-    decisions = [a.decision for a in from_records.assignments]
+    decisions = list(from_records.assignments.values())
     assert len({id(d) for d in decisions}) == len(set(decisions)) == len({d[:2] for d in decisions})
 
 
@@ -756,22 +756,24 @@ def test_split_is_the_same_from_either_reader(lines):
         return
     from_samples = _split(samples)
     from_gold = _split(read_gold(io.BytesIO(data)))
-    assert from_gold == from_samples
     # a hand-built map, whose equal records are not shared, counts the same
-    assert _split({s.id: (s.group, s.answer) for s in samples}) == from_gold
+    by_hand = _split({s.id: (s.group, s.answer) for s in samples})
+    assert from_gold == from_samples == by_hand
     if isinstance(from_gold, str):
         assert from_gold == _reference_split(samples)
         return
+    # maps compare equal in any order, so their order is compared apart
+    assert list(from_gold.assignments) == list(from_samples.assignments) == list(by_hand.assignments)
     reports = [(r.distribution.group, list(r.distribution.counts.items()), r.labels, r.rule)
                for r in from_gold.group_reports]
-    assignments = [(a.sample_id, *a.decision) for a in from_gold.assignments]
+    assignments = [(sid, *d) for sid, d in from_gold.assignments.items()]
     assert (assignments, reports) == _reference_split(samples)
     for result in (from_gold, from_samples):
         keys = {r.distribution.group: r.distribution.group for r in result.group_reports}
         one: dict = {}
-        for a in result.assignments:
-            assert a.decision.group is keys[a.decision.group]
-            assert one.setdefault(a.decision[:2], a.decision) is a.decision
+        for d in result.assignments.values():
+            assert d.group is keys[d.group]
+            assert one.setdefault(d[:2], d) is d
 
 
 def _nesting(value) -> int:

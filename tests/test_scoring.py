@@ -20,22 +20,19 @@ from avqa_debias.scoring import (
     render_report,
     score_predictions,
 )
-from avqa_debias.splitting import (
-    SplitAssignment, SplitDecision, SplitLabel, SplitRule, read_splits, write_splits,
-)
+from avqa_debias.splitting import SplitDecision, SplitLabel, SplitRule, read_splits, write_splits
 from conftest import make_sample
 
 
-def assignment(sample, label):
-    decision = SplitDecision(sample.group, sample.answer, label, SplitRule.GENERAL_THRESHOLD)
-    return SplitAssignment(sample.id, decision)
+def decision(sample, label):
+    return SplitDecision(sample.group, sample.answer, label, SplitRule.GENERAL_THRESHOLD)
 
 
 def fixture_4h2t():
     """4 head + 2 tail samples; 3 head and 1 tail predictions correct."""
     gold = [make_sample(f"s{i}", "yes") for i in range(6)]
     labels = [SplitLabel.HEAD] * 4 + [SplitLabel.TAIL] * 2
-    splits = [assignment(s, lab) for s, lab in zip(gold, labels)]
+    splits = {s.id: decision(s, lab) for s, lab in zip(gold, labels)}
     preds = {
         "s0": "yes", "s1": "yes", "s2": "yes", "s3": "no",
         "s4": "yes", "s5": "no",
@@ -85,21 +82,32 @@ class TestScorePredictions:
 
     def test_split_for_unknown_sample_raises(self):
         gold, splits, preds = fixture_4h2t()
-        rogue = assignment(make_sample("other", "yes"), SplitLabel.HEAD)
+        rogue = decision(make_sample("other", "yes"), SplitLabel.HEAD)
         with pytest.raises(ScoringError, match="unknown sample"):
-            score_predictions(gold, splits + [rogue], preds)
+            score_predictions(gold, {**splits, "other": rogue}, preds)
+
+    def test_results_follow_splits_order_not_id_order(self):
+        """Unmatched ids come in the map's order, and of two faulty split ids
+        the first in that order is reported, not the first by id."""
+        gold, splits, preds = fixture_4h2t()
+        splits = dict(reversed(splits.items()))
+        del preds["s1"], preds["s4"]
+        assert score_predictions(gold, splits, preds).unmatched_ids == ["s4", "s1"]
+        rogue = decision(make_sample("other", "yes"), SplitLabel.HEAD)
+        with pytest.raises(ScoringError, match="unknown sample id 'zz'"):
+            score_predictions(gold, {"zz": rogue, **splits, "aa": rogue}, preds)
 
     def test_split_disagreeing_with_gold_group_raises(self):
         gold, splits, preds = fixture_4h2t()
         moved = make_sample("s2", "yes", qtype=QuestionType.TEMPORAL)
-        splits[2] = assignment(moved, SplitLabel.HEAD)
+        splits["s2"] = decision(moved, SplitLabel.HEAD)
         with pytest.raises(ScoringError, match=r"'s2' \(AVQA/Temporal, answer 'yes'\) disagrees "
                                                r"with the gold sample \(AVQA/Counting, "):
             score_predictions(gold, splits, preds)
 
     def test_split_disagreeing_with_gold_answer_raises(self):
         gold, splits, preds = fixture_4h2t()
-        splits[4] = assignment(make_sample("s4", "no"), SplitLabel.TAIL)
+        splits["s4"] = decision(make_sample("s4", "no"), SplitLabel.TAIL)
         with pytest.raises(ScoringError, match=r"'s4' \(AVQA/Counting, answer 'no'\) disagrees "
                                                r"with the gold sample \(.*, answer 'yes'\)"):
             score_predictions(gold, splits, preds)
@@ -107,14 +115,14 @@ class TestScorePredictions:
     def test_duplicate_gold_id_rejected(self):
         # keeping the last gold row would score s0 right, at head accuracy 1
         gold = [make_sample("s0", "yes"), make_sample("s0", "no")]
-        splits = [assignment(gold[1], SplitLabel.HEAD)]
+        splits = {"s0": decision(gold[1], SplitLabel.HEAD)}
         with pytest.raises(CorpusError) as info:
             score_predictions(gold, splits, {"s0": "no"})
         assert str(info.value) == "duplicate id 's0'"
 
     def test_normalization_applied_to_both_sides(self):
         gold = [make_sample("s0", "  Yes ")]
-        splits = [assignment(gold[0], SplitLabel.HEAD)]
+        splits = {"s0": decision(gold[0], SplitLabel.HEAD)}
         report = score_predictions(gold, splits, {"s0": "YES\n"})
         assert report.aggregate.head_acc == 1
 
@@ -133,14 +141,13 @@ class TestScorePredictions:
             (Task.AVQA, QuestionType.EXISTENTIAL),
             (Task.AVQA, QuestionType.TEMPORAL),
         ]
-        gold, splits, preds = [], [], {}
+        gold, splits, preds = [], {}, {}
         for gi, (task, qtype) in enumerate(groups):
             for i in range(rng.randint(5, 40)):
                 s = make_sample(f"g{gi}-{i}", "yes", task=task, qtype=qtype)
                 gold.append(s)
-                splits.append(
-                    assignment(s, SplitLabel.HEAD if rng.random() < 0.6 else SplitLabel.TAIL)
-                )
+                splits[s.id] = decision(
+                    s, SplitLabel.HEAD if rng.random() < 0.6 else SplitLabel.TAIL)
                 preds[s.id] = "yes" if rng.random() < 0.7 else "no"
         report = score_predictions(gold, splits, preds)
         total = sum(c.head_n + c.tail_n for c in report.per_group.values())
@@ -162,18 +169,17 @@ def _reference_score(gold, splits, preds):
     by_id = {s.id: s for s in gold}
     cells: dict = {}
     unmatched = []
-    for a in splits:
-        sample = by_id.get(a.sample_id)
+    for sid, d in splits.items():
+        sample = by_id.get(sid)
         if sample is None:
-            raise ScoringError(f"split assignment refers to unknown sample id {a.sample_id!r}")
-        d = a.decision
+            raise ScoringError(f"split assignment refers to unknown sample id {sid!r}")
         if d.group != sample.group or d.answer_class != sample.answer:
             raise ScoringError(
-                f"split assignment {a.sample_id!r} ({d.group}, answer {d.answer_class!r}) "
+                f"split assignment {sid!r} ({d.group}, answer {d.answer_class!r}) "
                 f"disagrees with the gold sample ({sample.group}, answer {sample.answer!r})")
-        predicted = preds.get(a.sample_id)
+        predicted = preds.get(sid)
         if predicted is None:
-            unmatched.append(a.sample_id)
+            unmatched.append(sid)
         ascii_space = " \t\r\n\f\v"
         correct = (predicted is not None and predicted.strip(ascii_space).lower()
                    == sample.answer.strip(ascii_space).lower())
@@ -205,10 +211,10 @@ _SPELLINGS = [str, str.upper, str.lower, lambda a: f" {a}\n", lambda a: f"\u00a0
 
 @st.composite
 def _scoring_case(draw):
-    """A corpus, splits over some of its samples in any order (their
+    """A corpus, a splits map over some of its samples in any order (their
     decisions shared by answer class, or one per row), and predictions that
-    are right, wrong, missing or for unknown ids; at times one assignment
-    names an unknown id or disagrees with its gold sample."""
+    are right, wrong, missing or for unknown ids; at times one split id is
+    unknown or its decision disagrees with its gold sample."""
     gold = [QASample(f"s{i}", *draw(st.sampled_from(_GROUPS)), "q", draw(st.sampled_from(_ANSWERS)))
             for i in range(draw(st.integers(0, 24)))]
     shared = draw(st.booleans())
@@ -220,7 +226,7 @@ def _scoring_case(draw):
                                  SplitRule.GENERAL_THRESHOLD)
         if shared:
             decision = decisions.setdefault(decision, decision)
-        splits.append(SplitAssignment(s.id, decision))
+        splits.append((s.id, decision))
     fault = draw(st.sampled_from([None, None, None, "unknown", "group", "answer", "borrowed"]))
     if fault and splits:
         k = draw(st.integers(0, len(splits) - 1))
@@ -236,7 +242,7 @@ def _scoring_case(draw):
             decision = draw(st.sampled_from(splits))[1]
         if fault != "borrowed":
             decision = SplitDecision(group, answer, label, rule)
-        splits[k] = SplitAssignment(sid, decision)
+        splits[k] = sid, decision
     preds = {}
     for s in gold:
         kind = draw(st.sampled_from(["right", "wrong", "missing"]))
@@ -245,7 +251,7 @@ def _scoring_case(draw):
             preds[s.id] = draw(st.sampled_from(_SPELLINGS))(answer)
     for pid in draw(st.lists(st.sampled_from(["ghost", "x1", "x2"]), unique=True)):
         preds[pid] = "yes"
-    return gold, splits, dict(draw(st.permutations(list(preds.items()))))
+    return gold, dict(splits), dict(draw(st.permutations(list(preds.items()))))
 
 
 def _as_files(tmp_path_factory, gold, splits, preds) -> tuple:
@@ -269,7 +275,7 @@ class TestScoreAgainstReference:
         """Same cells in the same order, unmatched ids and warnings, or the
         same error, whether gold is a list of samples, read_gold's map, or a
         map built by hand, whose equal records are not shared; whether splits
-        is a list of assignments or read_splits' map; and whether the three
+        is the map built here or read_splits' map; and whether the three
         maps are read by read_ranges in two ranges, merged from two processes."""
         gold, splits, preds = case
         scored = gold, splits, preds
@@ -304,7 +310,7 @@ class TestScoreAgainstReference:
 
     def test_empty_predictions_are_wrong_not_unmatched(self):
         gold = [make_sample("a", "yes"), make_sample("b", "yes"), make_sample("c", "yes")]
-        splits = {s.id: assignment(s, SplitLabel.HEAD).decision for s in gold}
+        splits = {s.id: decision(s, SplitLabel.HEAD) for s in gold}
         report = score_predictions(gold, splits, {"a": "", "b": "  "})
         assert _cell(report.aggregate) == [0, 3, 0, 0]
         assert report.unmatched_ids == ["c"] and report.warnings == []

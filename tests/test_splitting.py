@@ -12,7 +12,6 @@ from avqa_debias import splitting
 from avqa_debias.data import CorpusError, GroupKey, QuestionType, Task
 from avqa_debias.splitting import (
     AnswerDistribution,
-    SplitAssignment,
     SplitConfig,
     SplitDecision,
     SplitError,
@@ -150,8 +149,7 @@ class TestSkippedByConstruction:
         )
         result = assign_splits(corpus, SplitConfig(entropy_threshold=1.0))
         assert [str(g) for g in result.skipped_groups] == ["VisualQA/Counting", "AVQA/Temporal"]
-        assigned = [a.sample_id for a in result.assignments]
-        assert assigned == [s.id for s in corpus if s.id.startswith(("avqa", "aq"))]
+        assert list(result.assignments) == [s.id for s in corpus if s.id.startswith(("avqa", "aq"))]
 
 
 class TestAssignSplits:
@@ -171,14 +169,14 @@ class TestAssignSplits:
         result = assign_splits(self.corpus())
         # the single-class VisualQA group has pinned entropy 1 and is skipped
         assert [str(g) for g in result.skipped_groups] == ["VisualQA/Counting"]
-        by_id = {a.sample_id: a for a in result.assignments}
+        by_id = result.assignments
         assert len(by_id) == 13 + 10
         # answer a has count 10 > 1.2 * 13/3 = 5.2 -> head
-        assert by_id["avqa0000"].decision.label is SplitLabel.HEAD
-        assert by_id["avqa0010"].decision.label is SplitLabel.TAIL  # answer "b"
-        assert by_id["aq0000"].decision.label is SplitLabel.HEAD  # answer "x", two-answer rule
-        assert by_id["aq0008"].decision.label is SplitLabel.TAIL  # answer "y"
-        assert by_id["aq0000"].decision.rule is SplitRule.TWO_ANSWER_LOW_FREQUENCY
+        assert by_id["avqa0000"].label is SplitLabel.HEAD
+        assert by_id["avqa0010"].label is SplitLabel.TAIL  # answer "b"
+        assert by_id["aq0000"].label is SplitLabel.HEAD  # answer "x", two-answer rule
+        assert by_id["aq0008"].label is SplitLabel.TAIL  # answer "y"
+        assert by_id["aq0000"].rule is SplitRule.TWO_ANSWER_LOW_FREQUENCY
 
     def test_one_report_per_group(self):
         result = assign_splits(self.corpus())
@@ -187,8 +185,7 @@ class TestAssignSplits:
         skipped = by_group["VisualQA/Counting"]
         assert not skipped.retained and skipped.labels is None and skipped.rule is None
         assert result.skipped_groups == [skipped.distribution.group]
-        for a in result.assignments:
-            d = a.decision
+        for d in result.assignments.values():
             report = by_group[str(d.group)]
             assert report.retained
             assert d.group is report.distribution.group  # one key object per group
@@ -197,8 +194,19 @@ class TestAssignSplits:
     def test_assignment_order_follows_corpus(self):
         corpus = self.corpus()
         result = assign_splits(corpus)
-        ids = [a.sample_id for a in result.assignments]
-        assert ids == [s.id for s in corpus if not s.id.startswith("vq")]
+        assert list(result.assignments) == [s.id for s in corpus if not s.id.startswith("vq")]
+
+    def test_output_follows_map_order(self):
+        """Rows come out in the gold map's order, not in id order, from
+        assign_splits through write_splits and back through read_splits."""
+        corpus = self.corpus()[::-1]
+        result = assign_splits({s.id: (s.group, s.answer) for s in corpus})
+        expected = [s.id for s in corpus if not s.id.startswith("vq")]
+        assert list(result.assignments) == expected != sorted(expected)
+        buf = io.BytesIO()
+        write_splits(result.assignments, buf)
+        assert [json.loads(line)["id"] for line in buf.getvalue().splitlines()] == expected
+        assert list(read_splits(io.BytesIO(buf.getvalue()))) == expected
 
     def test_empty_corpus(self):
         with pytest.raises(SplitError, match="empty corpus"):
@@ -217,13 +225,13 @@ class TestAssignSplits:
         buf = io.BytesIO()
         write_splits(result.assignments, buf)
         buf.seek(0)
-        assert read_splits(buf) == dict(result.assignments)
+        assert list(read_splits(buf).items()) == list(result.assignments.items())
 
     def test_duplicate_id_rejected_at_the_second_copy(self):
         # a sample listed twice would be scored twice
         result = assign_splits(self.corpus())
         buf = io.BytesIO()
-        write_splits(result.assignments[:3], buf)
+        write_splits(dict(list(result.assignments.items())[:3]), buf)
         lines = buf.getvalue().splitlines(keepends=True)
         # lines 1-3 are records, 4 and 6 are blank, 5 copies line 2
         data = b"".join(lines) + b"\n" + lines[1] + b"\n"
@@ -236,10 +244,9 @@ class TestAssignSplits:
 
 def _write_per_row(assignments, stream):
     """The writer write_splits must match byte for byte: one json.dumps per row."""
-    for a in assignments:
-        d = a.decision
+    for sid, d in assignments.items():
         obj = {
-            "id": a.sample_id,
+            "id": sid,
             "task": d.group.task.value,
             "question_type": d.group.question_type.value,
             "answer": d.answer_class,
@@ -277,11 +284,12 @@ _DECISION = st.builds(
 
 @st.composite
 def _assignments(draw):
-    """Up to 12 assignments, whose decisions come from a pool of up to 3, so
-    rows share a decision as they do in ``assign_splits`` and ``read_splits``."""
+    """A map of up to 12 unique ids, whose decisions come from a pool of up to
+    3, so rows share a decision as they do in ``assign_splits`` and
+    ``read_splits``."""
     pool = draw(st.lists(_DECISION, min_size=1, max_size=3))
-    return [SplitAssignment(sid, draw(st.sampled_from(pool)))
-            for sid in draw(st.lists(_TRICKY, max_size=12))]
+    return {sid: draw(st.sampled_from(pool))
+            for sid in draw(st.lists(_TRICKY, max_size=12, unique=True))}
 
 
 class TestWriteSplits:
@@ -298,9 +306,10 @@ class TestWriteSplits:
         group = GroupKey(Task.AVQA, QuestionType.COUNTING)
         head, tail = (SplitDecision(group, "two", label, SplitRule.GENERAL_THRESHOLD)
                       for label in SplitLabel)
-        assignments = [SplitAssignment(f"r{i}", (head, tail)[i % 2]) for i in range(2 * 4096 + 1)]
+        rows = [(f"r{i}", (head, tail)[i % 2]) for i in range(2 * 4096 + 1)]
         if bad_row is not None:
-            assignments[bad_row] = SplitAssignment('q"\ud800', tail)
+            rows[bad_row] = 'q"\ud800', tail
+        assignments = dict(rows)
         assert splitting._CHUNK_LINES == 4096
         got = _written(write_splits, assignments)
         assert got == _written(_write_per_row, assignments)

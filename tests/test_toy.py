@@ -227,7 +227,8 @@ class TestGenerateSynthetic:
     def test_sizes_and_split_fractions(self):
         data = small_data()
         assert len(data.train) == 300 and len(data.test) == 200
-        tails = sum(1 for a in data.splits if a.decision.label is SplitLabel.TAIL)
+        assert list(data.splits) == [s.id for s in data.test.qa]
+        tails = sum(1 for d in data.splits.values() if d.label is SplitLabel.TAIL)
         assert tails == round(0.3 * 200)
 
     def test_shortcut_channel_semantics(self):
@@ -241,10 +242,11 @@ class TestGenerateSynthetic:
     def test_test_regime_matches_split_labels(self):
         data = small_data()
         row = {s.id: i for i, s in enumerate(data.test.qa)}
-        for a in data.splits:
-            i = row[a.sample_id]
+        for sid, d in data.splits.items():
+            i = row[sid]
             agrees = int(np.argmax(data.test.x[2, i])) == data.test.labels[i]
-            assert agrees == (a.decision.label is SplitLabel.HEAD)
+            assert agrees == (d.label is SplitLabel.HEAD)
+            assert d[:2] == (data.test.qa[i].group, data.test.qa[i].answer)
 
     def test_training_answers_are_splitter_compatible(self):
         # the planted skew keeps normalized entropy under the 0.9 cutoff
