@@ -19,6 +19,7 @@ import pickle
 import re
 import signal
 import stat
+import sys
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import attrgetter, indexOf, itemgetter
@@ -214,14 +215,14 @@ def _texts(stream: IO[bytes]) -> Iterator[tuple[str, bool]]:
         yield text, escaped
 
 
-def _rows(pattern: re.Pattern, block: tuple[str, bool], refused: str = "\r") -> list | None:
+def _rows(pattern: re.Pattern, block: tuple[str, bool], refused: str) -> list | None:
     """``pattern.findall(text)`` if that has one match per line of a block
     ``(text, escaped)`` from ``_texts`` that is valid UTF-8 and holds no
     character of ``refused``, else None. A pattern anchored to both ends of
     a line matches each line at most once, and a match that runs over two
     lines leaves fewer matches than lines. A block that gets None paid its
-    regex pass for nothing, so each reader reads the rest of its stream
-    line by line after one."""
+    regex pass for nothing, so ``read_id_rows`` reads the rest of its
+    stream line by line after one."""
     text, escaped = block
     if escaped or any(map(text.__contains__, refused)):
         return None
@@ -334,17 +335,44 @@ _GOLD_ROW = re.compile(
 # A backslash and every control character but the newline that ends a line.
 _GOLD_REFUSED = "\\" + "".join(map(chr, range(0x20))).replace("\n", "")
 
-# The id of a row that ``_ID_ROW`` or ``_GOLD_ROW`` matched.
-_row_id = itemgetter(0)
 
-# The most tails ``read_id_rows`` memoizes from one stream. A file whose
-# tails seldom repeat, such as one distinct prediction per row, gains
-# nothing from the memo, so once it holds this many, every line is decoded.
-_MEMO_TAILS = 1024
+class RowShape(NamedTuple):
+    """A line as its writer writes it, with its id in group 1: matched by
+    ``pattern`` in a block that holds none of ``refused``, or by ``line``
+    alone. It decodes to its id and what ``key`` of its groups spells, so
+    the lines of one ``memoizable`` key get one value and pass the same
+    checks but those on their ids. At most ``memo_keys`` keys are memoized."""
+
+    pattern: re.Pattern
+    refused: str
+    line: re.Pattern
+    key: Callable[[tuple], object]
+    memoizable: Callable[[object], bool]
+    memo_keys: int
+
+
+# A line ``{"id": "<id>", <tail>`` with a plain id spells ``{"id": <id>}``
+# and what the tail alone spells, unless the tail spells the key ``id``
+# (which, with no ``\u`` escape, it can only as ``"id"``) or holds a lone
+# surrogate (only by a ``\u`` escape). A block's tail would keep the
+# carriage return that a line loses. A file whose tails seldom repeat, such
+# as one distinct prediction per row, gains nothing from the memo, so once
+# it holds 1,024 tails, every line is decoded.
+ID_ROWS = RowShape(_ID_ROW, "\r", _ID_ROW, itemgetter(1),
+                   lambda tail: "\\u" not in tail and '"id"' not in tail, 1024)
+
+# A corpus line's checks but those on its id are those of its (task,
+# question_type, answer), whose records ``_check_row`` keeps in any number.
+# Alone, a line is matched with its strings plain, in one regex pass, not
+# after a scan for each of ``_GOLD_REFUSED``.
+_GOLD_ROWS = RowShape(_GOLD_ROW, _GOLD_REFUSED,
+                      re.compile(_GOLD_ROW.pattern.replace('[^"]*', _PLAIN)),
+                      itemgetter(1, 2, 3), lambda key: True, sys.maxsize)
 
 
 def read_id_rows(
     stream: IO[bytes],
+    shape: RowShape,
     row: Callable[[dict, int], tuple[str, T]],
     out: dict[str, T],
     check: Callable[[str, int], None],
@@ -358,30 +386,29 @@ def read_id_rows(
     ``row`` makes every check of a row but those on its id's value, and
     raises a CorpusError. Those are ``check(id, lineno)``'s, called before a
     row whose id is empty or already in ``out`` is stored: it must raise for
-    a duplicate, and for an empty id if that is an error. A line ``{"id":
-    "<id>", <tail>`` whose id is plain (``_ID_ROW``) and whose tail holds
-    neither ``"id"`` nor a ``\\u`` escape (without which it can spell the
-    key ``id`` only as ``"id"``, and no lone surrogate) decodes to ``{"id":
-    <id>}`` and what the tail alone spells, so every such line with one
-    tail gets the same value and passes the same checks: its value is
-    memoized by the tail, and a later line with that tail is not decoded at
-    all. Until the memo holds ``_MEMO_TAILS`` tails, each block whose every
-    line starts with a plain id is split into ids and tails by one regex
-    pass. Its values are looked up in the memo and stored in bulk by
-    ``_store_block``; a block with a tail the memo lacks, an empty id or an
-    id already stored is read line by line instead. From the first block
-    that is not split, every line is, and once the memo is full, every
-    further line is decoded.
+    a duplicate, and for an empty id if that is an error.
+
+    The value of a line of the writers' ``shape`` (see ``RowShape``) is
+    memoized by its key, and a later line with that key is not decoded.
+    Until the memo is full, each block is split into rows by one regex pass
+    (``_rows``), and stored by one ``update`` if the memo has every row's
+    value and every id is nonempty and new; otherwise what it added is
+    dropped, newest first, and it is read line by line, so that any error
+    is its line's. From the first block that is not split, and once the
+    memo is full, every line is read line by line.
     """
-    memo: dict[str, T] = {}
+    pattern, refused, line, key, memoizable, memo_keys = shape
+    memo: dict = {}
 
     def decode(text: str, lineno: int) -> tuple[str, T]:
-        head = _ID_ROW.match(text) if len(memo) < _MEMO_TAILS else None
-        if head is not None and (value := memo.get(head[2])) is not None:
-            return head[1], value
+        head = line.match(text) if len(memo) < memo_keys else None
+        if head is not None:
+            groups = head.groups()
+            if (value := memo.get(known := key(groups))) is not None:
+                return groups[0], value
         sid, value = row(_decode_line(text, lineno), lineno)
-        if head is not None and "\\u" not in head[2] and '"id"' not in head[2]:
-            memo[head[2]] = value
+        if head is not None and memoizable(known):
+            memo[known] = value
         return sid, value
 
     def store(rows: Iterable[tuple[int, tuple[str, T]]]) -> None:
@@ -392,30 +419,20 @@ def read_id_rows(
 
     start, texts = 0, _texts(stream)
     for block in texts:
-        rows = _rows(_ID_ROW, block) if len(memo) < _MEMO_TAILS else None
+        rows = _rows(pattern, block, refused) if len(memo) < memo_keys else None
         if rows is None:  # this block and every later one, line by line
             store(_lines(chain([block], texts), decode, start, blanks))
             return out
-        values = list(map(memo.get, map(itemgetter(1), rows)))
-        _store_block(out, rows, values, lambda: store(_lines([block], decode, start)))
+        n, ids = len(out), list(map(itemgetter(0), rows))
+        values = list(map(memo.get, map(key, rows)))
+        if None not in values:
+            out.update(zip(ids, values))
+        if len(out) - n < len(rows) or "" in ids:
+            while len(out) > n:
+                out.popitem()
+            store(_lines([block], decode, start))
         start += len(rows)
     return out
-
-
-def _store_block(out: dict, rows: list, values: list, by_row: Callable[[], None]) -> None:
-    """Store the id of each of ``rows``, from ``_ID_ROW`` or ``_GOLD_ROW``,
-    with its value of ``values`` in ``out`` by one ``update``, if no value is
-    None and every id is nonempty and new. Otherwise drop the keys that
-    added, newest first, and call ``by_row()``, which stores the block one
-    row at a time, with every check of a row, so that any error is the one
-    its line gives."""
-    n = len(out)
-    if None not in values:
-        out.update(zip(map(_row_id, rows), values))
-    if len(out) - n < len(rows) or "" in map(_row_id, rows):
-        while len(out) > n:
-            out.popitem()
-        by_row()
 
 
 def duplicate_id(sid: str, ids: Iterable[str], blanks: list[int], lineno: int) -> CorpusError:
@@ -504,46 +521,23 @@ def read_gold(stream: IO[bytes]) -> dict[str, tuple[GroupKey, str]]:
 
     Each line gets the checks of ``parse_samples``, with the same errors.
     Rows with the same task, question type and answer share one record,
-    and nothing else of a row is kept. A block that ``_GOLD_ROW`` matches
-    whole, and that holds none of ``_GOLD_REFUSED``, is stored from its
-    regex groups, undecoded, by ``_store_block``, if every raw (task,
-    question_type, answer) of it has a record and its ids are new and
-    nonempty, as then every check of ``_check_row`` holds. Otherwise the
-    block is read again row by row from its first line: a row that passes
-    those tests is stored, and any other row is decoded and checked at its
-    own line. From the first block that is not matched, every row is
-    decoded.
+    and nothing else of a row is kept. The lines are read by
+    ``read_id_rows``: a line as ``write_samples`` writes it, with no
+    backslash or control character, is decoded only if it is the first
+    with its raw (task, question_type, answer), since every check of
+    ``_check_row`` but the one on its id then holds.
     """
     gold: dict[str, tuple[GroupKey, str]] = {}
-    records: dict = {}
     blanks: list[int] = []
 
-    def check(obj: dict, lineno: int) -> None:
-        sid, record = _check_row(obj, lineno, records)
+    def check(sid: str, lineno: int) -> None:
+        if not sid:
+            raise CorpusError("id must be a nonempty string", lineno)
         if sid in gold:
             raise duplicate_id(sid, gold, blanks, lineno)
-        gold[sid] = record
 
-    def by_row(text: str, rows: list, start: int) -> None:
-        lines = text.split("\n")
-        for lineno, (sid, task, qtype, answer) in enumerate(rows, start + 1):
-            record = records.get((task, qtype, answer))
-            if record is None or not sid or sid in gold:
-                check(_decode_line(lines[lineno - start - 1], lineno), lineno)
-            else:
-                gold[sid] = record
-
-    start, texts = 0, _texts(stream)
-    for block in texts:
-        rows = _rows(_GOLD_ROW, block, _GOLD_REFUSED)
-        if rows is None:  # this block and every later one, line by line
-            for lineno, obj in _lines(chain([block], texts), _decode_line, start, blanks):
-                check(obj, lineno)
-            break
-        recs = list(map(records.get, map(itemgetter(1, 2, 3), rows)))
-        _store_block(gold, rows, recs, lambda: by_row(block[0], rows, start))
-        start += len(rows)
-    return gold
+    row = functools.partial(_check_row, records={})
+    return read_id_rows(stream, _GOLD_ROWS, row, gold, check, blanks)
 
 
 def as_gold(corpus: dict | Iterable[QASample]) -> dict[str, tuple[GroupKey, str]]:
@@ -575,18 +569,18 @@ def validate_corpus(samples: list[QASample]) -> CorpusStats:
     """One-pass structural validation; problems land in the stats, not exceptions."""
     vocab: set[str] = set()
     per_group: dict[GroupKey, int] = {}
-    seen: dict[str, int] = {}
+    seen: set[str] = set()
     duplicates: list[str] = []
     warnings: list[str] = []
     warned_groups: set[GroupKey] = set()
-    for i, s in enumerate(samples, start=1):
+    for s in samples:
         vocab.add(s.answer)
         key = s.group
         per_group[key] = per_group.get(key, 0) + 1
         if s.id in seen:
             duplicates.append(s.id)
         else:
-            seen[s.id] = i
+            seen.add(s.id)
         if key not in KNOWN_GROUPS and key not in warned_groups:
             warned_groups.add(key)
             warnings.append(f"unexpected task/type combination {key}")
@@ -621,7 +615,7 @@ def parse_predictions(stream: IO[bytes]) -> dict[str, str]:
         if pid in preds:
             raise CorpusError(f"duplicate prediction id {pid!r}", lineno)
 
-    return read_id_rows(stream, _prediction, preds, check)
+    return read_id_rows(stream, ID_ROWS, _prediction, preds, check)
 
 
 def _prediction(obj: dict, lineno: int) -> tuple[str, str]:

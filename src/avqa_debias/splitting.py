@@ -27,6 +27,7 @@ from typing import IO, NamedTuple
 
 from .data import (
     GROUP_KEYS,
+    ID_ROWS,
     CorpusError,
     GroupKey,
     IdentityEnum,
@@ -310,7 +311,7 @@ def read_splits(stream: IO[bytes]) -> dict[str, SplitDecision]:
         if sid in out:
             raise duplicate_id(sid, out, blanks, lineno)
 
-    return read_id_rows(stream, row, out, check, blanks)
+    return read_id_rows(stream, ID_ROWS, row, out, check, blanks)
 
 
 def group_report_json(result: SplitResult) -> dict:

@@ -286,6 +286,37 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
     assert len({id(d) for d in decisions}) == len(set(decisions)) == len({d[:2] for d in decisions})
 
 
+@pytest.mark.parametrize("reordered", [True, False])
+@pytest.mark.parametrize("answers", [3, 130])
+def test_gold_reader_decodes_the_first_row_of_each_answer(monkeypatch, reordered, answers):
+    """read_gold decodes only the first row of each (task, question_type,
+    answer) written as write_samples writes it, with 27 such triples or
+    1,170: when its blocks are stored in bulk, and when a first line with
+    its keys in another order makes it read every line on its own."""
+    groups = sorted(KNOWN_GROUPS)
+    rows = [json.loads(_gold_line(i, task=groups[i % 9][0].value,
+                                  question_type=groups[i % 9][1].value,
+                                  answer=f"a{i // 9 % answers}"))
+            for i in range(9 * answers * 3)]
+    first = dict(reversed(rows[0].items())) if reordered else rows[0]
+    lines = [json.dumps(row, ensure_ascii=False).encode() for row in [first, *rows[1:]]]
+    data = b"\n".join(lines) + b"\n"
+    decodes = Counter()
+    raw_decode = data_module._raw_decode
+
+    def counting_raw_decode(text):
+        decodes["raw_decode"] += 1
+        return raw_decode(text)
+
+    monkeypatch.setattr(data_module, "_raw_decode", counting_raw_decode)
+    gold = read_gold(io.BytesIO(data))
+    monkeypatch.undo()
+    firsts = {(row["task"], row["question_type"], row["answer"]) for row in rows[reordered:]}
+    assert len(firsts) == 9 * answers
+    assert decodes["raw_decode"] == reordered + len(firsts)
+    assert gold == {s.id: (s.group, s.answer) for s in parse_samples(io.BytesIO(data))}
+
+
 _BLOCK_READERS = {  # (reader, row i as written, row i in another shape)
     # a quote in the question: refused by read_gold's check before its pattern runs
     "read_gold": (read_gold, lambda i: _gold_line(i),
@@ -527,6 +558,8 @@ def _gold_line(i: int, **fields) -> bytes:
 # rows that take the slow path (a \u escape) or that a fast block decodes (a
 # new group and answer, a raw non-ASCII question).
 _CLEAN_GOLD = [_gold_line(i, **({"source_id": f"t{i}"} if i % 5 == 0 else {})) for i in range(120)]
+# Row 0 of _CLEAN_GOLD with its keys in another order.
+_REORDERED_GOLD = json.dumps(dict(reversed(json.loads(_CLEAN_GOLD[0]).items()))).encode()
 _GOLD_FAULTS = [
     _gold_line(500)[:-9],  # malformed
     _gold_line(501, task="bogus"),
@@ -553,6 +586,14 @@ _GOLD_FAULTS = [
 @example(lines=[json.dumps(_GOOD_ROW).encode(), json.dumps(dict(_GOOD_ROW, id="b", question=1)).encode()])
 @example(lines=[json.dumps(_GOOD_ROW).encode(), b"", json.dumps(_GOOD_ROW).encode()])
 @example(lines=[json.dumps(dict(_GOOD_ROW, answer=["yes"])).encode()])
+# Read line by line after a first line in another shape: lines in the
+# writers' shape whose id is written c\\, or whose question holds \" or a
+# raw tab, after rows with the same (task, question_type, answer).
+@example(lines=[_REORDERED_GOLD, *_CLEAN_GOLD[1:7], _gold_line(7).replace(b'"c007"', b'"c\\\\"')])
+@example(lines=[_REORDERED_GOLD, *_CLEAN_GOLD[1:7],
+                _gold_line(7, question="q").replace(b'"q"', b'"q\\"')])
+@example(lines=[_REORDERED_GOLD, *_CLEAN_GOLD[1:7],
+                _gold_line(7, question="a\tb").replace(b"\\t", b"\t")])
 def test_gold_reader_matches_parse_samples(lines):
     """read_gold accepts the lines parse_samples accepts, maps each id to its
     sample's (group, answer), and rejects the rest with the same error;
