@@ -94,7 +94,10 @@ def _read_json_object(path: Path) -> dict:
 
 def _line_of(path, sid: str):
     """The line of the row with id ``sid`` in the JSONL file at ``path``, which a
-    reader has accepted, so its ids are unique; "?" if the file changed since."""
+    reader has accepted, so its ids are unique; "?" if the file changed since,
+    or is not a regular file, which cannot be read again (a FIFO)."""
+    if not os.path.isfile(path):
+        return "?"
     with open(path, "rb") as f:
         return next((n for n, obj in read_jsonl(f) if obj.get("id") == sid), "?")
 

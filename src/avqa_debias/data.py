@@ -340,8 +340,10 @@ class RowShape(NamedTuple):
     """A line as its writer writes it, with its id in group 1: matched by
     ``pattern`` in a block that holds none of ``refused``, or by ``line``
     alone. It decodes to its id and what ``key`` of its groups spells, so
-    the lines of one ``memoizable`` key get one value and pass the same
-    checks but those on their ids. At most ``memo_keys`` keys are memoized."""
+    the lines of one ``memoizable`` key get one value and pass every check
+    but those on their ids, which ``read_id_rows`` leaves to a row's
+    reader for an empty id and makes itself for a duplicate. At most
+    ``memo_keys`` keys are memoized."""
 
     pattern: re.Pattern
     refused: str
@@ -370,41 +372,55 @@ _GOLD_ROWS = RowShape(_GOLD_ROW, _GOLD_REFUSED,
                       itemgetter(1, 2, 3), lambda key: True, sys.maxsize)
 
 
+def duplicate_id(sid: str, ids: Iterable[str], blanks: list[int], lineno: int) -> CorpusError:
+    """The error for the row at ``lineno`` whose id ``sid`` an earlier row
+    has, given ``ids``, the ids of the rows before it in line order, and
+    ``blanks``, the blank lines before it, in order. The line of the first
+    row is worked out only here, so no reader keeps a map of ids to lines."""
+    first = indexOf(ids, sid) + 1  # its line, were no line blank
+    for blank in blanks:
+        if blank > first:
+            break
+        first += 1
+    return CorpusError(f"duplicate id {sid!r} (first seen on line {first})", lineno)
+
+
 def read_id_rows(
     stream: IO[bytes],
     shape: RowShape,
     row: Callable[[dict, int], tuple[str, T]],
-    out: dict[str, T],
-    check: Callable[[str, int], None],
-    blanks: list[int] | None = None,
+    duplicate: Callable[[str, Iterable[str], list[int], int], CorpusError] = duplicate_id,
 ) -> dict[str, T]:
-    """Store ``id: value`` in ``out``, and return it, for each nonblank line
-    of a JSONL stream whose rows are keyed by ``id``, where ``(id, value) =
+    """Map ``id`` to ``value``, in file order, for each nonblank line of a
+    JSONL stream whose rows are keyed by ``id``, where ``(id, value) =
     row(obj, lineno)`` for the line's object, read as by ``read_jsonl``.
-    Blank lines are appended to ``blanks`` if it is given.
 
-    ``row`` makes every check of a row but those on its id's value, and
-    raises a CorpusError. Those are ``check(id, lineno)``'s, called before a
-    row whose id is empty or already in ``out`` is stored: it must raise for
-    a duplicate, and for an empty id if that is an error.
+    ``row`` makes every check of a row but the one for a duplicate id, an
+    empty id's included, and raises a CorpusError. A row whose id is
+    already mapped raises ``duplicate(id, ids, blanks, lineno)``, with the
+    ids before it in line order and the blank lines before it, as
+    ``duplicate_id`` takes them.
 
-    The value of a line of the writers' ``shape`` (see ``RowShape``) is
-    memoized by its key, and a later line with that key is not decoded.
-    Until the memo is full, each block is split into rows by one regex pass
-    (``_rows``), and stored by one ``update`` if the memo has every row's
-    value and every id is nonempty and new; otherwise what it added is
-    dropped, newest first, and it is read line by line, so that any error
-    is its line's. From the first block that is not split, and once the
-    memo is full, every line is read line by line.
+    The value of a line of the writers' ``shape`` (see ``RowShape``) with a
+    nonempty id is memoized by its key, and a later such line with that key
+    is not decoded. Until the memo is full, each block is split into rows
+    by one regex pass (``_rows``), and stored by one ``update`` if the memo
+    has every row's value and every id is nonempty and new; otherwise what
+    it added is dropped, newest first, and it is read line by line, so that
+    any error is its line's. From the first block that is not split, and
+    once the memo is full, every line is read line by line.
     """
     pattern, refused, line, key, memoizable, memo_keys = shape
     memo: dict = {}
+    out: dict[str, T] = {}
+    blanks: list[int] = []
 
     def decode(text: str, lineno: int) -> tuple[str, T]:
         head = line.match(text) if len(memo) < memo_keys else None
         if head is not None:
             groups = head.groups()
-            if (value := memo.get(known := key(groups))) is not None:
+            value = memo.get(known := key(groups))
+            if value is not None and groups[0]:  # an empty id goes to ``row``
                 return groups[0], value
         sid, value = row(_decode_line(text, lineno), lineno)
         if head is not None and memoizable(known):
@@ -413,8 +429,8 @@ def read_id_rows(
 
     def store(rows: Iterable[tuple[int, tuple[str, T]]]) -> None:
         for lineno, (sid, value) in rows:
-            if not sid or sid in out:
-                check(sid, lineno)
+            if sid in out:
+                raise duplicate(sid, out, blanks, lineno)
             out[sid] = value
 
     start, texts = 0, _texts(stream)
@@ -433,19 +449,6 @@ def read_id_rows(
             store(_lines([block], decode, start))
         start += len(rows)
     return out
-
-
-def duplicate_id(sid: str, ids: Iterable[str], blanks: list[int], lineno: int) -> CorpusError:
-    """The error for the row at ``lineno`` whose id ``sid`` an earlier row
-    has, given ``ids``, the ids of the rows before it in line order, and
-    ``blanks``, the blank lines before it, in order. The line of the first
-    row is worked out only here, so no reader keeps a map of ids to lines."""
-    first = indexOf(ids, sid) + 1  # its line, were no line blank
-    for blank in blanks:
-        if blank > first:
-            break
-        first += 1
-    return CorpusError(f"duplicate id {sid!r} (first seen on line {first})", lineno)
 
 
 def _check_row(obj: dict, lineno: int, records: dict) -> tuple[str, tuple[GroupKey, str]]:
@@ -527,17 +530,7 @@ def read_gold(stream: IO[bytes]) -> dict[str, tuple[GroupKey, str]]:
     with its raw (task, question_type, answer), since every check of
     ``_check_row`` but the one on its id then holds.
     """
-    gold: dict[str, tuple[GroupKey, str]] = {}
-    blanks: list[int] = []
-
-    def check(sid: str, lineno: int) -> None:
-        if not sid:
-            raise CorpusError("id must be a nonempty string", lineno)
-        if sid in gold:
-            raise duplicate_id(sid, gold, blanks, lineno)
-
-    row = functools.partial(_check_row, records={})
-    return read_id_rows(stream, _GOLD_ROWS, row, gold, check, blanks)
+    return read_id_rows(stream, _GOLD_ROWS, functools.partial(_check_row, records={}))
 
 
 def as_gold(corpus: dict | Iterable[QASample]) -> dict[str, tuple[GroupKey, str]]:
@@ -604,18 +597,14 @@ def group_samples(samples: list[QASample]) -> dict[GroupKey, list[QASample]]:
 def parse_predictions(stream: IO[bytes]) -> dict[str, str]:
     """Parse a prediction JSONL file ({"id", "predicted_answer"}) into a map.
 
-    Lines are read by ``read_id_rows``; both fields must be strings. A
-    duplicate prediction id is an error: silently keeping either copy could
+    Lines are read by ``read_id_rows``; both fields must be strings, and an
+    empty id is accepted. A duplicate id is the error ``duplicate
+    prediction id``, at its second copy: silently keeping either copy could
     change the reported accuracy. Lines that spell one prediction the same
     way after a plain id share one string.
     """
-    preds: dict[str, str] = {}
-
-    def check(pid: str, lineno: int) -> None:
-        if pid in preds:
-            raise CorpusError(f"duplicate prediction id {pid!r}", lineno)
-
-    return read_id_rows(stream, ID_ROWS, _prediction, preds, check)
+    return read_id_rows(stream, ID_ROWS, _prediction, lambda pid, ids, blanks, lineno:
+                        CorpusError(f"duplicate prediction id {pid!r}", lineno))
 
 
 def _prediction(obj: dict, lineno: int) -> tuple[str, str]:
@@ -693,9 +682,10 @@ def _send(out: IO[bytes], message) -> None:
 def _range_worker(jobs: list, sizes: list, k: int, ranges: int, workers: list, r: int, w: int):
     """The body of range worker ``k`` in a forked child: parse range ``k`` of
     each regular file of ``jobs`` in turn and send its rows to the parent on
-    the pipe whose ends are ``r`` and ``w``, in pieces of ``_PIECE_ROWS``. It
-    writes nothing else anywhere, and leaves through ``os._exit``, whatever
-    happens."""
+    the pipe whose ends are ``r`` and ``w``, in pieces of ``_PIECE_ROWS``,
+    then ``{}``. It writes nothing else anywhere, and leaves through
+    ``os._exit``, whatever happens: a range that raises ends the worker,
+    and the parent, which finds the pipe closed, reads the file whole."""
     code = 0
     try:
         os.close(r)
@@ -705,16 +695,11 @@ def _range_worker(jobs: list, sizes: list, k: int, ranges: int, workers: list, r
             for (parse, path), size in zip(jobs, sizes):
                 if size is None:
                     continue
-                try:
-                    rows = _read(parse, path, size, k, ranges)
-                except Exception:  # the parent re-reads the file and reports the error
-                    _send(out, None)
-                    continue
-                items = iter(rows.items())
+                items = iter(_read(parse, path, size, k, ranges).items())
                 while piece := dict(islice(items, _PIECE_ROWS)):
                     _send(out, piece)
                 _send(out, {})
-                rows = items = None
+                items = None
     except BaseException:  # a worker reports nothing but through its pipe
         code = 1
     os._exit(code)
@@ -738,17 +723,18 @@ def read_ranges(jobs: list[tuple[Callable[[IO[bytes]], T], object]], ranges: int
     and worker k parses range k of every regular file in turn with its
     ``parse``, which must then return a map keyed by id. This process
     parses range 0 of each file and updates that map in place, in file
-    order, from the workers' pieces. If a worker's range raised, a worker
-    died, or the merged map has fewer rows than the ranges gave (an id in
-    two ranges), the workers are stopped and the file is read whole here by
-    ``parse``, so any error is the one the whole-file read raises; so is an
-    error in range 0, which begins the file. The remaining files are then
-    read whole, as is a file that is not a regular file (a FIFO, a
-    terminal). Without ``os.fork``, or with one range, each file is read
-    whole. Close the generator to stop the workers; every worker is reaped
-    on every path. The workers run only the readers, which are pure
-    Python, so no thread of the parent (a BLAS pool) is needed after the
-    fork.
+    order, from the workers' pieces. A worker whose range raises exits.
+    On any fault (a worker's pipe closed before its ``{}``, or a merged
+    map with fewer rows than the ranges gave, from an id in two ranges),
+    the workers are stopped and the file is read whole here by ``parse``,
+    so any error is the one the whole-file read raises; so is an error in
+    range 0, which begins the file. The remaining files are then read
+    whole, as is a file that is not a regular file (a FIFO, a terminal).
+    Without ``os.fork``, or with one range, each file is read whole. The
+    generator is lazy: close it to stop the workers; every worker is
+    reaped on every path. The workers run only the readers, which are
+    pure Python, so no thread of the parent (a BLAS pool) is needed after
+    the fork.
     """
     sizes = [_regular_size(path) for _, path in jobs]
     workers: list[tuple[int, IO[bytes]]] = []
@@ -778,12 +764,9 @@ def read_ranges(jobs: list[tuple[Callable[[IO[bytes]], T], object]], ranges: int
                     while piece := pickle.load(pipe):  # {} ends the file's pieces
                         rows.update(piece)
                         n += len(piece)
-                    if piece is None:  # the worker's range raised
-                        break
-                merged = piece is not None and len(rows) == n  # fewer rows: an id in two ranges
-            except (EOFError, pickle.UnpicklingError):  # the worker died
-                merged = False
-            if not merged:
+            except (EOFError, pickle.UnpicklingError):  # the worker exited early
+                n = -1
+            if len(rows) != n:  # a worker exited early, or an id is in two ranges
                 rows = None
                 _stop(workers)
                 rows = _read(parse, path, size, 0, 1)

@@ -35,7 +35,6 @@ from .data import (
     QuestionType,
     Task,
     as_gold,
-    duplicate_id,
     group_samples,  # not called here; the benchmark's tracer looks it up in this module
     read_id_rows,
 )
@@ -281,13 +280,13 @@ def read_splits(stream: IO[bytes]) -> dict[str, SplitDecision]:
 
     The rows that spell one (task, question_type, answer, split, rule)
     share one ``SplitDecision``, checked once; a line whose text after a
-    plain id repeats an earlier line's is not decoded again. An empty id is
-    an error, and so is a duplicate id, raised at the line of its second
-    copy: counting a sample twice would change the reported accuracy.
+    plain id repeats an earlier line's is not decoded again. A row's id is
+    checked to be a string, then its decision, then its id to be nonempty,
+    each fault an invalid splits record. A duplicate id is an error at the
+    line of its second copy, as ``data.duplicate_id`` reports it: counting
+    a sample twice would change the reported accuracy.
     """
-    out: dict[str, SplitDecision] = {}
     decisions: dict[tuple, SplitDecision] = {}  # by the raw strings of a row's fields
-    blanks: list[int] = []
 
     def row(obj: dict, lineno: int) -> tuple[str, SplitDecision]:
         try:
@@ -301,17 +300,13 @@ def read_splits(stream: IO[bytes]) -> dict[str, SplitDecision]:
                 # A new key; or a missing field or an unhashable value, for
                 # which _decision raises before anything is stored.
                 decision = decisions[key] = _decision(obj)
+            if not sid:
+                raise ValueError("id must be a nonempty string")
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"invalid splits record: {exc}", lineno) from exc
         return sid, decision
 
-    def check(sid: str, lineno: int) -> None:
-        if not sid:
-            raise CorpusError("invalid splits record: id must be a nonempty string", lineno)
-        if sid in out:
-            raise duplicate_id(sid, out, blanks, lineno)
-
-    return read_id_rows(stream, ID_ROWS, row, out, check, blanks)
+    return read_id_rows(stream, ID_ROWS, row)
 
 
 def group_report_json(result: SplitResult) -> dict:

@@ -843,6 +843,9 @@ class TestRangeReads:
         ("splits", _with_line("splits.jsonl", -2, {"split": "middle"}),
          "line 22: invalid splits record: 'middle' is not a valid SplitLabel"),
         ("preds", None, "line 24: duplicate prediction id 'avqa0000'"),
+        # an empty id is checked after the decision, as it is in the reader
+        ("splits", _with_line("splits.jsonl", -2, {"id": "", "split": "middle"}),
+         "line 22: invalid splits record: 'middle' is not a valid SplitLabel"),
     ])
     def test_splits_and_predictions_errors(self, tmp_path, name, data, message):
         if data is None:
@@ -851,6 +854,35 @@ class TestRangeReads:
         code, stdout, stderr, _ = self.same_at_any_count(tmp_path, argv)
         assert (code, stdout) == (EXIT_USAGE, b"")
         assert stderr.decode() == f"error: {tmp_path / name}.jsonl: {message}\n"
+
+    def test_splits_fault_in_a_fifo(self, tmp_path):
+        """A splits row that disagrees with the gold is reported at once when
+        the splits file is a FIFO, which is not opened again to find the
+        row's line (a second open would wait for a writer forever): the line
+        reads "?", and the rest of the message is the regular file's."""
+        data = _with_line("splits.jsonl", -2, {"answer": "bogus"})
+        regular, fifo = tmp_path / "splits.jsonl", tmp_path / "splits.fifo"
+        regular.write_bytes(data)
+        os.mkfifo(fifo)
+        argv = self.score_argv(tmp_path, splits=data, preds=self.preds())
+        code, _, stderr, _ = self.outcome(tmp_path, "1", argv)
+        prefix = f"error: {regular}: line 22: "
+        assert code == EXIT_USAGE and stderr.decode().startswith(prefix)
+        argv = [fifo if a == regular else a for a in argv]
+        proc = subprocess.Popen([sys.executable, "-c", _NO_CHILD_LEFT, *map(str, argv)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            stdout, streamed = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            pytest.fail("score waited on its splits FIFO")
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (proc.returncode, stdout) == (EXIT_USAGE, b"")
+        assert streamed.decode() == f"error: {fifo}: line ?: " + stderr.decode()[len(prefix):]
 
     @pytest.mark.parametrize("command", ["split", "score"])
     def test_fifo_input(self, tmp_path, command):
