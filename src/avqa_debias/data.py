@@ -22,6 +22,7 @@ import stat
 import sys
 from dataclasses import dataclass
 from itertools import chain, islice
+from json.encoder import encode_basestring
 from operator import attrgetter, indexOf, itemgetter
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
@@ -342,8 +343,8 @@ class RowShape(NamedTuple):
     alone. It decodes to its id and what ``key`` of its groups spells, so
     the lines of one ``memoizable`` key get one value and pass every check
     but those on their ids, which ``read_id_rows`` leaves to a row's
-    reader for an empty id and makes itself for a duplicate. At most
-    ``memo_keys`` keys are memoized."""
+    reader for an empty id and makes itself for a duplicate. The memo
+    holds at least ``memo_keys`` keys (see ``read_id_rows``)."""
 
     pattern: re.Pattern
     refused: str
@@ -359,7 +360,8 @@ class RowShape(NamedTuple):
 # surrogate (only by a ``\u`` escape). A block's tail would keep the
 # carriage return that a line loses. A file whose tails seldom repeat, such
 # as one distinct prediction per row, gains nothing from the memo, so once
-# it holds 1,024 tails, every line is decoded.
+# it holds 1,024 tails and nearly one per line, every later line is decoded;
+# a file whose 1,500 tails repeat keeps them all.
 ID_ROWS = RowShape(_ID_ROW, "\r", _ID_ROW, itemgetter(1),
                    lambda tail: "\\u" not in tail and '"id"' not in tail, 1024)
 
@@ -403,20 +405,24 @@ def read_id_rows(
 
     The value of a line of the writers' ``shape`` (see ``RowShape``) with a
     nonempty id is memoized by its key, and a later such line with that key
-    is not decoded. Until the memo is full, each block is split into rows
-    by one regex pass (``_rows``), and stored by one ``update`` if the memo
+    is not decoded. The memo is full when it reaches its limit, at first
+    ``shape.memo_keys``; the limit doubles if the memo then holds at most
+    three quarters of the lines read, so past ``memo_keys`` keys it grows
+    only while its keys repeat. Until it is full, each block is split into
+    rows by one regex pass (``_rows``), and stored by one ``update`` if the memo
     has every row's value and every id is nonempty and new; otherwise what
     it added is dropped, newest first, and it is read line by line, so that
     any error is its line's. From the first block that is not split, and
     once the memo is full, every line is read line by line.
     """
-    pattern, refused, line, key, memoizable, memo_keys = shape
+    pattern, refused, line, key, memoizable, limit = shape
     memo: dict = {}
     out: dict[str, T] = {}
     blanks: list[int] = []
 
     def decode(text: str, lineno: int) -> tuple[str, T]:
-        head = line.match(text) if len(memo) < memo_keys else None
+        nonlocal limit
+        head = line.match(text) if len(memo) < limit else None
         if head is not None:
             groups = head.groups()
             value = memo.get(known := key(groups))
@@ -425,6 +431,8 @@ def read_id_rows(
         sid, value = row(_decode_line(text, lineno), lineno)
         if head is not None and memoizable(known):
             memo[known] = value
+            if len(memo) == limit and 4 * limit <= 3 * lineno:
+                limit *= 2
         return sid, value
 
     def store(rows: Iterable[tuple[int, tuple[str, T]]]) -> None:
@@ -435,7 +443,7 @@ def read_id_rows(
 
     start, texts = 0, _texts(stream)
     for block in texts:
-        rows = _rows(pattern, block, refused) if len(memo) < memo_keys else None
+        rows = _rows(pattern, block, refused) if len(memo) < limit else None
         if rows is None:  # this block and every later one, line by line
             store(_lines(chain([block], texts), decode, start, blanks))
             return out
@@ -552,10 +560,17 @@ def as_gold(corpus: dict | Iterable[QASample]) -> dict[str, tuple[GroupKey, str]
 
 
 def write_samples(samples: Iterable[QASample], stream: IO[bytes]) -> None:
-    """Serialize samples as JSONL (inverse of parse_samples)."""
+    """Serialize samples as JSONL (inverse of parse_samples): each line is
+    ``json.dumps(s.to_json_obj(), ensure_ascii=False)``, by its string
+    encoder, written by one call, so a lone surrogate raises after the
+    lines before it are written."""
     for s in samples:
-        stream.write(json.dumps(s.to_json_obj(), ensure_ascii=False).encode("utf-8"))
-        stream.write(b"\n")
+        source = "" if s.source_id is None else f', "source_id": {encode_basestring(s.source_id)}'
+        stream.write(
+            f'{{"id": {encode_basestring(s.id)}, "task": {encode_basestring(s.task.value)}, '
+            f'"question_type": {encode_basestring(s.question_type.value)}, '
+            f'"question": {encode_basestring(s.question)}, '
+            f'"answer": {encode_basestring(s.answer)}{source}}}\n'.encode("utf-8"))
 
 
 def validate_corpus(samples: list[QASample]) -> CorpusStats:

@@ -54,9 +54,9 @@ _LABELS = {m.value: m for m in SplitLabel}
 _RULES = {m.value: m for m in SplitRule}
 
 
-# Lines per write of ``write_splits``: a bounded chunk, so the encoded
-# text of a whole file is never held at once.
-_CHUNK_LINES = 4096
+# Lines per write of ``write_splits``. A chunk's lines, text and bytes are
+# alive at once; 512 lines keep that small and cost no more time than 4,096.
+_CHUNK_LINES = 512
 
 
 class SplitError(ValueError):
@@ -233,30 +233,35 @@ def write_splits(assignments: dict[str, SplitDecision], stream: IO[bytes]) -> No
 
     Each line is the text ``json.dumps(obj, ensure_ascii=False)`` gives for
     the row's object. The fields after ``id`` are encoded once per decision,
-    and the id by the string encoder ``json.dumps`` uses. Each line is
-    encoded to UTF-8 on its own, and the lines go out ``_CHUNK_LINES`` per
-    write; a line that cannot be encoded (a lone surrogate) raises after
-    the lines before it are written, as from a per-row writer.
+    and the id by the string encoder ``json.dumps`` uses. The lines go out
+    ``_CHUNK_LINES`` per write, each chunk joined and encoded to UTF-8 once.
+    A chunk that cannot be encoded (a lone surrogate) is written from its
+    list of lines, not by splitting its text, which U+2028 would break, so
+    its bad line raises after the lines before it, as from a per-row writer.
     """
     suffixes: dict[SplitDecision, str] = {}
     rows = iter(assignments.items())
     for _ in range(0, len(assignments), _CHUNK_LINES):
-        lines: list[bytes] = []
+        lines: list[str] = []
+        for sid, decision in islice(rows, _CHUNK_LINES):
+            suffix = suffixes.get(decision)
+            if suffix is None:
+                group, answer, label, rule = decision
+                suffix = suffixes[decision] = json.dumps({
+                    "task": group.task.value,
+                    "question_type": group.question_type.value,
+                    "answer": answer,
+                    "split": label.value,
+                    "rule": rule.value,
+                }, ensure_ascii=False)[1:]
+            lines.append(f'{{"id": {encode_basestring(sid)}, {suffix}\n')
         try:
-            for sid, decision in islice(rows, _CHUNK_LINES):
-                suffix = suffixes.get(decision)
-                if suffix is None:
-                    group, answer, label, rule = decision
-                    suffix = suffixes[decision] = json.dumps({
-                        "task": group.task.value,
-                        "question_type": group.question_type.value,
-                        "answer": answer,
-                        "split": label.value,
-                        "rule": rule.value,
-                    }, ensure_ascii=False)[1:]
-                lines.append(f'{{"id": {encode_basestring(sid)}, {suffix}\n'.encode("utf-8"))
-        finally:
-            stream.write(b"".join(lines))
+            text = "".join(lines).encode("utf-8")
+        except UnicodeEncodeError:
+            for line in lines:  # the bad line raises, after the lines before it
+                stream.write(line.encode("utf-8"))
+            raise
+        stream.write(text)
 
 
 def _decision(obj: dict) -> SplitDecision:

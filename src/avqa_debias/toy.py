@@ -110,14 +110,8 @@ def _label_probs(num_classes: int) -> np.ndarray:
     return w / w.sum()
 
 
-def _make_sample(sid: str, label: int) -> QASample:
-    return QASample(
-        id=sid,
-        task=Task.AVQA,
-        question_type=QuestionType.EXISTENTIAL,
-        question=f"synthetic probe {sid}",
-        answer=class_name(label),
-    )
+# Rows per prototype gather in ``generate_synthetic``, so no (n, d) gather is held.
+_PROTO_ROWS = 256
 
 
 @dataclass
@@ -138,6 +132,11 @@ def generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticDat
     (shortcut agrees) or tail (shortcut disagrees) per ``tail_fraction``
     and labeled accordingly. A ``noise_scale`` so large that a feature
     overflows is a ``ToyError``; numpy's overflow warnings are off.
+
+    The result depends on ``cfg`` alone. A row draws its audio and video
+    normals, a training row's shortcut uniform, an integer when the
+    shortcut disagrees, and its question normals, in that order, into the
+    feature array; the arithmetic on them then runs over blocks of rows.
     """
     rng = np.random.default_rng(cfg.seed)
     c, d = cfg.num_classes, cfg.feature_dim
@@ -148,31 +147,33 @@ def generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticDat
     audio_protos = rng.choice([-1.0, 1.0], size=(n_audio, d))
     video_protos = rng.choice([-1.0, 1.0], size=(n_video, d))
     probs = _label_probs(c)
+    names = [class_name(k) for k in range(c)]
+    normal, uniform, integers = rng.standard_normal, rng.random, rng.integers
 
-    def draw(n: int, prefix: str, regime: np.ndarray | None) -> ToySet:
+    def draw(n: int, prefix: str, regime: list[bool] | None) -> ToySet:
         labels = rng.choice(c, size=n, p=probs)
         x = np.empty((3, n, d))
         audio, video, question = x
-        qa = []
-        for i, label in enumerate(labels):
-            label = int(label)
-            audio[i] = audio_protos[label // n_video] + cfg.noise_scale * rng.standard_normal(d)
-            video[i] = video_protos[label % n_video] + cfg.noise_scale * rng.standard_normal(d)
-            if regime is None:
-                shortcut_ok = rng.random() < cfg.bias_strength
-            else:
-                shortcut_ok = bool(regime[i])
-            if shortcut_ok:
-                shortcut = label
-            else:
-                shortcut = int(rng.integers(c - 1))
-                if shortcut >= label:
-                    shortcut += 1
-            question[i] = 0.1 * rng.standard_normal(d)
-            question[i, shortcut] += 2.0
-            qa.append(_make_sample(f"{prefix}-{i:05d}", label))
+        shortcuts = labels.copy()
+        for i, label in enumerate(labels.tolist()):
+            normal(out=audio[i])
+            normal(out=video[i])
+            if not (uniform() < cfg.bias_strength if regime is None else regime[i]):
+                shortcut = int(integers(c - 1))
+                shortcuts[i] = shortcut + (shortcut >= label)
+            normal(out=question[i])
+        audio *= cfg.noise_scale
+        video *= cfg.noise_scale
+        for rows in range(0, n, _PROTO_ROWS):
+            block = labels[rows : rows + _PROTO_ROWS]
+            audio[rows : rows + _PROTO_ROWS] += audio_protos[block // n_video]
+            video[rows : rows + _PROTO_ROWS] += video_protos[block % n_video]
+        question *= 0.1
+        question[np.arange(n), shortcuts] += 2.0
         if not np.isfinite(x).all():
             raise ToyError(f"noise_scale {cfg.noise_scale} makes non-finite {prefix} features")
+        qa = [QASample(sid, Task.AVQA, QuestionType.EXISTENTIAL, f"synthetic probe {sid}", names[k])
+              for sid, k in zip(map(f"{prefix}-{{:05d}}".format, range(n)), labels.tolist())]
         return ToySet(qa=qa, labels=labels.astype(np.int64), x=x)
 
     train = draw(cfg.train_n, "train", regime=None)
@@ -180,15 +181,16 @@ def generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticDat
     n_tail = int(round(cfg.tail_fraction * cfg.test_n))
     head_mask[:n_tail] = False
     rng.shuffle(head_mask)
-    test = draw(cfg.test_n, "test", regime=head_mask)
+    heads = head_mask.tolist()
+    test = draw(cfg.test_n, "test", regime=heads)
 
     group = test.qa[0].group  # every synthetic sample's
     decisions = {
         (answer, head): SplitDecision(group, answer, SplitLabel.HEAD if head else SplitLabel.TAIL,
                                       SplitRule.GENERAL_THRESHOLD)
-        for answer in map(class_name, range(c)) for head in (True, False)
+        for answer in names for head in (True, False)
     }
-    splits = {qa.id: decisions[qa.answer, head] for qa, head in zip(test.qa, head_mask.tolist())}
+    splits = {qa.id: decisions[qa.answer, head] for qa, head in zip(test.qa, heads)}
     return SyntheticData(train=train, test=test, splits=splits)
 
 

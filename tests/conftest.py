@@ -2,6 +2,7 @@ import io
 import os
 
 import pytest
+from hypothesis import strategies as st
 
 from avqa_debias.data import QASample, QuestionType, Task
 
@@ -30,6 +31,27 @@ def samples_from_counts(
             out.append(make_sample(f"{prefix}{i:04d}", answer, task=task, qtype=qtype))
             i += 1
     return out
+
+
+# Text for the writers' fuzz tests: quotes, a backslash, control characters,
+# line separators, non-ASCII and non-BMP characters, and lone surrogates of
+# both halves.
+TRICKY = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\x85", "é",
+                     "\U0001f600", "\ud800", "\udfff"]) | st.characters(),
+    max_size=4,
+)
+
+
+def written(write, items) -> tuple[bytes, str | None]:
+    """The bytes ``write(items, stream)`` writes, and the type and text of the
+    error it raises."""
+    buf = io.BytesIO()
+    try:
+        write(items, buf)
+    except ValueError as exc:  # UnicodeEncodeError is one
+        return buf.getvalue(), f"{type(exc).__name__}: {exc}"
+    return buf.getvalue(), None
 
 
 def jsonl_stream(lines: list[bytes]) -> io.BytesIO:

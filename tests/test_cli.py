@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -554,6 +555,23 @@ class TestGenSynthAndTrain:
         )
 
 
+# SHA-256 of each file of gen-synth at the default settings, by seed.
+_DEFAULT_SYNTH_DIGESTS = {
+    3: {"splits.jsonl": "8eaa33bd22b1544d6763193b6b3587d308065054ae6abf8688dc02b2e7240765",
+        "synth_config.json": "e908b7b03305a3344aa00690724ee4c9e05d0cb7db803effbbc4db648bd7960b",
+        "test.features": "17a1ca0d63fe825ef5eb395c88a5af711e4f5c517fd03b7e1b40626756c777d7",
+        "test.jsonl": "be8c681ef82c2c6bcdc3870ea970d853d96c7fef3d297e8a6d168ad4c833d4ef",
+        "train.features": "d05c4035026478ebbdb610cbd894b1a6397d5439cf46cd47ab1a07f2a3db18ad",
+        "train.jsonl": "c30e9494020e8ec06b5f5d95dfab214a60d98835a742383fba7e4d6a8b7dc679"},
+    8: {"splits.jsonl": "fe7eea42f1119d4f42c22fbe6514bc1e76591682436a6ec31a37ddfb81d8189a",
+        "synth_config.json": "7d84df8453909d7cd35c22b3547b90ec8fbeef5022127a7eceefe2aafba11490",
+        "test.features": "f4b33be55840ba6d1b96f0dc774c6d78fbaaedabd29b2fd8b273397bfb086349",
+        "test.jsonl": "885a10f0b877d25764bf0e4872082277db0047ae92a3006a2caad38413709d21",
+        "train.features": "66ce064d6dfe7a245076e5bcf3b47ee3e5defaa003fe774ba1655f1bbd11eaf2",
+        "train.jsonl": "43fae5fcbc9d7e8f1495f62a2f5d3e44c1a959efee55aedbf4fef223e6cb9115"},
+}
+
+
 class TestToyGoldenBytes:
     """Training-path outputs pinned byte for byte against files written by an
     earlier commit: a change to any float operation of generation or
@@ -568,6 +586,14 @@ class TestToyGoldenBytes:
         assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in golden]
         for p in golden:
             assert (tmp_path / p.name).read_bytes() == p.read_bytes(), p.name
+
+    @pytest.mark.parametrize("seed", sorted(_DEFAULT_SYNTH_DIGESTS))
+    def test_gen_synth_at_the_defaults(self, tmp_path, capsys, seed):
+        """The 6,000 rows of the default settings reach draws that the golden
+        corpus's 200 rows may not; their files keep these SHA-256 digests."""
+        assert main(["--seed", str(seed), "gen-synth", "--output-dir", str(tmp_path)]) == EXIT_OK
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in tmp_path.iterdir()} == _DEFAULT_SYNTH_DIGESTS[seed]
 
     def test_train_toy(self, tmp_path, capsys):
         assert main([
@@ -1185,6 +1211,25 @@ def test_evaluation_commands_are_the_same_under_the_oldest_python(tmp_path):
         assert outcomes[0] == outcomes[1], argv
         codes.add(outcomes[0][0])
     assert codes == {EXIT_OK, EXIT_USAGE}
+
+
+def test_every_module_compiles_under_the_oldest_python(tmp_path):
+    """Every module under ``src/avqa_debias`` byte-compiles under python3.10,
+    the training modules included, which cannot run there without numpy: no
+    syntax of a later Python is anywhere in the package."""
+    oldest = _oldest_python()
+    if oldest is None:
+        pytest.skip("no working python3.10 on PATH or under pyenv")
+    modules = sorted((Path(__file__).resolve().parents[1] / "src" / "avqa_debias").glob("*.py"))
+    assert {"cli.py", "toy.py", "losses.py", "serialize.py"} <= {p.name for p in modules}
+    script = ("import os, py_compile, sys\n"
+              "for path in sys.argv[2:]:\n"
+              "    cfile = os.path.join(sys.argv[1], os.path.basename(path) + 'c')\n"
+              "    py_compile.compile(path, cfile, doraise=True)\n")
+    proc = subprocess.run([oldest, "-c", script, str(tmp_path), *map(str, modules)],
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert len(list(tmp_path.glob("*.pyc"))) == len(modules)
 
 
 def _subparser(name: str) -> argparse.ArgumentParser:

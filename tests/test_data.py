@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pickle
+import random
 import re
 from collections import Counter
 from typing import Iterable
@@ -39,7 +40,7 @@ from avqa_debias.splitting import (
     split_head_tail,
     write_splits,
 )
-from conftest import jsonl_stream, make_sample
+from conftest import TRICKY, jsonl_stream, make_sample, written
 
 
 class TestParseSamples:
@@ -286,6 +287,19 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
     assert len({id(d) for d in decisions}) == len(set(decisions)) == len({d[:2] for d in decisions})
 
 
+def _counting_raw_decode(monkeypatch) -> Counter:
+    """Count the calls of ``data._raw_decode`` from now on."""
+    decodes = Counter()
+    raw_decode = data_module._raw_decode
+
+    def counting_raw_decode(text):
+        decodes["raw_decode"] += 1
+        return raw_decode(text)
+
+    monkeypatch.setattr(data_module, "_raw_decode", counting_raw_decode)
+    return decodes
+
+
 @pytest.mark.parametrize("reordered", [True, False])
 @pytest.mark.parametrize("answers", [3, 130])
 def test_gold_reader_decodes_the_first_row_of_each_answer(monkeypatch, reordered, answers):
@@ -301,20 +315,74 @@ def test_gold_reader_decodes_the_first_row_of_each_answer(monkeypatch, reordered
     first = dict(reversed(rows[0].items())) if reordered else rows[0]
     lines = [json.dumps(row, ensure_ascii=False).encode() for row in [first, *rows[1:]]]
     data = b"\n".join(lines) + b"\n"
-    decodes = Counter()
-    raw_decode = data_module._raw_decode
-
-    def counting_raw_decode(text):
-        decodes["raw_decode"] += 1
-        return raw_decode(text)
-
-    monkeypatch.setattr(data_module, "_raw_decode", counting_raw_decode)
+    decodes = _counting_raw_decode(monkeypatch)
     gold = read_gold(io.BytesIO(data))
     monkeypatch.undo()
     firsts = {(row["task"], row["question_type"], row["answer"]) for row in rows[reordered:]}
     assert len(firsts) == 9 * answers
     assert decodes["raw_decode"] == reordered + len(firsts)
     assert gold == {s.id: (s.group, s.answer) for s in parse_samples(io.BytesIO(data))}
+
+
+def test_id_row_memo_keeps_more_tails_that_repeat(monkeypatch):
+    """read_splits decodes one row per (task, question_type, answer, split,
+    rule) tail when 1,500 tails, more than the memo's first 1,024 keys,
+    repeat in random order through 20,000 rows."""
+    rng = random.Random(29)
+    tails = [rng.randrange(1_500) for _ in range(20_000)]
+    data = b"".join(
+        _id_row(f"s{i:05d}", f'"task": "AVQA", "question_type": "Counting", "answer": "a{t // 2}", '
+                             f'"split": "{("head", "tail")[t % 2]}", "rule": "general_threshold"}}')
+        + b"\n" for i, t in enumerate(tails))
+    decodes = _counting_raw_decode(monkeypatch)
+    splits = read_splits(io.BytesIO(data))
+    monkeypatch.undo()
+    assert decodes["raw_decode"] == len(set(tails)) == 1_500
+    assert [(d.answer_class, d.label.value) for d in splits.values()] == [
+        (f"a{t // 2}", ("head", "tail")[t % 2]) for t in tails]
+    assert list(splits) == [f"s{i:05d}" for i in range(len(tails))]
+
+
+def test_id_row_memo_stops_at_1024_tails_that_do_not_repeat(monkeypatch):
+    """A predictions file with a distinct tail on every row memoizes 1,024
+    tails and then decodes every line without the memo, so the memo stays
+    bounded."""
+    memoized = Counter()
+    memoizable = data_module.ID_ROWS.memoizable
+
+    def counting_memoizable(tail):
+        memoized["tails"] += 1
+        return memoizable(tail)
+
+    monkeypatch.setattr(data_module, "ID_ROWS",
+                        data_module.ID_ROWS._replace(memoizable=counting_memoizable))
+    data = b"".join(_id_row(f"p{i:05d}", f'"predicted_answer": "a", "score": {i}}}') + b"\n"
+                    for i in range(5_000))
+    preds = parse_predictions(io.BytesIO(data))
+    monkeypatch.undo()
+    assert memoized["tails"] == 1_024
+    assert preds == {f"p{i:05d}": "a" for i in range(5_000)}
+
+
+def _write_per_sample(samples, stream) -> None:
+    """What ``write_samples`` must write: ``json.dumps`` of each sample's
+    ``to_json_obj`` and a newline, one sample at a time."""
+    for s in samples:
+        stream.write(json.dumps(s.to_json_obj(), ensure_ascii=False).encode() + b"\n")
+
+
+_TRICKY_SAMPLE = st.builds(QASample, TRICKY, st.sampled_from(Task), st.sampled_from(QuestionType),
+                           TRICKY, TRICKY, st.none() | TRICKY)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TRICKY_SAMPLE, max_size=6))
+@example([QASample("a\u2028b", Task.AVQA, QuestionType.COUNTING, 'q"\\\x00', "\x85", None),
+          QASample("c", Task.AUDIO_QA, QuestionType.EXISTENTIAL, "\U0001f600", "x\ud800", "t")])
+def test_write_samples_matches_json_dumps(samples):
+    """Every field quoted as ``json.dumps`` quotes it, and a lone surrogate
+    raises the same error after the same lines."""
+    assert written(write_samples, samples) == written(_write_per_sample, samples)
 
 
 _BLOCK_READERS = {  # (reader, row i as written, row i in another shape)

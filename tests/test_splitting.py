@@ -24,7 +24,7 @@ from avqa_debias.splitting import (
     split_head_tail,
     write_splits,
 )
-from conftest import make_sample, samples_from_counts
+from conftest import TRICKY, make_sample, samples_from_counts, written
 
 
 def dist(counts: dict[str, int]) -> AnswerDistribution:
@@ -256,27 +256,10 @@ def _write_per_row(assignments, stream):
         stream.write(json.dumps(obj, ensure_ascii=False).encode("utf-8") + b"\n")
 
 
-def _written(write, assignments) -> tuple[bytes, str | None]:
-    """The bytes ``write`` writes, and the type and text of the error it raises."""
-    buf = io.BytesIO()
-    try:
-        write(assignments, buf)
-    except ValueError as exc:  # UnicodeEncodeError is one
-        return buf.getvalue(), f"{type(exc).__name__}: {exc}"
-    return buf.getvalue(), None
-
-
-# Quotes, a backslash, control characters, a line separator, non-ASCII and
-# non-BMP characters, and lone surrogates of both halves.
-_TRICKY = st.text(
-    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "é", "\U0001f600",
-                     "\ud800", "\udfff"]) | st.characters(),
-    max_size=4,
-)
 _DECISION = st.builds(
     SplitDecision,
     st.builds(GroupKey, st.sampled_from(Task), st.sampled_from(QuestionType)),
-    _TRICKY,
+    TRICKY,
     st.sampled_from(SplitLabel),
     st.sampled_from(SplitRule),
 )
@@ -289,7 +272,7 @@ def _assignments(draw):
     ``read_splits``."""
     pool = draw(st.lists(_DECISION, min_size=1, max_size=3))
     return {sid: draw(st.sampled_from(pool))
-            for sid in draw(st.lists(_TRICKY, max_size=12, unique=True))}
+            for sid in draw(st.lists(TRICKY, max_size=12, unique=True))}
 
 
 class TestWriteSplits:
@@ -299,20 +282,20 @@ class TestWriteSplits:
         """Same bytes, or the same error after the same bytes, with a lone
         surrogate at any row, on either side of a chunk boundary."""
         with mock.patch.object(splitting, "_CHUNK_LINES", chunk):
-            assert _written(write_splits, assignments) == _written(_write_per_row, assignments)
+            assert written(write_splits, assignments) == written(_write_per_row, assignments)
 
-    @pytest.mark.parametrize("bad_row", [None, 0, 4095, 4096, 8192])
+    @pytest.mark.parametrize("bad_row", [None, 0, 511, 512, 1024])
     def test_matches_a_per_row_writer_at_full_chunks(self, bad_row):
         group = GroupKey(Task.AVQA, QuestionType.COUNTING)
         head, tail = (SplitDecision(group, "two", label, SplitRule.GENERAL_THRESHOLD)
                       for label in SplitLabel)
-        rows = [(f"r{i}", (head, tail)[i % 2]) for i in range(2 * 4096 + 1)]
+        rows = [(f"r{i}", (head, tail)[i % 2]) for i in range(2 * 512 + 1)]
         if bad_row is not None:
             rows[bad_row] = 'q"\ud800', tail
         assignments = dict(rows)
-        assert splitting._CHUNK_LINES == 4096
-        got = _written(write_splits, assignments)
-        assert got == _written(_write_per_row, assignments)
+        assert splitting._CHUNK_LINES == 512
+        got = written(write_splits, assignments)
+        assert got == written(_write_per_row, assignments)
         assert got[0].count(b"\n") == (len(assignments) if bad_row is None else bad_row)
 
 

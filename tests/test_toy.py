@@ -1,3 +1,4 @@
+import math
 import os
 import statistics
 import sys
@@ -15,14 +16,16 @@ from hypothesis.extra import numpy as hnp
 
 from avqa_debias import losses, toy
 from avqa_debias.losses import HEADS, LossError, MccdConfig, Softmaxed, softmaxed
+from avqa_debias.data import QASample, QuestionType, Task
 from avqa_debias.serialize import read_model
-from avqa_debias.splitting import SplitLabel, answer_distribution
+from avqa_debias.splitting import SplitDecision, SplitLabel, SplitRule, answer_distribution
 from avqa_debias.toy import (
     AblationSpec,
     AblationVariant,
     SyntheticConfig,
     ToyError,
     ToyModel,
+    SyntheticData,
     ToySet,
     TrainConfig,
     Adam,
@@ -169,6 +172,73 @@ def ref_train(model, corpus, tcfg, spec=AblationSpec()):
     return history
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def ref_generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticData:
+    """``generate_synthetic`` as it was when it did all of a row's arithmetic
+    in its row loop; any change to its draws, their order or its float
+    operations gives other bits."""
+    rng = np.random.default_rng(cfg.seed)
+    c, d = cfg.num_classes, cfg.feature_dim
+    if d < c:
+        raise ToyError("feature_dim must be at least num_classes for the shortcut channel")
+    n_video = 2
+    n_audio = math.ceil(c / n_video)
+    audio_protos = rng.choice([-1.0, 1.0], size=(n_audio, d))
+    video_protos = rng.choice([-1.0, 1.0], size=(n_video, d))
+    probs = toy._label_probs(c)
+
+    def _make_sample(sid: str, label: int) -> QASample:
+        return QASample(
+            id=sid,
+            task=Task.AVQA,
+            question_type=QuestionType.EXISTENTIAL,
+            question=f"synthetic probe {sid}",
+            answer=class_name(label),
+        )
+
+    def draw(n: int, prefix: str, regime: np.ndarray | None) -> ToySet:
+        labels = rng.choice(c, size=n, p=probs)
+        x = np.empty((3, n, d))
+        audio, video, question = x
+        qa = []
+        for i, label in enumerate(labels):
+            label = int(label)
+            audio[i] = audio_protos[label // n_video] + cfg.noise_scale * rng.standard_normal(d)
+            video[i] = video_protos[label % n_video] + cfg.noise_scale * rng.standard_normal(d)
+            if regime is None:
+                shortcut_ok = rng.random() < cfg.bias_strength
+            else:
+                shortcut_ok = bool(regime[i])
+            if shortcut_ok:
+                shortcut = label
+            else:
+                shortcut = int(rng.integers(c - 1))
+                if shortcut >= label:
+                    shortcut += 1
+            question[i] = 0.1 * rng.standard_normal(d)
+            question[i, shortcut] += 2.0
+            qa.append(_make_sample(f"{prefix}-{i:05d}", label))
+        if not np.isfinite(x).all():
+            raise ToyError(f"noise_scale {cfg.noise_scale} makes non-finite {prefix} features")
+        return ToySet(qa=qa, labels=labels.astype(np.int64), x=x)
+
+    train = draw(cfg.train_n, "train", regime=None)
+    head_mask = np.ones(cfg.test_n, dtype=bool)
+    n_tail = int(round(cfg.tail_fraction * cfg.test_n))
+    head_mask[:n_tail] = False
+    rng.shuffle(head_mask)
+    test = draw(cfg.test_n, "test", regime=head_mask)
+
+    group = test.qa[0].group  # every synthetic sample's
+    decisions = {
+        (answer, head): SplitDecision(group, answer, SplitLabel.HEAD if head else SplitLabel.TAIL,
+                                      SplitRule.GENERAL_THRESHOLD)
+        for answer in map(class_name, range(c)) for head in (True, False)
+    }
+    splits = {qa.id: decisions[qa.answer, head] for qa, head in zip(test.qa, head_mask.tolist())}
+    return SyntheticData(train=train, test=test, splits=splits)
+
+
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -216,6 +286,19 @@ class TestSyntheticConfig:
         assert SyntheticConfig(noise_scale=0.0).noise_scale == 0.0
 
 
+_SYNTH_CONFIGS = st.integers(2, 10).flatmap(lambda c: st.builds(
+    SyntheticConfig,
+    num_classes=st.just(c),
+    feature_dim=st.integers(c, 20),
+    train_n=st.integers(1, 300),
+    test_n=st.integers(1, 300),
+    bias_strength=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    tail_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    noise_scale=st.sampled_from([0.0, 3.0, 1e308]),
+    seed=st.integers(0, 2**32 - 1),
+))
+
+
 class TestGenerateSynthetic:
     def test_deterministic(self):
         a, b = small_data(), small_data()
@@ -253,6 +336,23 @@ class TestGenerateSynthetic:
         data = generate_synthetic(SyntheticConfig())
         dist = answer_distribution(data.train.qa)
         assert dist.normalized_entropy < 0.9
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=_SYNTH_CONFIGS)
+    @example(cfg=SyntheticConfig(train_n=300, test_n=300, bias_strength=0.5, tail_fraction=0.5))
+    def test_matches_the_row_by_row_generator(self, cfg):
+        """Feature bits, labels, samples and splits, or the overflow error,
+        are those of ``ref_generate_synthetic`` for the same settings."""
+
+        def generated(generate):
+            try:
+                made = generate(cfg)
+            except ToyError as exc:
+                return str(exc)
+            return ([(part.x.shape, part.x.tobytes(), part.labels.dtype, part.labels.tolist(),
+                      part.qa) for part in (made.train, made.test)], list(made.splits.items()))
+
+        assert generated(generate_synthetic) == generated(ref_generate_synthetic)
 
     def test_noise_that_overflows_is_a_toy_error(self):
         with warnings.catch_warnings():
