@@ -31,12 +31,14 @@ from avqa_debias.toy import (
 scfg = SyntheticConfig(train_n=2000, test_n=1000, seed=3)
 tcfg = TrainConfig(epochs=30, seed=3)
 
-# data.train and data.test are ToySets: QA records plus one label vector
-# and one (3, n, d) feature array, one (n, d) matrix per modality.
+# data.train and data.test are ToySets: a gold map of each sample id to
+# its (group, answer) record, as data.read_gold reads a corpus file, plus
+# one label vector and one (3, n, d) feature array, one (n, d) matrix per
+# modality.
 # data.splits maps each test sample id to its head or tail SplitDecision,
 # as splitting.assign_splits and read_splits do for a real corpus.
 data = generate_synthetic(scfg)
-answers = [s.answer for s in data.train.qa]
+answers = [answer for _, answer in data.train.gold.values()]
 print("training answer histogram:",
       {a: answers.count(a) for a in sorted(set(answers))})
 

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from operator import itemgetter
 from pathlib import Path
 
 from .config import (
@@ -33,9 +34,8 @@ from .config import (
 )
 from .data import (
     CorpusError,
-    QASample,
     parse_predictions,
-    parse_samples,
+    parse_samples,  # not called here; the benchmark's tracer looks it up in this module
     read_gold,
     read_jsonl,
     read_ranges,
@@ -190,7 +190,7 @@ def _synth_from_args(args) -> SyntheticConfig:
 
 def cmd_gen_synth(args) -> int:
     from . import serialize
-    from .toy import generate_synthetic
+    from .toy import corpus_rows, generate_synthetic
 
     cfg = _synth_from_args(args)
     data = generate_synthetic(cfg)
@@ -198,7 +198,7 @@ def cmd_gen_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for name, part in (("train", data.train), ("test", data.test)):
         with open(out / f"{name}.jsonl", "wb") as f:
-            write_samples(part.qa, f)
+            write_samples(corpus_rows(part), f)
         serialize.write_features(out / f"{name}.features", part.x)
     with open(out / "splits.jsonl", "wb") as f:
         write_splits(data.splits, f)
@@ -207,27 +207,30 @@ def cmd_gen_synth(args) -> int:
     return EXIT_OK
 
 
-def _labels(path: Path, qa: list[QASample], num_classes: int):
-    """The class index of each sample's answer. Only ``class_name(k)`` for
-    ``0 <= k < num_classes`` is an answer class: any other answer is a
-    CliError naming its line of the corpus file at ``path``, since the
-    predictions are written as ``class_name(k)`` and would never match it."""
+def _labels(path: Path, gold: dict, num_classes: int):
+    """The class index of each sample's answer, in ``gold`` order. Only
+    ``class_name(k)`` for ``0 <= k < num_classes`` is an answer class: any
+    other answer is a CliError naming the line of its first sample in the
+    corpus file at ``path``, since the predictions are written as
+    ``class_name(k)`` and would never match it."""
     import numpy as np
 
     from .toy import class_index, class_name
 
-    labels = np.empty(len(qa), dtype=np.int64)
-    for i, s in enumerate(qa):
+    index = {}  # each distinct answer, in the order of its first sample, to its class
+    for answer in dict.fromkeys(map(itemgetter(1), gold.values())):
         try:
-            k = class_index(s.answer)
+            k = class_index(answer)
         except ToyError:
             k = num_classes
         if k >= num_classes:
-            raise CliError(f"{path}: line {_line_of(path, s.id)}: answer {s.answer!r} is not "
+            sid = next(sid for sid, (_, a) in gold.items() if a == answer)
+            raise CliError(f"{path}: line {_line_of(path, sid)}: answer {answer!r} is not "
                            f"one of the {num_classes} answer classes {class_name(0)} to "
                            f"{class_name(num_classes - 1)}")
-        labels[i] = k
-    return labels
+        index[answer] = k
+    return np.fromiter(map(index.__getitem__, map(itemgetter(1), gold.values())), np.int64,
+                       len(gold))
 
 
 def _load_toy_corpus(data_dir: Path, name: str, synth_cfg: dict):
@@ -235,17 +238,17 @@ def _load_toy_corpus(data_dir: Path, name: str, synth_cfg: dict):
     from .toy import ToySet
 
     corpus_path = data_dir / f"{name}.jsonl"
-    [qa] = _parse_files(1, (parse_samples, corpus_path))
+    [gold] = _parse_files(1, (read_gold, corpus_path))
     path = data_dir / f"{name}.features"
     x = serialize.read_features(path)
     _, n, d = x.shape
-    if n != len(qa):
-        raise CliError(f"{path}: {n} feature rows, but {corpus_path} has {len(qa)} samples")
+    if n != len(gold):
+        raise CliError(f"{path}: {n} feature rows, but {corpus_path} has {len(gold)} samples")
     if d != synth_cfg["feature_dim"]:
         raise CliError(f"{path}: audio features are {d} wide, but feature_dim "
                        f"in {data_dir / 'synth_config.json'} is {synth_cfg['feature_dim']}")
-    labels = _labels(corpus_path, qa, synth_cfg["num_classes"])
-    return ToySet(qa=qa, labels=labels, x=x)
+    labels = _labels(corpus_path, gold, synth_cfg["num_classes"])
+    return ToySet(gold=gold, labels=labels, x=x)
 
 
 def _read_synth_config(path: Path) -> dict:
@@ -277,7 +280,7 @@ def cmd_train_toy(args) -> int:
         raise CliError(f"{data_dir / 'train.jsonl'}: no samples to train on")
     test_set = _load_toy_corpus(data_dir, "test", synth_cfg)
     [splits] = _parse_files(1, (read_splits, data_dir / "splits.jsonl"))
-    _score(test_set.qa, splits, {}, data_dir / "splits.jsonl")  # a bad split fails before training
+    _score(test_set.gold, splits, {}, data_dir / "splits.jsonl")  # a bad split fails before training
 
     spec = AblationSpec(variant=AblationVariant(args.variant))
     tcfg = _train_from_args(args, args.alpha, args.beta)

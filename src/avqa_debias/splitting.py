@@ -21,9 +21,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress
 from json.encoder import encode_basestring
-from typing import IO, NamedTuple
+from typing import IO, Iterable, NamedTuple
 
 from .data import (
     GROUP_KEYS,
@@ -37,6 +37,7 @@ from .data import (
     as_gold,
     group_samples,  # not called here; the benchmark's tracer looks it up in this module
     read_id_rows,
+    write_lines,
 )
 
 
@@ -52,11 +53,6 @@ class SplitRule(IdentityEnum):
 
 _LABELS = {m.value: m for m in SplitLabel}
 _RULES = {m.value: m for m in SplitRule}
-
-
-# Lines per write of ``write_splits``. A chunk's lines, text and bytes are
-# alive at once; 512 lines keep that small and cost no more time than 4,096.
-_CHUNK_LINES = 512
 
 
 class SplitError(ValueError):
@@ -228,40 +224,31 @@ def assign_splits(
 
 
 def write_splits(assignments: dict[str, SplitDecision], stream: IO[bytes]) -> None:
-    """Write a map of sample ids to decisions as JSONL, in map order: id,
-    task, question_type, answer, split, rule.
+    """Write a map of sample ids to decisions as JSONL, in map order, by
+    ``data.write_lines``: id, task, question_type, answer, split, rule.
 
     Each line is the text ``json.dumps(obj, ensure_ascii=False)`` gives for
     the row's object. The fields after ``id`` are encoded once per decision,
-    and the id by the string encoder ``json.dumps`` uses. The lines go out
-    ``_CHUNK_LINES`` per write, each chunk joined and encoded to UTF-8 once.
-    A chunk that cannot be encoded (a lone surrogate) is written from its
-    list of lines, not by splitting its text, which U+2028 would break, so
-    its bad line raises after the lines before it, as from a per-row writer.
+    and the id by the string encoder ``json.dumps`` uses.
     """
     suffixes: dict[SplitDecision, str] = {}
-    rows = iter(assignments.items())
-    for _ in range(0, len(assignments), _CHUNK_LINES):
-        lines: list[str] = []
-        for sid, decision in islice(rows, _CHUNK_LINES):
-            suffix = suffixes.get(decision)
-            if suffix is None:
-                group, answer, label, rule = decision
-                suffix = suffixes[decision] = json.dumps({
-                    "task": group.task.value,
-                    "question_type": group.question_type.value,
-                    "answer": answer,
-                    "split": label.value,
-                    "rule": rule.value,
-                }, ensure_ascii=False)[1:]
-            lines.append(f'{{"id": {encode_basestring(sid)}, {suffix}\n')
-        try:
-            text = "".join(lines).encode("utf-8")
-        except UnicodeEncodeError:
-            for line in lines:  # the bad line raises, after the lines before it
-                stream.write(line.encode("utf-8"))
-            raise
-        stream.write(text)
+
+    def suffix(decision: SplitDecision) -> str:
+        group, answer, label, rule = decision
+        suffixes[decision] = text = json.dumps({
+            "task": group.task.value,
+            "question_type": group.question_type.value,
+            "answer": answer,
+            "split": label.value,
+            "rule": rule.value,
+        }, ensure_ascii=False)[1:]
+        return text
+
+    def lines(chunk: Iterable[tuple[str, SplitDecision]]) -> list[str]:
+        return [f'{{"id": {encode_basestring(sid)}, {suffixes.get(d) or suffix(d)}\n'
+                for sid, d in chunk]
+
+    write_lines(assignments.items(), lines, stream)
 
 
 def _decision(obj: dict) -> SplitDecision:

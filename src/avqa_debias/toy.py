@@ -8,11 +8,11 @@ are the head regime; samples where it disagrees are the tail regime. A
 model that memorizes the question shortcut aces the head and fails the
 tail, which is exactly what the debiasing objective is meant to prevent.
 
-A corpus is a ``ToySet``: the ``QASample`` records, one int64 label
-vector, and the features of all three modalities as one (3, n, d)
-float64 array in ``MODALITIES`` order. That array is the one form the
-features take from the generator through the features file to training,
-and a minibatch is one row selection of it.
+A corpus is a ``ToySet``: the map of each id to its ``(GroupKey,
+answer)`` record, one int64 label vector, and the features of all three
+modalities as one (3, n, d) float64 array in ``MODALITIES`` order. That
+array is the one form the features take from the generator through the
+features file to training, and a minibatch is one row selection of it.
 
 The classifier is a small numpy network: one affine+ramp encoder per
 modality, an affine fusion head producing the answer logits, and one
@@ -48,12 +48,14 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
 from .config import UNIMODAL, AblationSpec, SyntheticConfig, ToyError, TrainConfig
 from .config import AblationVariant  # noqa: F401  (callers import it from here)
-from .data import QASample, QuestionType, Task
+from .data import GroupKey, QuestionType, Task
 from .losses import check_labels, softmaxed, training_components_stacked
 # Not called here: perfbench/trace_cli.py wraps these names of this module.
 from .losses import answer_loss, joint_components_stacked  # noqa: F401
@@ -76,27 +78,30 @@ def class_index(name: str) -> int:
 
 @dataclass(frozen=True)
 class ToySet:
-    """A toy corpus as arrays: row i of each array belongs to ``qa[i]``.
+    """A toy corpus as arrays: row i of each array belongs to the i-th id of
+    ``gold``.
 
-    ``labels`` is an int64 vector of answer-class indices; ``x`` is the
-    (3, n, d) float64 feature array, one (n, d) matrix per modality in
-    ``ToyModel.MODALITIES`` order, as a features file stores it, so ``x[i]``
-    is modality i's matrix.
+    ``gold`` maps each sample id, in row order, to its ``(GroupKey,
+    answer)`` record, as ``data.read_gold`` reads a corpus file and
+    ``score_predictions`` takes it. ``labels`` is an int64 vector of
+    answer-class indices; ``x`` is the (3, n, d) float64 feature array, one
+    (n, d) matrix per modality in ``ToyModel.MODALITIES`` order, as a
+    features file stores it, so ``x[i]`` is modality i's matrix.
     """
 
-    qa: list[QASample]
+    gold: dict[str, tuple[GroupKey, str]]
     labels: np.ndarray
     x: np.ndarray
 
     def __post_init__(self):
-        n = len(self.qa)
+        n = len(self.gold)
         if self.labels.shape != (n,):
             raise ToyError(f"labels have shape {self.labels.shape}, expected ({n},)")
         if self.x.ndim != 3 or self.x.shape[:2] != (3, n):
             raise ToyError(f"features have shape {self.x.shape}, expected (3, {n}, d)")
 
     def __len__(self) -> int:
-        return len(self.qa)
+        return len(self.gold)
 
 
 # Answer-class skew for the synthetic corpus; geometric decay keeps the
@@ -110,7 +115,9 @@ def _label_probs(num_classes: int) -> np.ndarray:
     return w / w.sum()
 
 
-# Rows per prototype gather in ``generate_synthetic``, so no (n, d) gather is held.
+# Rows per block of ``generate_synthetic``: the most rows its row-major
+# scratch of normals and its prototype gathers hold, so that neither is
+# (n, d).
 _PROTO_ROWS = 256
 
 
@@ -135,8 +142,15 @@ def generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticDat
 
     The result depends on ``cfg`` alone. A row draws its audio and video
     normals, a training row's shortcut uniform, an integer when the
-    shortcut disagrees, and its question normals, in that order, into the
-    feature array; the arithmetic on them then runs over blocks of rows.
+    shortcut disagrees, and its question normals, in that order. Each run
+    of normals with no other draw between them, such as a training row's
+    question and the next row's audio and video, is drawn by one call into
+    a row-major scratch block of at most ``_PROTO_ROWS`` rows; the
+    arithmetic then runs on the block as it goes into the feature array.
+
+    Each part's ``gold`` maps its ids, ``train-00000`` on, to one shared
+    ``(GroupKey, answer)`` record per answer class; ``corpus_rows`` gives
+    the rows ``gen-synth`` writes.
     """
     rng = np.random.default_rng(cfg.seed)
     c, d = cfg.num_classes, cfg.feature_dim
@@ -150,48 +164,67 @@ def generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> SyntheticDat
     names = [class_name(k) for k in range(c)]
     normal, uniform, integers = rng.standard_normal, rng.random, rng.integers
 
-    def draw(n: int, prefix: str, regime: list[bool] | None) -> ToySet:
+    group = GroupKey(Task.AVQA, QuestionType.EXISTENTIAL)  # every synthetic sample's
+    records = [(group, name) for name in names]  # one per answer class, shared by its rows
+
+    def draw(n: int, prefix: str, heads: np.ndarray | None) -> ToySet:
         labels = rng.choice(c, size=n, p=probs)
+        label_of = labels.tolist()
         x = np.empty((3, n, d))
-        audio, video, question = x
         shortcuts = labels.copy()
-        for i, label in enumerate(labels.tolist()):
-            normal(out=audio[i])
-            normal(out=video[i])
-            if not (uniform() < cfg.bias_strength if regime is None else regime[i]):
+        scratch = np.empty((min(n, _PROTO_ROWS), 3, d))  # each row's audio, video, question
+        for start in range(0, n, _PROTO_ROWS):
+            rows = scratch[: n - start]
+            stop = start + len(rows)
+            normals, done = rows.reshape(-1), 0
+            # Row j's other draws come between its video and its question
+            # normals: every training row's uniform, and a test row's
+            # integer when it is a tail.
+            others = (range(len(rows)) if heads is None
+                      else np.flatnonzero(~heads[start:stop]).tolist())
+            for j in others:
+                cut = (3 * j + 2) * d
+                normal(out=normals[done:cut])
+                done = cut
+                if heads is None and uniform() < cfg.bias_strength:
+                    continue
                 shortcut = int(integers(c - 1))
-                shortcuts[i] = shortcut + (shortcut >= label)
-            normal(out=question[i])
-        audio *= cfg.noise_scale
-        video *= cfg.noise_scale
-        for rows in range(0, n, _PROTO_ROWS):
-            block = labels[rows : rows + _PROTO_ROWS]
-            audio[rows : rows + _PROTO_ROWS] += audio_protos[block // n_video]
-            video[rows : rows + _PROTO_ROWS] += video_protos[block % n_video]
-        question *= 0.1
-        question[np.arange(n), shortcuts] += 2.0
+                shortcuts[start + j] = shortcut + (shortcut >= label_of[start + j])
+            normal(out=normals[done:])
+            block = labels[start:stop]
+            audio, video, question = x[:, start:stop]
+            np.multiply(rows[:, 0], cfg.noise_scale, out=audio)
+            audio += audio_protos[block // n_video]
+            np.multiply(rows[:, 1], cfg.noise_scale, out=video)
+            video += video_protos[block % n_video]
+            np.multiply(rows[:, 2], 0.1, out=question)
+        x[2, np.arange(n), shortcuts] += 2.0
         if not np.isfinite(x).all():
             raise ToyError(f"noise_scale {cfg.noise_scale} makes non-finite {prefix} features")
-        qa = [QASample(sid, Task.AVQA, QuestionType.EXISTENTIAL, f"synthetic probe {sid}", names[k])
-              for sid, k in zip(map(f"{prefix}-{{:05d}}".format, range(n)), labels.tolist())]
-        return ToySet(qa=qa, labels=labels.astype(np.int64), x=x)
+        gold = dict(zip(map(f"{prefix}-{{:05d}}".format, range(n)),
+                        map(records.__getitem__, label_of)))
+        return ToySet(gold=gold, labels=labels.astype(np.int64), x=x)
 
-    train = draw(cfg.train_n, "train", regime=None)
+    train = draw(cfg.train_n, "train", heads=None)
     head_mask = np.ones(cfg.test_n, dtype=bool)
     n_tail = int(round(cfg.tail_fraction * cfg.test_n))
     head_mask[:n_tail] = False
     rng.shuffle(head_mask)
-    heads = head_mask.tolist()
-    test = draw(cfg.test_n, "test", regime=heads)
+    test = draw(cfg.test_n, "test", heads=head_mask)
 
-    group = test.qa[0].group  # every synthetic sample's
-    decisions = {
-        (answer, head): SplitDecision(group, answer, SplitLabel.HEAD if head else SplitLabel.TAIL,
-                                      SplitRule.GENERAL_THRESHOLD)
-        for answer in names for head in (True, False)
-    }
-    splits = {qa.id: decisions[qa.answer, head] for qa, head in zip(test.qa, heads)}
+    decisions = [SplitDecision(group, answer, label, SplitRule.GENERAL_THRESHOLD)
+                 for answer in names for label in (SplitLabel.TAIL, SplitLabel.HEAD)]
+    splits = dict(zip(test.gold,
+                      map(decisions.__getitem__, (2 * test.labels + head_mask).tolist())))
     return SyntheticData(train=train, test=test, splits=splits)
+
+
+def corpus_rows(part: ToySet) -> Iterator[tuple[str, tuple[GroupKey, str], str, None]]:
+    """The rows of a generated corpus as ``data.write_samples`` takes them:
+    each id of ``part.gold`` with its record, the question ``synthetic
+    probe <id>``, and no source id."""
+    gold = part.gold
+    return zip(gold, gold.values(), map("synthetic probe {}".format, gold), repeat(None))
 
 
 @dataclass
@@ -428,16 +461,17 @@ def train(
 
 
 def evaluate(model: ToyModel, test: ToySet, splits: dict[str, SplitDecision]) -> RobustnessReport:
-    """Score argmax answers of the fusion path under the given head/tail splits.
+    """Score argmax answers of the fusion path against ``test.gold`` under
+    the given head/tail splits.
     A non-finite logit, from a model whose last training step diverged after
     ``train``'s last loss check, is a ``ToyError``: its argmax would be scored."""
     with np.errstate(all="ignore"):
         logits = predict_logits(model, test)
     if not np.isfinite(logits).all():
         raise ToyError("non-finite test logits: the model diverged in its last training step")
-    answers = np.argmax(logits, axis=1)
-    preds = {qa.id: class_name(int(a)) for qa, a in zip(test.qa, answers)}
-    return score_predictions(test.qa, splits, preds)
+    names = [class_name(k) for k in range(logits.shape[1])]
+    preds = dict(zip(test.gold, map(names.__getitem__, np.argmax(logits, axis=1).tolist())))
+    return score_predictions(test.gold, splits, preds)
 
 
 def _acc_float(x) -> float | None:

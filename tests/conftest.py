@@ -17,6 +17,12 @@ def make_sample(
     return QASample(id=sid, task=task, question_type=qtype, question=question, answer=answer)
 
 
+def sample_rows(samples) -> list[tuple]:
+    """``samples`` as the rows ``write_samples`` takes: id, ``(group,
+    answer)``, question and source id."""
+    return [(s.id, (s.group, s.answer), s.question, s.source_id) for s in samples]
+
+
 def samples_from_counts(
     counts: dict[str, int],
     task: Task = Task.AVQA,

@@ -554,6 +554,30 @@ class TestGenSynthAndTrain:
             f"error: {data / name}: line 1: each line must be a JSON object\n"
         )
 
+    # The lines are those of the per-sample reader, parse_samples, that
+    # train-toy once read its corpora with; row 100 is past the first block.
+    @pytest.mark.parametrize("name, row", [
+        ("train.jsonl", 5), ("train.jsonl", 100), ("test.jsonl", 5), ("test.jsonl", 35)])
+    @pytest.mark.parametrize("change, problem", [
+        ({"id": "{part}-00001"}, "duplicate id '{part}-00001' (first seen on line 2)"),
+        (None, "malformed JSON: Expecting property name enclosed in double quotes"),
+        ({"answer": "c06"}, "answer 'c06' is not one of the 6 answer classes c00 to c05"),
+    ], ids=["duplicate", "malformed", "answer"])
+    def test_corpus_fault_is_the_same_line(self, tmp_path, name, row, change, problem):
+        data = tmp_path / "d"
+        shutil.copytree(TOY_GOLDEN / "synth", data)
+        part = name.split(".")[0]
+        lines = (data / name).read_bytes().splitlines(keepends=True)
+        lines[row - 1] = b"{not json\n" if change is None else json.dumps(
+            json.loads(lines[row - 1]) | {k: v.format(part=part) for k, v in change.items()}
+        ).encode() + b"\n"
+        (data / name).write_bytes(b"".join(lines))
+        proc = run_cli("train-toy", "--data", data, "--epochs", "1",
+                       "--output-dir", tmp_path / "run")
+        assert one_error_line(proc) == (
+            f"error: {data / name}: line {row}: {problem.format(part=part)}\n")
+        assert not (tmp_path / "run").exists()
+
 
 # SHA-256 of each file of gen-synth at the default settings, by seed.
 _DEFAULT_SYNTH_DIGESTS = {
@@ -724,9 +748,15 @@ class TestThreads:
         assert outputs[0] == outputs[1] == outputs[2]
         assert outputs[0][1]
 
-    @pytest.mark.parametrize("command", ["ablation", "grid"])
-    def test_negative_threads(self, tmp_path, command):
-        proc = run_cli("--threads", "-1", command, *self.SMALL, "--output-dir", tmp_path / "out")
+    # The flag is checked before any input is read, so score's files need not be valid.
+    @pytest.mark.parametrize("argv", [
+        ("ablation", *SMALL), ("grid", *SMALL), ("split", "--input", GOLDEN / "corpus.jsonl"),
+        ("score", "--gold", GOLDEN / "corpus.jsonl", "--splits", GOLDEN / "splits.jsonl",
+         "--preds", GOLDEN / "splits.jsonl"),
+    ], ids=["ablation", "grid", "split", "score"])
+    def test_negative_threads(self, tmp_path, argv):
+        out = () if argv[0] == "score" else ("--output-dir", tmp_path / "out")  # score writes none
+        proc = run_cli("--threads", "-1", *argv, *out)
         err = one_error_line(proc)
         assert err.startswith("error: --threads must be 0 (one worker per usable CPU) or positive")
         assert not (tmp_path / "out").exists()

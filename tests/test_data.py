@@ -40,7 +40,7 @@ from avqa_debias.splitting import (
     split_head_tail,
     write_splits,
 )
-from conftest import TRICKY, jsonl_stream, make_sample, written
+from conftest import TRICKY, jsonl_stream, make_sample, sample_rows, written
 
 
 class TestParseSamples:
@@ -52,7 +52,7 @@ class TestParseSamples:
         assert samples[0].source_id is None
         assert samples[1].source_id == "t1"
         out = io.BytesIO()
-        write_samples(samples, out)
+        write_samples(sample_rows(samples), out)
         assert out.getvalue() == tiny_corpus_bytes
 
     def test_blank_lines_are_skipped(self):
@@ -214,7 +214,7 @@ def test_clean_input_takes_the_fast_path(monkeypatch):
         for i in range(1_000)
     ]
     corpus_bytes, splits_bytes = io.BytesIO(), io.BytesIO()
-    write_samples(corpus, corpus_bytes)
+    write_samples(sample_rows(corpus), corpus_bytes)
     spellings = ["a", "b", "c", "b\t"]
     preds_bytes = b"".join(
         json.dumps({"id": s.id, "predicted_answer": spellings[i % 4]}).encode() + b"\n"
@@ -324,12 +324,12 @@ def test_gold_reader_decodes_the_first_row_of_each_answer(monkeypatch, reordered
     assert gold == {s.id: (s.group, s.answer) for s in parse_samples(io.BytesIO(data))}
 
 
-def test_id_row_memo_keeps_more_tails_that_repeat(monkeypatch):
+def _memo_keeps_tails(monkeypatch, distinct: int, rows: int) -> None:
     """read_splits decodes one row per (task, question_type, answer, split,
-    rule) tail when 1,500 tails, more than the memo's first 1,024 keys,
-    repeat in random order through 20,000 rows."""
+    rule) tail when ``distinct`` tails repeat in random order through
+    ``rows`` rows."""
     rng = random.Random(29)
-    tails = [rng.randrange(1_500) for _ in range(20_000)]
+    tails = [rng.randrange(distinct) for _ in range(rows)]
     data = b"".join(
         _id_row(f"s{i:05d}", f'"task": "AVQA", "question_type": "Counting", "answer": "a{t // 2}", '
                              f'"split": "{("head", "tail")[t % 2]}", "rule": "general_threshold"}}')
@@ -337,10 +337,21 @@ def test_id_row_memo_keeps_more_tails_that_repeat(monkeypatch):
     decodes = _counting_raw_decode(monkeypatch)
     splits = read_splits(io.BytesIO(data))
     monkeypatch.undo()
-    assert decodes["raw_decode"] == len(set(tails)) == 1_500
+    assert decodes["raw_decode"] == len(set(tails)) == distinct
     assert [(d.answer_class, d.label.value) for d in splits.values()] == [
         (f"a{t // 2}", ("head", "tail")[t % 2]) for t in tails]
     assert list(splits) == [f"s{i:05d}" for i in range(len(tails))]
+
+
+def test_id_row_memo_keeps_more_tails_that_repeat(monkeypatch):
+    """1,500 tails, more than the memo's first 1,024 keys, in 20,000 rows."""
+    _memo_keeps_tails(monkeypatch, 1_500, 20_000)
+
+
+def test_id_row_memo_keeps_tails_at_0_82_per_line(monkeypatch):
+    """3,000 tails in 100,000 rows: the memo reaches 1,024 keys at about
+    0.82 keys per line read, and keeps growing."""
+    _memo_keeps_tails(monkeypatch, 3_000, 100_000)
 
 
 def test_id_row_memo_stops_at_1024_tails_that_do_not_repeat(monkeypatch):
@@ -382,7 +393,7 @@ _TRICKY_SAMPLE = st.builds(QASample, TRICKY, st.sampled_from(Task), st.sampled_f
 def test_write_samples_matches_json_dumps(samples):
     """Every field quoted as ``json.dumps`` quotes it, and a lone surrogate
     raises the same error after the same lines."""
-    assert written(write_samples, samples) == written(_write_per_sample, samples)
+    assert written(write_samples, sample_rows(samples)) == written(_write_per_sample, samples)
 
 
 _BLOCK_READERS = {  # (reader, row i as written, row i in another shape)

@@ -21,7 +21,7 @@ from avqa_debias.scoring import (
     score_predictions,
 )
 from avqa_debias.splitting import SplitDecision, SplitLabel, SplitRule, read_splits, write_splits
-from conftest import make_sample
+from conftest import make_sample, sample_rows
 
 
 def decision(sample, label):
@@ -259,7 +259,7 @@ def _as_files(tmp_path_factory, gold, splits, preds) -> tuple:
     folder = tmp_path_factory.mktemp("scoring")
     paths = folder / "gold.jsonl", folder / "splits.jsonl", folder / "preds.jsonl"
     with open(paths[0], "wb") as f:
-        write_samples(gold, f)
+        write_samples(sample_rows(gold), f)
     with open(paths[1], "wb") as f:
         write_splits(splits, f)
     paths[2].write_bytes(b"".join(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from avqa_debias import splitting
+from avqa_debias import data as data_module
 from avqa_debias.data import CorpusError, GroupKey, QuestionType, Task
 from avqa_debias.splitting import (
     AnswerDistribution,
@@ -281,7 +281,7 @@ class TestWriteSplits:
     def test_matches_a_per_row_writer(self, assignments, chunk):
         """Same bytes, or the same error after the same bytes, with a lone
         surrogate at any row, on either side of a chunk boundary."""
-        with mock.patch.object(splitting, "_CHUNK_LINES", chunk):
+        with mock.patch.object(data_module, "_CHUNK_LINES", chunk):
             assert written(write_splits, assignments) == written(_write_per_row, assignments)
 
     @pytest.mark.parametrize("bad_row", [None, 0, 511, 512, 1024])
@@ -293,7 +293,7 @@ class TestWriteSplits:
         if bad_row is not None:
             rows[bad_row] = 'q"\ud800', tail
         assignments = dict(rows)
-        assert splitting._CHUNK_LINES == 512
+        assert data_module._CHUNK_LINES == 512
         got = written(write_splits, assignments)
         assert got == written(_write_per_row, assignments)
         assert got[0].count(b"\n") == (len(assignments) if bad_row is None else bad_row)

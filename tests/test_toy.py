@@ -6,6 +6,7 @@ import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,9 @@ from hypothesis.extra import numpy as hnp
 
 from avqa_debias import losses, toy
 from avqa_debias.losses import HEADS, LossError, MccdConfig, Softmaxed, softmaxed
-from avqa_debias.data import QASample, QuestionType, Task
+from avqa_debias.data import GroupKey, QuestionType, Task
 from avqa_debias.serialize import read_model
-from avqa_debias.splitting import SplitDecision, SplitLabel, SplitRule, answer_distribution
+from avqa_debias.splitting import SplitDecision, SplitLabel, SplitRule, assign_splits
 from avqa_debias.toy import (
     AblationSpec,
     AblationVariant,
@@ -187,20 +188,13 @@ def ref_generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> Syntheti
     video_protos = rng.choice([-1.0, 1.0], size=(n_video, d))
     probs = toy._label_probs(c)
 
-    def _make_sample(sid: str, label: int) -> QASample:
-        return QASample(
-            id=sid,
-            task=Task.AVQA,
-            question_type=QuestionType.EXISTENTIAL,
-            question=f"synthetic probe {sid}",
-            answer=class_name(label),
-        )
+    group = GroupKey(Task.AVQA, QuestionType.EXISTENTIAL)
 
     def draw(n: int, prefix: str, regime: np.ndarray | None) -> ToySet:
         labels = rng.choice(c, size=n, p=probs)
         x = np.empty((3, n, d))
         audio, video, question = x
-        qa = []
+        gold = {}
         for i, label in enumerate(labels):
             label = int(label)
             audio[i] = audio_protos[label // n_video] + cfg.noise_scale * rng.standard_normal(d)
@@ -217,10 +211,10 @@ def ref_generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> Syntheti
                     shortcut += 1
             question[i] = 0.1 * rng.standard_normal(d)
             question[i, shortcut] += 2.0
-            qa.append(_make_sample(f"{prefix}-{i:05d}", label))
+            gold[f"{prefix}-{i:05d}"] = group, class_name(label)
         if not np.isfinite(x).all():
             raise ToyError(f"noise_scale {cfg.noise_scale} makes non-finite {prefix} features")
-        return ToySet(qa=qa, labels=labels.astype(np.int64), x=x)
+        return ToySet(gold=gold, labels=labels.astype(np.int64), x=x)
 
     train = draw(cfg.train_n, "train", regime=None)
     head_mask = np.ones(cfg.test_n, dtype=bool)
@@ -229,13 +223,13 @@ def ref_generate_synthetic(cfg: SyntheticConfig = SyntheticConfig()) -> Syntheti
     rng.shuffle(head_mask)
     test = draw(cfg.test_n, "test", regime=head_mask)
 
-    group = test.qa[0].group  # every synthetic sample's
     decisions = {
         (answer, head): SplitDecision(group, answer, SplitLabel.HEAD if head else SplitLabel.TAIL,
                                       SplitRule.GENERAL_THRESHOLD)
         for answer in map(class_name, range(c)) for head in (True, False)
     }
-    splits = {qa.id: decisions[qa.answer, head] for qa, head in zip(test.qa, head_mask.tolist())}
+    splits = {sid: decisions[answer, head]
+              for (sid, (_, answer)), head in zip(test.gold.items(), head_mask.tolist())}
     return SyntheticData(train=train, test=test, splits=splits)
 
 
@@ -299,10 +293,15 @@ _SYNTH_CONFIGS = st.integers(2, 10).flatmap(lambda c: st.builds(
 ))
 
 
+# Tail fractions as near 0 and 1 as a corpus of under 5 * 10**8 test rows
+# can tell: no test row is a tail, or every one is.
+_NO_TAIL, _ALL_TAIL = 1e-9, 1 - 1e-9
+
+
 class TestGenerateSynthetic:
     def test_deterministic(self):
         a, b = small_data(), small_data()
-        assert [s.id for s in a.train.qa] == [s.id for s in b.train.qa]
+        assert a.train.gold == b.train.gold and a.test.gold == b.test.gold
         for p, q in ((a.train, b.train), (a.test, b.test)):
             assert np.array_equal(p.labels, q.labels)
             assert np.array_equal(p.x, q.x)
@@ -310,7 +309,7 @@ class TestGenerateSynthetic:
     def test_sizes_and_split_fractions(self):
         data = small_data()
         assert len(data.train) == 300 and len(data.test) == 200
-        assert list(data.splits) == [s.id for s in data.test.qa]
+        assert list(data.splits) == list(data.test.gold)
         tails = sum(1 for d in data.splits.values() if d.label is SplitLabel.TAIL)
         assert tails == round(0.3 * 200)
 
@@ -324,22 +323,33 @@ class TestGenerateSynthetic:
 
     def test_test_regime_matches_split_labels(self):
         data = small_data()
-        row = {s.id: i for i, s in enumerate(data.test.qa)}
+        row = {sid: i for i, sid in enumerate(data.test.gold)}
         for sid, d in data.splits.items():
             i = row[sid]
             agrees = int(np.argmax(data.test.x[2, i])) == data.test.labels[i]
             assert agrees == (d.label is SplitLabel.HEAD)
-            assert d[:2] == (data.test.qa[i].group, data.test.qa[i].answer)
+            assert d[:2] == data.test.gold[sid]
 
     def test_training_answers_are_splitter_compatible(self):
         # the planted skew keeps normalized entropy under the 0.9 cutoff
         data = generate_synthetic(SyntheticConfig())
-        dist = answer_distribution(data.train.qa)
-        assert dist.normalized_entropy < 0.9
+        [report] = assign_splits(data.train.gold).group_reports
+        assert report.retained and report.distribution.normalized_entropy < 0.9
 
     @settings(max_examples=300, deadline=None)
     @given(cfg=_SYNTH_CONFIGS)
     @example(cfg=SyntheticConfig(train_n=300, test_n=300, bias_strength=0.5, tail_fraction=0.5))
+    # One row, and one row either side of a scratch block, in each part;
+    # no shortcut and a shortcut on every training row; every test row a
+    # head (no tail row rounds up) and every one a tail.
+    @example(cfg=SyntheticConfig(train_n=1, test_n=1, bias_strength=0.0, tail_fraction=_NO_TAIL))
+    @example(cfg=SyntheticConfig(train_n=1, test_n=1, bias_strength=1.0, tail_fraction=_ALL_TAIL))
+    @example(cfg=SyntheticConfig(train_n=toy._PROTO_ROWS - 1, test_n=toy._PROTO_ROWS + 1,
+                                 bias_strength=0.0, tail_fraction=_ALL_TAIL))
+    @example(cfg=SyntheticConfig(train_n=toy._PROTO_ROWS + 1, test_n=toy._PROTO_ROWS - 1,
+                                 bias_strength=1.0, tail_fraction=_NO_TAIL))
+    @example(cfg=SyntheticConfig(train_n=2 * toy._PROTO_ROWS + 1, test_n=toy._PROTO_ROWS + 1,
+                                 bias_strength=0.9, tail_fraction=0.5))
     def test_matches_the_row_by_row_generator(self, cfg):
         """Feature bits, labels, samples and splits, or the overflow error,
         are those of ``ref_generate_synthetic`` for the same settings."""
@@ -350,7 +360,8 @@ class TestGenerateSynthetic:
             except ToyError as exc:
                 return str(exc)
             return ([(part.x.shape, part.x.tobytes(), part.labels.dtype, part.labels.tolist(),
-                      part.qa) for part in (made.train, made.test)], list(made.splits.items()))
+                      list(part.gold.items())) for part in (made.train, made.test)],
+                    list(made.splits.items()))
 
         assert generated(generate_synthetic) == generated(ref_generate_synthetic)
 
@@ -450,7 +461,8 @@ class TestForward:
     def test_predict_uses_only_fusion_path(self):
         data = small_data()
         model = ToyModel.initialize(6, 16, seed=0)
-        test = ToySet(data.test.qa[:20], data.test.labels[:20], data.test.x[:, :20])
+        test = ToySet(dict(islice(data.test.gold.items(), 20)), data.test.labels[:20],
+                      data.test.x[:, :20])
         before = predict_logits(model, test)
         # clobber every bias-learner parameter; inference must not move
         for name, arr in model.params.items():
@@ -510,13 +522,13 @@ class TestTrain:
         model = ToyModel.initialize(6, 16, seed=0)
         before = model.flat.copy()
         with pytest.raises(LossError, match=r"labels must lie in \[0, 6\)"):
-            train(model, ToySet(data.train.qa, labels, data.train.x), QUICK)
+            train(model, ToySet(data.train.gold, labels, data.train.x), QUICK)
         assert same_bits(model.flat, before)
 
     def test_empty_corpus(self):
         model = ToyModel.initialize(6, 16, seed=0)
         with pytest.raises(ToyError, match="empty"):
-            train(model, ToySet([], np.empty(0, np.int64), np.empty((3, 0, 16))), QUICK)
+            train(model, ToySet({}, np.empty(0, np.int64), np.empty((3, 0, 16))), QUICK)
 
     def test_loss_decreases(self):
         data = small_data()
