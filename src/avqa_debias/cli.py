@@ -2,18 +2,19 @@
 
 Subcommands: split, score, kappa, gen-synth, train-toy, gradcheck,
 ablation, grid. Exit codes: 0 success, 1 check failure (e.g. gradient
-tolerance exceeded), 2 usage or IO error.
+tolerance exceeded), 2 usage or IO error. For every subcommand, ``main``
+rejects a negative ``--threads`` or ``--seed`` and passes the worker count
+that ``--threads`` asks for as ``args.workers``.
 
 Only the subcommands that train (gen-synth, train-toy, gradcheck, ablation,
 grid) import numpy and the training modules, inside their own bodies; split,
-score and kappa load the standard library alone. The parser takes its
-defaults and choices from the stdlib-only records of ``config``.
+score and kappa load the standard library alone. The parser's defaults and
+choices come from the stdlib-only records of ``config`` and ``splitting``.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import datetime
 import json
 import math
@@ -33,7 +34,6 @@ from .config import (
     TrainConfig,
 )
 from .data import (
-    CorpusError,
     parse_predictions,
     parse_samples,  # not called here; the benchmark's tracer looks it up in this module
     read_gold,
@@ -64,21 +64,6 @@ EXIT_USAGE = 2
 
 class CliError(Exception):
     pass
-
-
-def _parse_files(workers: int, *jobs) -> list:
-    """``parse`` applied to the file at ``path``, for each ``(parse, path)`` of
-    ``jobs`` in turn, each regular file read in ``workers`` byte ranges on as
-    many processes (``data.read_ranges``); a CorpusError is prefixed with the
-    path of its file. The results and errors do not depend on ``workers``."""
-    results = []
-    with contextlib.closing(read_ranges(list(jobs), workers)) as reads:
-        for _, path in jobs:
-            try:
-                results.append(next(reads))
-            except CorpusError as exc:
-                raise CliError(f"{path}: {exc}") from None
-    return results
 
 
 def _read_json_object(path: Path) -> dict:
@@ -118,7 +103,7 @@ def _train_from_args(args, alpha: float, beta: float) -> TrainConfig:
 
 def cmd_split(args) -> int:
     cfg = SplitConfig(entropy_threshold=args.entropy_threshold, tail_factor=args.tail_factor)
-    [gold] = _parse_files(_workers_from_args(args), (read_gold, args.input))
+    [gold] = read_ranges([(read_gold, args.input)], args.workers)
     if not gold:
         raise CliError(f"{args.input}: empty corpus")
     result = assign_splits(gold, cfg)
@@ -146,9 +131,8 @@ def _score(gold, splits, preds, splits_path) -> RobustnessReport:
 
 
 def cmd_score(args) -> int:
-    gold, splits, preds = _parse_files(
-        _workers_from_args(args),
-        (read_gold, args.gold), (read_splits, args.splits), (parse_predictions, args.preds))
+    jobs = [(read_gold, args.gold), (read_splits, args.splits), (parse_predictions, args.preds)]
+    gold, splits, preds = read_ranges(jobs, args.workers)
     report = _score(gold, splits, preds, args.splits)
     fmt = "json" if args.format == "json" else "text-table"
     sys.stdout.buffer.write(render_report(report, fmt))
@@ -238,7 +222,7 @@ def _load_toy_corpus(data_dir: Path, name: str, synth_cfg: dict):
     from .toy import ToySet
 
     corpus_path = data_dir / f"{name}.jsonl"
-    [gold] = _parse_files(1, (read_gold, corpus_path))
+    [gold] = read_ranges([(read_gold, corpus_path)], 1)
     path = data_dir / f"{name}.features"
     x = serialize.read_features(path)
     _, n, d = x.shape
@@ -279,7 +263,7 @@ def cmd_train_toy(args) -> int:
     if not len(train_set):
         raise CliError(f"{data_dir / 'train.jsonl'}: no samples to train on")
     test_set = _load_toy_corpus(data_dir, "test", synth_cfg)
-    [splits] = _parse_files(1, (read_splits, data_dir / "splits.jsonl"))
+    [splits] = read_ranges([(read_splits, data_dir / "splits.jsonl")], 1)
     _score(test_set.gold, splits, {}, data_dir / "splits.jsonl")  # a bad split fails before training
 
     spec = AblationSpec(variant=AblationVariant(args.variant))
@@ -389,25 +373,31 @@ def _workers_from_args(args) -> int:
     return min(args.threads or usable, usable)
 
 
-def _ablation_rows(args, workers: int, arms: list[tuple[TrainConfig, AblationSpec]]) -> list[dict]:
-    """``ablation_run`` of ``arms`` over ``--seeds`` on ``workers`` workers.
+def _seed(item: str) -> int:
+    """The seed an item of ``--seeds`` gives: an integer, 0 or more."""
+    if (seed := int(item)) < 0:
+        raise ValueError(f"a seed must be 0 or positive, not {item!r}")
+    return seed
+
+
+def _ablation_rows(args, arms: list[tuple[TrainConfig, AblationSpec]]) -> list[dict]:
+    """``ablation_run`` of ``arms`` over ``--seeds`` on ``args.workers`` workers.
     Runs that stay in this process get one BLAS thread, as pool workers do."""
     from .toy import ablation_run, one_blas_thread
 
     scfg = _synth_from_args(args)
-    seeds = _parse_list(args, "seeds", int)
-    if min(workers, len(arms) * len(seeds)) == 1:
+    seeds = _parse_list(args, "seeds", _seed)
+    if min(args.workers, len(arms) * len(seeds)) == 1:
         one_blas_thread()
-    return ablation_run(scfg, arms, seeds, workers)
+    return ablation_run(scfg, arms, seeds, args.workers)
 
 
 def cmd_ablation(args) -> int:
     from .toy import render_ablation_table
 
-    workers = _workers_from_args(args)
     tcfg = _train_from_args(args, args.alpha, args.beta)
     arms = [(tcfg, AblationSpec(v)) for v in _parse_list(args, "variants", AblationVariant)]
-    rows = _ablation_rows(args, workers, arms)
+    rows = _ablation_rows(args, arms)
     report = {"schema_version": 1, "rows": rows}
     if args.output_dir:
         out = Path(args.output_dir)
@@ -421,17 +411,15 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    workers = _workers_from_args(args)
     alphas, betas = _parse_list(args, "alphas", float), _parse_list(args, "betas", float)
     cells = [(alpha, beta) for alpha in alphas for beta in betas]
     arms = [(_train_from_args(args, alpha, beta), AblationSpec()) for alpha, beta in cells]
-    rows = _ablation_rows(args, workers, arms)
+    rows = _ablation_rows(args, arms)
     lines = ["alpha,beta,median_head_acc,median_tail_acc,median_overall_acc"]
     for (alpha, beta), row in zip(cells, rows):
-        lines.append(
-            f"{alpha},{beta},{row['median_head_acc']:.4f},"
-            f"{row['median_tail_acc']:.4f},{row['median_overall_acc']:.4f}"
-        )
+        accs = (row[f"median_{part}_acc"] for part in ("head", "tail", "overall"))
+        cells = ("" if a is None else f"{a:.4f}" for a in accs)
+        lines.append(",".join([f"{alpha}", f"{beta}", *cells]))
     text = "\n".join(lines) + "\n"
     if args.output_dir:
         out = Path(args.output_dir)
@@ -479,13 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "them, and split and score read each input file in that many "
                              "byte ranges, one per process; 0 (the default) means one per "
                              "usable CPU, N at most N; outputs do not depend on it, and the "
-                             "other subcommands ignore it")
+                             "other subcommands only reject a negative value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("split", help="build head/tail splits from a corpus")
     p.add_argument("--input", required=True)
-    p.add_argument("--entropy-threshold", type=float, default=0.9)
-    p.add_argument("--tail-factor", type=float, default=1.2)
+    p.add_argument("--entropy-threshold", type=float, default=SplitConfig.entropy_threshold)
+    p.add_argument("--tail-factor", type=float, default=SplitConfig.tail_factor)
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_split)
 
@@ -553,6 +541,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        args.workers = _workers_from_args(args)
+        if args.seed < 0:
+            raise CliError(f"--seed must be 0 or positive, not {args.seed}")
         return args.func(args)
     # MemoryError: a size numpy refuses to allocate, such as --train-n 2**40
     except (CliError, OSError, ValueError, KeyError, MemoryError) as exc:

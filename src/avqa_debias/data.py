@@ -772,8 +772,8 @@ def _stop(workers: list) -> None:
         os.waitpid(pid, 0)
 
 
-def read_ranges(jobs: list[tuple[Callable[[IO[bytes]], T], object]], ranges: int) -> Iterator[T]:
-    """Yield ``parse(file)`` for each ``(parse, path)`` of ``jobs`` in turn,
+def read_ranges(jobs: list[tuple[Callable[[IO[bytes]], T], object]], ranges: int) -> list[T]:
+    """``parse(file)`` for each ``(parse, path)`` of ``jobs``, in job order,
     each regular file read in ``ranges`` byte ranges of whole lines.
 
     Range k starts just after the first newline at or past ``size * k /
@@ -788,14 +788,15 @@ def read_ranges(jobs: list[tuple[Callable[[IO[bytes]], T], object]], ranges: int
     so any error is the one the whole-file read raises; so is an error in
     range 0, which begins the file. The remaining files are then read
     whole, as is a file that is not a regular file (a FIFO, a terminal).
-    Without ``os.fork``, or with one range, each file is read whole. The
-    generator is lazy: close it to stop the workers; every worker is
-    reaped on every path. The workers run only the readers, which are
-    pure Python, so no thread of the parent (a BLAS pool) is needed after
-    the fork.
+    Without ``os.fork``, or with one range, each file is read whole. A
+    CorpusError is raised again with the path of its file and ``: `` before
+    its text. Every worker is reaped before this returns or raises. The
+    workers run only the readers, which are pure Python, so no thread of
+    the parent (a BLAS pool) is needed after the fork.
     """
     sizes = [_regular_size(path) for _, path in jobs]
     workers: list[tuple[int, IO[bytes]]] = []
+    results = []
     try:
         ranges = ranges if hasattr(os, "fork") and any(s is not None for s in sizes) else 1
         for k in range(1, ranges):
@@ -813,7 +814,7 @@ def read_ranges(jobs: list[tuple[Callable[[IO[bytes]], T], object]], ranges: int
             workers.append((pid, open(r, "rb")))
         for (parse, path), size in zip(jobs, sizes):
             if size is None or not workers:
-                yield _read(parse, path, size, 0, 1)
+                results.append(_read(parse, path, size, 0, 1))
                 continue
             rows = _read(parse, path, size, 0, ranges)
             try:
@@ -828,6 +829,9 @@ def read_ranges(jobs: list[tuple[Callable[[IO[bytes]], T], object]], ranges: int
                 rows = None
                 _stop(workers)
                 rows = _read(parse, path, size, 0, 1)
-            yield rows
+            results.append(rows)
+        return results
+    except CorpusError as exc:  # only a read raises one, so ``path`` is its file's
+        raise CorpusError(f"{path}: {exc}") from None
     finally:
         _stop(workers)

@@ -556,13 +556,19 @@ def ablation_run(
         {
             "variant": spec.variant.value,
             "seeds": list(seeds),
-            "median_head_acc": statistics.median(r["head_acc"] for r in runs),
-            "median_tail_acc": statistics.median(r["tail_acc"] for r in runs),
-            "median_overall_acc": statistics.median(r["overall_acc"] for r in runs),
+            "median_head_acc": _median([r["head_acc"] for r in runs]),
+            "median_tail_acc": _median([r["tail_acc"] for r in runs]),
+            "median_overall_acc": _median([r["overall_acc"] for r in runs]),
             "runs": runs,
         }
         for (_, spec), runs in zip(arms, runs_by_arm)
     ]
+
+
+def _median(accs: list[float | None]) -> float | None:
+    """The median of an arm's accuracies; None if the test split has no such
+    row. Its row counts depend on the config alone, so then every run has None."""
+    return None if None in accs else statistics.median(accs)
 
 
 def _map_tasks(tasks: list[tuple], workers: int) -> list[dict]:
@@ -615,13 +621,11 @@ def one_blas_thread() -> None:
 
 
 def render_ablation_table(rows: list[dict]) -> str:
+    """The medians of ``ablation_run``'s rows in percent; an absent one is ``--``."""
     header = f"| {'Variant':<12} | {'H':>7} | {'T':>7} | {'Avg.':>7} |"
     out = [header, "|" + "-" * (len(header) - 2) + "|"]
     for row in rows:
-        out.append(
-            f"| {row['variant']:<12} "
-            f"| {row['median_head_acc'] * 100:7.2f} "
-            f"| {row['median_tail_acc'] * 100:7.2f} "
-            f"| {row['median_overall_acc'] * 100:7.2f} |"
-        )
+        accs = (row[f"median_{part}_acc"] for part in ("head", "tail", "overall"))
+        cells = ("--" if a is None else f"{a * 100:.2f}" for a in accs)
+        out.append(f"| {row['variant']:<12} | " + " | ".join(f"{c:>7}" for c in cells) + " |")
     return "\n".join(out) + "\n"

@@ -28,6 +28,7 @@ from avqa_debias.config import (
     TrainConfig,
 )
 from avqa_debias.data import QASample, parse_samples
+from avqa_debias.splitting import SplitConfig
 from conftest import exit_in_worker
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -696,6 +697,39 @@ class TestAblationCommand:
         assert printed == saved
         assert saved["rows"][0]["variant"] == "baseline"
 
+    # One test row, a tail, so no head row; then 2,000 test rows and no tail.
+    @pytest.mark.parametrize("split_argv, absent", [
+        (("--test-n", "1", "--tail-fraction", "0.6"), "head"),
+        (("--tail-fraction", "0.0002"), "tail"),
+    ], ids=["no-head", "no-tail"])
+    def test_absent_median(self, split_argv, absent):
+        """A test split with no head (or no tail) row has no head (tail)
+        accuracy in any run, so its median is absent: ``--`` in the table,
+        ``null`` in JSON and an empty field in grid's CSV, at any --threads.
+        It was a traceback."""
+        small = (*split_argv, "--seeds", "0,1", "--train-n", "50", "--epochs", "1")
+        outputs = []
+        for threads in ("1", "2"):
+            procs = [run_cli("--threads", threads, *argv, *small) for argv in (
+                ("ablation", "--variants", "full,baseline"),
+                ("ablation", "--variants", "full,baseline", "--format", "json"),
+                ("grid", "--alphas", "0.1", "--betas", "0.3,1.0"))]
+            for proc in procs:
+                assert (proc.returncode, proc.stderr) == (EXIT_OK, b""), proc.stderr.decode()
+            outputs.append([proc.stdout.decode() for proc in procs])
+        assert outputs[0] == outputs[1]
+        table, report, csv = outputs[0]
+        column = {"head": 0, "tail": 1}[absent]
+        cells = [line.split("|")[2:5] for line in table.splitlines()[2:]]
+        assert len(cells) == 2
+        assert all(row[column].strip() == "--" and row[2].strip() != "--" for row in cells)
+        for row in json.loads(report)["rows"]:
+            assert row[f"median_{absent}_acc"] is None
+            assert isinstance(row["median_overall_acc"], float)
+        fields = [line.split(",")[2:] for line in csv.splitlines()[1:]]
+        assert len(fields) == 2
+        assert all(row[column] == "" and row[2] != "" for row in fields)
+
 
 class TestGridCommand:
     def test_csv(self, tmp_path, capsys):
@@ -748,17 +782,26 @@ class TestThreads:
         assert outputs[0] == outputs[1] == outputs[2]
         assert outputs[0][1]
 
-    # The flag is checked before any input is read, so score's files need not be valid.
+    # Every subcommand checks the flag before it reads any input, so score's
+    # files need not be valid. ``OUT`` is an output directory, ``VOTES`` a
+    # valid vote table.
     @pytest.mark.parametrize("argv", [
-        ("ablation", *SMALL), ("grid", *SMALL), ("split", "--input", GOLDEN / "corpus.jsonl"),
+        ("ablation", *SMALL, "--output-dir", "OUT"), ("grid", *SMALL, "--output-dir", "OUT"),
+        ("split", "--input", GOLDEN / "corpus.jsonl", "--output-dir", "OUT"),
         ("score", "--gold", GOLDEN / "corpus.jsonl", "--splits", GOLDEN / "splits.jsonl",
          "--preds", GOLDEN / "splits.jsonl"),
-    ], ids=["ablation", "grid", "split", "score"])
+        ("gen-synth", "--train-n", "20", "--test-n", "10", "--output-dir", "OUT"),
+        ("train-toy", "--data", TOY_GOLDEN / "synth", "--epochs", "1", "--output-dir", "OUT"),
+        ("kappa", "--votes", "VOTES"), ("gradcheck", "--classes", "4", "--batch", "2"),
+    ], ids=["ablation", "grid", "split", "score", "gen-synth", "train-toy", "kappa", "gradcheck"])
     def test_negative_threads(self, tmp_path, argv):
-        out = () if argv[0] == "score" else ("--output-dir", tmp_path / "out")  # score writes none
-        proc = run_cli("--threads", "-1", *argv, *out)
+        votes = tmp_path / "votes.json"
+        votes.write_text('{"raters": 3, "rows": [[3, 0], [2, 1]]}')
+        argv = [{"OUT": tmp_path / "out", "VOTES": votes}.get(a, a) for a in argv]
+        proc = run_cli("--threads", "-1", *argv)
         err = one_error_line(proc)
         assert err.startswith("error: --threads must be 0 (one worker per usable CPU) or positive")
+        assert proc.stdout == b""
         assert not (tmp_path / "out").exists()
 
     def test_worker_error_is_the_same_line(self):
@@ -1071,10 +1114,26 @@ class TestSettingsRejected:
         ("grid", "--alphas", "0.1,x", "x"),
         ("grid", "--betas", "1/2", "1/2"),
         ("grid", "--seeds", "1.5", "1.5"),
+        # a negative seed was numpy's "expected non-negative integer", which names no flag
+        ("ablation", "--seeds", "0,-1", "-1"),
+        ("grid", "--seeds", "-2", "-2"),
     ])
     def test_unparsed_list_value(self, command, flag, value, item):
         err = one_error_line(run_cli(command, f"{flag}={value}", "--train-n", "20", "--epochs", "1"))
         assert err.startswith(f"error: {flag}: ") and repr(item) in err
+
+    @pytest.mark.parametrize("argv", [
+        ("gen-synth", "--train-n", "20", "--test-n", "10", "--output-dir", "OUT"),
+        ("train-toy", "--data", TOY_GOLDEN / "synth", "--epochs", "1", "--output-dir", "OUT"),
+        ("gradcheck", "--classes", "4", "--batch", "2"),
+        ("ablation", "--seeds", "0", "--train-n", "20", "--epochs", "1", "--output-dir", "OUT"),
+    ], ids=["gen-synth", "train-toy", "gradcheck", "ablation"])
+    def test_negative_seed(self, tmp_path, argv):
+        # it was numpy's "expected non-negative integer", which names no flag
+        proc = run_cli("--seed", "-1", *(tmp_path / "out" if a == "OUT" else a for a in argv))
+        assert one_error_line(proc) == "error: --seed must be 0 or positive, not -1\n"
+        assert proc.stdout == b""
+        assert not (tmp_path / "out").exists()
 
 
 class TestUsage:
@@ -1273,8 +1332,8 @@ def _choices(name: str, dest: str) -> list:
 
 
 def test_parser_defaults_are_the_config_defaults():
-    """With no flags, each subcommand that trains builds the library's default
-    configs; the parser holds no second copy of a default or a choice."""
+    """With no flags, split and each subcommand that trains build the library's
+    default configs; the parser holds no second copy of a default or a choice."""
     parse = cli.build_parser().parse_args
     for argv in (["gen-synth", "--output-dir", "o"], ["ablation"], ["grid"]):
         assert cli._synth_from_args(parse(argv)) == SyntheticConfig(), argv
@@ -1283,6 +1342,8 @@ def test_parser_defaults_are_the_config_defaults():
         assert cli._train_from_args(args, args.alpha, args.beta) == TrainConfig(), argv
     grid = parse(["grid"])  # --alpha and --beta are swept, not flags
     assert cli._train_from_args(grid, MccdConfig.alpha, MccdConfig.beta) == TrainConfig()
+    split = parse(["split", "--input", "c"])
+    assert SplitConfig(split.entropy_threshold, split.tail_factor) == SplitConfig()
     gradcheck = parse(["gradcheck"])
     assert cli._mccd_from_args(gradcheck, gradcheck.alpha, gradcheck.beta) == MccdConfig()
     assert gradcheck.classes == 10  # its own default, not SyntheticConfig's

@@ -1,4 +1,3 @@
-import contextlib
 import enum
 import io
 import json
@@ -1035,12 +1034,15 @@ _EIGHT = [_row_of_every_file(f"r{i}", "yes", "head", "yes") for i in range(8)]
 
 def _read_in_ranges(reader, path, ranges: int):
     """What ``reader`` gives for the file at ``path`` through ``read_ranges`` in
-    ``ranges`` ranges, or the text of the CorpusError it raises."""
-    with contextlib.closing(read_ranges([(reader, path)], ranges)) as reads:
-        try:
-            return next(reads), None
-        except CorpusError as exc:
-            return None, str(exc)
+    ``ranges`` ranges, or the text of the CorpusError it raises, after the
+    ``path: `` that must begin it."""
+    try:
+        [parsed] = read_ranges([(reader, path)], ranges)
+    except CorpusError as exc:
+        prefix, text = f"{path}: ", str(exc)
+        assert text.startswith(prefix), text
+        return None, text[len(prefix):]
+    return parsed, None
 
 
 @pytest.mark.parametrize("reader", [read_gold, read_splits, parse_predictions])

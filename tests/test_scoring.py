@@ -1,4 +1,3 @@
-import contextlib
 import io
 import json
 import random
@@ -287,8 +286,7 @@ class TestScoreAgainstReference:
                 scored = gold, read_splits(io.BytesIO(paths[1].read_bytes())), preds
             else:
                 jobs = list(zip([read_gold, read_splits, parse_predictions], paths))
-                with contextlib.closing(read_ranges(jobs, 2)) as reads:
-                    scored = tuple(reads)
+                scored = tuple(read_ranges(jobs, 2))
                 assert scored[2] == preds
         elif form == "by_hand":
             scored = {s.id: (s.group, s.answer) for s in gold}, splits, preds
