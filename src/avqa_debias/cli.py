@@ -10,6 +10,11 @@ Only the subcommands that train (gen-synth, train-toy, gradcheck, ablation,
 grid) import numpy and the training modules, inside their own bodies; split,
 score and kappa load the standard library alone. The parser's defaults and
 choices come from the stdlib-only records of ``config`` and ``splitting``.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS=1``, whatever the caller's
+environment holds: every process of a training subcommand, its forked pool
+workers included, computes with one OpenBLAS thread, since on the toy
+network's small matmuls a second one only spins and allocates buffers.
 """
 
 from __future__ import annotations
@@ -56,6 +61,13 @@ from .splitting import (
     read_splits,
     write_splits,
 )
+
+# OpenBLAS reads this once, when numpy loads, and this module loads numpy
+# only in a training subcommand's body. Set on import, not in ``main``, so
+# that the benchmark's tracer, which imports this module before numpy, keeps
+# a plain run's BLAS state; assigned, not defaulted, so that the caller's
+# environment cannot change it.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -251,7 +263,7 @@ def _read_synth_config(path: Path) -> dict:
 
 def cmd_train_toy(args) -> int:
     from . import serialize
-    from .toy import ToyModel, evaluate, one_blas_thread, train
+    from .toy import ToyModel, evaluate, train
 
     data_dir = Path(args.data)
     if not data_dir.is_dir():
@@ -268,7 +280,6 @@ def cmd_train_toy(args) -> int:
 
     spec = AblationSpec(variant=AblationVariant(args.variant))
     tcfg = _train_from_args(args, args.alpha, args.beta)
-    one_blas_thread()
     model = ToyModel.initialize(
         num_classes=synth_cfg["num_classes"],
         feature_dim=synth_cfg["feature_dim"],
@@ -313,6 +324,10 @@ def cmd_gradcheck(args) -> int:
     for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
         if not (math.isfinite(value) and value > 0):
             raise CliError(f"{flag} must be finite and positive, not {value}")
+    # with one class every gradient is 0, and the check compares nothing
+    for flag, value, least in (("--classes", args.classes, 2), ("--batch", args.batch, 1)):
+        if value < least:
+            raise CliError(f"{flag} must be at least {least}, not {value}")
     rng = np.random.default_rng(args.seed)
     batch = [
         LogitBundle(*(rng.standard_normal(args.classes) * 3.0 for _ in range(4)))
@@ -381,14 +396,11 @@ def _seed(item: str) -> int:
 
 
 def _ablation_rows(args, arms: list[tuple[TrainConfig, AblationSpec]]) -> list[dict]:
-    """``ablation_run`` of ``arms`` over ``--seeds`` on ``args.workers`` workers.
-    Runs that stay in this process get one BLAS thread, as pool workers do."""
-    from .toy import ablation_run, one_blas_thread
+    """``ablation_run`` of ``arms`` over ``--seeds`` on ``args.workers`` workers."""
+    from .toy import ablation_run
 
     scfg = _synth_from_args(args)
     seeds = _parse_list(args, "seeds", _seed)
-    if min(args.workers, len(arms) * len(seeds)) == 1:
-        one_blas_thread()
     return ablation_run(scfg, arms, seeds, args.workers)
 
 

@@ -1,12 +1,15 @@
 """Corpus representation, JSONL ingestion, and structural validation.
 
-A corpus is a list of QA samples, one JSON object per line on disk:
+A corpus file holds one JSON object per QA sample and line:
 
     {"id": "q1", "task": "AVQA", "question_type": "Temporal",
      "question": "...", "answer": "yes", "source_id": "t17"}
 
 ``source_id`` is optional and links a rephrased question back to the
-template question it was derived from.
+template question it was derived from. Every command reads a corpus file
+with ``read_gold`` into the map of each id to its ``(GroupKey, answer)``.
+``parse_samples`` reads it into a list of ``QASample``: it is the reference
+reader that the fuzz tests compare ``read_gold`` with.
 """
 
 from __future__ import annotations

@@ -542,7 +542,8 @@ def ablation_run(
     consecutive tasks of that seed it runs and holds one corpus at a
     time; with a pool, this process holds none. The first failed task
     cancels the tasks not yet started and its exception is raised here; a
-    worker that dies is a ``ToyError``.
+    worker that dies is a ``ToyError``. Every run computes with as many BLAS
+    threads as this process: the caller chooses them, and the CLI chooses one.
     """
     if workers < 1:
         raise ToyError(f"workers must be at least 1, not {workers}")
@@ -587,37 +588,15 @@ def _map_tasks(tasks: list[tuple], workers: int) -> list[dict]:
     # again, which made a 12-run ablation use 0.8 s more CPU and 4 MiB more
     # peak memory than forked workers do. The pool forks every worker before
     # it starts a thread of its own, and OpenBLAS stops its threads before a
-    # fork and starts them again when next needed.
+    # fork, so a worker computes with as many BLAS threads as this process.
     pool = concurrent.futures.ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"), initializer=one_blas_thread
-    )
+        workers, mp_context=multiprocessing.get_context("fork"))
     try:
         return list(pool.map(_run_task, tasks))
     except concurrent.futures.BrokenExecutor as exc:
         raise ToyError(str(exc)) from exc
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def one_blas_thread() -> None:
-    """Limit numpy's bundled OpenBLAS to one thread in this process. Each
-    pool worker calls it, so that the workers run one compute thread each;
-    a command that trains in one process calls it too, since a second
-    thread only spins and allocates buffers on this network's small
-    matmuls. Does nothing when numpy has no such library."""
-    import ctypes
-    import glob
-    import os
-
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    try:
-        [path] = glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))
-        set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
-    except (ValueError, OSError, AttributeError):  # no library, or not the one we know
-        return
-    set_threads.argtypes = [ctypes.c_int]
-    set_threads.restype = None
-    set_threads(1)
 
 
 def render_ablation_table(rows: list[dict]) -> str:

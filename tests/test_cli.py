@@ -1076,16 +1076,23 @@ class TestSettingsRejected:
         assert one_error_line(proc).startswith("error: Unable to allocate ")
         assert proc.stdout == b"" and not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--step", "nan"), ("--step", "inf"), ("--step", "0"), ("--step", "-1e-5"),
-        ("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "0"),
-        ("--tolerance", "-1"),
+    @pytest.mark.parametrize("flag, value, expected", [
+        pytest.param(flag, value, expected, id=f"{flag}-{value}")
+        for flag, values, expected in [
+            ("--step", ["nan", "inf", "0", "-1e-5"], "must be finite and positive, not "),
+            ("--tolerance", ["nan", "inf", "0", "-1"], "must be finite and positive, not "),
+            ("--classes", ["1", "0", "-1"], "must be at least 2, not "),
+            ("--batch", ["0", "-1"], "must be at least 1, not "),
+        ]
+        for value in values
     ])
-    def test_bad_gradcheck_setting(self, flag, value):
+    def test_bad_gradcheck_setting(self, flag, value, expected):
         # a NaN or infinite step compared nothing and passed; a NaN or
-        # negative tolerance failed a check whose error was 4e-11
+        # negative tolerance failed a check whose error was 4e-11; one class
+        # made every gradient 0 and passed; a negative size was numpy's
+        # "negative dimensions are not allowed", which names no flag
         proc = run_cli("gradcheck", "--classes", "4", "--batch", "2", f"{flag}={value}")
-        assert one_error_line(proc).startswith(f"error: {flag} must be finite and positive, not ")
+        assert one_error_line(proc).startswith(f"error: {flag} {expected}")
         assert proc.stdout == b""
 
     @pytest.mark.parametrize("command, flag", [
@@ -1238,6 +1245,20 @@ def test_evaluation_commands_load_no_training_module(tmp_path):
         proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)], capture_output=True)
         assert proc.returncode == EXIT_OK, proc.stderr.decode()
         assert proc.stdout.decode().splitlines()[-1] == repr(loaded), argv
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs /proc/self/task and at least 2 usable CPUs")
+def test_cli_import_runs_one_blas_thread():
+    """A process that imports the CLI module computes with one OpenBLAS
+    thread, even when its caller asks for two: after a matmul large enough
+    for OpenBLAS to split, the process still has its one thread."""
+    script = ("import os\nimport avqa_debias.cli\nimport numpy as np\n"
+              "a = np.ones((400, 400))\na @ a\nprint(len(os.listdir('/proc/self/task')))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"1\n"
 
 
 def _oldest_python() -> str | None:
