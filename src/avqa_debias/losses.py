@@ -170,8 +170,7 @@ def discrepancy_loss_stacked(sm: Softmaxed, cfg: MccdConfig = MccdConfig(), grad
     # is undefined and the subgradient 0 is used.
     coef = -1.0 / d_eps**2
     d = d[..., None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(d > 0.0, diff / np.where(d > 0.0, d, 1.0), 0.0)
+    unit = np.divide(diff, d, out=np.zeros(diff.shape), where=d > 0.0)
     g = np.empty(z.shape)
     np.multiply(scale * coef[..., None], unit, out=g[:n])
     np.negative(g[:n].sum(axis=0), out=g[n])  # the fused end of each distance

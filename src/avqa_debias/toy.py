@@ -371,7 +371,14 @@ def _backward(model: ToyModel, cache: dict, dlogits: np.ndarray, g: dict[str, np
 
 
 class Adam:
-    """Plain Adam with the standard moment constants, over one flat buffer."""
+    """Plain Adam with the standard moment constants, over one flat buffer.
+
+    ``step`` updates ``m``, ``v`` and ``params`` in place. It forms every
+    product, quotient and sum of ``m = b1*m + (1-b1)*g``, ``v = b2*v +
+    (1-b2)*g*g`` and ``params -= lr*m_hat / (sqrt(v_hat) + eps)`` in that
+    formula's order, so the bits are the formula's: only the operands of
+    a ``*`` or ``+`` change sides, which IEEE arithmetic allows.
+    """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -385,11 +392,21 @@ class Adam:
     def step(self, grad: np.ndarray) -> None:
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
-        self.m = b1 * self.m + (1 - b1) * grad
-        self.v = b2 * self.v + (1 - b2) * grad * grad
-        m_hat = self.m / (1 - b1**self.t)
-        v_hat = self.v / (1 - b2**self.t)
-        self.params -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+        m, v = self.m, self.v
+        m *= b1
+        scratch = np.multiply(grad, 1 - b1)
+        m += scratch
+        v *= b2
+        np.multiply(grad, 1 - b2, out=scratch)
+        scratch *= grad
+        v += scratch
+        root = np.divide(v, 1 - b2**self.t, out=scratch)  # v_hat
+        np.sqrt(root, out=root)
+        root += self.EPS
+        update = np.divide(m, 1 - b1**self.t)  # m_hat
+        update *= self.lr
+        update /= root
+        self.params -= update
 
 
 @np.errstate(over="ignore", invalid="ignore")

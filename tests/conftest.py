@@ -1,6 +1,11 @@
 import io
 import os
 
+# Imported before any test module loads numpy: OpenBLAS reads
+# OPENBLAS_NUM_THREADS, which this import sets to 1, once, when numpy
+# loads. So the suite's in-process training runs use one BLAS thread, as
+# the CLI's own processes do.
+import avqa_debias.cli  # noqa: F401
 import pytest
 from hypothesis import strategies as st
 

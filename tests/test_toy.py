@@ -142,9 +142,21 @@ def ref_step_terms(logits, labels, cfg):
     return la, ld, lc, bias, grad
 
 
+def ref_adam_step(opt, grad):
+    """``Adam.step`` as the formula it computes, rebinding new moment arrays
+    at each step: the reference for the bits of the in-place step."""
+    opt.t += 1
+    b1, b2 = opt.BETA1, opt.BETA2
+    opt.m = b1 * opt.m + (1 - b1) * grad
+    opt.v = b2 * opt.v + (1 - b2) * grad * grad
+    m_hat = opt.m / (1 - b1**opt.t)
+    v_hat = opt.v / (1 - b2**opt.t)
+    opt.params -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.EPS)
+
+
 def ref_train(model, corpus, tcfg, spec=AblationSpec()):
-    """``train`` through ``ref_step_terms``; the forward and backward
-    passes and Adam are ``train``'s own."""
+    """``train`` through ``ref_step_terms`` and ``ref_adam_step``; the
+    forward and backward passes are ``train``'s own."""
     cfg = spec.effective(tcfg.mccd)
     rng = np.random.default_rng(tcfg.seed)
     opt = Adam(model.flat, lr=tcfg.learning_rate)
@@ -167,7 +179,7 @@ def ref_train(model, corpus, tcfg, spec=AblationSpec()):
             sums = [a + b for a, b in zip(sums, (la, ld, lc))]
             batches += 1
             _backward(model, cache, dlogits, grads)
-            opt.step(grad_flat)
+            ref_adam_step(opt, grad_flat)
         history.append({"epoch": epoch, "L_a": sums[0] / batches, "L_d": sums[1] / batches,
                         "L_c": sums[2] / batches, "train_acc": correct / n, "lr": opt.lr})
     return history
@@ -608,6 +620,80 @@ class TestStepMatchesTheReference:
         assert same_bits(ce.value, [*bias, la])
         assert same_bits(ld.value, ref_ld) and same_bits(lc.value, ref_lc)
         assert same_bits(grad, ref_grad)
+
+
+class TestAdamMatchesTheReference:
+    """``Adam.step`` against ``ref_adam_step``, bit for bit, over thousands
+    of steps."""
+
+    @st.composite
+    def params_and_grads(draw):
+        """Parameters and one to five gradients of their shape, with zeros of
+        both signs, negatives, and entries whose square is near the top of
+        the float64 range."""
+        n = draw(st.integers(1, 8))
+        entries = st.sampled_from([0.0, -0.0, 1e150, -1e150]) | st.floats(-1e3, 1e3)
+        params = draw(hnp.arrays(np.float64, n, elements=st.floats(-10, 10)))
+        grads = draw(st.lists(hnp.arrays(np.float64, n, elements=entries),
+                              min_size=1, max_size=5))
+        return params, grads
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=params_and_grads(), lr=st.sampled_from([1e-4, 1e-3, 0.05, 1.0]),
+           steps=st.integers(1, 3000))
+    @example(case=(np.zeros(4), [np.zeros(4)]), lr=1e-3, steps=3000)
+    @example(case=(np.ones(3), [np.array([1e150, -1e150, 0.5]), np.array([-0.0, 2.0, -1e150])]),
+             lr=0.05, steps=3000)
+    def test_steps(self, case, lr, steps):
+        params, grads = case
+        opt, ref = Adam(params.copy(), lr), Adam(params.copy(), lr)
+        for t in range(steps):
+            grad = grads[t % len(grads)]
+            opt.step(grad)
+            ref_adam_step(ref, grad)
+            assert same_bits(opt.params, ref.params), t
+        assert opt.t == ref.t == steps
+        assert same_bits(opt.m, ref.m) and same_bits(opt.v, ref.v)
+
+    def test_moments_and_params_stay_the_same_arrays(self):
+        params = np.ones(5)
+        opt = Adam(params, 1e-3)
+        m, v = opt.m, opt.v
+        opt.step(np.arange(5.0))
+        assert opt.params is params and opt.m is m and opt.v is v
+
+
+class TestCoincidentHeadsWarnNothing:
+    """Where every head's distance to the fused head is 0, the discrepancy
+    term divides nothing by 0: under an error filter for every warning it
+    raises nothing, and its values are the reference's."""
+
+    @pytest.mark.parametrize("space", ["probability", "raw_logit"])
+    def test_discrepancy(self, space):
+        row = np.random.default_rng(5).standard_normal((1, 3, 6))
+        sm = ref_softmaxed(np.repeat(row, 4, axis=0))  # four equal heads
+        cfg = MccdConfig(distance_space=space)
+        grad, ref_grad = np.full(sm.p.shape, 0.25), np.full(sm.p.shape, 0.25)
+        ref_value = ref_discrepancy(sm, cfg, ref_grad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = losses.discrepancy_loss_stacked(sm, cfg, grad).value
+        assert same_bits(value, ref_value) and same_bits(grad, ref_grad)
+
+    def test_training(self):
+        # TestStepMatchesTheReference's coincident_heads setup: every logit
+        # of the first step is 0
+        data = small_data(num_classes=6)
+        models = [ToyModel.initialize(6, 16, seed=3) for _ in range(2)]
+        for model in models:
+            for kind in ("bias_{}_2_W", "bias_{}_2_b", "fusion_W", "fusion_b"):
+                model.params[kind][...] = 0.0
+        tcfg = TrainConfig(epochs=2, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            history = train(models[0], data.train, tcfg)
+        assert history == ref_train(models[1], data.train, tcfg)
+        assert same_bits(models[0].flat, models[1].flat)
 
 
 class TestBackward:
