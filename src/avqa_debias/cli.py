@@ -59,6 +59,7 @@ from .splitting import (
     assign_splits,
     group_report_json,
     read_splits,
+    split_in_ranges,
     write_splits,
 )
 
@@ -115,19 +116,25 @@ def _train_from_args(args, alpha: float, beta: float) -> TrainConfig:
 
 def cmd_split(args) -> int:
     cfg = SplitConfig(entropy_threshold=args.entropy_threshold, tail_factor=args.tail_factor)
-    [gold] = read_ranges([(read_gold, args.input)], args.workers)
-    if not gold:
-        raise CliError(f"{args.input}: empty corpus")
-    result = assign_splits(gold, cfg)
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "splits.jsonl", "wb") as f:
-        write_splits(result.assignments, f)
-    _dump_json(group_report_json(result), out / "groups.json")
-    print(
-        f"wrote {len(result.assignments)} assignments; "
-        f"skipped groups: {', '.join(str(g) for g in result.skipped_groups) or 'none'}"
-    )
+
+    def open_splits():
+        out.mkdir(parents=True, exist_ok=True)
+        return open(out / "splits.jsonl", "wb")
+
+    done = split_in_ranges(args.input, args.workers, cfg, open_splits)
+    if done is None:  # one process: one range, a FIFO, no os.fork, or a fault in a range
+        [gold] = read_ranges([(read_gold, args.input)], 1)
+        if not gold:
+            raise CliError(f"{args.input}: empty corpus")
+        result = assign_splits(gold, cfg)
+        with open_splits() as f:
+            write_splits(result.assignments, f)
+        done = result.group_reports, len(result.assignments)
+    reports, assigned = done
+    _dump_json(group_report_json(reports), out / "groups.json")
+    skipped = [str(r.distribution.group) for r in reports if not r.retained]
+    print(f"wrote {assigned} assignments; skipped groups: {', '.join(skipped) or 'none'}")
     return EXIT_OK
 
 
@@ -477,9 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=0,
                         help="worker processes: ablation and grid spread their runs over "
                              "them, and split and score read each input file in that many "
-                             "byte ranges, one per process; 0 (the default) means one per "
-                             "usable CPU, N at most N; outputs do not depend on it, and the "
-                             "other subcommands only reject a negative value")
+                             "byte ranges, one per process, where split also labels and "
+                             "writes each range; 0 (the default) means one per usable CPU, "
+                             "N at most N; outputs do not depend on it, and the other "
+                             "subcommands only reject a negative value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("split", help="build head/tail splits from a corpus")

@@ -686,15 +686,16 @@ def _prediction(obj: dict, lineno: int) -> tuple[str, str]:
 _PIECE_ROWS = 4096
 
 
-class _Slice:
-    """The bytes of the binary file ``f`` from its position up to offset ``end``."""
+class Slice:
+    """The next ``n`` bytes of the binary stream ``f``; ``left`` counts those
+    not read yet, so a stream that ends early leaves it above 0."""
 
-    def __init__(self, f: IO[bytes], end: int):
-        self._f, self._left = f, end - f.tell()
+    def __init__(self, f: IO[bytes], n: int):
+        self._f, self.left = f, n
 
     def read(self, n: int) -> bytes:
-        data = self._f.read(min(n, self._left)) if self._left > 0 else b""
-        self._left -= len(data)
+        data = self._f.read(min(n, self.left)) if self.left > 0 else b""
+        self.left -= len(data)
         return data
 
 
@@ -709,7 +710,7 @@ def _cut(f: IO[bytes], size: int, k: int, ranges: int) -> int:
     return f.tell()
 
 
-def _read(parse: Callable[[IO[bytes]], T], path, size: int | None, k: int, ranges: int) -> T:
+def read_range(parse: Callable[[IO[bytes]], T], path, size: int | None, k: int, ranges: int) -> T:
     """``parse`` of range ``k`` of ``ranges`` of the ``size``-byte file at ``path``.
     The last range runs to the end of the file, so one range is the whole
     file, parsed as it opens, without a seek: a FIFO (``size`` None) too."""
@@ -719,10 +720,10 @@ def _read(parse: Callable[[IO[bytes]], T], path, size: int | None, k: int, range
             return parse(f)
         end = _cut(f, size, k + 1, ranges)
         f.seek(start)
-        return parse(_Slice(f, end))
+        return parse(Slice(f, end - start))
 
 
-def _regular_size(path) -> int | None:
+def regular_size(path) -> int | None:
     """The size of the regular file at ``path``; None for anything else (a
     FIFO, a terminal, a missing file), which is read whole, as a stream."""
     try:
@@ -732,47 +733,88 @@ def _regular_size(path) -> int | None:
     return st.st_size if stat.S_ISREG(st.st_mode) else None
 
 
-def _send(out: IO[bytes], message) -> None:
-    """Pickle one message onto a range worker's pipe, flushed, so that the
-    parent never waits on bytes left in the buffer. Pickle frames each
-    message itself: ``pickle.load`` on the pipe reads exactly one."""
+def send_message(out: IO[bytes], message) -> None:
+    """Pickle one message onto a pipe between a range worker and its parent,
+    flushed, so that the reader never waits on bytes left in the buffer.
+    Pickle frames each message itself: ``pickle.load`` on the pipe reads
+    exactly one."""
     pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
     out.flush()
 
 
-def _range_worker(jobs: list, sizes: list, k: int, ranges: int, workers: list, r: int, w: int):
-    """The body of range worker ``k`` in a forked child: parse range ``k`` of
-    each regular file of ``jobs`` in turn and send its rows to the parent on
-    the pipe whose ends are ``r`` and ``w``, in pieces of ``_PIECE_ROWS``,
-    then ``{}``. It writes nothing else anywhere, and leaves through
-    ``os._exit``, whatever happens: a range that raises ends the worker,
-    and the parent, which finds the pipe closed, reads the file whole."""
-    code = 0
-    try:
-        os.close(r)
-        for _, pipe in workers:  # the parent's ends of the earlier workers' pipes
-            pipe.close()
-        with open(w, "wb") as out:
-            for (parse, path), size in zip(jobs, sizes):
-                if size is None:
-                    continue
-                items = iter(_read(parse, path, size, k, ranges).items())
-                while piece := dict(islice(items, _PIECE_ROWS)):
-                    _send(out, piece)
-                _send(out, {})
-                items = None
-    except BaseException:  # a worker reports nothing but through its pipe
-        code = 1
-    os._exit(code)
+class Worker(NamedTuple):
+    """A forked range worker: its pid, and this process's ends of its pipes."""
+
+    pid: int
+    receive: IO[bytes]  # what the worker sends
+    send: IO[bytes]  # what this process sends the worker
 
 
-def _stop(workers: list) -> None:
+def fork_workers(ranges: int, body: Callable[[int, IO[bytes], IO[bytes]], None]) -> list[Worker]:
+    """Fork ``ranges - 1`` range workers, before this process sends any of
+    them a message. Worker k, from 1, runs ``body(k, inbox, outbox)`` on
+    its ends of the two pipes to and from this process, holding no end of
+    another worker's pipes, and leaves through ``os._exit``, whatever
+    happens: 0 when ``body`` returns, 1 when it raises, so that a worker
+    reports nothing but through its pipe, and this process, which finds the
+    pipe closed, does the work itself. If no process can be forked, the
+    workers already forked are stopped and none is returned."""
+    workers: list[Worker] = []
+    for k in range(1, ranges):
+        r, w = os.pipe()
+        r_in, w_in = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: this process does all the work
+            for fd in (r, w, r_in, w_in):
+                os.close(fd)
+            stop_workers(workers)
+            return []
+        if pid == 0:
+            code = 0
+            try:
+                os.close(r)
+                os.close(w_in)
+                for worker in workers:  # none has been sent anything, so no buffer is flushed
+                    worker.receive.close()
+                    worker.send.close()
+                with open(r_in, "rb") as inbox, open(w, "wb") as outbox:
+                    body(k, inbox, outbox)
+            except BaseException:
+                code = 1
+            os._exit(code)
+        os.close(w)
+        os.close(r_in)
+        workers.append(Worker(pid, open(r, "rb"), open(w_in, "wb")))
+    return workers
+
+
+def stop_workers(workers: list[Worker]) -> None:
     """Kill and reap every range worker; none is left behind on any path."""
     while workers:
-        pid, pipe = workers.pop()
-        pipe.close()
+        pid, receive, send = workers.pop()
+        receive.close()
+        try:
+            send.close()
+        except OSError:  # a message the worker exited before reading stays unsent
+            pass
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
+
+
+def _range_worker(jobs: list, sizes: list, ranges: int, k: int, inbox: IO[bytes],
+                  outbox: IO[bytes]):
+    """The body of range worker ``k``: parse range ``k`` of each regular file
+    of ``jobs`` in turn and send its rows to the parent in pieces of
+    ``_PIECE_ROWS``, then ``{}``. A range that raises ends the worker."""
+    for (parse, path), size in zip(jobs, sizes):
+        if size is None:
+            continue
+        items = iter(read_range(parse, path, size, k, ranges).items())
+        while piece := dict(islice(items, _PIECE_ROWS)):
+            send_message(outbox, piece)
+        send_message(outbox, {})
+        items = None
 
 
 def read_ranges(jobs: list[tuple[Callable[[IO[bytes]], T], object]], ranges: int) -> list[T]:
@@ -797,44 +839,32 @@ def read_ranges(jobs: list[tuple[Callable[[IO[bytes]], T], object]], ranges: int
     workers run only the readers, which are pure Python, so no thread of
     the parent (a BLAS pool) is needed after the fork.
     """
-    sizes = [_regular_size(path) for _, path in jobs]
-    workers: list[tuple[int, IO[bytes]]] = []
+    sizes = [regular_size(path) for _, path in jobs]
+    workers: list[Worker] = []
     results = []
     try:
-        ranges = ranges if hasattr(os, "fork") and any(s is not None for s in sizes) else 1
-        for k in range(1, ranges):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: every file is read whole
-                os.close(r)
-                os.close(w)
-                _stop(workers)
-                break
-            if pid == 0:
-                _range_worker(jobs, sizes, k, ranges, workers, r, w)
-            os.close(w)
-            workers.append((pid, open(r, "rb")))
+        if hasattr(os, "fork") and any(s is not None for s in sizes):
+            workers = fork_workers(ranges, functools.partial(_range_worker, jobs, sizes, ranges))
         for (parse, path), size in zip(jobs, sizes):
             if size is None or not workers:
-                results.append(_read(parse, path, size, 0, 1))
+                results.append(read_range(parse, path, size, 0, 1))
                 continue
-            rows = _read(parse, path, size, 0, ranges)
+            rows = read_range(parse, path, size, 0, ranges)
             try:
                 n = len(rows)
-                for _, pipe in workers:
-                    while piece := pickle.load(pipe):  # {} ends the file's pieces
+                for worker in workers:
+                    while piece := pickle.load(worker.receive):  # {} ends the file's pieces
                         rows.update(piece)
                         n += len(piece)
             except (EOFError, pickle.UnpicklingError):  # the worker exited early
                 n = -1
             if len(rows) != n:  # a worker exited early, or an id is in two ranges
                 rows = None
-                _stop(workers)
-                rows = _read(parse, path, size, 0, 1)
+                stop_workers(workers)
+                rows = read_range(parse, path, size, 0, 1)
             results.append(rows)
         return results
     except CorpusError as exc:  # only a read raises one, so ``path`` is its file's
         raise CorpusError(f"{path}: {exc}") from None
     finally:
-        _stop(workers)
+        stop_workers(workers)

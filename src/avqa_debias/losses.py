@@ -167,10 +167,14 @@ def discrepancy_loss_stacked(sm: Softmaxed, cfg: MccdConfig = MccdConfig(), grad
     d_eps = d + cfg.epsilon
     total = _ordered_sum(1.0 / d_eps)
     # d(1/(d+eps))/dz_h = -(d+eps)^-2 * diff/d; at d=0 the direction
-    # is undefined and the subgradient 0 is used.
+    # is undefined and the subgradient 0 is used. Raw logits far enough
+    # apart overflow to d=inf, where the term is at its limit 0 with the
+    # gradient 0; the direction is taken as 0 there too, as inf/inf is NaN.
+    # Probabilities are at most 1 apart, so their d is always finite.
     coef = -1.0 / d_eps**2
     d = d[..., None]
-    unit = np.divide(diff, d, out=np.zeros(diff.shape), where=d > 0.0)
+    where = d > 0.0 if prob_mode else (d > 0.0) & (d < np.inf)
+    unit = np.divide(diff, d, out=np.zeros(diff.shape), where=where)
     g = np.empty(z.shape)
     np.multiply(scale * coef[..., None], unit, out=g[:n])
     np.negative(g[:n].sum(axis=0), out=g[n])  # the fused end of each distance

@@ -16,14 +16,18 @@ when the group is retained, the labels and the rule.
 
 from __future__ import annotations
 
+import functools
+import io
 import json
 import math
+import os
+import pickle
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from json.encoder import encode_basestring
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Callable, Iterable, Mapping, NamedTuple
 
 from .data import (
     GROUP_KEYS,
@@ -33,10 +37,17 @@ from .data import (
     IdentityEnum,
     QASample,
     QuestionType,
+    Slice,
     Task,
     as_gold,
+    fork_workers,
     group_samples,  # not called here; the benchmark's tracer looks it up in this module
+    read_gold,
     read_id_rows,
+    read_range,
+    regular_size,
+    send_message,
+    stop_workers,
     write_lines,
 )
 
@@ -57,6 +68,10 @@ _RULES = {m.value: m for m in SplitRule}
 
 class SplitError(ValueError):
     pass
+
+
+# Bytes per copy of a range worker's lines into the splits file.
+_COPY_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -191,6 +206,39 @@ def split_head_tail(
     return labels, SplitRule.GENERAL_THRESHOLD
 
 
+def decide_splits(
+    counts: Mapping[tuple[GroupKey, str], int], cfg: SplitConfig = SplitConfig()
+) -> tuple[list[GroupReport], dict[tuple[GroupKey, str], SplitDecision]]:
+    """Each group's report, in ``GroupKey`` order, and the decision of each
+    ``(GroupKey, answer)`` of a retained group, from the count of each
+    ``(GroupKey, answer)`` in the order of its first row in the corpus: an
+    answer's place in its group's ``counts`` is that order, on which the
+    entropy's last bit depends. No counts is the SplitError "empty corpus"."""
+    if not counts:
+        raise SplitError("empty corpus")
+    by_group: dict[GroupKey, dict[str, int]] = {}
+    for (group, answer), n in counts.items():
+        by_group.setdefault(group, {})[answer] = n
+    reports, decisions = [], {}
+    for group, by_answer in sorted(by_group.items()):
+        dist = AnswerDistribution(group, by_answer)
+        reports.append(report := GroupReport(dist, labels=None, rule=None))
+        if select_imbalanced_groups([dist], cfg):
+            report.labels, report.rule = split_head_tail(dist, cfg)
+            for answer, label in report.labels.items():
+                decisions[group, answer] = SplitDecision(group, answer, label, report.rule)
+    return reports, decisions
+
+
+def label_samples(
+    gold: dict[str, tuple[GroupKey, str]], decisions: dict[tuple[GroupKey, str], SplitDecision]
+) -> dict[str, SplitDecision]:
+    """Map each id of ``gold`` whose record has a decision to it, in ``gold``
+    order, in bulk, with no Python code run per row."""
+    kept = list(map(decisions.get, gold.values()))  # a decision, or None for a skipped row
+    return dict(zip(compress(gold, kept), filter(None, kept)))
+
+
 def assign_splits(
     corpus: dict[str, tuple[GroupKey, str]] | list[QASample], cfg: SplitConfig = SplitConfig()
 ) -> SplitResult:
@@ -201,26 +249,91 @@ def assign_splits(
     in corpus order; samples in excluded (balanced) groups get none, and
     their groups are listed in ``skipped_groups``. Deterministic given
     corpus order. The rows of one (group, answer) share one
-    ``SplitDecision``, and the map is built in bulk, with no Python code run
-    per row.
+    ``SplitDecision``: ``decide_splits`` of the counts, then
+    ``label_samples``.
     """
     gold = as_gold(corpus)
-    if not gold:
-        raise SplitError("empty corpus")
-    counts: dict[GroupKey, dict[str, int]] = {}
-    for (group, answer), n in Counter(gold.values()).items():
-        counts.setdefault(group, {})[answer] = n
-    reports, decisions = [], {}
-    for group, by_answer in sorted(counts.items()):
-        dist = AnswerDistribution(group, by_answer)
-        reports.append(report := GroupReport(dist, labels=None, rule=None))
-        if select_imbalanced_groups([dist], cfg):
-            report.labels, report.rule = split_head_tail(dist, cfg)
-            for answer, label in report.labels.items():
-                decisions[group, answer] = SplitDecision(group, answer, label, report.rule)
-    kept = list(map(decisions.get, gold.values()))  # a decision, or None for a skipped row
-    assignments = dict(zip(compress(gold, kept), filter(None, kept)))
-    return SplitResult(assignments=assignments, group_reports=reports)
+    reports, decisions = decide_splits(Counter(gold.values()), cfg)
+    return SplitResult(assignments=label_samples(gold, decisions), group_reports=reports)
+
+
+def _split_worker(path, size: int, ranges: int, k: int, inbox: IO[bytes], outbox: IO[bytes]):
+    """The body of ``split_in_ranges``' range worker ``k``: read range ``k``
+    of the corpus, send its ids and its counts, then wait for the decisions
+    and send the length and bytes of its rows' ``write_splits`` lines."""
+    gold = read_range(read_gold, path, size, k, ranges)
+    send_message(outbox, (list(gold), Counter(gold.values())))
+    labels = label_samples(gold, pickle.load(inbox))
+    gold = None
+    lines = io.BytesIO()
+    write_splits(labels, lines)
+    send_message(outbox, lines.tell())
+    outbox.write(lines.getbuffer())
+
+
+def split_in_ranges(
+    path, ranges: int, cfg: SplitConfig, open_splits: Callable[[], IO[bytes]]
+) -> tuple[list[GroupReport], int] | None:
+    """``assign_splits`` of the corpus file at ``path``, with the
+    ``write_splits`` of its assignments into the stream ``open_splits()``,
+    done in ``ranges`` byte ranges on as many processes; returns the group
+    reports and the number of rows written.
+
+    Each process reads its range with ``read_gold`` (``data.read_range``),
+    and its map stays there: a worker (``data.fork_workers``) sends this
+    process the ids it read and its counts per ``(GroupKey, answer)``. This
+    process checks that no id is in two ranges, adds the counts up in
+    range order, so each key keeps the place of its first row in the file,
+    and makes the decisions once (``decide_splits``). Each process then
+    labels its own rows (``label_samples``) and formats their lines; this
+    process writes its own, then each worker's bytes in range order.
+
+    None, with nothing raised, when the corpus is not a regular file, with
+    one range, without ``os.fork``, and on any fault: an error in a range,
+    a worker that exits early, an id in two ranges, an empty corpus, a
+    ``SplitError``, or an OSError. The caller then does the work in one
+    process, which rewrites the splits file whole and raises any error
+    itself. Every worker is reaped before this returns.
+    """
+    size = regular_size(path)
+    if ranges < 2 or size is None or not hasattr(os, "fork"):
+        return None
+    workers = fork_workers(ranges, functools.partial(_split_worker, path, size, ranges))
+    if not workers:
+        return None
+    try:  # each map is dropped once spent: the command's peak memory is set here
+        gold = read_range(read_gold, path, size, 0, ranges)
+        counts, seen = Counter(gold.values()), gold.keys()
+        for worker in workers:
+            ids, more = pickle.load(worker.receive)
+            if not seen.isdisjoint(ids):  # the whole file holds a duplicate id
+                return None
+            if worker is not workers[-1]:  # past two ranges, the ids of each range so far
+                seen = {*seen, *ids}
+            ids = None
+            counts.update(more)
+        seen = None
+        reports, decisions = decide_splits(counts, cfg)
+        for worker in workers:
+            send_message(worker.send, decisions)
+        labels = label_samples(gold, decisions)
+        gold = None
+        with open_splits() as f:
+            write_splits(labels, f)
+            labels = None
+            for worker in workers:
+                lines = Slice(worker.receive, pickle.load(worker.receive))
+                while data := lines.read(_COPY_BYTES):
+                    f.write(data)
+                if lines.left:
+                    raise EOFError("a range worker exited before its lines were sent")
+        return reports, sum(n for key, n in counts.items() if key in decisions)
+    except (OSError, ValueError, EOFError, pickle.UnpicklingError):
+        # CorpusError and SplitError are ValueErrors, a pipe closed early an
+        # EOFError or a truncated pickle
+        return None
+    finally:
+        stop_workers(workers)
 
 
 def write_splits(assignments: dict[str, SplitDecision], stream: IO[bytes]) -> None:
@@ -301,10 +414,10 @@ def read_splits(stream: IO[bytes]) -> dict[str, SplitDecision]:
     return read_id_rows(stream, ID_ROWS, row)
 
 
-def group_report_json(result: SplitResult) -> dict:
+def group_report_json(reports: list[GroupReport]) -> dict:
     """Side-channel per-group statistics: entropy, mean count, retained flag, labels."""
     groups = []
-    for rep in result.group_reports:
+    for rep in reports:
         dist = rep.distribution
         groups.append(
             {

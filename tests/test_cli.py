@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import random
 import re
 import shutil
 import struct
@@ -848,13 +849,15 @@ class TestRangeReads:
     process; what they print, write and exit with is the same at any count,
     errors included, and no worker process outlives the command."""
 
-    def outcome(self, tmp_path, threads: str, argv: list, fifo: Path | None = None) -> tuple:
-        """(exit code, stdout, stderr, output files) of one command; ``OUT`` in
-        ``argv`` is a fresh output directory. With ``fifo``, the golden corpus is
-        written into that FIFO while the command runs."""
+    def outcome(self, tmp_path, threads: str, argv: list, fifo: Path | None = None,
+                script: str = _NO_CHILD_LEFT) -> tuple:
+        """(exit code, stdout, stderr, output files) of one command, run by
+        ``script``; ``OUT`` in ``argv`` is a fresh output directory. With
+        ``fifo``, the golden corpus is written into that FIFO while the
+        command runs."""
         out = tmp_path / f"out-{threads}-{fifo is not None}"
         args = [str(out) if a == "OUT" else str(a) for a in argv]
-        proc = subprocess.Popen([sys.executable, "-c", _NO_CHILD_LEFT, "--threads", threads, *args],
+        proc = subprocess.Popen([sys.executable, "-c", script, "--threads", threads, *args],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         if fifo is not None:
             writer = threading.Thread(target=fifo.write_bytes, daemon=True,
@@ -868,8 +871,9 @@ class TestRangeReads:
         files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
         return proc.returncode, stdout, stderr, files
 
-    def same_at_any_count(self, tmp_path, argv: list) -> tuple:
-        one, two, auto = (self.outcome(tmp_path, threads, argv) for threads in ("1", "2", "0"))
+    def same_at_any_count(self, tmp_path, argv: list, script: str = _NO_CHILD_LEFT) -> tuple:
+        one, two, auto = (self.outcome(tmp_path, threads, argv, script=script)
+                          for threads in ("1", "2", "0"))
         assert one == two == auto
         return one
 
@@ -918,6 +922,13 @@ class TestRangeReads:
                       "line 26: malformed JSON: Expecting property name enclosed in double quotes"),
         "duplicate": (b"".join(_golden_lines("corpus.jsonl") + _golden_lines("corpus.jsonl")[:1]),
                       "line 28: duplicate id 'avqa0000' (first seen on line 1)"),
+        # both copies in the first range, then both in the second
+        "duplicate_before_cut": (b"".join(_golden_lines("corpus.jsonl")[:3]
+                                          + _golden_lines("corpus.jsonl")),
+                                 "line 4: duplicate id 'avqa0000' (first seen on line 1)"),
+        "duplicate_after_cut": (b"".join(_golden_lines("corpus.jsonl")
+                                         + _golden_lines("corpus.jsonl")[19:20]),
+                                "line 28: duplicate id 'aq0006' (first seen on line 20)"),
         "unknown_task": (_with_line("corpus.jsonl", -3, {"task": "bogus"}),
                          "line 25: unknown task 'bogus'"),
     }
@@ -985,7 +996,8 @@ class TestRangeReads:
 
     @pytest.mark.parametrize("command", ["split", "score"])
     def test_fifo_input(self, tmp_path, command):
-        """A FIFO cannot be read in ranges; it is read whole, as a stream."""
+        """A FIFO cannot be read in ranges; it is read whole, as a stream, at
+        any count."""
         fifo = tmp_path / "corpus.fifo"
         os.mkfifo(fifo)
         if command == "split":
@@ -993,10 +1005,93 @@ class TestRangeReads:
         else:
             argv = self.score_argv(tmp_path, preds=self.preds())
             argv[2] = "CORPUS"
-        regular = self.outcome(tmp_path, "2", [GOLDEN / "corpus.jsonl" if a == "CORPUS" else a
+        regular = self.outcome(tmp_path, "1", [GOLDEN / "corpus.jsonl" if a == "CORPUS" else a
                                                for a in argv])
-        streamed = self.outcome(tmp_path, "2", [fifo if a == "CORPUS" else a for a in argv], fifo)
-        assert streamed == regular and regular[0] == EXIT_OK
+        assert regular[0] == EXIT_OK
+        for threads in ("1", "2", "0"):
+            streamed = self.outcome(tmp_path, threads, [fifo if a == "CORPUS" else a for a in argv],
+                                    fifo)
+            assert streamed == regular, threads
+
+    def test_split_of_many_blocks(self, tmp_path):
+        """A corpus of many read blocks, whose groups and answers first appear
+        in different ranges, splits the same at any count."""
+        rng = random.Random(11)
+        groups = [("AVQA", "Counting"), ("AudioQA", "Comparative"), ("VisualQA", "Location"),
+                  ("AVQA", "Temporal")]
+        rows = []
+        for i in range(3000):
+            task, qtype = groups[min(i // 700, 3) if i < 1500 else rng.randrange(4)]
+            answer = rng.choice("aaaabbc" if i < 1500 else "aaaabbcdde")
+            rows.append(json.dumps({"id": f"m{i:05d}", "task": task, "question_type": qtype,
+                                    "question": "q", "answer": answer}).encode() + b"\n")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b"".join(rows))
+        code, stdout, stderr, files = self.same_at_any_count(
+            tmp_path, ["split", "--input", corpus, "--output-dir", "OUT"])
+        assert code == EXIT_OK and stderr == b"" and set(files) == {"splits.jsonl", "groups.json"}
+
+    def test_split_worker_killed_after_its_counts(self, tmp_path):
+        """A range worker killed once it has sent its ids and counts (it leaves
+        a mark first, to show it got that far) leaves the split to this
+        process, which rewrites splits.jsonl whole."""
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("--threads 2 runs one process on one usable CPU")
+        mark = tmp_path / "mark"
+        script = ("import os, signal\nfrom avqa_debias import splitting\n"
+                  "parent, label = os.getpid(), splitting.label_samples\n"
+                  "def killed(gold, decisions):\n"
+                  "    if os.getpid() != parent:\n"
+                  f"        open({str(mark)!r}, 'w').close()\n"
+                  "        os.kill(os.getpid(), signal.SIGKILL)\n"
+                  "    return label(gold, decisions)\n"
+                  "splitting.label_samples = killed\n" + _NO_CHILD_LEFT)
+        argv = ["split", "--input", GOLDEN / "corpus.jsonl", "--output-dir", "OUT"]
+        expected = self.outcome(tmp_path, "1", argv)
+        assert not mark.exists()
+        for threads in ("2", "0"):
+            assert self.outcome(tmp_path, threads, argv, script=script) == expected, threads
+            assert mark.exists(), threads
+            mark.unlink()
+        assert expected[3] == {name: (GOLDEN / name).read_bytes()
+                               for name in ("splits.jsonl", "groups.json")}
+
+    def test_split_of_a_two_answer_tie(self, tmp_path):
+        """A two-answer group with equal counts, whose rows lie on both sides
+        of the cut, has normalized entropy 1.0, so no threshold keeps it: it
+        is skipped at any count."""
+        lines = _golden_lines("corpus.jsonl")
+        for i in (13, 14, 15):  # three of AudioQA/Comparative's eight x rows become y
+            lines[i] = lines[i].replace(b'"answer": "x"', b'"answer": "y"')
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b"".join(lines))
+        code, stdout, stderr, _ = self.same_at_any_count(
+            tmp_path, ["split", "--input", corpus, "--output-dir", "OUT"])
+        assert (code, stderr) == (EXIT_OK, b"")
+        assert stdout == b"wrote 13 assignments; skipped groups: AudioQA/Comparative, " \
+                         b"VisualQA/Counting\n"
+
+    def test_split_error_in_the_decisions(self, tmp_path):
+        """A SplitError from the labelling of a group is the one-process error
+        at any count, and nothing is written."""
+        script = ("from avqa_debias import splitting\n"
+                  "def refuse(dist, cfg):\n"
+                  "    raise splitting.SplitError(f'group {dist.group}: refused')\n"
+                  "splitting.split_head_tail = refuse\n" + _NO_CHILD_LEFT)
+        code, stdout, stderr, files = self.same_at_any_count(
+            tmp_path, ["split", "--input", GOLDEN / "corpus.jsonl", "--output-dir", "OUT"],
+            script=script)
+        assert (code, stdout, files) == (EXIT_USAGE, b"", {})
+        assert stderr == b"error: group AudioQA/Comparative: refused\n"
+
+    @pytest.mark.parametrize("data", [b"", b"\n \n\n"], ids=["empty", "blank"])
+    def test_split_of_an_empty_corpus(self, tmp_path, data):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(data)
+        code, stdout, stderr, files = self.same_at_any_count(
+            tmp_path, ["split", "--input", corpus, "--output-dir", "OUT"])
+        assert (code, stdout, files) == (EXIT_USAGE, b"", {})
+        assert stderr.decode() == f"error: {corpus}: empty corpus\n"
 
 
 class TestSettingsRejected:
@@ -1280,10 +1375,12 @@ def _oldest_python() -> str | None:
 
 
 def test_evaluation_commands_are_the_same_under_the_oldest_python(tmp_path):
-    """split, score (JSON and text, with a range worker) and kappa, which load
-    the standard library alone, give the same exit code, stdout, stderr and
-    output files under python3.10 as under this interpreter, on good input
-    and on bad: no syntax or call of a later Python is on their path."""
+    """split (with a range worker, and with a bad row in its range, which
+    leaves the split to one process), score (JSON and text, with a range
+    worker) and kappa, which load the standard library alone, give the same
+    exit code, stdout, stderr and output files under python3.10 as under
+    this interpreter, on good input and on bad: no syntax or call of a later
+    Python is on their path."""
     oldest = _oldest_python()
     if oldest is None:
         pytest.skip("no working python3.10 on PATH or under pyenv")
@@ -1301,9 +1398,12 @@ def test_evaluation_commands_are_the_same_under_the_oldest_python(tmp_path):
     bad_votes = tmp_path / "bad_votes.json"
     bad_votes.write_text(json.dumps({"raters": 3, "rows": [[3, 0], [1, 1]]}))
     corpus, splits = GOLDEN / "corpus.jsonl", GOLDEN / "splits.jsonl"
+    bad_corpus = tmp_path / "bad_corpus.jsonl"  # a bad row in the second range
+    bad_corpus.write_bytes(_with_line("corpus.jsonl", -3, {"task": "bogus"}))
     commands = [
         ["--threads", "2", "split", "--input", corpus, "--output-dir", "OUT"],
         ["--threads", "2", "split", "--input", splits, "--output-dir", "OUT"],
+        ["--threads", "2", "split", "--input", bad_corpus, "--output-dir", "OUT"],
         *(["--threads", "2", "score", "--gold", corpus, "--splits", splits, "--preds", p,
            "--format", fmt] for p in (preds, bad_preds) for fmt in ("json", "text")),
         ["kappa", "--votes", votes],

@@ -1108,6 +1108,21 @@ def test_read_ranges_outlives_a_worker_that_dies_mid_message(tmp_path, monkeypat
     assert list(parsed.items()) == list(parse_predictions(io.BytesIO(data)).items())
 
 
+def test_stop_workers_reaps_a_worker_that_left_a_message_unsent():
+    """A message this process has not flushed to a worker that has exited
+    cannot be sent: stopping the worker drops it, raises nothing, and reaps
+    the worker."""
+    workers = data_module.fork_workers(2, lambda k, inbox, outbox: None)
+    assert len(workers) == 1
+    [worker] = workers
+    os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)  # exited, not yet reaped
+    worker.send.write(b"unsent")
+    data_module.stop_workers(workers)
+    assert workers == [] and worker.send.closed
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # The corpus-line pattern with every string plain (no quote, backslash or
 # control character), as the reference for read_gold's block test: that
 # test refuses a block with a backslash or a control character other than

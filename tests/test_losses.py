@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,28 @@ class TestDiscrepancyLoss:
         # subgradient 0 at the kink: gradients stay finite
         for name in HEADS:
             assert np.all(np.isfinite(lv.grads[name]))
+
+    def test_overflowing_raw_distance_is_at_its_limit(self):
+        """Raw logits 2e308 apart overflow their distance to inf: its term is
+        at its limit 0, with the gradient 0, where inf/inf gave NaN entries.
+        The batch's other row keeps its bits: half its value and gradient
+        alone, as the batch mean halves them exactly. The only warnings are
+        numpy's overflow warnings, not an invalid value."""
+        cfg = MccdConfig(distance_space="raw_logit")
+        zero = np.zeros(3)
+        far = LogitBundle(audio=[1e308, 0.0, 0.0], video=zero, question=zero,
+                          fused=[-1e308, 0.0, 0.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            alone = discrepancy_loss([far], cfg)
+            both = discrepancy_loss([ORACLE, far], cfg)
+        assert alone.value == 0.0
+        assert np.array_equal(alone.grad, np.zeros((4, 1, 3)))
+        oracle = discrepancy_loss([ORACLE], cfg)
+        assert both.value == 0.5 * oracle.value
+        assert np.array_equal(both.grad[:, :1], 0.5 * oracle.grad)
+        assert np.array_equal(both.grad[:, 1:], np.zeros((4, 1, 3)))
+        assert caught and all("overflow" in str(w.message) for w in caught)
 
     def test_alpha_zero_short_circuits(self):
         lv = discrepancy_loss([ORACLE], MccdConfig(alpha=0.0))

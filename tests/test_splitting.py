@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 from fractions import Fraction
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avqa_debias import data as data_module
-from avqa_debias.data import CorpusError, GroupKey, QuestionType, Task
+from avqa_debias.data import CorpusError, GroupKey, QuestionType, Task, read_gold
 from avqa_debias.splitting import (
     AnswerDistribution,
     SplitConfig,
@@ -22,6 +23,7 @@ from avqa_debias.splitting import (
     read_splits,
     select_imbalanced_groups,
     split_head_tail,
+    split_in_ranges,
     write_splits,
 )
 from conftest import TRICKY, make_sample, samples_from_counts, written
@@ -354,3 +356,66 @@ class TestEntropyProperties:
         # the minimum count never exceeds the mean, so the cutoff with
         # factor 6/5 always leaves at least one tail class
         assert any(v is SplitLabel.TAIL for v in labels.values())
+
+
+class _KeptBytes(io.BytesIO):
+    """A splits stream whose bytes outlive the ``with`` that closes it."""
+
+    def close(self):
+        pass
+
+
+def _one_process_split(path):
+    """(reports with each group's counts in order, rows written, bytes) of the
+    one-process split of the corpus at ``path``, or None where it raises."""
+    try:
+        with open(path, "rb") as f:
+            result = assign_splits(read_gold(f))
+    except (CorpusError, SplitError):
+        return None
+    return ([(r, list(r.distribution.counts.items())) for r in result.group_reports],
+            len(result.assignments), written(write_splits, result.assignments)[0])
+
+
+def _corpus_line(sid: int, group: int, answer: str) -> bytes:
+    task, qtype = [("AVQA", "Counting"), ("AudioQA", "Comparative"), ("VisualQA", "Location")][group]
+    return json.dumps({"id": f"r{sid}", "task": task, "question_type": qtype, "question": "q",
+                       "answer": answer}).encode()
+
+
+# Rows of three groups whose answers first appear anywhere in the file, ids
+# that seldom collide, and blank lines; a test adds at most one line that a
+# reader rejects.
+_CORPUS_ROW = st.builds(_corpus_line, st.integers(0, 10**6), st.integers(0, 2),
+                        st.sampled_from("aaaabbcd"))
+_SPLIT_LINES = st.lists(st.one_of(*[_CORPUS_ROW] * 6, st.sampled_from([b"", b" "])), max_size=60)
+_BAD_LINE = st.none() | st.tuples(st.integers(0, 60), st.sampled_from([b"{broken", b'{"id": ""}']))
+_ROWS = [_corpus_line(i, i % 3, "aaab"[i % 4]) for i in range(40)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(lines=_SPLIT_LINES, bad=_BAD_LINE, ranges=st.integers(2, 4))
+@example(lines=_ROWS, bad=None, ranges=2)
+@example(lines=_ROWS, bad=None, ranges=4)
+@example(lines=[*_ROWS, _ROWS[0]], bad=None, ranges=2)  # copies in the first and the last range
+@example(lines=[*_ROWS, _ROWS[20]], bad=None, ranges=3)  # copies in the second and the third
+@example(lines=_ROWS, bad=(30, b"{broken"), ranges=3)
+@example(lines=[], bad=None, ranges=2)
+def test_split_in_ranges_is_the_one_process_split(tmp_path_factory, lines, bad, ranges):
+    """``split_in_ranges`` of a corpus in 2 to 4 ranges gives the one-process
+    split: the same group reports, each group's counts in the same order, and
+    the same splits bytes; where the one-process split raises, it returns None
+    and leaves the error to it. No worker process is left."""
+    if bad is not None:
+        lines = [*lines[:bad[0]], bad[1], *lines[bad[0]:]]
+    path = tmp_path_factory.mktemp("split") / "corpus.jsonl"
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    splits = _KeptBytes()
+    done = split_in_ranges(path, ranges, SplitConfig(), lambda: splits)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if done is not None:
+        reports, assigned = done
+        done = ([(r, list(r.distribution.counts.items())) for r in reports], assigned,
+                splits.getvalue())
+    assert done == _one_process_split(path)
